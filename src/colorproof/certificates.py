@@ -19,11 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import EdgeConstraint, GameType
+from .games import F3, EdgeConstraint, GameType
 from .graphs import ExtendedGraph, Graph
 from .quantum import QuantumStrategy, _qform
-
-F3 = (0, 1, 2)
 
 
 class CertificateError(ValueError):

@@ -15,12 +15,7 @@ from typing import Optional, Sequence
 
 from . import games, graphs, net, quantum, soundness, strategies
 
-KIND_NAMES = {
-    "alt-rzkp": games.GameType.ALT_RZKP,
-    "alt-edge": games.GameType.ALT_EDGE,
-    "bcs": games.GameType.BCS,
-    "vertex": games.GameType.VERTEX,
-}
+KIND_NAMES = {t.value: t for t in games.GameType}
 
 
 class CliError(Exception):

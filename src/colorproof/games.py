@@ -12,6 +12,8 @@ Game variants:
   * vertex    -- both provers get one vertex each; equal answers required on
                  the diagonal, distinct answers across an edge.
 
+Each variant is defined once, by its `GameSpec` in `SPECS`; everything else
+(the round loop, the quantum evaluator, the wire prover) reads the spec.
 Edge challenges always carry i < j. All samplers draw from an explicit
 `random.Random` stream and match `challenge_pmf` exactly.
 """
@@ -19,11 +21,12 @@ Edge challenges always carry i < j. All samplers draw from an explicit
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Optional, Union
 
 from .graphs import Edge, Graph
 from .seeds import substream
@@ -36,6 +39,10 @@ class GameType(enum.Enum):
     ALT_EDGE = "alt-edge"
     BCS = "bcs"
     VERTEX = "vertex"
+
+    # members are singletons, so identity hashing is exact, and it keeps the
+    # per-round SPECS lookup off Enum's Python-level __hash__
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,30 +121,8 @@ class VertexChallenge:
 Challenge = Union[RzkpChallenge, EdgeChallenge, BcsChallenge, VertexChallenge]
 
 
-def half_a(ch: Challenge):
-    """The part of a challenge that prover A is allowed to see."""
-    if isinstance(ch, RzkpChallenge):
-        return ch.edge_a
-    if isinstance(ch, EdgeChallenge):
-        return ch.edge_a
-    if isinstance(ch, BcsChallenge):
-        return ch.constraint
-    return ch.vertex_a
-
-
-def half_b(ch: Challenge):
-    """The part of a challenge that prover B is allowed to see."""
-    if isinstance(ch, RzkpChallenge):
-        return (ch.edge_b, ch.bit)
-    if isinstance(ch, EdgeChallenge):
-        return ch.vertex_b
-    if isinstance(ch, BcsChallenge):
-        return (ch.vertex_b, ch.color_b)
-    return ch.vertex_b
-
-
 # ---------------------------------------------------------------------------
-# Responses
+# Responses: each wraps one payload, the outcome of that prover's measurement
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,6 +163,24 @@ class VertexResponse:
 Response = Union[
     RzkpResponseA, RzkpResponseB, EdgeResponseA, EdgeResponseB, BcsResponseA, BcsResponseB, VertexResponse
 ]
+
+
+def _payload(r: Response):
+    return getattr(r, fields(r)[0].name)
+
+
+@dataclass(frozen=True)
+class Labelled:
+    """Per-round coloring and its additive label split (w0 + w1 = c mod 3)."""
+
+    colors: tuple[int, ...]
+    w0: tuple[int, ...]
+    w1: tuple[int, ...]
+
+    @classmethod
+    def split(cls, colors, w0) -> "Labelled":
+        """The labelling of `colors` whose bit-0 labels are `w0`."""
+        return cls(tuple(colors), tuple(w0), tuple((c - w) % 3 for c, w in zip(colors, w0)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +226,330 @@ class WinStats:
     degenerate: bool = False
 
 
+def _colors_ok(*vals: int) -> bool:
+    return all(v in (0, 1, 2) for v in vals)
+
+
+def _bits_ok(*vals: int) -> bool:
+    return all(v in (0, 1) for v in vals)
+
+
 # ---------------------------------------------------------------------------
-# Sampling and exact pmfs
+# Per-variant definitions, collected into one GameSpec each below
+
+
+# alt-rzkp
+def _rzkp_sample(g: Graph, mix: float, rng: random.Random) -> RzkpChallenge:
+    i, j = g.edges[rng.randrange(len(g.edges))]
+    b = rng.randrange(2)
+    v = i if rng.randrange(2) == 0 else j
+    nbrs = g.adjacency[v]
+    u = nbrs[rng.randrange(len(nbrs))]
+    eb = (v, u) if v < u else (u, v)
+    return RzkpChallenge(edge_a=(i, j), edge_b=eb, bit=b)
+
+
+def _rzkp_pmf(g: Graph, mix: float) -> dict:
+    # (1/2|E|) * [ (d_ii' + d_ij') / 2|N(i)| + (d_jj' + d_ji') / 2|N(j)| ]
+    ne = len(g.edges)
+    pmf: dict = {}
+    for i, j in g.edges:
+        for ep in g.edges:
+            for b in (0, 1):
+                w = 0.0
+                w += (int(i == ep[0]) + int(i == ep[1])) / (2 * g.degree(i))
+                w += (int(j == ep[1]) + int(j == ep[0])) / (2 * g.degree(j))
+                if w:
+                    ch = RzkpChallenge(edge_a=(i, j), edge_b=ep, bit=b)
+                    pmf[ch] = pmf.get(ch, 0.0) + w / (2 * ne)
+    return pmf
+
+
+def _rzkp_check(ch: RzkpChallenge, ra: RzkpResponseA, rb: RzkpResponseB) -> Verdict:
+    wi0, wi1, wj0, wj1 = ra.w
+    if not (_colors_ok(wi0, wi1, wj0, wj1) and _colors_ok(*rb.w) and ch.bit in (0, 1)):
+        return _reject(Reason.MALFORMED)
+    if (wi0 + wi1) % 3 == (wj0 + wj1) % 3:
+        return _reject(Reason.EDGE_VERIFICATION)
+    i, j = ch.edge_a
+    b = ch.bit
+    a_label = {i: ra.w[b], j: ra.w[2 + b]}
+    b_label = {ch.edge_b[0]: rb.w[0], ch.edge_b[1]: rb.w[1]}
+    for v in (i, j):
+        if v in b_label and a_label[v] != b_label[v]:
+            return _reject(Reason.WELL_DEFINITION)
+    return ACCEPT
+
+
+def _rzkp_honest_b(lab: Labelled, half) -> tuple:
+    (i, j), b = half
+    w = lab.w0 if b == 0 else lab.w1
+    return (w[i], w[j])
+
+
+# alt-edge
+def _edge_sample(g: Graph, mix: float, rng: random.Random) -> EdgeChallenge:
+    i, j = g.edges[rng.randrange(len(g.edges))]
+    v = i if rng.randrange(2) == 0 else j
+    return EdgeChallenge(edge_a=(i, j), vertex_b=v)
+
+
+def _edge_pmf(g: Graph, mix: float) -> dict:
+    ne = len(g.edges)
+    pmf: dict = {}
+    for i, j in g.edges:
+        pmf[EdgeChallenge((i, j), i)] = 1.0 / (2 * ne)
+        pmf[EdgeChallenge((i, j), j)] = 1.0 / (2 * ne)
+    return pmf
+
+
+def _edge_check(ch: EdgeChallenge, ra: EdgeResponseA, rb: EdgeResponseB) -> Verdict:
+    ci, cj = ra.colors
+    if not _colors_ok(ci, cj, rb.color):
+        return _reject(Reason.MALFORMED)
+    if ci == cj:
+        return _reject(Reason.EDGE_VERIFICATION)
+    i, j = ch.edge_a
+    if ch.vertex_b == i and ci != rb.color:
+        return _reject(Reason.WELL_DEFINITION)
+    if ch.vertex_b == j and cj != rb.color:
+        return _reject(Reason.WELL_DEFINITION)
+    return ACCEPT
+
+
+# bcs
+def _bcs_sample(g: Graph, mix: float, rng: random.Random) -> BcsChallenge:
+    if rng.random() < mix:
+        e = g.edges[rng.randrange(len(g.edges))]
+        alpha = rng.randrange(3)
+        k = e[rng.randrange(2)]
+        return BcsChallenge(EdgeConstraint(edge=e, color=alpha), vertex_b=k, color_b=alpha)
+    i = rng.randrange(g.n)
+    beta = rng.randrange(3)
+    return BcsChallenge(VertexConstraint(vertex=i), vertex_b=i, color_b=beta)
+
+
+def _bcs_pmf(g: Graph, mix: float) -> dict:
+    ne = len(g.edges)
+    pmf: dict = {}
+    if mix > 0.0:
+        for e in g.edges:
+            for alpha in F3:
+                for k in e:
+                    ch = BcsChallenge(EdgeConstraint(e, alpha), k, alpha)
+                    pmf[ch] = pmf.get(ch, 0.0) + mix / (6 * ne)
+    if mix < 1.0:
+        for i in range(g.n):
+            for beta in F3:
+                ch = BcsChallenge(VertexConstraint(i), i, beta)
+                pmf[ch] = pmf.get(ch, 0.0) + (1.0 - mix) / (3 * g.n)
+    return pmf
+
+
+def _bcs_check(ch: BcsChallenge, ra: BcsResponseA, rb: BcsResponseB) -> Verdict:
+    if not _bits_ok(*ra.bits, rb.bit):
+        return _reject(Reason.MALFORMED)
+    con = ch.constraint
+    if isinstance(con, VertexConstraint):
+        if len(ra.bits) != 3:
+            return _reject(Reason.MALFORMED)
+        if sum(ra.bits) != 1:
+            return _reject(Reason.CONSTRAINT_SATISFACTION)
+        if ch.vertex_b == con.vertex and ra.bits[ch.color_b] != rb.bit:
+            return _reject(Reason.WELL_DEFINITION)
+        return ACCEPT
+    if len(ra.bits) != 2:
+        return _reject(Reason.MALFORMED)
+    if ra.bits[0] * ra.bits[1] != 0:
+        return _reject(Reason.CONSTRAINT_SATISFACTION)
+    if ch.color_b == con.color:
+        i, j = con.edge
+        if ch.vertex_b == i and ra.bits[0] != rb.bit:
+            return _reject(Reason.WELL_DEFINITION)
+        if ch.vertex_b == j and ra.bits[1] != rb.bit:
+            return _reject(Reason.WELL_DEFINITION)
+    return ACCEPT
+
+
+def _bcs_honest_a(lab: Labelled, con) -> tuple:
+    if isinstance(con, VertexConstraint):
+        c = lab.colors[con.vertex]
+        return tuple(int(c == a) for a in F3)
+    i, j = con.edge
+    return (int(lab.colors[i] == con.color), int(lab.colors[j] == con.color))
+
+
+def _bcs_a_keys(g: Graph) -> list:
+    return [EdgeConstraint(e, a) for e in g.edges for a in F3] + [VertexConstraint(v) for v in range(g.n)]
+
+
+def _bcs_json(ch: BcsChallenge) -> dict:
+    con = ch.constraint
+    if isinstance(con, VertexConstraint):
+        c = {"type": "vertex", "vertex": con.vertex}
+    else:
+        c = {"type": "edge", "edge": list(con.edge), "color": con.color}
+    return {"constraint": c, "vertex_b": ch.vertex_b, "color_b": ch.color_b}
+
+
+# vertex
+def _vertex_sample(g: Graph, mix: float, rng: random.Random) -> VertexChallenge:
+    if rng.random() < mix:
+        i = rng.randrange(g.n)
+        return VertexChallenge(i, i)
+    i, j = g.edges[rng.randrange(len(g.edges))]
+    return VertexChallenge(i, j)
+
+
+def _vertex_pmf(g: Graph, mix: float) -> dict:
+    pmf: dict = {}
+    if mix > 0.0:
+        pmf.update((VertexChallenge(i, i), mix / g.n) for i in range(g.n))
+    if mix < 1.0:
+        pmf.update((VertexChallenge(i, j), (1.0 - mix) / len(g.edges)) for i, j in g.edges)
+    return pmf
+
+
+def _vertex_check(ch: VertexChallenge, ra: VertexResponse, rb: VertexResponse) -> Verdict:
+    if not _colors_ok(ra.color, rb.color):
+        return _reject(Reason.MALFORMED)
+    if ch.vertex_a == ch.vertex_b:
+        if ra.color != rb.color:
+            return _reject(Reason.WELL_DEFINITION)
+        return ACCEPT
+    if ra.color == rb.color:
+        return _reject(Reason.EDGE_VERIFICATION)
+    return ACCEPT
+
+
+# ---------------------------------------------------------------------------
+# The spec table
+
+
+@dataclass(frozen=True)
+class GameSpec:
+    """Everything that defines one game variant.
+
+    Outcomes are the payloads of the response classes (`response_a(outcome)`
+    builds prover A's response). Keys are challenge halves; `a_keys(g)` and
+    `b_keys(g)` enumerate every half of a graph in the order the PVM dicts of
+    a quantum strategy hold them, which seeded strategy draws depend on.
+    `honest_a(lab, key)` is the honest outcome for one labelling.
+    """
+
+    game: GameType
+    sample: Callable[[Graph, float, random.Random], Challenge]
+    pmf: Callable[[Graph, float], dict]
+    half_a: Callable[[Challenge], object]
+    half_b: Callable[[Challenge], object]
+    challenge: type
+    response_a: type
+    response_b: type
+    a_outcomes: Callable[[object], tuple]
+    b_outcomes: Callable[[object], tuple]
+    a_keys: Callable[[Graph], list]
+    b_keys: Callable[[Graph], list]
+    honest_a: Callable[[Labelled, object], object]
+    honest_b: Callable[[Labelled, object], object]
+    check: Callable[[Challenge, Response, Response], Verdict]
+    to_json: Callable[[Challenge], dict]
+
+
+_LABELS4 = tuple(itertools.product(F3, repeat=4))
+_LABELS2 = tuple(itertools.product(F3, repeat=2))
+_BITS3 = tuple(itertools.product((0, 1), repeat=3))
+_BITS2 = tuple(itertools.product((0, 1), repeat=2))
+
+SPECS = {
+    GameType.ALT_RZKP: GameSpec(
+        game=GameType.ALT_RZKP,
+        sample=_rzkp_sample,
+        pmf=_rzkp_pmf,
+        half_a=lambda ch: ch.edge_a,
+        half_b=lambda ch: (ch.edge_b, ch.bit),
+        challenge=RzkpChallenge,
+        response_a=RzkpResponseA,
+        response_b=RzkpResponseB,
+        a_outcomes=lambda key: _LABELS4,
+        b_outcomes=lambda key: _LABELS2,
+        a_keys=lambda g: list(g.edges),
+        b_keys=lambda g: [(e, b) for e in g.edges for b in (0, 1)],
+        honest_a=lambda lab, e: (lab.w0[e[0]], lab.w1[e[0]], lab.w0[e[1]], lab.w1[e[1]]),
+        honest_b=_rzkp_honest_b,
+        check=_rzkp_check,
+        to_json=asdict,
+    ),
+    GameType.ALT_EDGE: GameSpec(
+        game=GameType.ALT_EDGE,
+        sample=_edge_sample,
+        pmf=_edge_pmf,
+        half_a=lambda ch: ch.edge_a,
+        half_b=lambda ch: ch.vertex_b,
+        challenge=EdgeChallenge,
+        response_a=EdgeResponseA,
+        response_b=EdgeResponseB,
+        a_outcomes=lambda key: _LABELS2,
+        b_outcomes=lambda key: F3,
+        a_keys=lambda g: list(g.edges),
+        b_keys=lambda g: [v for v in range(g.n) if g.degree(v) > 0],
+        honest_a=lambda lab, edge: (lab.colors[edge[0]], lab.colors[edge[1]]),
+        honest_b=lambda lab, v: lab.colors[v],
+        check=_edge_check,
+        to_json=asdict,
+    ),
+    GameType.BCS: GameSpec(
+        game=GameType.BCS,
+        sample=_bcs_sample,
+        pmf=_bcs_pmf,
+        half_a=lambda ch: ch.constraint,
+        half_b=lambda ch: (ch.vertex_b, ch.color_b),
+        challenge=BcsChallenge,
+        response_a=BcsResponseA,
+        response_b=BcsResponseB,
+        a_outcomes=lambda con: _BITS3 if isinstance(con, VertexConstraint) else _BITS2,
+        b_outcomes=lambda key: (0, 1),
+        a_keys=_bcs_a_keys,
+        b_keys=lambda g: [(v, beta) for v in range(g.n) for beta in F3],
+        honest_a=_bcs_honest_a,
+        honest_b=lambda lab, half: int(lab.colors[half[0]] == half[1]),
+        check=_bcs_check,
+        to_json=_bcs_json,
+    ),
+    GameType.VERTEX: GameSpec(
+        game=GameType.VERTEX,
+        sample=_vertex_sample,
+        pmf=_vertex_pmf,
+        half_a=lambda ch: ch.vertex_a,
+        half_b=lambda ch: ch.vertex_b,
+        challenge=VertexChallenge,
+        response_a=VertexResponse,
+        response_b=VertexResponse,
+        a_outcomes=lambda key: F3,
+        b_outcomes=lambda key: F3,
+        a_keys=lambda g: list(range(g.n)),
+        b_keys=lambda g: list(range(g.n)),
+        honest_a=lambda lab, v: lab.colors[v],
+        honest_b=lambda lab, v: lab.colors[v],
+        check=_vertex_check,
+        to_json=asdict,
+    ),
+}
+
+_SPEC_OF_CHALLENGE = {spec.challenge: spec for spec in SPECS.values()}
+
+
+def half_a(ch: Challenge):
+    """The part of a challenge that prover A is allowed to see."""
+    return _SPEC_OF_CHALLENGE[type(ch)].half_a(ch)
+
+
+def half_b(ch: Challenge):
+    """The part of a challenge that prover B is allowed to see."""
+    return _SPEC_OF_CHALLENGE[type(ch)].half_b(ch)
+
+
+# ---------------------------------------------------------------------------
+# Sampling, exact pmfs and the verdict machine
 
 
 def _require_edges(g: Graph) -> None:
@@ -235,174 +560,26 @@ def _require_edges(g: Graph) -> None:
 def sample_challenge(kind: GameKind, g: Graph, rng: random.Random) -> Challenge:
     """Draw one challenge from the game's exact distribution."""
     _require_edges(g)
-    edges = g.edges
-    if kind.game is GameType.ALT_RZKP:
-        i, j = edges[rng.randrange(len(edges))]
-        b = rng.randrange(2)
-        v = i if rng.randrange(2) == 0 else j
-        nbrs = g.adjacency[v]
-        u = nbrs[rng.randrange(len(nbrs))]
-        eb = (v, u) if v < u else (u, v)
-        return RzkpChallenge(edge_a=(i, j), edge_b=eb, bit=b)
-    if kind.game is GameType.ALT_EDGE:
-        i, j = edges[rng.randrange(len(edges))]
-        v = i if rng.randrange(2) == 0 else j
-        return EdgeChallenge(edge_a=(i, j), vertex_b=v)
-    if kind.game is GameType.BCS:
-        if rng.random() < kind.mix:
-            e = edges[rng.randrange(len(edges))]
-            alpha = rng.randrange(3)
-            k = e[rng.randrange(2)]
-            return BcsChallenge(EdgeConstraint(edge=e, color=alpha), vertex_b=k, color_b=alpha)
-        i = rng.randrange(g.n)
-        beta = rng.randrange(3)
-        return BcsChallenge(VertexConstraint(vertex=i), vertex_b=i, color_b=beta)
-    # vertex game
-    if rng.random() < kind.mix:
-        i = rng.randrange(g.n)
-        return VertexChallenge(i, i)
-    i, j = edges[rng.randrange(len(edges))]
-    return VertexChallenge(i, j)
+    return SPECS[kind.game].sample(g, kind.mix, rng)
 
 
 def challenge_pmf(kind: GameKind, g: Graph) -> dict[Challenge, float]:
     """Exact challenge distribution as a finite map (probabilities sum to 1)."""
     _require_edges(g)
-    ne = len(g.edges)
-    pmf: dict[Challenge, float] = {}
-    if kind.game is GameType.ALT_RZKP:
-        # (1/2|E|) * [ (d_ii' + d_ij') / 2|N(i)| + (d_jj' + d_ji') / 2|N(j)| ]
-        for i, j in g.edges:
-            for ep in g.edges:
-                for b in (0, 1):
-                    w = 0.0
-                    w += (int(i == ep[0]) + int(i == ep[1])) / (2 * g.degree(i))
-                    w += (int(j == ep[1]) + int(j == ep[0])) / (2 * g.degree(j))
-                    if w:
-                        ch = RzkpChallenge(edge_a=(i, j), edge_b=ep, bit=b)
-                        pmf[ch] = pmf.get(ch, 0.0) + w / (2 * ne)
-        return pmf
-    if kind.game is GameType.ALT_EDGE:
-        for i, j in g.edges:
-            pmf[EdgeChallenge((i, j), i)] = 1.0 / (2 * ne)
-            pmf[EdgeChallenge((i, j), j)] = 1.0 / (2 * ne)
-        return pmf
-    if kind.game is GameType.BCS:
-        lam = kind.mix
-        if lam > 0.0:
-            for e in g.edges:
-                for alpha in F3:
-                    for k in e:
-                        ch = BcsChallenge(EdgeConstraint(e, alpha), k, alpha)
-                        pmf[ch] = pmf.get(ch, 0.0) + lam / (6 * ne)
-        if lam < 1.0:
-            for i in range(g.n):
-                for beta in F3:
-                    ch = BcsChallenge(VertexConstraint(i), i, beta)
-                    pmf[ch] = pmf.get(ch, 0.0) + (1.0 - lam) / (3 * g.n)
-        return pmf
-    lam = kind.mix
-    if lam > 0.0:
-        for i in range(g.n):
-            ch = VertexChallenge(i, i)
-            pmf[ch] = pmf.get(ch, 0.0) + lam / g.n
-    if lam < 1.0:
-        for i, j in g.edges:
-            ch = VertexChallenge(i, j)
-            pmf[ch] = pmf.get(ch, 0.0) + (1.0 - lam) / ne
-    return pmf
-
-
-# ---------------------------------------------------------------------------
-# Verdict machine
-
-
-def _colors_ok(*vals: int) -> bool:
-    return all(v in (0, 1, 2) for v in vals)
-
-
-def _bits_ok(*vals: int) -> bool:
-    return all(v in (0, 1) for v in vals)
+    return SPECS[kind.game].pmf(g, kind.mix)
 
 
 def verdict(kind: GameKind, ch: Challenge, ra: Response, rb: Response) -> Verdict:
     """Apply the game's checks; total (malformed input rejects, never raises)."""
     try:
-        return _verdict(kind, ch, ra, rb)
+        spec = SPECS[kind.game]
+        if not (
+            isinstance(ch, spec.challenge) and isinstance(ra, spec.response_a) and isinstance(rb, spec.response_b)
+        ):
+            return _reject(Reason.MALFORMED)
+        return spec.check(ch, ra, rb)
     except Exception:
         return _reject(Reason.MALFORMED)
-
-
-def _verdict(kind: GameKind, ch: Challenge, ra: Response, rb: Response) -> Verdict:
-    if kind.game is GameType.ALT_RZKP:
-        if not (isinstance(ch, RzkpChallenge) and isinstance(ra, RzkpResponseA) and isinstance(rb, RzkpResponseB)):
-            return _reject(Reason.MALFORMED)
-        wi0, wi1, wj0, wj1 = ra.w
-        if not (_colors_ok(wi0, wi1, wj0, wj1) and _colors_ok(*rb.w) and ch.bit in (0, 1)):
-            return _reject(Reason.MALFORMED)
-        if (wi0 + wi1) % 3 == (wj0 + wj1) % 3:
-            return _reject(Reason.EDGE_VERIFICATION)
-        i, j = ch.edge_a
-        b = ch.bit
-        a_label = {i: ra.w[b], j: ra.w[2 + b]}
-        b_label = {ch.edge_b[0]: rb.w[0], ch.edge_b[1]: rb.w[1]}
-        for v in (i, j):
-            if v in b_label and a_label[v] != b_label[v]:
-                return _reject(Reason.WELL_DEFINITION)
-        return ACCEPT
-
-    if kind.game is GameType.ALT_EDGE:
-        if not (isinstance(ch, EdgeChallenge) and isinstance(ra, EdgeResponseA) and isinstance(rb, EdgeResponseB)):
-            return _reject(Reason.MALFORMED)
-        ci, cj = ra.colors
-        if not _colors_ok(ci, cj, rb.color):
-            return _reject(Reason.MALFORMED)
-        if ci == cj:
-            return _reject(Reason.EDGE_VERIFICATION)
-        i, j = ch.edge_a
-        if ch.vertex_b == i and ci != rb.color:
-            return _reject(Reason.WELL_DEFINITION)
-        if ch.vertex_b == j and cj != rb.color:
-            return _reject(Reason.WELL_DEFINITION)
-        return ACCEPT
-
-    if kind.game is GameType.BCS:
-        if not (isinstance(ch, BcsChallenge) and isinstance(ra, BcsResponseA) and isinstance(rb, BcsResponseB)):
-            return _reject(Reason.MALFORMED)
-        if not _bits_ok(*ra.bits, rb.bit):
-            return _reject(Reason.MALFORMED)
-        con = ch.constraint
-        if isinstance(con, VertexConstraint):
-            if len(ra.bits) != 3:
-                return _reject(Reason.MALFORMED)
-            if sum(ra.bits) != 1:
-                return _reject(Reason.CONSTRAINT_SATISFACTION)
-            if ch.vertex_b == con.vertex and ra.bits[ch.color_b] != rb.bit:
-                return _reject(Reason.WELL_DEFINITION)
-            return ACCEPT
-        if len(ra.bits) != 2:
-            return _reject(Reason.MALFORMED)
-        if ra.bits[0] * ra.bits[1] != 0:
-            return _reject(Reason.CONSTRAINT_SATISFACTION)
-        if ch.color_b == con.color:
-            i, j = con.edge
-            if ch.vertex_b == i and ra.bits[0] != rb.bit:
-                return _reject(Reason.WELL_DEFINITION)
-            if ch.vertex_b == j and ra.bits[1] != rb.bit:
-                return _reject(Reason.WELL_DEFINITION)
-        return ACCEPT
-
-    if not (isinstance(ch, VertexChallenge) and isinstance(ra, VertexResponse) and isinstance(rb, VertexResponse)):
-        return _reject(Reason.MALFORMED)
-    if not _colors_ok(ra.color, rb.color):
-        return _reject(Reason.MALFORMED)
-    if ch.vertex_a == ch.vertex_b:
-        if ra.color != rb.color:
-            return _reject(Reason.WELL_DEFINITION)
-        return ACCEPT
-    if ra.color == rb.color:
-        return _reject(Reason.EDGE_VERIFICATION)
-    return ACCEPT
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +619,7 @@ def play_rounds(
         return WinStats(0, 0, 1.0, (0.0, 1.0), degenerate=True), ([] if keep_log else None)
     log: Optional[list[Transcript]] = [] if keep_log else None
     accepts = 0
+    spec = SPECS[kind.game]
     split = hasattr(pair, "answer_a")
     rng = substream("rounds", seed)
     for r in range(rounds):
@@ -450,8 +628,8 @@ def play_rounds(
         try:
             if split:
                 shared = pair.shared(kind, g, rng)
-                ra = pair.answer_a(kind, half_a(ch), shared)
-                rb = pair.answer_b(kind, half_b(ch), shared)
+                ra = pair.answer_a(kind, spec.half_a(ch), shared)
+                rb = pair.answer_b(kind, spec.half_b(ch), shared)
             else:
                 ra, rb = pair.respond(kind, ch, rng)
             v = verdict(kind, ch, ra, rb)
@@ -469,42 +647,12 @@ def play_rounds(
 # Transcript logs (JSON lines)
 
 
-def _challenge_to_json(ch: Challenge) -> dict:
-    if isinstance(ch, RzkpChallenge):
-        return {"kind": "alt-rzkp", "edge_a": list(ch.edge_a), "edge_b": list(ch.edge_b), "bit": ch.bit}
-    if isinstance(ch, EdgeChallenge):
-        return {"kind": "alt-edge", "edge_a": list(ch.edge_a), "vertex_b": ch.vertex_b}
-    if isinstance(ch, BcsChallenge):
-        con = ch.constraint
-        if isinstance(con, VertexConstraint):
-            c = {"type": "vertex", "vertex": con.vertex}
-        else:
-            c = {"type": "edge", "edge": list(con.edge), "color": con.color}
-        return {"kind": "bcs", "constraint": c, "vertex_b": ch.vertex_b, "color_b": ch.color_b}
-    return {"kind": "vertex", "vertex_a": ch.vertex_a, "vertex_b": ch.vertex_b}
-
-
-def _response_to_json(r: Optional[Response]):
-    if r is None:
-        return None
-    if isinstance(r, (RzkpResponseA, RzkpResponseB)):
-        return list(r.w)
-    if isinstance(r, EdgeResponseA):
-        return list(r.colors)
-    if isinstance(r, EdgeResponseB):
-        return r.color
-    if isinstance(r, BcsResponseA):
-        return list(r.bits)
-    if isinstance(r, BcsResponseB):
-        return r.bit
-    return r.color
-
-
 def transcript_to_json_line(t: Transcript) -> str:
+    spec = _SPEC_OF_CHALLENGE[type(t.challenge)]
     rec = {
         "round": t.round,
-        "challenge": _challenge_to_json(t.challenge),
-        "responses": [_response_to_json(t.response_a), _response_to_json(t.response_b)],
+        "challenge": {"kind": spec.game.value, **spec.to_json(t.challenge)},
+        "responses": [None if r is None else _payload(r) for r in (t.response_a, t.response_b)],
         "verdict": "accept" if t.verdict.accept else "reject",
         "reason": t.verdict.reason.value if t.verdict.reason else None,
     }

@@ -24,7 +24,9 @@ from typing import Optional, Union
 
 from .games import (
     ALT_RZKP,
+    SPECS,
     GameType,
+    Labelled,
     Reason,
     RzkpChallenge,
     RzkpResponseA,
@@ -36,7 +38,7 @@ from .games import (
 )
 from .graphs import Graph, PlantedInstance
 from .seeds import substream
-from .strategies import Labelled, _draw_labelling
+from .strategies import _draw_labelling
 
 MAX_PAYLOAD = 1 << 20
 PROTOCOL_VERSION = 1
@@ -49,12 +51,7 @@ T_RESPONSE_B = 5
 T_RESULT = 6
 T_BYE = 7
 
-GAME_CODES = {
-    GameType.ALT_RZKP: 1,
-    GameType.ALT_EDGE: 2,
-    GameType.BCS: 3,
-    GameType.VERTEX: 4,
-}
+GAME_CODES = {GameType.ALT_RZKP: 1}  # the only game the wire carries
 
 REASON_CODES = {
     None: 0,
@@ -141,119 +138,65 @@ class Bye:
 WireMessage = Union[Hello, ChallengeA, ChallengeB, ResponseA, ResponseB, Result, Bye]
 
 
-def _range(name: str, value: int, limit: int) -> int:
-    if not 0 <= value < limit:
-        raise FieldRangeError(f"{name}={value} outside 0..{limit - 1}")
-    return value
+_U64, _U32 = 1 << 64, 1 << 32
+
+# Per message type: its class, the layout of the whole frame (length, type,
+# body), and the name and exclusive upper bound of each leading body field.
+# Both directions check through this table.
+_FRAMES = {
+    T_HELLO: (Hello, struct.Struct(">IBBB32s"), (("version", 256),)),
+    T_CHALLENGE_A: (ChallengeA, struct.Struct(">IBQII"), (("round", _U64), ("i", _U32), ("j", _U32))),
+    T_CHALLENGE_B: (ChallengeB, struct.Struct(">IBQIIB"), (("round", _U64), ("i", _U32), ("j", _U32), ("b", 2))),
+    T_RESPONSE_A: (ResponseA, struct.Struct(">IBQBBBB"), (("round", _U64),) + (("w", 3),) * 4),
+    T_RESPONSE_B: (ResponseB, struct.Struct(">IBQBB"), (("round", _U64), ("wi", 3), ("wj", 3))),
+    T_RESULT: (Result, struct.Struct(">IBQBB"), (("round", _U64), ("verdict", 2), ("reason", 6))),
+    T_BYE: (Bye, struct.Struct(">IB"), ()),
+}
+_TYPE_OF = {cls: t for t, (cls, _, _) in _FRAMES.items()}
+_HEADER = struct.Struct(">IB")
+
+
+def _check_fields(t: int, values: tuple) -> None:
+    for (name, limit), value in zip(_FRAMES[t][2], values):
+        if not 0 <= value < limit:
+            raise FieldRangeError(f"{name}={value} outside 0..{limit - 1}")
+    if t == T_HELLO:
+        if values[1] not in GAME_CODES.values():
+            raise FieldRangeError(f"unknown game code {values[1]}")
+        if len(values[2]) != 32:
+            raise FieldRangeError("graph hash must be 32 bytes")
 
 
 def encode(msg: WireMessage) -> bytes:
-    if isinstance(msg, Hello):
-        if len(msg.graph_hash) != 32:
-            raise FieldRangeError("graph hash must be 32 bytes")
-        payload = struct.pack(">BB", _range("version", msg.version, 256), _range("game", msg.game, 5)) + msg.graph_hash
-        t = T_HELLO
-    elif isinstance(msg, ChallengeA):
-        payload = struct.pack(
-            ">QII",
-            _range("round", msg.round, 1 << 64),
-            _range("i", msg.i, 1 << 32),
-            _range("j", msg.j, 1 << 32),
-        )
-        t = T_CHALLENGE_A
-    elif isinstance(msg, ChallengeB):
-        payload = struct.pack(
-            ">QIIB",
-            _range("round", msg.round, 1 << 64),
-            _range("i", msg.i, 1 << 32),
-            _range("j", msg.j, 1 << 32),
-            _range("b", msg.b, 2),
-        )
-        t = T_CHALLENGE_B
-    elif isinstance(msg, ResponseA):
-        payload = struct.pack(
-            ">QBBBB", _range("round", msg.round, 1 << 64), *[_range("w", w, 3) for w in msg.w]
-        )
-        t = T_RESPONSE_A
-    elif isinstance(msg, ResponseB):
-        payload = struct.pack(
-            ">QBB", _range("round", msg.round, 1 << 64), _range("wi", msg.wi, 3), _range("wj", msg.wj, 3)
-        )
-        t = T_RESPONSE_B
-    elif isinstance(msg, Result):
-        payload = struct.pack(
-            ">QBB", _range("round", msg.round, 1 << 64), _range("verdict", msg.accept, 2), _range("reason", msg.reason, 6)
-        )
-        t = T_RESULT
-    elif isinstance(msg, Bye):
-        payload = b""
-        t = T_BYE
-    else:
+    t = _TYPE_OF.get(type(msg))
+    if t is None:
         raise BadTypeError(f"cannot encode {type(msg)!r}")
+    values = (msg.round, *msg.w) if t == T_RESPONSE_A else tuple(vars(msg).values())
+    _check_fields(t, values)
+    frame = _FRAMES[t][1]
     # the length prefix counts the type byte plus the body
-    return struct.pack(">IB", 1 + len(payload), t) + payload
-
-
-_BODY_LEN = {
-    T_HELLO: 34,
-    T_CHALLENGE_A: 16,
-    T_CHALLENGE_B: 17,
-    T_RESPONSE_A: 12,
-    T_RESPONSE_B: 10,
-    T_RESULT: 10,
-    T_BYE: 0,
-}
+    return frame.pack(frame.size - 4, t, *values)
 
 
 def decode(data: bytes) -> WireMessage:
     """Parse exactly one complete frame; rejects garbage, never crashes."""
     if len(data) < 5:
         raise TruncatedError(f"frame header needs 5 bytes, got {len(data)}")
-    (length,) = struct.unpack(">I", data[:4])
+    length, t = _HEADER.unpack_from(data)
     if length > MAX_PAYLOAD:
         raise OversizeError(f"declared payload {length} exceeds {MAX_PAYLOAD}")
-    t = data[4]
-    if t not in _BODY_LEN:
+    if t not in _FRAMES:
         raise BadTypeError(f"unknown message type {t}")
-    if length != 1 + _BODY_LEN[t]:
-        raise FieldRangeError(f"type {t} wants declared length {1 + _BODY_LEN[t]}, got {length}")
+    cls, frame, _ = _FRAMES[t]
+    if length != frame.size - 4:
+        raise FieldRangeError(f"type {t} wants declared length {frame.size - 4}, got {length}")
     if len(data) < 4 + length:
         raise TruncatedError(f"frame needs {4 + length} bytes, got {len(data)}")
     if len(data) > 4 + length:
         raise FieldRangeError(f"{len(data) - 4 - length} trailing bytes after frame")
-    p = data[5 : 4 + length]
-    if t == T_HELLO:
-        version, game = struct.unpack(">BB", p[:2])
-        if game not in GAME_CODES.values():
-            raise FieldRangeError(f"unknown game code {game}")
-        return Hello(version, game, p[2:])
-    if t == T_CHALLENGE_A:
-        r, i, j = struct.unpack(">QII", p)
-        return ChallengeA(r, i, j)
-    if t == T_CHALLENGE_B:
-        r, i, j, b = struct.unpack(">QIIB", p)
-        if b > 1:
-            raise FieldRangeError(f"bit {b} outside 0..1")
-        return ChallengeB(r, i, j, b)
-    if t == T_RESPONSE_A:
-        r, w0, w1, w2, w3 = struct.unpack(">QBBBB", p)
-        for w in (w0, w1, w2, w3):
-            if w > 2:
-                raise FieldRangeError(f"label {w} outside 0..2")
-        return ResponseA(r, (w0, w1, w2, w3))
-    if t == T_RESPONSE_B:
-        r, wi, wj = struct.unpack(">QBB", p)
-        if wi > 2 or wj > 2:
-            raise FieldRangeError("label outside 0..2")
-        return ResponseB(r, wi, wj)
-    if t == T_RESULT:
-        r, v, reason = struct.unpack(">QBB", p)
-        if v > 1:
-            raise FieldRangeError(f"verdict {v} outside 0..1")
-        if reason > 5:
-            raise FieldRangeError(f"reason {reason} outside 0..5")
-        return Result(r, v, reason)
-    return Bye()
+    values = frame.unpack(data)[2:]
+    _check_fields(t, values)
+    return ResponseA(values[0], values[1:]) if t == T_RESPONSE_A else cls(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +254,7 @@ def round_labelling(witness: tuple[int, ...], shared_seed: int, round_index: int
 
 
 def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, shared_seed: int, delay_s: float) -> None:
+    spec = SPECS[GameType.ALT_RZKP]
     stream = _Stream(conn)
     try:
         hello = stream.read_frame(timeout=10.0)
@@ -323,27 +267,29 @@ def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, sha
             stream.send(Bye())
             return
         stream.send(Hello(PROTOCOL_VERSION, GAME_CODES[GameType.ALT_RZKP], inst.graph.digest()))
+        # answering a half off the graph (a non-edge, say) would reveal colors
+        halves = set(spec.a_keys(inst.graph) if role == "a" else spec.b_keys(inst.graph))
         while True:
             msg = stream.read_frame(timeout=60.0)
             if isinstance(msg, Bye):
                 return
             if isinstance(msg, Result):
                 continue
+            half = None
             if isinstance(msg, ChallengeA) and role == "a":
-                lab = round_labelling(inst.witness, shared_seed, msg.round)
-                i, j = msg.i, msg.j
-                if delay_s:
-                    time.sleep(delay_s)
-                stream.send(ResponseA(msg.round, (lab.w0[i], lab.w1[i], lab.w0[j], lab.w1[j])))
+                half = (msg.i, msg.j)
             elif isinstance(msg, ChallengeB) and role == "b":
-                lab = round_labelling(inst.witness, shared_seed, msg.round)
-                w = lab.w0 if msg.b == 0 else lab.w1
-                if delay_s:
-                    time.sleep(delay_s)
-                stream.send(ResponseB(msg.round, w[msg.i], w[msg.j]))
-            else:
+                half = ((msg.i, msg.j), msg.b)
+            if half not in halves:
                 stream.send(Bye())
                 return
+            lab = round_labelling(inst.witness, shared_seed, msg.round)
+            if delay_s:
+                time.sleep(delay_s)
+            if role == "a":
+                stream.send(ResponseA(msg.round, spec.honest_a(lab, half)))
+            else:
+                stream.send(ResponseB(msg.round, *spec.honest_b(lab, half)))
     except (OSError, FrameError, ConnectionError, TimeoutError):
         return
     finally:

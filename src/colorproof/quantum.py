@@ -24,6 +24,7 @@ The two strategy transformers implement the reduction chain:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -34,26 +35,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .games import (
-    BcsResponseA,
-    BcsResponseB,
+    F3,
+    SPECS,
     Challenge,
     EdgeConstraint,
-    EdgeResponseA,
-    EdgeResponseB,
     GameKind,
+    GameSpec,
     GameType,
-    RzkpResponseA,
-    RzkpResponseB,
+    Labelled,
     VertexConstraint,
-    VertexResponse,
     challenge_pmf,
-    half_a,
-    half_b,
     verdict,
 )
 from .graphs import Graph, three_color
 
-F3 = (0, 1, 2)
 PROJ_TOL = 1e-9
 
 
@@ -106,64 +101,20 @@ class QuantumStrategy:
 
 
 # ---------------------------------------------------------------------------
-# Outcome spaces and response wrappers
-
-
-def a_outcomes(game: GameType, a_key) -> tuple:
-    if game is GameType.ALT_RZKP:
-        return tuple(itertools.product(F3, repeat=4))
-    if game is GameType.ALT_EDGE:
-        return tuple(itertools.product(F3, repeat=2))
-    if game is GameType.BCS:
-        if isinstance(a_key, VertexConstraint):
-            return tuple(itertools.product((0, 1), repeat=3))
-        return tuple(itertools.product((0, 1), repeat=2))
-    return F3
-
-
-def b_outcomes(game: GameType, b_key) -> tuple:
-    if game is GameType.ALT_RZKP:
-        return tuple(itertools.product(F3, repeat=2))
-    if game is GameType.ALT_EDGE:
-        return F3
-    if game is GameType.BCS:
-        return (0, 1)
-    return F3
-
-
-def response_a(game: GameType, outcome):
-    if game is GameType.ALT_RZKP:
-        return RzkpResponseA(outcome)
-    if game is GameType.ALT_EDGE:
-        return EdgeResponseA(outcome)
-    if game is GameType.BCS:
-        return BcsResponseA(outcome)
-    return VertexResponse(outcome)
-
-
-def response_b(game: GameType, outcome):
-    if game is GameType.ALT_RZKP:
-        return RzkpResponseB(outcome)
-    if game is GameType.ALT_EDGE:
-        return EdgeResponseB(outcome)
-    if game is GameType.BCS:
-        return BcsResponseB(outcome)
-    return VertexResponse(outcome)
+# Winning sets
 
 
 @lru_cache(maxsize=None)
 def _winning_sets(kind: GameKind, g: Graph) -> dict:
     """Per challenge: {b_outcome: tuple of winning a_outcomes}, via verdict()."""
+    spec = SPECS[kind.game]
     table: dict[Challenge, dict] = {}
     for ch in challenge_pmf(kind, g):
-        a_sp = a_outcomes(kind.game, half_a(ch))
-        b_sp = b_outcomes(kind.game, half_b(ch))
+        a_sp = spec.a_outcomes(spec.half_a(ch))
         groups: dict = {}
-        for b_out in b_sp:
-            rb = response_b(kind.game, b_out)
-            wins = tuple(
-                a_out for a_out in a_sp if verdict(kind, ch, response_a(kind.game, a_out), rb).accept
-            )
+        for b_out in spec.b_outcomes(spec.half_b(ch)):
+            rb = spec.response_b(b_out)
+            wins = tuple(a_out for a_out in a_sp if verdict(kind, ch, spec.response_a(a_out), rb).accept)
             if wins:
                 groups[b_out] = wins
         table[ch] = groups
@@ -217,12 +168,13 @@ def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:
     """Exact winning probability of a strategy, clamped to [0, 1]."""
     if s.game is not kind.game:
         raise MissingPvmError(f"strategy plays {s.game}, asked to evaluate {kind.game}")
+    spec = SPECS[kind.game]
     pmf = challenge_pmf(kind, g)
     wins = _winning_sets(kind, g)
     psi_mat = s.psi_matrix()
     total = 0.0
     for ch, p in pmf.items():
-        a_key, b_key = half_a(ch), half_b(ch)
+        a_key, b_key = spec.half_a(ch), spec.half_b(ch)
         if a_key not in s.pvm_a:
             raise MissingPvmError(f"no A measurement for challenge {a_key}")
         if b_key not in s.pvm_b:
@@ -254,40 +206,32 @@ class BornPair:
     _cache: dict = field(default_factory=dict)
 
     def respond(self, kind: GameKind, ch: Challenge, rng: random.Random):
-        key = ch
-        if key not in self._cache:
-            self._cache[key] = self._distribution(kind, ch)
-        outs, cum = self._cache[key]
-        u = rng.random()
-        lo, hi = 0, len(cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        a_out, b_out = outs[lo]
-        return response_a(kind.game, a_out), response_b(kind.game, b_out)
+        if ch not in self._cache:
+            self._cache[ch] = self._distribution(kind, ch)
+        responses, cum = self._cache[ch]
+        return responses[bisect.bisect_left(cum, rng.random())]
 
     def _distribution(self, kind: GameKind, ch: Challenge):
+        """Response pairs with nonzero Born weight, and their cumulative weights."""
         s = self.strategy
+        spec = SPECS[kind.game]
         psi_mat = s.psi_matrix()
-        fam_a = s.pvm_a[half_a(ch)]
-        fam_b = s.pvm_b[half_b(ch)]
-        outs = []
+        fam_a = s.pvm_a[spec.half_a(ch)]
+        fam_b = s.pvm_b[spec.half_b(ch)]
+        responses = []
         probs = []
         for a_out, a_op in fam_a.items():
             for b_out, b_op in fam_b.items():
                 p = _qform(psi_mat, a_op, b_op)
                 if p > 1e-15:
-                    outs.append((a_out, b_out))
+                    responses.append((spec.response_a(a_out), spec.response_b(b_out)))
                     probs.append(p)
         total = sum(probs)
         if abs(total - 1.0) > 1e-6:
             raise StrategyError(f"joint outcome mass {total} != 1 for challenge {ch}")
         cum = list(itertools.accumulate(p / total for p in probs))
         cum[-1] = 1.0
-        return outs, cum
+        return responses, cum
 
 
 def transform_strategy(s: QuantumStrategy, u_a: np.ndarray, u_b: np.ndarray) -> QuantumStrategy:
@@ -302,35 +246,11 @@ def transform_strategy(s: QuantumStrategy, u_a: np.ndarray, u_b: np.ndarray) -> 
 # Reference strategies
 
 
-def _honest_answers(game: GameType, g: Graph, colors: Sequence[int], w0: Sequence[int]):
+def _honest_outcomes(spec: GameSpec, g: Graph, colors: Sequence[int], w0: Sequence[int]):
     """Deterministic honest outcome per challenge half, as (a_map, b_map)."""
-    w1 = [(c - w) % 3 for c, w in zip(colors, w0)]
-    a_map: dict = {}
-    b_map: dict = {}
-    if game is GameType.ALT_RZKP:
-        for i, j in g.edges:
-            a_map[(i, j)] = (w0[i], w1[i], w0[j], w1[j])
-            for b in (0, 1):
-                w = w0 if b == 0 else w1
-                b_map[((i, j), b)] = (w[i], w[j])
-    elif game is GameType.ALT_EDGE:
-        for i, j in g.edges:
-            a_map[(i, j)] = (colors[i], colors[j])
-        for v in range(g.n):
-            if g.degree(v) > 0:
-                b_map[v] = colors[v]
-    elif game is GameType.BCS:
-        for i, j in g.edges:
-            for alpha in F3:
-                a_map[EdgeConstraint((i, j), alpha)] = (int(colors[i] == alpha), int(colors[j] == alpha))
-        for v in range(g.n):
-            a_map[VertexConstraint(v)] = tuple(int(colors[v] == a) for a in F3)
-            for beta in F3:
-                b_map[(v, beta)] = int(colors[v] == beta)
-    else:
-        for v in range(g.n):
-            a_map[v] = colors[v]
-            b_map[v] = colors[v]
+    lab = Labelled.split(colors, w0)
+    a_map = {k: spec.honest_a(lab, k) for k in spec.a_keys(g)}
+    b_map = {k: spec.honest_b(lab, k) for k in spec.b_keys(g)}
     return a_map, b_map
 
 
@@ -348,15 +268,16 @@ def classical_embedding(
     """
     if w0 is None:
         w0 = [0] * g.n
-    a_map, b_map = _honest_answers(game, g, colors, w0)
+    spec = SPECS[game]
+    a_map, b_map = _honest_outcomes(spec, g, colors, w0)
     eye = np.eye(dim, dtype=complex)
     zero = np.zeros((dim, dim), dtype=complex)
 
     def family(space, honest):
         return {out: (eye if out == honest else zero).copy() for out in space}
 
-    pvm_a = {k: family(a_outcomes(game, k), h) for k, h in a_map.items()}
-    pvm_b = {k: family(b_outcomes(game, k), h) for k, h in b_map.items()}
+    pvm_a = {k: family(spec.a_outcomes(k), h) for k, h in a_map.items()}
+    pvm_b = {k: family(spec.b_outcomes(k), h) for k, h in b_map.items()}
     psi = np.zeros(dim * dim, dtype=complex)
     psi[0] = 1.0
     return QuantumStrategy(game, dim, dim, psi, pvm_a, pvm_b)
@@ -407,7 +328,8 @@ def random_strategy(
         colors = three_color(g)
         if colors is None:
             raise StrategyError("graph is not 3-colorable; pass explicit reference colors")
-    a_map, b_map = _honest_answers(game, g, colors, [0] * g.n)
+    spec = SPECS[game]
+    a_map, b_map = _honest_outcomes(spec, g, colors, [0] * g.n)
 
     def build(space, honest, d):
         assign = [honest] + [space[rng.integers(len(space))] for _ in range(d - 1)]
@@ -417,8 +339,8 @@ def random_strategy(
         u = _expi_hermitian(_random_hermitian(d, rng), jiggle * math.pi)
         return {out: u @ p @ u.conj().T for out, p in fam.items()}
 
-    pvm_a = {k: build(a_outcomes(game, k), honest, dim_a) for k, honest in a_map.items()}
-    pvm_b = {k: build(b_outcomes(game, k), honest, dim_b) for k, honest in b_map.items()}
+    pvm_a = {k: build(spec.a_outcomes(k), honest, dim_a) for k, honest in a_map.items()}
+    pvm_b = {k: build(spec.b_outcomes(k), honest, dim_b) for k, honest in b_map.items()}
     anchor = np.zeros(dim_a * dim_b, dtype=complex)
     anchor[0] = 1.0
     noise = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
@@ -441,7 +363,7 @@ def arbitrary_strategy(
     probabilities land wherever they land; useful for auditing statements
     that must hold for arbitrary valid strategies.
     """
-    ref = classical_embedding(game, g, [0] * g.n, dim=1)
+    spec = SPECS[game]
 
     def build(space, d):
         fam = {out: np.zeros((d, d), dtype=complex) for out in space}
@@ -451,8 +373,8 @@ def arbitrary_strategy(
         u = haar_unitary(d, rng)
         return {out: u @ p @ u.conj().T for out, p in fam.items()}
 
-    pvm_a = {key: build(a_outcomes(game, key), dim_a) for key in ref.pvm_a}
-    pvm_b = {key: build(b_outcomes(game, key), dim_b) for key in ref.pvm_b}
+    pvm_a = {key: build(spec.a_outcomes(key), dim_a) for key in spec.a_keys(g)}
+    pvm_b = {key: build(spec.b_outcomes(key), dim_b) for key in spec.b_keys(g)}
     psi = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     psi = psi / np.linalg.norm(psi)
     return QuantumStrategy(game, dim_a, dim_b, psi, pvm_a, pvm_b)

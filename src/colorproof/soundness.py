@@ -140,14 +140,6 @@ def quantum_value_bound(
         )
 
 
-def rounds_required(
-    n: int, m: int, max_deg: int, k: float, variant: BoundVariant = BoundVariant.APPENDIX_CHAIN
-) -> tuple[float, int]:
-    """Rounds for e^-k soundness as (mantissa, base-10 exponent)."""
-    rep = quantum_value_bound(n, m, max_deg, variant, k)
-    return rep.rounds_mantissa, rep.rounds_exponent
-
-
 def scaling_probe(
     points: list[tuple[int, int]], max_deg: int, variant: BoundVariant = BoundVariant.APPENDIX_CHAIN
 ) -> float:

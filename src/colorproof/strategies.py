@@ -15,21 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .games import (
-    BcsResponseA,
-    BcsResponseB,
-    EdgeConstraint,
-    EdgeResponseA,
-    EdgeResponseB,
-    GameKind,
-    GameType,
-    RzkpChallenge,
-    RzkpResponseA,
-    RzkpResponseB,
-    Transcript,
-    VertexConstraint,
-    VertexResponse,
-)
+from .games import SPECS, GameKind, Labelled, RzkpChallenge, RzkpResponseA, Transcript
 from .graphs import Edge, Graph, PlantedInstance
 
 PERMS3 = tuple(itertools.permutations((0, 1, 2)))
@@ -56,54 +42,23 @@ class ClassicalStrategyPair:
     answer_b: Callable[[GameKind, object, object], object]
 
 
-@dataclass(frozen=True)
-class Labelled:
-    """Per-round coloring and its additive label split (w0 + w1 = c mod 3)."""
-
-    colors: tuple[int, ...]
-    w0: tuple[int, ...]
-    w1: tuple[int, ...]
-
-
 def _draw_labelling(colors: Sequence[int], rng: random.Random, permute: bool) -> Labelled:
     if permute:
         perm = PERMS3[rng.randrange(6)]
         colors = tuple(perm[c] for c in colors)
     else:
         colors = tuple(colors)
-    w0 = tuple(rng.randrange(3) for _ in colors)
-    w1 = tuple((c - w) % 3 for c, w in zip(colors, w0))
-    return Labelled(colors, w0, w1)
+    return Labelled.split(colors, [rng.randrange(3) for _ in colors])
 
 
-def _answer_a_from(lab: Labelled, kind: GameKind, chal):
-    if kind.game is GameType.ALT_RZKP:
-        i, j = chal
-        return RzkpResponseA((lab.w0[i], lab.w1[i], lab.w0[j], lab.w1[j]))
-    if kind.game is GameType.ALT_EDGE:
-        i, j = chal
-        return EdgeResponseA((lab.colors[i], lab.colors[j]))
-    if kind.game is GameType.BCS:
-        if isinstance(chal, VertexConstraint):
-            c = lab.colors[chal.vertex]
-            return BcsResponseA(tuple(int(c == a) for a in (0, 1, 2)))
-        assert isinstance(chal, EdgeConstraint)
-        i, j = chal.edge
-        return BcsResponseA((int(lab.colors[i] == chal.color), int(lab.colors[j] == chal.color)))
-    return VertexResponse(lab.colors[chal])
+def _answer_a(kind: GameKind, chal, lab: Labelled):
+    spec = SPECS[kind.game]
+    return spec.response_a(spec.honest_a(lab, chal))
 
 
-def _answer_b_from(lab: Labelled, kind: GameKind, chal):
-    if kind.game is GameType.ALT_RZKP:
-        (i, j), b = chal
-        w = lab.w0 if b == 0 else lab.w1
-        return RzkpResponseB((w[i], w[j]))
-    if kind.game is GameType.ALT_EDGE:
-        return EdgeResponseB(lab.colors[chal])
-    if kind.game is GameType.BCS:
-        k, beta = chal
-        return BcsResponseB(int(lab.colors[k] == beta))
-    return VertexResponse(lab.colors[chal])
+def _answer_b(kind: GameKind, chal, lab: Labelled):
+    spec = SPECS[kind.game]
+    return spec.response_b(spec.honest_b(lab, chal))
 
 
 def honest_pair(inst: PlantedInstance) -> ClassicalStrategyPair:
@@ -114,7 +69,7 @@ def honest_pair(inst: PlantedInstance) -> ClassicalStrategyPair:
     def shared(kind: GameKind, g: Graph, rng: random.Random) -> Labelled:
         return _draw_labelling(inst.witness, rng, permute=True)
 
-    return ClassicalStrategyPair(shared, _answer_a_from_shared, _answer_b_from_shared)
+    return ClassicalStrategyPair(shared, _answer_a, _answer_b)
 
 
 def fixed_coloring_pair(colors: Sequence[int]) -> ClassicalStrategyPair:
@@ -129,7 +84,7 @@ def fixed_coloring_pair(colors: Sequence[int]) -> ClassicalStrategyPair:
     def shared(kind: GameKind, g: Graph, rng: random.Random) -> Labelled:
         return _draw_labelling(colors, rng, permute=False)
 
-    return ClassicalStrategyPair(shared, _answer_a_from_shared, _answer_b_from_shared)
+    return ClassicalStrategyPair(shared, _answer_a, _answer_b)
 
 
 def mismatched_pair(colors_a: Sequence[int], colors_b: Sequence[int]) -> ClassicalStrategyPair:
@@ -146,27 +101,15 @@ def mismatched_pair(colors_a: Sequence[int], colors_b: Sequence[int]) -> Classic
     def shared(kind: GameKind, g: Graph, rng: random.Random) -> tuple[Labelled, Labelled]:
         perm = PERMS3[rng.randrange(6)]
         w0 = tuple(rng.randrange(3) for _ in ca)
-        la = tuple(perm[c] for c in ca)
-        lb = tuple(perm[c] for c in cb)
-        lab_a = Labelled(la, w0, tuple((c - w) % 3 for c, w in zip(la, w0)))
-        lab_b = Labelled(lb, w0, tuple((c - w) % 3 for c, w in zip(lb, w0)))
-        return lab_a, lab_b
+        return Labelled.split([perm[c] for c in ca], w0), Labelled.split([perm[c] for c in cb], w0)
 
     def answer_a(kind: GameKind, chal, sh):
-        return _answer_a_from(sh[0], kind, chal)
+        return _answer_a(kind, chal, sh[0])
 
     def answer_b(kind: GameKind, chal, sh):
-        return _answer_b_from(sh[1], kind, chal)
+        return _answer_b(kind, chal, sh[1])
 
     return ClassicalStrategyPair(shared, answer_a, answer_b)
-
-
-def _answer_a_from_shared(kind: GameKind, chal, lab: Labelled):
-    return _answer_a_from(lab, kind, chal)
-
-
-def _answer_b_from_shared(kind: GameKind, chal, lab: Labelled):
-    return _answer_b_from(lab, kind, chal)
 
 
 # ---------------------------------------------------------------------------

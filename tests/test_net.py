@@ -2,6 +2,7 @@ import math
 import os
 import random
 import socket
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +249,66 @@ def test_prover_rejects_wrong_role_frames(inst):
             assert isinstance(stream.read_frame(timeout=2.0), Bye)
     finally:
         p.stop()
+
+
+@pytest.mark.parametrize(
+    "role,challenge",
+    [("a", ChallengeA(0, 0, 2)), ("a", ChallengeA(0, 0, 10000)), ("b", ChallengeB(0, 0, 10000, 1))],
+    ids=["a-non-edge", "a-out-of-range", "b-out-of-range"],
+)
+def test_prover_refuses_challenges_off_its_graph(monkeypatch, role, challenge):
+    # answering the non-edge (0, 2) would tell the verifier whether c0 == c2
+    from colorproof import net
+    from colorproof.net import _Stream
+
+    inst = gen_planted(8, 10, 3)
+    assert not inst.graph.has_edge(0, 2)
+    ended = []
+    serve = net._serve_connection
+
+    def recording_serve(*args):
+        try:
+            serve(*args)
+        except BaseException as exc:
+            ended.append(exc)
+            raise
+        ended.append(None)
+
+    monkeypatch.setattr(net, "_serve_connection", recording_serve)
+    p = run_prover(("127.0.0.1", 0), inst, role, shared_seed=42)
+    try:
+        with socket.create_connection(p.address, timeout=2.0) as sock:
+            stream = _Stream(sock)
+            stream.send(Hello(1, 1, inst.graph.digest()))
+            assert isinstance(stream.read_frame(timeout=2.0), Hello)
+            stream.send(challenge)
+            assert isinstance(stream.read_frame(timeout=2.0), Bye)
+        deadline = time.monotonic() + 2.0
+        while not ended and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ended == [None]  # the worker returned; no exception escaped its thread
+    finally:
+        p.stop()
+
+
+def test_hello_game_codes_agree_between_encode_and_decode():
+    accepted = set()
+    for version in (0, 1, 255):
+        for game in range(256):
+            try:
+                frame = encode(Hello(version, game, bytes(32)))
+            except FieldRangeError:
+                continue
+            assert decode(frame) == Hello(version, game, bytes(32))
+            accepted.add(game)
+    assert accepted == {1}  # alt-rzkp is the only game on the wire
+    for game in (0, 2):
+        with pytest.raises(FieldRangeError):
+            encode(Hello(1, game, bytes(32)))
+        frame = bytearray(encode(Hello(1, 1, bytes(32))))
+        frame[6] = game  # length (4), type (1), version (1), then the game code
+        with pytest.raises(FieldRangeError):
+            decode(bytes(frame))
 
 
 def test_prover_dying_mid_session_yields_timeouts(inst, provers):

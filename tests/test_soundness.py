@@ -9,7 +9,6 @@ from colorproof.soundness import (
     SoundnessError,
     edge_win_floor,
     quantum_value_bound,
-    rounds_required,
     scaling_probe,
 )
 
@@ -33,6 +32,8 @@ def test_report_fields_consistent():
     assert rep.n_ext == 78280 and rep.m_ext == 176060
     assert rep.rounds_mantissa * 10.0**rep.rounds_exponent >= rep.k
     assert rep.rounds_str == "8.54e40"
+    with pytest.raises(SoundnessError):
+        quantum_value_bound(200, 380, 4, k=0)
 
 
 def test_edge_win_floor_no_penalty_at_zero():
@@ -100,13 +101,6 @@ def test_rounds_str_mantissa_carry():
     carried = dataclasses.replace(rep, rounds_mantissa=9.9999, rounds_exponent=40)
     assert carried.rounds_str == "1.00e41"
     assert dataclasses.replace(rep, rounds_mantissa=9.99, rounds_exponent=40).rounds_str == "9.99e40"
-
-
-def test_rounds_required_interface():
-    mant, exp = rounds_required(200, 380, 4, k=100.0)
-    assert (mant, exp) == (pytest.approx(8.54, abs=0.01), 40)
-    with pytest.raises(SoundnessError):
-        rounds_required(200, 380, 4, k=0)
 
 
 def test_degenerate_degree():
