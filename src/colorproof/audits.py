@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificates import assignment_norms, eps_table, evaluate_bounds, extract_assignment, sqrt_psd
 from .games import ALT_EDGE, ALT_RZKP, GameKind, GameType
-from .graphs import ExtendedGraph, Graph, extend_with_gadgets, make_graph
+from .graphs import Graph, extend_with_gadgets, make_graph
 from .seeds import derive_seed
 from .quantum import (
     arbitrary_strategy,
@@ -41,6 +41,8 @@ class SweepSummary:
     checks: dict = field(default_factory=dict)
     violations: dict = field(default_factory=dict)
     worst_margin: dict = field(default_factory=dict)
+    worst_sample: dict = field(default_factory=dict)  # family -> (seed, index) behind its worst margin
+    sample: tuple = (None, None)  # (seed, index) of the sample being audited
 
     def record(self, family: str, ok: bool, margin: float, count: int = 1) -> None:
         self.checks[family] = self.checks.get(family, 0) + count
@@ -49,6 +51,7 @@ class SweepSummary:
         prev = self.worst_margin.get(family)
         if prev is None or margin < prev:
             self.worst_margin[family] = margin
+            self.worst_sample[family] = self.sample
 
     @property
     def clean(self) -> bool:
@@ -60,14 +63,14 @@ class SweepSummary:
             "checks": dict(sorted(self.checks.items())),
             "violations": dict(sorted(self.violations.items())),
             "worst_margin": {k: float(v) for k, v in sorted(self.worst_margin.items())},
+            "worst_sample": {k: {"seed": seed, "sample": i} for k, (seed, i) in sorted(self.worst_sample.items())},
             "clean": self.clean,
         }
 
 
-def _fixtures() -> tuple[Graph, ExtendedGraph]:
-    k3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-    ext = extend_with_gadgets(make_graph(3, [(0, 1), (1, 2)]))
-    return k3, ext
+# the sweep's fixtures: the triangle, and the 3-path extended with its prism gadget
+_K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
+_EXT = extend_with_gadgets(make_graph(3, [(0, 1), (1, 2)]))
 
 
 def _make_strategy(game: GameType, g: Graph, dims, jiggle: float, rng, arbitrary: bool):
@@ -178,24 +181,28 @@ def run_certificate_sweep(samples: int = 1000, seed: int = 0, max_dim: int = 4) 
     them also paying for the more expensive gentle-measurement reduction.
     Matrix-level spot checks ride along on every sample.
     """
-    k3, ext = _fixtures()
     summary = SweepSummary()
-    jiggles = [0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5]
     for i in range(samples):
-        # independent per-sample substream: samples can run in any order
-        rng = np.random.default_rng(derive_seed("audit", seed, i))
-        jig = jiggles[i % len(jiggles)]
-        wild = i % 5 == 4  # a slice of fully arbitrary strategies, far from honest
-        da = int(rng.integers(2, max_dim + 1))
-        db = int(rng.integers(2, max_dim + 1))
-        if i % 2 == 0:
-            audit_gentle_measurement(k3, (da, db), jig, rng, summary, arbitrary=wild)
-            audit_bcs_chain(k3, (da, db), jig, rng, summary, arbitrary=wild)
-        else:
-            if i % 16 == 1:
-                audit_gentle_measurement(ext.full, (min(da, 3), min(db, 2)), jig, rng, summary, arbitrary=wild)
-            audit_bcs_chain(ext.full, (da, db), jig, rng, summary, base=ext.base, ext=ext, arbitrary=wild)
-        audit_tracial_pair(int(rng.integers(2, 9)), rng, summary)
-        audit_pinching_chain(int(rng.integers(2, 9)), int(rng.integers(2, 5)), rng, summary)
-        audit_normal_trace(int(rng.integers(2, 9)), rng, summary)
+        audit_sample(seed, i, max_dim, summary)
     return summary
+
+
+def audit_sample(seed: int, i: int, max_dim: int, summary: SweepSummary) -> None:
+    """Sample `i` of the sweep seeded `seed`, recorded into `summary`; replays it alone."""
+    summary.sample = (seed, i)
+    # independent per-sample substream: samples can run in any order
+    rng = np.random.default_rng(derive_seed("audit", seed, i))
+    jig = (0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5)[i % 7]
+    wild = i % 5 == 4  # a slice of fully arbitrary strategies, far from honest
+    da = int(rng.integers(2, max_dim + 1))
+    db = int(rng.integers(2, max_dim + 1))
+    if i % 2 == 0:
+        audit_gentle_measurement(_K3, (da, db), jig, rng, summary, arbitrary=wild)
+        audit_bcs_chain(_K3, (da, db), jig, rng, summary, arbitrary=wild)
+    else:
+        if i % 16 == 1:
+            audit_gentle_measurement(_EXT.full, (min(da, 3), min(db, 2)), jig, rng, summary, arbitrary=wild)
+        audit_bcs_chain(_EXT.full, (da, db), jig, rng, summary, base=_EXT.base, ext=_EXT, arbitrary=wild)
+    audit_tracial_pair(int(rng.integers(2, 9)), rng, summary)
+    audit_pinching_chain(int(rng.integers(2, 9)), int(rng.integers(2, 5)), rng, summary)
+    audit_normal_trace(int(rng.integers(2, 9)), rng, summary)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .games import F3, EdgeConstraint, GameType
 from .graphs import ExtendedGraph, Graph
-from .quantum import QuantumStrategy, _qform
+from .quantum import QuantumStrategy, _qform, joint_probabilities
 
 
 class CertificateError(ValueError):
@@ -128,44 +128,46 @@ def extract_assignment(s: QuantumStrategy, g: Graph, tol: float = 1e-9) -> Assig
     return Assignment(dim=s.dim_b, rho=rho, projs=projs, vertices=tuple(range(g.n)))
 
 
+_BITS2 = ((0, 0), (0, 1), (1, 0), (1, 1))
+# [k, (b0, b1), bt]: the +-1 product of A's indicator for endpoint k and B's indicator bt
+_OBS = np.array([[[(2.0 * bits[k] - 1.0) * (2.0 * bt - 1.0) for bt in (0, 1)] for bits in _BITS2] for k in (0, 1)])
+
+
 def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     """Failure probability of every edge-verification challenge choice.
 
     The aggregate satisfies mean(entries) = 1 - p_win restricted to the
     edge-constraint branch; the identity is checked by the test suite against
-    an independent computation of that winning probability.
+    an independent computation of that winning probability. Observables come
+    from joint_probabilities. Entries keep the scalar _qform sums: a rounding-size
+    eps enters the bounds as sqrt(eps), so 1e-16 of reordering moves margins 1e-8.
     """
     if s.game is not GameType.BCS:
         raise CertificateError(f"expected a constraint-game strategy, got {s.game}")
+    a_keys = [EdgeConstraint(e, alpha) for e in g.edges for alpha in F3]
+    for a_key in a_keys:
+        if a_key not in s.pvm_a:
+            raise MissingProjectorError(f"strategy has no A measurement for {a_key}")
     psi_mat = s.psi_matrix()
-    entries: dict = {}
-    observable: dict = {}
-    for i, j in g.edges:
-        for alpha in F3:
-            a_key = EdgeConstraint((i, j), alpha)
-            if a_key not in s.pvm_a:
-                raise MissingProjectorError(f"strategy has no A measurement for {a_key}")
-            fam_a = s.pvm_a[a_key]
-            for k in (i, j):
-                fam_b = s.pvm_b[(k, alpha)]
-                win = 0.0
-                for bt in (0, 1):
-                    a_sum = np.zeros((s.dim_a, s.dim_a), dtype=complex)
-                    for (b0, b1), p in fam_a.items():
-                        bk = b0 if k == i else b1
-                        if b0 * b1 == 0 and bk == bt:
-                            a_sum += p
-                    win += _qform(psi_mat, a_sum, fam_b[bt])
-                eps = 1.0 - win
-                if eps < -1e-9 or eps > 1.0 + 1e-9:
-                    raise NumericalError(f"failure probability {eps} escaped [0,1]")
-                entries[(i, j, alpha, k)] = min(1.0, max(0.0, eps))
-                y_op = np.zeros((s.dim_a, s.dim_a), dtype=complex)
-                for (b0, b1), p in fam_a.items():
-                    bk = b0 if k == i else b1
-                    y_op += (1.0 if bk == 1 else -1.0) * p
-                x_op = fam_b[1] - fam_b[0]
-                observable[(i, j, alpha, k)] = _qform(psi_mat, y_op, x_op)
+    pa = np.stack([s.pvm_a[key][bits] for key in a_keys for bits in _BITS2])
+    pb = np.stack([s.pvm_b[(end, key.color)][bt] for key in a_keys for end in key.edge for bt in (0, 1)])
+    n = len(a_keys)
+    # block r of the joint: A's family a_keys[r] against B's families at both of its endpoints
+    pairs = joint_probabilities(psi_mat, pa, pb).reshape(n, 4, n, 2, 2)[np.arange(n), :, np.arange(n)]
+    obs = np.einsum("rakb,kab->rk", pairs, _OBS).tolist()
+    entries, observable = {}, {}
+    for r, key in enumerate(a_keys):
+        fam_a = s.pvm_a[key]
+        for k, end in enumerate(key.edge):
+            fam_b = s.pvm_b[(end, key.color)]
+            # B's 1 wins only with A's `lone` pair; B's 0 wins with (0, 0) and the mirror of `lone`
+            lone = (1, 0) if k == 0 else (0, 1)
+            win = _qform(psi_mat, fam_a[(0, 0)] + fam_a[lone[::-1]], fam_b[0]) + _qform(psi_mat, fam_a[lone], fam_b[1])
+            eps = 1.0 - win
+            if eps < -1e-9 or eps > 1.0 + 1e-9:
+                raise NumericalError(f"failure probability {eps} escaped [0,1]")
+            entries[(*key.edge, key.color, end)] = min(1.0, max(0.0, eps))
+            observable[(*key.edge, key.color, end)] = obs[r][k]
     agg = sum(entries.values()) / len(entries)
     return EpsTable(entries=entries, aggregate=agg, observable=observable)
 

@@ -267,8 +267,10 @@ def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, sha
             stream.send(Bye())
             return
         stream.send(Hello(PROTOCOL_VERSION, GAME_CODES[GameType.ALT_RZKP], inst.graph.digest()))
-        # answering a half off the graph (a non-edge, say) would reveal colors
+        # answering a half off the graph (a non-edge, say), or a second half under
+        # one round's permutation, would reveal colors: each round is answered once
         halves = set(spec.a_keys(inst.graph) if role == "a" else spec.b_keys(inst.graph))
+        answered = -1
         while True:
             msg = stream.read_frame(timeout=60.0)
             if isinstance(msg, Bye):
@@ -280,9 +282,10 @@ def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, sha
                 half = (msg.i, msg.j)
             elif isinstance(msg, ChallengeB) and role == "b":
                 half = ((msg.i, msg.j), msg.b)
-            if half not in halves:
+            if half not in halves or msg.round <= answered:
                 stream.send(Bye())
                 return
+            answered = msg.round
             lab = round_labelling(inst.witness, shared_seed, msg.round)
             if delay_s:
                 time.sleep(delay_s)

@@ -105,20 +105,28 @@ class QuantumStrategy:
 
 
 @lru_cache(maxsize=None)
-def _winning_sets(kind: GameKind, g: Graph) -> dict:
-    """Per challenge: {b_outcome: tuple of winning a_outcomes}, via verdict()."""
+def _winning_sets(kind: GameKind, g: Graph) -> tuple[list, list, np.ndarray]:
+    """Winning sets as weights: (a_rows, b_cols, weights), via verdict().
+
+    weights[r, c] is the probability of the challenges at which A's (key,
+    outcome) a_rows[r] and B's b_cols[c] win together.
+    """
     spec = SPECS[kind.game]
-    table: dict[Challenge, dict] = {}
-    for ch in challenge_pmf(kind, g):
-        a_sp = spec.a_outcomes(spec.half_a(ch))
-        groups: dict = {}
-        for b_out in spec.b_outcomes(spec.half_b(ch)):
+    a_rows, b_cols = {}, {}  # row / column index per (key, outcome)
+    rows, cols, probs = [], [], []  # per winning pair; flat lists keep the collector idle
+    for ch, p in challenge_pmf(kind, g).items():
+        a_key, b_key = spec.half_a(ch), spec.half_b(ch)
+        a_sp = spec.a_outcomes(a_key)
+        for b_out in spec.b_outcomes(b_key):
             rb = spec.response_b(b_out)
-            wins = tuple(a_out for a_out in a_sp if verdict(kind, ch, spec.response_a(a_out), rb).accept)
+            wins = [a_out for a_out in a_sp if verdict(kind, ch, spec.response_a(a_out), rb).accept]
             if wins:
-                groups[b_out] = wins
-        table[ch] = groups
-    return table
+                rows += [a_rows.setdefault((a_key, a_out), len(a_rows)) for a_out in wins]
+                cols += [b_cols.setdefault((b_key, b_out), len(b_cols))] * len(wins)
+                probs += [p] * len(wins)
+    weights = np.zeros((len(a_rows), len(b_cols)))
+    np.add.at(weights, (rows, cols), probs)
+    return list(a_rows), list(b_cols), weights
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +134,23 @@ def _winning_sets(kind: GameKind, g: Graph) -> dict:
 
 
 def _check_family(fam: dict, dim: int, tol: float, what: str) -> None:
-    total = np.zeros((dim, dim), dtype=complex)
-    for out, p in fam.items():
-        if p.shape != (dim, dim):
-            raise DimensionMismatchError(f"{what}: projector for {out} has shape {p.shape}, want {(dim, dim)}")
-        if not np.all(np.isfinite(p)):
-            raise NonFiniteError(f"{what}: non-finite entries in projector {out}")
-        if np.abs(p - p.conj().T).max() > tol:
-            raise NotProjectiveError(f"{what}: outcome {out} not Hermitian")
-        if np.abs(p @ p - p).max() > tol:
-            raise NotProjectiveError(f"{what}: outcome {out} not idempotent")
-        total += p
-    if np.abs(total - np.eye(dim)).max() > tol:
+    outs, ops = list(fam), list(fam.values())
+    # only same-shape operators stack; a fault of an earlier outcome still comes first
+    n = next((k for k, p in enumerate(ops) if p.shape != (dim, dim)), len(ops))
+    stack = np.array(ops[:n], dtype=complex).reshape(n, dim, dim)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack[~finite] = 0.0
+    hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol
+    idempotent = np.abs(stack @ stack - stack).max(axis=(1, 2)) <= tol
+    bad = ~(finite & hermitian & idempotent)
+    if bad.any():
+        k = int(bad.argmax())
+        if not finite[k]:
+            raise NonFiniteError(f"{what}: non-finite entries in projector {outs[k]}")
+        raise NotProjectiveError(f"{what}: outcome {outs[k]} not {'idempotent' if hermitian[k] else 'Hermitian'}")
+    if n < len(ops):
+        raise DimensionMismatchError(f"{what}: projector for {outs[n]} has shape {ops[n].shape}, want {(dim, dim)}")
+    if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > tol:
         raise IncompleteFamilyError(f"{what}: family does not sum to identity")
 
 
@@ -149,10 +162,9 @@ def validate_strategy(s: QuantumStrategy, tol: float = PROJ_TOL) -> None:
         raise NonFiniteError("state has non-finite amplitudes")
     if abs(np.linalg.norm(s.psi) - 1.0) > tol:
         raise BadStateError(f"state norm {np.linalg.norm(s.psi)} is not 1")
-    for key, fam in s.pvm_a.items():
-        _check_family(fam, s.dim_a, tol, f"A pvm {key}")
-    for key, fam in s.pvm_b.items():
-        _check_family(fam, s.dim_b, tol, f"B pvm {key}")
+    for side, pvms, dim in (("A", s.pvm_a, s.dim_a), ("B", s.pvm_b, s.dim_b)):
+        for key, fam in pvms.items():
+            _check_family(fam, dim, tol, f"{side} pvm {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,34 +172,42 @@ def validate_strategy(s: QuantumStrategy, tol: float = PROJ_TOL) -> None:
 
 
 def _qform(psi_mat: np.ndarray, a_op: np.ndarray, b_op: np.ndarray) -> float:
-    # <psi| A (x) B |psi> = Tr[Psi^dag A Psi B^T]
+    # <psi| A (x) B |psi> = Tr[Psi^dag A Psi B^T]; the scalar reference of joint_probabilities
     return float(np.vdot(psi_mat, a_op @ psi_mat @ b_op.T).real)
+
+
+def joint_probabilities(psi_mat: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Every <psi| A (x) B |psi> for stacked A (nA, dA, dA) and B (nB, dB, dB), as (nA, nB).
+
+    With L = Psi^dag A Psi, <psi| A (x) B |psi> = Tr[L B^T] is the flat dot
+    product of L and B, so all pairs are one matmul; the contraction runs over
+    the smaller local space (B's, after swapping the provers if need be).
+    """
+    d_a, d_b = psi_mat.shape
+    if d_a < d_b:
+        return joint_probabilities(psi_mat.T, pb, pa).T
+    n = len(pa)
+    # L for the whole stack in two GEMMs: A Psi with the stack as rows, then Psi^dag from the left
+    a_psi = (pa.reshape(n * d_a, d_a) @ psi_mat).reshape(n, d_a, d_b).transpose(1, 0, 2).reshape(d_a, n * d_b)
+    left = (psi_mat.conj().T @ a_psi).reshape(d_b, n, d_b).transpose(1, 0, 2)
+    return (left.reshape(n, d_b * d_b) @ pb.reshape(len(pb), d_b * d_b).T).real
+
+
+def _stack_ops(pvms: dict, layout: list, side: str) -> np.ndarray:
+    """pvms[key][out] for every (key, out) of `layout`, stacked."""
+    for key in dict.fromkeys(key for key, _ in layout):
+        if key not in pvms:
+            raise MissingPvmError(f"no {side} measurement for challenge {key}")
+    return np.stack([pvms[key][out] for key, out in layout])
 
 
 def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:
     """Exact winning probability of a strategy, clamped to [0, 1]."""
     if s.game is not kind.game:
         raise MissingPvmError(f"strategy plays {s.game}, asked to evaluate {kind.game}")
-    spec = SPECS[kind.game]
-    pmf = challenge_pmf(kind, g)
-    wins = _winning_sets(kind, g)
-    psi_mat = s.psi_matrix()
-    total = 0.0
-    for ch, p in pmf.items():
-        a_key, b_key = spec.half_a(ch), spec.half_b(ch)
-        if a_key not in s.pvm_a:
-            raise MissingPvmError(f"no A measurement for challenge {a_key}")
-        if b_key not in s.pvm_b:
-            raise MissingPvmError(f"no B measurement for challenge {b_key}")
-        fam_a, fam_b = s.pvm_a[a_key], s.pvm_b[b_key]
-        for b_out, a_list in wins[ch].items():
-            b_op = fam_b[b_out]
-            a_sum = None
-            for a_out in a_list:
-                a_op = fam_a[a_out]
-                a_sum = a_op.copy() if a_sum is None else a_sum + a_op
-            if a_sum is not None:
-                total += p * _qform(psi_mat, a_sum, b_op)
+    a_rows, b_cols, weights = _winning_sets(kind, g)
+    joint = joint_probabilities(s.psi_matrix(), _stack_ops(s.pvm_a, a_rows, "A"), _stack_ops(s.pvm_b, b_cols, "B"))
+    total = float(np.sum(weights * joint))
     if total < -1e-9 or total > 1.0 + 1e-9:
         raise StrategyError(f"winning probability {total} escaped [0,1]")
     return min(1.0, max(0.0, total))
@@ -215,17 +235,14 @@ class BornPair:
         """Response pairs with nonzero Born weight, and their cumulative weights."""
         s = self.strategy
         spec = SPECS[kind.game]
-        psi_mat = s.psi_matrix()
         fam_a = s.pvm_a[spec.half_a(ch)]
         fam_b = s.pvm_b[spec.half_b(ch)]
-        responses = []
-        probs = []
-        for a_out, a_op in fam_a.items():
-            for b_out, b_op in fam_b.items():
-                p = _qform(psi_mat, a_op, b_op)
-                if p > 1e-15:
-                    responses.append((spec.response_a(a_out), spec.response_b(b_out)))
-                    probs.append(p)
+        joint = joint_probabilities(s.psi_matrix(), np.stack(list(fam_a.values())), np.stack(list(fam_b.values())))
+        responses, probs = [], []
+        for (a_out, b_out), p in zip(itertools.product(fam_a, fam_b), joint.ravel().tolist()):
+            if p > 1e-15:
+                responses.append((spec.response_a(a_out), spec.response_b(b_out)))
+                probs.append(p)
         total = sum(probs)
         if abs(total - 1.0) > 1e-6:
             raise StrategyError(f"joint outcome mass {total} != 1 for challenge {ch}")
@@ -301,10 +318,15 @@ def _random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def maximally_entangled(d: int) -> np.ndarray:
-    psi = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        psi[k * d + k] = 1.0 / math.sqrt(d)
-    return psi
+    return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+
+
+def _rotated_partition(space: Sequence, assign: Sequence[int], u: np.ndarray) -> dict:
+    """{outcome: U P U^dag}, P projecting onto the basis vectors k with space[assign[k]] == outcome."""
+    d = len(assign)
+    diag = np.zeros((len(space), d, d), dtype=complex)
+    diag[assign, range(d), range(d)] = 1.0
+    return dict(zip(space, u @ diag @ u.conj().T))
 
 
 def random_strategy(
@@ -332,12 +354,9 @@ def random_strategy(
     a_map, b_map = _honest_outcomes(spec, g, colors, [0] * g.n)
 
     def build(space, honest, d):
-        assign = [honest] + [space[rng.integers(len(space))] for _ in range(d - 1)]
-        fam = {out: np.zeros((d, d), dtype=complex) for out in space}
-        for k, out in enumerate(assign):
-            fam[out][k, k] = 1.0
+        assign = [space.index(honest)] + [rng.integers(len(space)) for _ in range(d - 1)]
         u = _expi_hermitian(_random_hermitian(d, rng), jiggle * math.pi)
-        return {out: u @ p @ u.conj().T for out, p in fam.items()}
+        return _rotated_partition(space, assign, u)
 
     pvm_a = {k: build(spec.a_outcomes(k), honest, dim_a) for k, honest in a_map.items()}
     pvm_b = {k: build(spec.b_outcomes(k), honest, dim_b) for k, honest in b_map.items()}
@@ -366,12 +385,8 @@ def arbitrary_strategy(
     spec = SPECS[game]
 
     def build(space, d):
-        fam = {out: np.zeros((d, d), dtype=complex) for out in space}
-        for k in range(d):
-            out = space[rng.integers(len(space))]
-            fam[out][k, k] = 1.0
-        u = haar_unitary(d, rng)
-        return {out: u @ p @ u.conj().T for out, p in fam.items()}
+        assign = [rng.integers(len(space)) for _ in range(d)]
+        return _rotated_partition(space, assign, haar_unitary(d, rng))
 
     pvm_a = {key: build(spec.a_outcomes(key), dim_a) for key in spec.a_keys(g)}
     pvm_b = {key: build(spec.b_outcomes(key), dim_b) for key in spec.b_keys(g)}
@@ -397,15 +412,7 @@ def random_pvm(d: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarr
     """Random complete projective family: Haar-rotated diagonal partition."""
     assign = [k % outcomes for k in range(d)]
     rng.shuffle(assign)
-    u = haar_unitary(d, rng)
-    fam = []
-    for o in range(outcomes):
-        p = np.zeros((d, d), dtype=complex)
-        for k, a in enumerate(assign):
-            if a == o:
-                p[k, k] = 1.0
-        fam.append(u @ p @ u.conj().T)
-    return fam
+    return list(_rotated_partition(range(outcomes), assign, haar_unitary(d, rng)).values())
 
 
 def pinching_chain(families: Sequence[Sequence[np.ndarray]], fixed: dict[int, int]) -> np.ndarray:
@@ -453,11 +460,44 @@ def _require_no_isolated(g: Graph) -> None:
 
 def _marginal(fam: dict, pos: int, value: int, d: int) -> np.ndarray:
     """Sum the family over the non-`pos` component of its 2-tuple outcomes."""
-    total = np.zeros((d, d), dtype=complex)
-    for out, p in fam.items():
-        if out[pos] == value:
-            total += p
-    return total
+    return sum((p for out, p in fam.items() if out[pos] == value), np.zeros((d, d), dtype=complex))
+
+
+def _incident(v: int, u: int) -> tuple[tuple[int, int], int]:
+    """The edge {v, u} as the graph stores it, and v's position in it."""
+    return ((v, u), 0) if v < u else ((u, v), 1)
+
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrices of a (..., k, d, d) stack, written by slicing.
+
+    Equal, bit for bit, to sum_s kron(E_ss, blocks[..., s, :, :]): the
+    ancilla registers of both reductions are built from it.
+    """
+    *lead, k, d, _ = blocks.shape
+    out = np.zeros((*lead, k, d, k, d), dtype=complex)
+    diag = np.arange(k)
+    out[..., diag, :, diag, :] = np.moveaxis(blocks, -3, 0)
+    return out.reshape(*lead, k * d, k * d)
+
+
+_SHIFTS = (np.arange(3)[:, None] - np.arange(3)) % 3  # [r, t] -> (r - t) mod 3
+
+
+def _dilated_blocks(pvm_b: dict, v: int, u: int, bit: int, d_b: int) -> np.ndarray:
+    """B's three color-sum blocks for vertex v measured through edge {v, u}.
+
+    The first measurement (at `bit`) is dilated into the shift-register
+    unitary U = sum_a kron(shift^a, first[a]), whose block (r, t) is
+    first[(r - t) mod 3]; block c_sum is U^dag sel U with sel the block
+    diagonal of second[(c_sum - a) mod 3] over the register value a.
+    """
+    e, pos = _incident(v, u)
+    first = np.stack([_marginal(pvm_b[(e, bit)], pos, a, d_b) for a in F3])
+    second = np.stack([_marginal(pvm_b[(e, 1 - bit)], pos, c, d_b) for c in F3])
+    u_dilate = first[_SHIFTS].transpose(0, 2, 1, 3).reshape(3 * d_b, 3 * d_b)
+    sels = _block_diag(second[_SHIFTS])
+    return u_dilate.conj().T @ sels @ u_dilate
 
 
 def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
@@ -483,55 +523,21 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
 
     pvm_a: dict = {}
     for e in g.edges:
-        fam = s.pvm_a[e]
-        out: dict = {}
-        for ci in F3:
-            for cj in F3:
-                m = np.zeros((d_a, d_a), dtype=complex)
-                for w, p in fam.items():
-                    if (w[0] + w[1]) % 3 == ci and (w[2] + w[3]) % 3 == cj:
-                        m += p
-                out[(ci, cj)] = m
+        out = {(ci, cj): np.zeros((d_a, d_a), dtype=complex) for ci in F3 for cj in F3}
+        for w, p in s.pvm_a[e].items():
+            out[((w[0] + w[1]) % 3, (w[2] + w[3]) % 3)] += p
         pvm_a[e] = out
 
-    # ancilla layout: flat B index = ((bit*slots + slot)*3 + anc)*d_b + core
-    shift = np.zeros((3, 3), dtype=complex)
-    for t in range(3):
-        shift[(t + 1) % 3, t] = 1.0
-    shift_pow = [np.eye(3, dtype=complex), shift, shift @ shift]
-    block_dim = 3 * d_b
-
+    # flat B index = ((bit*slots + slot)*3 + anc)*d_b + core; slot value s measures via nbrs[s % deg]
     pvm_b: dict = {}
     for v in range(g.n):
         nbrs = g.adjacency[v]
-        fam_out = {c: np.zeros((d_b2, d_b2), dtype=complex) for c in F3}
-        for bit in (0, 1):
-            for slot in range(slots):
-                u = nbrs[slot % len(nbrs)]
-                e = (v, u) if v < u else (u, v)
-                pos = 0 if v == e[0] else 1
-                first = [_marginal(s.pvm_b[(e, bit)], pos, a, d_b) for a in F3]
-                second = [_marginal(s.pvm_b[(e, 1 - bit)], pos, c, d_b) for c in F3]
-                u_dilate = sum(np.kron(shift_pow[a], first[a]) for a in F3)
-                off = (bit * slots + slot) * block_dim
-                for c_sum in F3:
-                    sel = np.zeros((block_dim, block_dim), dtype=complex)
-                    for a in F3:
-                        c = (c_sum - a) % 3
-                        anc = np.zeros((3, 3), dtype=complex)
-                        anc[a, a] = 1.0
-                        sel += np.kron(anc, second[c])
-                    block = u_dilate.conj().T @ sel @ u_dilate
-                    fam_out[c_sum][off : off + block_dim, off : off + block_dim] = block
-        pvm_b[v] = fam_out
+        per_nbr = {(bit, u): _dilated_blocks(s.pvm_b, v, u, bit, d_b) for bit in (0, 1) for u in nbrs}
+        blocks = [per_nbr[(bit, nbrs[slot % len(nbrs)])] for bit in (0, 1) for slot in range(slots)]
+        pvm_b[v] = dict(zip(F3, _block_diag(np.stack(blocks, axis=1))))
 
-    psi_mat = s.psi_matrix()
-    psi2 = np.zeros((d_a, d_b2), dtype=complex)
-    amp = 1.0 / math.sqrt(2 * slots)
-    for bit in (0, 1):
-        for slot in range(slots):
-            off = (bit * slots + slot) * block_dim  # anc = 0 sub-block
-            psi2[:, off : off + d_b] = psi_mat * amp
+    psi2 = np.zeros((d_a, 2 * slots, 3, d_b), dtype=complex)
+    psi2[:, :, 0, :] = (s.psi_matrix() * (1.0 / math.sqrt(2 * slots)))[:, None, :]  # anc = 0 in every slot
     return QuantumStrategy(GameType.ALT_EDGE, d_a, d_b2, psi2.reshape(-1), pvm_a, pvm_b)
 
 
@@ -555,44 +561,26 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     if d_a2 > MAX_REDUCED_DIM:
         raise DimensionMismatchError(f"reduced A dimension {d_a2} exceeds {MAX_REDUCED_DIM}")
 
-    eye_slots = np.eye(slots, dtype=complex)
     pvm_a: dict = {}
     for e in g.edges:
-        fam = s.pvm_a[e]
         for alpha in F3:
-            out: dict = {}
-            for b0 in (0, 1):
-                for b1 in (0, 1):
-                    m = np.zeros((d_a, d_a), dtype=complex)
-                    for (ci, cj), p in fam.items():
-                        if int(ci == alpha) == b0 and int(cj == alpha) == b1:
-                            m += p
-                    out[(b0, b1)] = np.kron(eye_slots, m)
-            pvm_a[EdgeConstraint(e, alpha)] = out
+            out = {bits: np.zeros((d_a, d_a), dtype=complex) for bits in itertools.product((0, 1), repeat=2)}
+            for (ci, cj), p in s.pvm_a[e].items():
+                out[(int(ci == alpha), int(cj == alpha))] += p
+            # every slot register value measures the same family: kron(I_slots, m)
+            tiled = np.broadcast_to(np.stack(list(out.values()))[:, None], (4, slots, d_a, d_a))
+            pvm_a[EdgeConstraint(e, alpha)] = dict(zip(out, _block_diag(tiled)))
     for v in range(g.n):
         nbrs = g.adjacency[v]
+        margs = [[_marginal(s.pvm_a[e], pos, cv, d_a) for cv in F3] for e, pos in (_incident(v, u) for u in nbrs)]
         out = {t: np.zeros((d_a2, d_a2), dtype=complex) for t in itertools.product((0, 1), repeat=3)}
-        for slot in range(slots):
-            u = nbrs[slot % len(nbrs)]
-            e = (v, u) if v < u else (u, v)
-            pos = 0 if v == e[0] else 1
-            sel = np.zeros((slots, slots), dtype=complex)
-            sel[slot, slot] = 1.0
-            for cv in F3:
-                t = tuple(int(cv == a) for a in F3)
-                out[t] += np.kron(sel, _marginal(s.pvm_a[e], pos, cv, d_a))
+        # slot register value `slot` measures the edge to nbrs[slot % deg]
+        by_color = _block_diag(np.array([[margs[slot % len(nbrs)][cv] for slot in range(slots)] for cv in F3]))
+        out.update({tuple(int(cv == a) for a in F3): by_color[cv] for cv in F3})
         pvm_a[VertexConstraint(v)] = out
 
     eye_b = np.eye(d_b, dtype=complex)
-    pvm_b: dict = {}
-    for v in range(g.n):
-        for beta in F3:
-            proj = s.pvm_b[v][beta]
-            pvm_b[(v, beta)] = {1: proj.copy(), 0: eye_b - proj}
+    pvm_b = {(v, beta): {1: s.pvm_b[v][beta].copy(), 0: eye_b - s.pvm_b[v][beta]} for v in range(g.n) for beta in F3}
 
-    psi2 = np.zeros((d_a2, d_b), dtype=complex)
-    psi_mat = s.psi_matrix()
-    amp = 1.0 / math.sqrt(slots)
-    for slot in range(slots):
-        psi2[slot * d_a : (slot + 1) * d_a, :] = psi_mat * amp
+    psi2 = np.tile(s.psi_matrix() * (1.0 / math.sqrt(slots)), (slots, 1))
     return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), pvm_a, pvm_b)

@@ -116,6 +116,14 @@ def test_audit_quantum_smoke(capsys):
     assert doc["clean"] is True
 
 
+def test_audit_quantum_json_names_worst_samples(capsys):
+    code, out, _ = run_cli(capsys, ["audit-quantum", "--samples", "6", "--seed", "1", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["worst_sample"]) == set(doc["worst_margin"])
+    assert all(w["seed"] == 1 and 0 <= w["sample"] < 6 for w in doc["worst_sample"].values())
+
+
 def test_verify_against_live_provers(capsys, tmp_path):
     inst = gen_planted(6, 9, seed=1)
     inst_path = tmp_path / "inst.json"

@@ -1,0 +1,290 @@
+"""Fast paths of the quantum core against their scalar references.
+
+The reductions build their ancilla registers by slicing; the references
+below build the same matrices with np.kron, exactly as the reduction proofs
+write them, and the two must agree bit for bit. The stacked joint-probability
+kernel behind win_probability, eps_table and BornPair must agree with a
+per-challenge sum of the scalar quadratic form _qform.
+"""
+
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+
+from colorproof.certificates import eps_table
+from colorproof.games import (
+    ALT_EDGE,
+    ALT_RZKP,
+    BCS,
+    F3,
+    SPECS,
+    VERTEX,
+    EdgeConstraint,
+    GameKind,
+    GameType,
+    VertexConstraint,
+    challenge_pmf,
+    verdict,
+)
+from colorproof.graphs import extend_with_gadgets, make_graph
+from colorproof.quantum import (
+    BornPair,
+    DimensionMismatchError,
+    IncompleteFamilyError,
+    NonFiniteError,
+    NotProjectiveError,
+    QuantumStrategy,
+    _check_family,
+    _lcm_degrees,
+    _marginal,
+    _qform,
+    arbitrary_strategy,
+    random_strategy,
+    reduce_edge_to_bcs,
+    reduce_rzkp_to_edge,
+    win_probability,
+)
+
+K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
+EXT = extend_with_gadgets(make_graph(3, [(0, 1), (1, 2)]))
+KINDS = (ALT_RZKP, ALT_EDGE, BCS, VERTEX, GameKind(GameType.BCS, 1.0), GameKind(GameType.VERTEX, 0.0))
+
+
+def _kron_rzkp_to_edge(s: QuantumStrategy, g) -> QuantumStrategy:
+    d_a, d_b = s.dim_a, s.dim_b
+    slots = _lcm_degrees(g)
+    d_b2 = 2 * slots * 3 * d_b
+    pvm_a = {}
+    for e in g.edges:
+        out = {}
+        for ci in F3:
+            for cj in F3:
+                m = np.zeros((d_a, d_a), dtype=complex)
+                for w, p in s.pvm_a[e].items():
+                    if (w[0] + w[1]) % 3 == ci and (w[2] + w[3]) % 3 == cj:
+                        m += p
+                out[(ci, cj)] = m
+        pvm_a[e] = out
+    shift = np.zeros((3, 3), dtype=complex)
+    for t in range(3):
+        shift[(t + 1) % 3, t] = 1.0
+    shift_pow = [np.eye(3, dtype=complex), shift, shift @ shift]
+    block_dim = 3 * d_b
+    pvm_b = {}
+    for v in range(g.n):
+        nbrs = g.adjacency[v]
+        fam_out = {c: np.zeros((d_b2, d_b2), dtype=complex) for c in F3}
+        for bit in (0, 1):
+            for slot in range(slots):
+                u = nbrs[slot % len(nbrs)]
+                e = (v, u) if v < u else (u, v)
+                pos = 0 if v == e[0] else 1
+                first = [_marginal(s.pvm_b[(e, bit)], pos, a, d_b) for a in F3]
+                second = [_marginal(s.pvm_b[(e, 1 - bit)], pos, c, d_b) for c in F3]
+                u_dilate = sum(np.kron(shift_pow[a], first[a]) for a in F3)
+                off = (bit * slots + slot) * block_dim
+                for c_sum in F3:
+                    sel = np.zeros((block_dim, block_dim), dtype=complex)
+                    for a in F3:
+                        anc = np.zeros((3, 3), dtype=complex)
+                        anc[a, a] = 1.0
+                        sel += np.kron(anc, second[(c_sum - a) % 3])
+                    fam_out[c_sum][off : off + block_dim, off : off + block_dim] = u_dilate.conj().T @ sel @ u_dilate
+        pvm_b[v] = fam_out
+    psi2 = np.zeros((d_a, d_b2), dtype=complex)
+    for bit in (0, 1):
+        for slot in range(slots):
+            off = (bit * slots + slot) * block_dim
+            psi2[:, off : off + d_b] = s.psi_matrix() * (1.0 / math.sqrt(2 * slots))
+    return QuantumStrategy(GameType.ALT_EDGE, d_a, d_b2, psi2.reshape(-1), pvm_a, pvm_b)
+
+
+def _kron_edge_to_bcs(s: QuantumStrategy, g) -> QuantumStrategy:
+    d_a, d_b = s.dim_a, s.dim_b
+    slots = _lcm_degrees(g)
+    d_a2 = slots * d_a
+    eye_slots = np.eye(slots, dtype=complex)
+    pvm_a = {}
+    for e in g.edges:
+        for alpha in F3:
+            out = {}
+            for b0 in (0, 1):
+                for b1 in (0, 1):
+                    m = np.zeros((d_a, d_a), dtype=complex)
+                    for (ci, cj), p in s.pvm_a[e].items():
+                        if int(ci == alpha) == b0 and int(cj == alpha) == b1:
+                            m += p
+                    out[(b0, b1)] = np.kron(eye_slots, m)
+            pvm_a[EdgeConstraint(e, alpha)] = out
+    for v in range(g.n):
+        nbrs = g.adjacency[v]
+        out = {t: np.zeros((d_a2, d_a2), dtype=complex) for t in itertools.product((0, 1), repeat=3)}
+        for slot in range(slots):
+            u = nbrs[slot % len(nbrs)]
+            e = (v, u) if v < u else (u, v)
+            pos = 0 if v == e[0] else 1
+            sel = np.zeros((slots, slots), dtype=complex)
+            sel[slot, slot] = 1.0
+            for cv in F3:
+                out[tuple(int(cv == a) for a in F3)] += np.kron(sel, _marginal(s.pvm_a[e], pos, cv, d_a))
+        pvm_a[VertexConstraint(v)] = out
+    pvm_b = {}
+    for v in range(g.n):
+        for beta in F3:
+            proj = s.pvm_b[v][beta]
+            pvm_b[(v, beta)] = {1: proj.copy(), 0: np.eye(d_b, dtype=complex) - proj}
+    psi2 = np.zeros((d_a2, d_b), dtype=complex)
+    for slot in range(slots):
+        psi2[slot * d_a : (slot + 1) * d_a, :] = s.psi_matrix() * (1.0 / math.sqrt(slots))
+    return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), pvm_a, pvm_b)
+
+
+def _assert_identical(got: QuantumStrategy, want: QuantumStrategy) -> None:
+    assert (got.game, got.dim_a, got.dim_b) == (want.game, want.dim_a, want.dim_b)
+    assert np.array_equal(got.psi, want.psi)
+    for side in ("pvm_a", "pvm_b"):
+        g_pvm, w_pvm = getattr(got, side), getattr(want, side)
+        assert list(g_pvm) == list(w_pvm)
+        for key in w_pvm:
+            assert list(g_pvm[key]) == list(w_pvm[key])
+            for out in w_pvm[key]:
+                assert np.array_equal(g_pvm[key][out], w_pvm[key][out]), (side, key, out)
+
+
+def _draw(game, g, dims, rng, arbitrary):
+    if arbitrary:
+        return arbitrary_strategy(game, g, dims[0], dims[1], rng)
+    return random_strategy(game, g, dims[0], dims[1], rng, 0.3)
+
+
+@pytest.mark.parametrize("graph", ["k3", "ext"])
+@pytest.mark.parametrize("arbitrary", [False, True])
+def test_reductions_equal_kron_reference(graph, arbitrary):
+    g = K3 if graph == "k3" else EXT.full
+    rng = np.random.default_rng(501)
+    for dims in ((2, 2), (3, 2)):
+        s = _draw(GameType.ALT_RZKP, g, dims, rng, arbitrary)
+        _assert_identical(reduce_rzkp_to_edge(s, g), _kron_rzkp_to_edge(s, g))
+        e = _draw(GameType.ALT_EDGE, g, dims, rng, arbitrary)
+        _assert_identical(reduce_edge_to_bcs(e, g), _kron_edge_to_bcs(e, g))
+
+
+def _scalar_win(kind, g, s) -> float:
+    """Per-challenge sum of _qform over the winning pairs, straight from verdict()."""
+    spec = SPECS[kind.game]
+    psi_mat = s.psi_matrix()
+    total = 0.0
+    for ch, p in challenge_pmf(kind, g).items():
+        fam_a, fam_b = s.pvm_a[spec.half_a(ch)], s.pvm_b[spec.half_b(ch)]
+        for (a_out, a_op), (b_out, b_op) in itertools.product(fam_a.items(), fam_b.items()):
+            if verdict(kind, ch, spec.response_a(a_out), spec.response_b(b_out)).accept:
+                total += p * _qform(psi_mat, a_op, b_op)
+    return total
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.game.value}-{k.mix}")
+@pytest.mark.parametrize("arbitrary", [False, True])
+def test_win_probability_matches_scalar_sum(kind, arbitrary):
+    rng = np.random.default_rng(502)
+    for dims in ((2, 3), (3, 2), (1, 4)):
+        s = _draw(kind.game, K3, dims, rng, arbitrary)
+        assert win_probability(kind, K3, s) == pytest.approx(_scalar_win(kind, K3, s), abs=1e-12)
+
+
+def test_win_probability_matches_scalar_sum_on_reduced_strategies():
+    rng = np.random.default_rng(503)
+    for g in (K3, EXT.full):
+        s = random_strategy(GameType.ALT_RZKP, g, 2, 2, rng, 0.3)
+        edge = reduce_rzkp_to_edge(s, g)
+        assert win_probability(ALT_EDGE, g, edge) == pytest.approx(_scalar_win(ALT_EDGE, g, edge), abs=1e-12)
+        bcs = reduce_edge_to_bcs(random_strategy(GameType.ALT_EDGE, g, 3, 2, rng, 0.3), g)
+        kind = GameKind(GameType.BCS, 1.0)
+        assert win_probability(kind, g, bcs) == pytest.approx(_scalar_win(kind, g, bcs), abs=1e-12)
+
+
+@pytest.mark.parametrize("arbitrary", [False, True])
+def test_eps_table_matches_scalar_forms(arbitrary):
+    rng = np.random.default_rng(504)
+    for g in (K3, EXT.full):
+        for dims in ((2, 3), (3, 2)):
+            s = _draw(GameType.BCS, g, dims, rng, arbitrary)
+            table = eps_table(s, g)
+            psi_mat = s.psi_matrix()
+            for i, j in g.edges:
+                for alpha in F3:
+                    fam_a = s.pvm_a[EdgeConstraint((i, j), alpha)]
+                    for side, k in enumerate((i, j)):
+                        fam_b = s.pvm_b[(k, alpha)]
+                        win = sum(
+                            _qform(psi_mat, p, fam_b[bits[side]]) for bits, p in fam_a.items() if bits[0] * bits[1] == 0
+                        )
+                        obs = sum(
+                            (2 * bits[side] - 1) * (2 * bt - 1) * _qform(psi_mat, p, q)
+                            for bits, p in fam_a.items()
+                            for bt, q in fam_b.items()
+                        )
+                        assert table.entries[(i, j, alpha, k)] == pytest.approx(1.0 - win, abs=1e-12)
+                        assert table.observable[(i, j, alpha, k)] == pytest.approx(obs, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS[:4], ids=lambda k: k.game.value)
+@pytest.mark.parametrize("arbitrary", [False, True])
+def test_born_pair_distribution_matches_scalar_forms(kind, arbitrary):
+    rng = np.random.default_rng(505)
+    s = _draw(kind.game, K3, (2, 3), rng, arbitrary)
+    spec = SPECS[kind.game]
+    pair = BornPair(s)
+    psi_mat = s.psi_matrix()
+    for ch in challenge_pmf(kind, K3):
+        responses, cum = pair._distribution(kind, ch)
+        got = dict(zip(responses, np.diff([0.0] + cum)))
+        fam_a, fam_b = s.pvm_a[spec.half_a(ch)], s.pvm_b[spec.half_b(ch)]
+        for (a_out, a_op), (b_out, b_op) in itertools.product(fam_a.items(), fam_b.items()):
+            want = _qform(psi_mat, a_op, b_op)
+            key = (spec.response_a(a_out), spec.response_b(b_out))
+            assert got.get(key, 0.0) == pytest.approx(want, abs=1e-12)
+        assert pair.respond(kind, ch, random.Random(0)) in got
+
+
+def _family(dim: int = 2) -> dict:
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    return {"x": p0, "y": np.eye(dim, dtype=complex) - p0, "z": np.zeros((dim, dim), dtype=complex)}
+
+
+@pytest.mark.parametrize(
+    "outcome, value, error, words",
+    [
+        ("y", np.array([[np.nan, 0], [0, 1]], dtype=complex), NonFiniteError, "non-finite entries in projector y"),
+        ("y", np.array([[0, 1], [0, 1]], dtype=complex), NotProjectiveError, "outcome y not Hermitian"),
+        ("y", np.array([[0, 0], [0, 2]], dtype=complex), NotProjectiveError, "outcome y not idempotent"),
+        ("z", np.diag([0.0, 1.0]).astype(complex), IncompleteFamilyError, "does not sum to identity"),
+        ("y", np.eye(3, dtype=complex), DimensionMismatchError, "projector for y has shape (3, 3)"),
+    ],
+    ids=["non-finite", "non-hermitian", "non-idempotent", "incomplete", "wrong-shape"],
+)
+def test_check_family_names_each_fault(outcome, value, error, words):
+    fam = _family()
+    _check_family(fam, 2, 1e-9, "A pvm 7")
+    fam[outcome] = value
+    with pytest.raises(error) as info:
+        _check_family(fam, 2, 1e-9, "A pvm 7")
+    assert str(info.value).startswith("A pvm 7: ") and words in str(info.value)
+
+
+def test_check_family_reports_the_first_faulty_outcome():
+    # outcome x is only non-idempotent, outcome y non-Hermitian and non-finite:
+    # the scan goes outcome by outcome, so x's fault is the one reported
+    fam = _family()
+    fam["x"] = np.diag([2.0, 0.0]).astype(complex)
+    fam["y"] = np.array([[np.inf, 1], [0, 1]], dtype=complex)
+    with pytest.raises(NotProjectiveError, match="outcome x not idempotent"):
+        _check_family(fam, 2, 1e-9, "B pvm 0")
+    # a wrong shape after a faulty outcome does not hide that outcome's fault
+    fam = _family()
+    fam["x"] = np.array([[1, 1], [0, 0]], dtype=complex)
+    fam["z"] = np.zeros((3, 3), dtype=complex)
+    with pytest.raises(NotProjectiveError, match="outcome x not Hermitian"):
+        _check_family(fam, 2, 1e-9, "B pvm 0")

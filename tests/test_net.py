@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -287,6 +288,45 @@ def test_prover_refuses_challenges_off_its_graph(monkeypatch, role, challenge):
         while not ended and time.monotonic() < deadline:
             time.sleep(0.01)
         assert ended == [None]  # the worker returned; no exception escaped its thread
+    finally:
+        p.stop()
+
+
+@pytest.mark.parametrize(
+    "role,first,replay",
+    [
+        ("a", ChallengeA(0, 0, 1), ChallengeA(0, 1, 4)),
+        ("a", ChallengeA(3, 0, 1), ChallengeA(2, 1, 4)),
+        ("b", ChallengeB(0, 0, 1, 0), ChallengeB(0, 1, 4, 1)),
+    ],
+    ids=["a-same-round", "a-earlier-round", "b-same-round"],
+)
+def test_prover_answers_each_round_once(role, first, replay):
+    # two answers under round 0's permutation on the path 0-1-4 would reveal
+    # whether the non-adjacent vertices 0 and 4 share a color
+    from colorproof.net import _Stream
+
+    inst = gen_planted(8, 10, 3)
+    assert inst.graph.has_edge(0, 1) and inst.graph.has_edge(1, 4) and not inst.graph.has_edge(0, 4)
+    p = run_prover(("127.0.0.1", 0), inst, role, shared_seed=42)
+    try:
+        with socket.create_connection(p.address, timeout=2.0) as sock:
+            stream = _Stream(sock)
+            stream.send(Hello(1, 1, inst.graph.digest()))
+            assert isinstance(stream.read_frame(timeout=2.0), Hello)
+            stream.send(first)
+            answer = stream.read_frame(timeout=2.0)
+            assert isinstance(answer, ResponseA if role == "a" else ResponseB) and answer.round == first.round
+            stream.send(replay)
+            assert isinstance(stream.read_frame(timeout=2.0), Bye)
+        # later rounds on a fresh connection are still answered
+        with socket.create_connection(p.address, timeout=2.0) as sock:
+            stream = _Stream(sock)
+            stream.send(Hello(1, 1, inst.graph.digest()))
+            assert isinstance(stream.read_frame(timeout=2.0), Hello)
+            for r in (5, 9):
+                stream.send(dataclasses.replace(replay, round=r))
+                assert stream.read_frame(timeout=2.0).round == r
     finally:
         p.stop()
 

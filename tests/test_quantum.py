@@ -293,6 +293,20 @@ def test_certificate_sweep_deterministic():
     assert c.worst_margin != a.worst_margin
 
 
+def test_sweep_names_the_sample_behind_each_worst_margin():
+    from colorproof.audits import SweepSummary, audit_sample, run_certificate_sweep
+
+    summary = run_certificate_sweep(samples=12, seed=9)
+    doc = summary.to_dict()
+    assert set(doc["worst_sample"]) == set(doc["worst_margin"])
+    for family, where in doc["worst_sample"].items():
+        assert where["seed"] == 9 and 0 <= where["sample"] < 12
+        # replaying that one sample alone reproduces the family's worst margin
+        replay = SweepSummary()
+        audit_sample(where["seed"], where["sample"], 4, replay)
+        assert replay.worst_margin[family] == summary.worst_margin[family]
+
+
 def test_reduction_needs_connected_vertices():
     g = make_graph(4, [(0, 1)])  # vertices 2, 3 isolated
     s = classical_embedding(GameType.ALT_RZKP, g, (0, 1, 0, 0), dim=1)
