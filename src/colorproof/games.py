@@ -16,6 +16,10 @@ Each variant is defined once, by its `GameSpec` in `SPECS`; everything else
 (the round loop, the quantum evaluator, the wire prover) reads the spec.
 Edge challenges always carry i < j. All samplers draw from an explicit
 `random.Random` stream and match `challenge_pmf` exactly.
+
+`play_rounds` replays the round stream of the built-in classical pairs in
+bulk (see its docstring); the scalar `verdict` stays the oracle that the
+column verdicts are tested against.
 """
 
 from __future__ import annotations
@@ -28,10 +32,13 @@ import random
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from .graphs import Edge, Graph
 from .seeds import substream
 
 F3 = (0, 1, 2)
+PERMS3 = tuple(itertools.permutations(F3))
 
 
 class GameType(enum.Enum):
@@ -183,6 +190,48 @@ class Labelled:
         return cls(tuple(colors), tuple(w0), tuple((c - w) % 3 for c, w in zip(colors, w0)))
 
 
+def draw_labellings(colors_a, colors_b, permute: bool, rng: random.Random) -> tuple[Labelled, Labelled]:
+    """One round of the shared randomness of the built-in classical pairs.
+
+    Draws one color permutation (`randrange(6)`, only when `permute`) and
+    then one bit-0 label per vertex (`len(colors_a)` draws of
+    `randrange(3)`). Returns the labellings of `colors_a` (prover A's) and of
+    `colors_b` (prover B's), both under that permutation and those bit-0
+    labels.
+    """
+    perm = PERMS3[rng.randrange(6)] if permute else None
+    ca = colors_a if perm is None else [perm[c] for c in colors_a]
+    w0 = [rng.randrange(3) for _ in colors_a]
+    lab_a = Labelled.split(ca, w0)
+    if colors_b is colors_a:
+        return lab_a, lab_a
+    return lab_a, Labelled.split(colors_b if perm is None else [perm[c] for c in colors_b], w0)
+
+
+@dataclass(frozen=True)
+class LabellingDraw:
+    """`draw_labellings` of fixed colorings, as a classical pair's `shared` draw."""
+
+    colors_a: tuple
+    colors_b: tuple
+    permute: bool
+
+    def __call__(self, kind: GameKind, g: Graph, rng: random.Random) -> tuple[Labelled, Labelled]:
+        return draw_labellings(self.colors_a, self.colors_b, self.permute, rng)
+
+
+def labelled_answer_a(kind: GameKind, half, labs: tuple[Labelled, Labelled]) -> Response:
+    """Prover A's honest answer from the first labelling of a `LabellingDraw`."""
+    spec = SPECS[kind.game]
+    return spec.response_a(spec.honest_a(labs[0], half))
+
+
+def labelled_answer_b(kind: GameKind, half, labs: tuple[Labelled, Labelled]) -> Response:
+    """Prover B's honest answer from the second labelling of a `LabellingDraw`."""
+    spec = SPECS[kind.game]
+    return spec.response_b(spec.honest_b(labs[1], half))
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 
@@ -206,6 +255,15 @@ ACCEPT = Verdict(True)
 
 def _reject(reason: Reason) -> Verdict:
     return Verdict(False, reason)
+
+
+# the column verdicts return one code per round: 0 accepts, k rejects with the k-th Reason
+VERDICT_OF_CODE = (ACCEPT, *(_reject(r) for r in Reason))
+_MALFORMED, _EDGE, _WELL, _CONSTRAINT = (
+    list(Reason).index(r) + 1
+    for r in (Reason.MALFORMED, Reason.EDGE_VERIFICATION, Reason.WELL_DEFINITION, Reason.CONSTRAINT_SATISFACTION)
+)
+_PAD = -1  # fills a payload column past the row's arity (bcs A answers two bits to an edge constraint)
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,6 +290,14 @@ def _colors_ok(*vals: int) -> bool:
 
 def _bits_ok(*vals: int) -> bool:
     return all(v in (0, 1) for v in vals)
+
+
+def _colors_ok_columns(*cols: np.ndarray) -> np.ndarray:
+    return np.logical_and.reduce([(c >= 0) & (c <= 2) for c in cols])
+
+
+def _bits_ok_columns(*cols: np.ndarray) -> np.ndarray:
+    return np.logical_and.reduce([(c == 0) | (c == 1) for c in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +353,33 @@ def _rzkp_honest_b(lab: Labelled, half) -> tuple:
     return (w[i], w[j])
 
 
+def _rzkp_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    i, j, i2, j2, b = C.T
+    wi0, wi1, wj0, wj1 = A.T
+    bi, bj = B.T
+    malformed = ~(_colors_ok_columns(wi0, wi1, wj0, wj1, bi, bj) & ((b == 0) | (b == 1)))
+    a_j = np.where(b == 0, wj0, wj1)
+    a_i = np.where(i == j, a_j, np.where(b == 0, wi0, wi1))
+
+    def disagree(v, a):  # as the scalar dicts: B's second endpoint wins when i' == j'
+        return ((v == i2) & (v != j2) & (a != bi)) | ((v == j2) & (a != bj))
+
+    edge = (wi0 + wi1) % 3 == (wj0 + wj1) % 3
+    return np.select([malformed, edge, disagree(i, a_i) | disagree(j, a_j)], [_MALFORMED, _EDGE, _WELL], 0)
+
+
+def _rzkp_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
+    i, j, i2, j2, b = C.T
+    wi, wj = lab.w0(i), lab.w0(j)
+    a = np.stack([wi, (lab.colors_a(i) - wi) % 3, wj, (lab.colors_a(j) - wj) % 3], axis=1)
+
+    def label_b(v):
+        w = lab.w0(v)
+        return np.where(b == 0, w, (lab.colors_b(v) - w) % 3)
+
+    return a, np.stack([label_b(i2), label_b(j2)], axis=1)
+
+
 # alt-edge
 def _edge_sample(g: Graph, mix: float, rng: random.Random) -> EdgeChallenge:
     i, j = g.edges[rng.randrange(len(g.edges))]
@@ -315,6 +408,18 @@ def _edge_check(ch: EdgeChallenge, ra: EdgeResponseA, rb: EdgeResponseB) -> Verd
     if ch.vertex_b == j and cj != rb.color:
         return _reject(Reason.WELL_DEFINITION)
     return ACCEPT
+
+
+def _edge_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    i, j, v = C.T
+    ci, cj = A.T
+    well = ((v == i) & (ci != B)) | ((v == j) & (cj != B))
+    return np.select([~_colors_ok_columns(ci, cj, B), ci == cj, well], [_MALFORMED, _EDGE, _WELL], 0)
+
+
+def _edge_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
+    i, j, v = C.T
+    return np.stack([lab.colors_a(i), lab.colors_a(j)], axis=1), lab.colors_b(v)
 
 
 # bcs
@@ -392,6 +497,37 @@ def _bcs_json(ch: BcsChallenge) -> dict:
     return {"constraint": c, "vertex_b": ch.vertex_b, "color_b": ch.color_b}
 
 
+def _bcs_flat(ch: BcsChallenge) -> tuple:
+    con = ch.constraint
+    if isinstance(con, VertexConstraint):
+        return (0, con.vertex, con.vertex, 0, ch.vertex_b, ch.color_b)
+    return (1, *con.edge, con.color, ch.vertex_b, ch.color_b)
+
+
+def _bcs_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Column `bcs` verdict; A's third column is read on vertex constraints only."""
+    edge, x, y, alpha, vb, cb = C.T
+    edge = edge == 1
+    a0, a1, a2 = A.T
+    malformed = ~(_bits_ok_columns(a0, a1, B) & (edge | _bits_ok_columns(a2)))
+    unsatisfied = np.where(edge, a0 * a1 != 0, a0 + a1 + a2 != 1)
+    well_vertex = (vb == x) & (np.choose(cb.clip(0, 2), (a0, a1, a2)) != B)
+    well_edge = (cb == alpha) & (((vb == x) & (a0 != B)) | ((vb == y) & (a1 != B)))
+    well = np.where(edge, well_edge, well_vertex)
+    return np.select([malformed, unsatisfied, well], [_MALFORMED, _CONSTRAINT, _WELL], 0)
+
+
+def _bcs_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
+    edge, x, y, alpha, vb, cb = C.T
+    edge = edge == 1
+    cx, cy = lab.colors_a(x), lab.colors_a(y)
+    a = np.stack(
+        [np.where(edge, cx == alpha, cx == 0), np.where(edge, cy == alpha, cx == 1), np.where(edge, _PAD, cx == 2)],
+        axis=1,
+    )
+    return a, (lab.colors_b(vb) == cb).astype(np.int64)
+
+
 # vertex
 def _vertex_sample(g: Graph, mix: float, rng: random.Random) -> VertexChallenge:
     if rng.random() < mix:
@@ -422,6 +558,13 @@ def _vertex_check(ch: VertexChallenge, ra: VertexResponse, rb: VertexResponse) -
     return ACCEPT
 
 
+def _vertex_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    diagonal = C[:, 0] == C[:, 1]
+    return np.select(
+        [~_colors_ok_columns(A, B), diagonal & (A != B), ~diagonal & (A == B)], [_MALFORMED, _WELL, _EDGE], 0
+    )
+
+
 # ---------------------------------------------------------------------------
 # The spec table
 
@@ -435,6 +578,13 @@ class GameSpec:
     `b_keys(g)` enumerate every half of a graph in the order the PVM dicts of
     a quantum strategy hold them, which seeded strategy draws depend on.
     `honest_a(lab, key)` is the honest outcome for one labelling.
+
+    The batch round engine reads three more entries. `flat(ch)` writes a
+    challenge as a fixed-width int row. `honest_columns(C, lab)` gives the
+    honest A and B payloads of a block of such rows as int columns (a 2-D
+    array for tuple payloads, padded with -1 past a row's arity, a 1-D one
+    for int payloads). `check_columns(C, A, B)` is `check` on columns: one
+    code per round, indexing `VERDICT_OF_CODE`.
     """
 
     game: GameType
@@ -453,6 +603,9 @@ class GameSpec:
     honest_b: Callable[[Labelled, object], object]
     check: Callable[[Challenge, Response, Response], Verdict]
     to_json: Callable[[Challenge], dict]
+    flat: Callable[[Challenge], tuple]
+    honest_columns: Callable[[np.ndarray, LabelColumns], tuple]
+    check_columns: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 _LABELS4 = tuple(itertools.product(F3, repeat=4))
@@ -478,6 +631,9 @@ SPECS = {
         honest_b=_rzkp_honest_b,
         check=_rzkp_check,
         to_json=asdict,
+        flat=lambda ch: (*ch.edge_a, *ch.edge_b, ch.bit),
+        honest_columns=_rzkp_honest_columns,
+        check_columns=_rzkp_check_columns,
     ),
     GameType.ALT_EDGE: GameSpec(
         game=GameType.ALT_EDGE,
@@ -496,6 +652,9 @@ SPECS = {
         honest_b=lambda lab, v: lab.colors[v],
         check=_edge_check,
         to_json=asdict,
+        flat=lambda ch: (*ch.edge_a, ch.vertex_b),
+        honest_columns=_edge_honest_columns,
+        check_columns=_edge_check_columns,
     ),
     GameType.BCS: GameSpec(
         game=GameType.BCS,
@@ -514,6 +673,9 @@ SPECS = {
         honest_b=lambda lab, half: int(lab.colors[half[0]] == half[1]),
         check=_bcs_check,
         to_json=_bcs_json,
+        flat=_bcs_flat,
+        honest_columns=_bcs_honest_columns,
+        check_columns=_bcs_check_columns,
     ),
     GameType.VERTEX: GameSpec(
         game=GameType.VERTEX,
@@ -532,6 +694,9 @@ SPECS = {
         honest_b=lambda lab, v: lab.colors[v],
         check=_vertex_check,
         to_json=asdict,
+        flat=lambda ch: (ch.vertex_a, ch.vertex_b),
+        honest_columns=lambda C, lab: (lab.colors_a(C[:, 0]), lab.colors_b(C[:, 1])),
+        check_columns=_vertex_check_columns,
     ),
 }
 
@@ -612,16 +777,41 @@ def play_rounds(
     exposes split halves (`shared`/`answer_a`/`answer_b`, no cross-talk
     possible) or a joint sampler `respond` (used for Born-rule simulation of
     quantum strategies). Strategy exceptions count as Reject(malformed).
+
+    Stream contract: round r draws its challenge (`spec.sample`: `randrange`
+    and, for bcs and vertex, one `random()` first), then the pair's
+    `shared` draw or `respond` draw, before round r + 1 draws anything. A
+    `LabellingDraw` draws `randrange(6)` for the permutation when it permutes,
+    then one `randrange(3)` per vertex of `colors_a`.
+
+    The built-in classical pairs (`honest_pair`, `fixed_coloring_pair`,
+    `mismatched_pair`) are replayed in bulk when their `shared` is a
+    `LabellingDraw` and their answers are `labelled_answer_a`/`_b`, both
+    colorings have `g.n` entries and every color is an int in {0, 1, 2}.
+    That path consumes the same words of the same stream and returns equal
+    stats and transcripts; every other pair, a pair rebuilt with other
+    callables included, runs the scalar loop.
     """
     if rounds < 0:
         raise GamesError("negative round count")
     if rounds == 0:
         return WinStats(0, 0, 1.0, (0.0, 1.0), degenerate=True), ([] if keep_log else None)
+    rng = substream("rounds", seed)
+    draw = _replayable_draw(pair, g)
+    if draw is not None:
+        _require_edges(g)
+        accepts, log = _play_labelled(kind, g, draw, rounds, rng, keep_log)
+    else:
+        accepts, log = _play_scalar(kind, g, pair, rounds, rng, keep_log)
+    stats = WinStats(rounds, accepts, accepts / rounds, wilson_interval(accepts, rounds))
+    return stats, log
+
+
+def _play_scalar(kind: GameKind, g: Graph, pair, rounds: int, rng: random.Random, keep_log: bool):
     log: Optional[list[Transcript]] = [] if keep_log else None
     accepts = 0
     spec = SPECS[kind.game]
     split = hasattr(pair, "answer_a")
-    rng = substream("rounds", seed)
     for r in range(rounds):
         ch = sample_challenge(kind, g, rng)
         ra = rb = None
@@ -639,8 +829,193 @@ def play_rounds(
             accepts += 1
         if log is not None:
             log.append(Transcript(r, ch, ra, rb, v))
-    stats = WinStats(rounds, accepts, accepts / rounds, wilson_interval(accepts, rounds))
-    return stats, log
+    return accepts, log
+
+
+# ---------------------------------------------------------------------------
+# Batch round engine for the built-in classical pairs
+
+
+def _replayable_draw(pair, g: Graph) -> Optional[LabellingDraw]:
+    """The pair's `LabellingDraw` when the batch engine can replay the pair, else None."""
+    draw = getattr(pair, "shared", None)
+    if (
+        type(draw) is not LabellingDraw
+        or getattr(pair, "answer_a", None) is not labelled_answer_a
+        or getattr(pair, "answer_b", None) is not labelled_answer_b
+        or len(draw.colors_a) != g.n
+        or len(draw.colors_b) != g.n
+    ):
+        return None
+    if not all(type(c) is int and 0 <= c <= 2 for c in draw.colors_a + draw.colors_b):
+        return None
+    return draw
+
+
+# the candidate randrange(3) value in a word's top byte; 3 is a rejected draw
+_LABEL_OF_TOP_BYTE = bytes(b >> 6 for b in range(256))
+_REFILL_WORDS = 1 << 12
+_BLOCK_WORDS = 1 << 20  # about the words one block of rounds draws, which bounds the buffer
+
+
+class WordStream:
+    """A `random.Random` stream drawn in bulk as 32-bit words and replayed.
+
+    Each word is one output of the generator (MT19937's `genrand_uint32`).
+    `rng.randbytes(4 * W)` is `getrandbits(32 * W)` in little-endian order:
+    the next W words, in draw order, read as `'<u4'` on any platform. The
+    methods consume words as CPython's `random.Random` does: `randrange(n)`
+    takes the top `n.bit_length()` bits of a word and draws again while the
+    value is >= n; `random()` takes two words a, b and returns
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53. Reading past the buffer draws
+    more words from the same rng, which continues the stream exactly.
+    """
+
+    __slots__ = ("_rng", "_raw", "words", "labels", "pos")
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._reset(b"")
+        self.pos = 0  # the next word to consume
+
+    def _reset(self, raw: bytes) -> None:
+        # `labels` holds each word's candidate randrange(3) value
+        self._raw = raw
+        self.words = memoryview(np.frombuffer(raw, "<u4").astype(np.uint32, copy=False))
+        self.labels = raw[3::4].translate(_LABEL_OF_TOP_BYTE)
+
+    def extend(self, count: int) -> None:
+        """Draw `count` more words from the rng."""
+        self._reset(self._raw + self._rng.randbytes(4 * count))
+
+    def _refill(self) -> None:
+        # an eighth of the buffer at least, so that copying it on each refill costs O(1) per word
+        self.extend(max(_REFILL_WORDS, len(self.labels) // 8))
+
+    def drop_consumed(self) -> None:
+        """Forget the words before `pos` (positions restart at 0)."""
+        self._reset(self._raw[4 * self.pos :])
+        self.pos = 0
+
+    def randrange(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError(f"empty range for randrange({n})")
+        shift = 32 - n.bit_length()
+        pos = self.pos
+        try:
+            while True:
+                r = self.words[pos] >> shift
+                pos += 1
+                if r < n:
+                    self.pos = pos
+                    return r
+        except IndexError:  # the words read so far were rejected: go on after them
+            self.pos = pos
+            self._refill()
+            return self.randrange(n)
+
+    def random(self) -> float:
+        if self.pos + 2 > len(self.words):
+            self._refill()
+        a, b = self.words[self.pos] >> 5, self.words[self.pos + 1] >> 6
+        self.pos += 2
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def skip_labels(self, n: int) -> int:
+        """Consume n draws of `randrange(3)`; returns the position of their first word."""
+        first = p = self.pos
+        q = p + n
+        labels = self.labels
+        rejected = labels.count(3, p, q)
+        while rejected:
+            p = q
+            q += rejected
+            rejected = labels.count(3, p, q)
+        if q > len(labels):  # counted past the buffer: draw more and count again
+            self._refill()
+            return self.skip_labels(n)
+        self.pos = q
+        return first
+
+
+_PERM_TABLE = np.array(PERMS3)
+
+
+class LabelColumns:
+    """The labellings of a block of rounds, read at one vertex per round.
+
+    `firsts` holds where each round's `LabellingDraw` starts in the
+    stream's buffer. The permutation draw `randrange(6)` rejects exactly the
+    words `randrange(3)` rejects (top two bits 11), so a permuting round's
+    first accepted word is its permutation (the word's top three bits) and
+    the next n accepted words are its bit-0 labels (their top two bits).
+    """
+
+    def __init__(self, draw: LabellingDraw, stream: WordStream, firsts: list):
+        self._colors_a = _PERM_TABLE[:, list(draw.colors_a)]
+        self._colors_b = _PERM_TABLE[:, list(draw.colors_b)]
+        self._labels = np.frombuffer(stream.labels, np.uint8)
+        self._accepted = np.flatnonzero(self._labels != 3)
+        self._first = np.searchsorted(self._accepted, firsts)
+        self._perms = 0
+        if draw.permute:
+            self._perms = np.asarray(stream.words)[self._accepted[self._first]] >> 29
+            self._first += 1
+
+    def colors_a(self, v: np.ndarray) -> np.ndarray:
+        return self._colors_a[self._perms, v]
+
+    def colors_b(self, v: np.ndarray) -> np.ndarray:
+        return self._colors_b[self._perms, v]
+
+    def w0(self, v: np.ndarray) -> np.ndarray:
+        return self._labels[self._accepted[self._first + v]].astype(np.int64)
+
+
+def _payload_rows(x: np.ndarray) -> list:
+    """Per round, the payload in a column of honest answers (ints, or tuples without the padding)."""
+    if x.ndim == 1:
+        return x.tolist()
+    rows = x.tolist()
+    if (x[:, -1] == _PAD).any():
+        return [tuple(r[:k]) for r, k in zip(rows, (x != _PAD).sum(axis=1).tolist())]
+    return list(map(tuple, rows))
+
+
+def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, rng: random.Random, keep_log: bool):
+    """The scalar loop's accept count and log for a `LabellingDraw` pair, from the same rng words.
+
+    Python runs the sampler per round; the labelling draw is skipped in C,
+    and only the labels the round reads are decoded afterwards, with the
+    answers and the verdicts, as numpy columns.
+    """
+    spec = SPECS[kind.game]
+    sample, mix, n, permute = spec.sample, kind.mix, g.n, draw.permute
+    per_round = 4 * n // 3 + 16  # about the words of one round: n labels, the permutation, the challenge
+    block = max(1, _BLOCK_WORDS // per_round)
+    draws = n + 1 if permute else n  # see LabelColumns
+    stream = WordStream(rng)
+    skip_labels = stream.skip_labels
+    accepts = 0
+    log: Optional[list[Transcript]] = [] if keep_log else None
+    for start in range(0, rounds, block):
+        count = min(block, rounds - start)
+        stream.extend(count * per_round)
+        chs, firsts = [], []
+        for _ in range(count):
+            chs.append(sample(g, mix, stream))
+            firsts.append(skip_labels(draws))
+        C = np.array(list(map(spec.flat, chs)), dtype=np.int64)
+        A, B = spec.honest_columns(C, LabelColumns(draw, stream, firsts))
+        codes = spec.check_columns(C, A, B)
+        accepts += count - int(np.count_nonzero(codes))
+        if log is not None:
+            ra = map(spec.response_a, _payload_rows(A))
+            rb = map(spec.response_b, _payload_rows(B))
+            verdicts = map(VERDICT_OF_CODE.__getitem__, codes.tolist())
+            log.extend(map(Transcript, range(start, start + count), chs, ra, rb, verdicts))
+        stream.drop_consumed()
+    return accepts, log
 
 
 # ---------------------------------------------------------------------------

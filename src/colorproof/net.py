@@ -33,12 +33,12 @@ from .games import (
     RzkpResponseB,
     Transcript,
     Verdict,
+    draw_labellings,
     sample_challenge,
     verdict,
 )
 from .graphs import Graph, PlantedInstance
 from .seeds import substream
-from .strategies import _draw_labelling
 
 MAX_PAYLOAD = 1 << 20
 PROTOCOL_VERSION = 1
@@ -250,7 +250,7 @@ def round_labelling(witness: tuple[int, ...], shared_seed: int, round_index: int
     agree without any communication.
     """
     rng = substream("label", shared_seed, round_index)
-    return _draw_labelling(witness, rng, permute=True)
+    return draw_labellings(witness, witness, True, rng)[0]
 
 
 def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, shared_seed: int, delay_s: float) -> None:

@@ -15,10 +15,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .games import SPECS, GameKind, Labelled, RzkpChallenge, RzkpResponseA, Transcript
+from .games import (
+    GameKind,
+    LabellingDraw,
+    RzkpChallenge,
+    RzkpResponseA,
+    Transcript,
+    labelled_answer_a,
+    labelled_answer_b,
+)
 from .graphs import Edge, Graph, PlantedInstance
-
-PERMS3 = tuple(itertools.permutations((0, 1, 2)))
 
 
 class StrategiesError(ValueError):
@@ -42,34 +48,16 @@ class ClassicalStrategyPair:
     answer_b: Callable[[GameKind, object, object], object]
 
 
-def _draw_labelling(colors: Sequence[int], rng: random.Random, permute: bool) -> Labelled:
-    if permute:
-        perm = PERMS3[rng.randrange(6)]
-        colors = tuple(perm[c] for c in colors)
-    else:
-        colors = tuple(colors)
-    return Labelled.split(colors, [rng.randrange(3) for _ in colors])
-
-
-def _answer_a(kind: GameKind, chal, lab: Labelled):
-    spec = SPECS[kind.game]
-    return spec.response_a(spec.honest_a(lab, chal))
-
-
-def _answer_b(kind: GameKind, chal, lab: Labelled):
-    spec = SPECS[kind.game]
-    return spec.response_b(spec.honest_b(lab, chal))
+def _labelling_pair(colors_a: tuple, colors_b: tuple, permute: bool) -> ClassicalStrategyPair:
+    # play_rounds replays exactly this pair in bulk; a pair whose callables are replaced runs its scalar loop
+    return ClassicalStrategyPair(LabellingDraw(colors_a, colors_b, permute), labelled_answer_a, labelled_answer_b)
 
 
 def honest_pair(inst: PlantedInstance) -> ClassicalStrategyPair:
     """Honest provers: fresh color permutation and label split every round."""
     if not inst.witness:
         raise StrategiesError("instance has no witness")
-
-    def shared(kind: GameKind, g: Graph, rng: random.Random) -> Labelled:
-        return _draw_labelling(inst.witness, rng, permute=True)
-
-    return ClassicalStrategyPair(shared, _answer_a, _answer_b)
+    return _labelling_pair(inst.witness, inst.witness, permute=True)
 
 
 def fixed_coloring_pair(colors: Sequence[int]) -> ClassicalStrategyPair:
@@ -80,11 +68,7 @@ def fixed_coloring_pair(colors: Sequence[int]) -> ClassicalStrategyPair:
     what the transcript-uniformity negative control needs.
     """
     colors = tuple(colors)
-
-    def shared(kind: GameKind, g: Graph, rng: random.Random) -> Labelled:
-        return _draw_labelling(colors, rng, permute=False)
-
-    return ClassicalStrategyPair(shared, _answer_a, _answer_b)
+    return _labelling_pair(colors, colors, permute=False)
 
 
 def mismatched_pair(colors_a: Sequence[int], colors_b: Sequence[int]) -> ClassicalStrategyPair:
@@ -97,19 +81,7 @@ def mismatched_pair(colors_a: Sequence[int], colors_b: Sequence[int]) -> Classic
     ca, cb = tuple(colors_a), tuple(colors_b)
     if len(ca) != len(cb):
         raise StrategiesError("colorings must have equal length")
-
-    def shared(kind: GameKind, g: Graph, rng: random.Random) -> tuple[Labelled, Labelled]:
-        perm = PERMS3[rng.randrange(6)]
-        w0 = tuple(rng.randrange(3) for _ in ca)
-        return Labelled.split([perm[c] for c in ca], w0), Labelled.split([perm[c] for c in cb], w0)
-
-    def answer_a(kind: GameKind, chal, sh):
-        return _answer_a(kind, chal, sh[0])
-
-    def answer_b(kind: GameKind, chal, sh):
-        return _answer_b(kind, chal, sh[1])
-
-    return ClassicalStrategyPair(shared, answer_a, answer_b)
+    return _labelling_pair(ca, cb, permute=True)
 
 
 # ---------------------------------------------------------------------------
