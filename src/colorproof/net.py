@@ -9,26 +9,39 @@ the bit or the second edge). The relativistic separation constraint is
 modeled as a per-round response deadline on the verifier's monotonic clock;
 it is a desk-scale stand-in, not a security claim.
 
+The verifier is one `selectors` loop over both connections. Each prover gets
+one write per round, the previous round's `Result` followed by this round's
+challenge (the last `Result` goes out with `Bye`), so it receives the same
+frames in the same order as with one write per frame. Sends never block: what
+a socket does not take is queued and flushed as it becomes writable. Each
+response is stamped when its socket becomes readable, so one prover's latency
+never includes the other's. A round waits at most its deadline plus
+`GRACE_S`; a response that comes later carries an older round index and is
+skipped. The next round's challenge is sampled while the provers answer.
+
 Provers derive their per-round labelling deterministically from a shared
 seed exchanged out-of-band, so two honest provers agree without talking.
+A prover decodes only the labels it answers (`partial_labelling`).
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .games import (
     ALT_RZKP,
     SPECS,
+    PERMS3,
     GameType,
     Labelled,
     Reason,
-    RzkpChallenge,
     RzkpResponseA,
     RzkpResponseB,
     Transcript,
@@ -42,6 +55,10 @@ from .seeds import substream
 
 MAX_PAYLOAD = 1 << 20
 PROTOCOL_VERSION = 1
+GRACE_S = 0.02  # how long past its deadline a round still takes in responses
+HELLO_TIMEOUT_S = 10.0
+IDLE_TIMEOUT_S = 60.0  # a prover closes a connection silent for this long
+CLOSE_REASONS = ("bye", "bad-hello", "refused-half", "idle-timeout", "garbage", "peer-closed")
 
 T_HELLO = 1
 T_CHALLENGE_A = 2
@@ -154,6 +171,7 @@ _FRAMES = {
 }
 _TYPE_OF = {cls: t for t, (cls, _, _) in _FRAMES.items()}
 _HEADER = struct.Struct(">IB")
+_LENGTH = struct.Struct(">I")
 
 
 def _check_fields(t: int, values: tuple) -> None:
@@ -225,15 +243,27 @@ class _Stream:
                 raise ConnectionError("peer closed the connection")
             self.buf += chunk
 
-    def read_frame(self, timeout: Optional[float] = None) -> WireMessage:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        self._fill(5, deadline)
-        (length,) = struct.unpack(">I", self.buf[:4])
+    def pop(self) -> Optional[WireMessage]:
+        """The next whole frame in the buffer, decoded; None until one is complete."""
+        buf = self.buf
+        if len(buf) < 5:
+            return None
+        (length,) = _LENGTH.unpack_from(buf)
         if length > MAX_PAYLOAD:
             raise OversizeError(f"declared payload {length} exceeds {MAX_PAYLOAD}")
-        self._fill(max(5, 4 + length), deadline)
-        frame, self.buf = self.buf[: 4 + length], self.buf[4 + length :]
-        return decode(frame)
+        if len(buf) < max(5, 4 + length):
+            return None
+        self.buf = buf[4 + length :]
+        return decode(buf[: 4 + length])
+
+    def read_frame(self, timeout: Optional[float] = None) -> WireMessage:
+        """The next frame; without `timeout`, reads wait as the socket's own timeout says."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            msg = self.pop()
+            if msg is not None:
+                return msg
+            self._fill(len(self.buf) + 1, deadline)
 
     def send(self, msg: WireMessage) -> None:
         self.sock.sendall(encode(msg))
@@ -253,28 +283,70 @@ def round_labelling(witness: tuple[int, ...], shared_seed: int, round_index: int
     return draw_labellings(witness, witness, True, rng)[0]
 
 
-def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, shared_seed: int, delay_s: float) -> None:
+# top bytes of the words that randrange(3) and randrange(6) reject: top two bits 11
+_REJECTED_TOPS = bytes(range(0xC0, 0x100))
+
+
+def _accepted_tops(shared_seed: int, round_index: int, need: int, words: Optional[int] = None) -> bytes:
+    """The top bytes of (at least) the first `need` words of round `round_index`'s
+    labelling draw that `randrange(3)` accepts (see `partial_labelling`)."""
+    rng = substream("label", shared_seed, round_index)
+    count = words or need + need // 2 + 8
+    tops = b""
+    while len(tops) < need:
+        tops += rng.randbytes(4 * count)[3::4].translate(None, _REJECTED_TOPS)
+        count = 2 * (need - len(tops))
+    return tops
+
+
+def _labelling_at(witness: tuple[int, ...], tops: bytes, vertices) -> Labelled:
+    perm = PERMS3[tops[0] >> 5]
+    colors = {v: perm[witness[v]] for v in vertices}
+    w0 = {v: tops[v + 1] >> 6 for v in vertices}
+    return Labelled(colors, w0, {v: (colors[v] - w0[v]) % 3 for v in vertices})
+
+
+def partial_labelling(
+    witness: tuple[int, ...], shared_seed: int, round_index: int, vertices, words: Optional[int] = None
+) -> Labelled:
+    """`round_labelling` at `vertices` only, decoded from the same rng words.
+
+    `draw_labellings` takes one `randrange(6)` for the permutation, then one
+    `randrange(3)` per vertex, and both reject exactly the words whose top two
+    bits are 11. So the first accepted word's top three bits pick the
+    permutation, and the top two bits of accepted word v + 1 are w0[v].
+    `randbytes` yields the words little-endian, so every fourth byte is a
+    word's top byte. `words` words are drawn first (enough in all but rare
+    rounds by default); if too few are accepted, more are drawn from the same
+    rng, which continues its stream. colors, w0 and w1 are dicts over
+    `vertices`.
+    """
+    return _labelling_at(witness, _accepted_tops(shared_seed, round_index, max(vertices) + 2, words), vertices)
+
+
+def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, shared_seed: int, delay_s: float) -> str:
+    """Answer one verifier; returns why the connection ended (one of CLOSE_REASONS)."""
     spec = SPECS[GameType.ALT_RZKP]
     stream = _Stream(conn)
+    hello_back = Hello(PROTOCOL_VERSION, GAME_CODES[GameType.ALT_RZKP], inst.graph.digest())
     try:
-        hello = stream.read_frame(timeout=10.0)
-        if (
-            not isinstance(hello, Hello)
-            or hello.version != PROTOCOL_VERSION
-            or hello.game != GAME_CODES[GameType.ALT_RZKP]
-            or hello.graph_hash != inst.graph.digest()
-        ):
+        conn.settimeout(HELLO_TIMEOUT_S)
+        hello = stream.read_frame()
+        if hello != hello_back:  # another version, game or graph
             stream.send(Bye())
-            return
-        stream.send(Hello(PROTOCOL_VERSION, GAME_CODES[GameType.ALT_RZKP], inst.graph.digest()))
+            return "bad-hello"
+        stream.send(hello_back)
+        conn.settimeout(IDLE_TIMEOUT_S)
         # answering a half off the graph (a non-edge, say), or a second half under
         # one round's permutation, would reveal colors: each round is answered once
         halves = set(spec.a_keys(inst.graph) if role == "a" else spec.b_keys(inst.graph))
         answered = -1
+        need = len(inst.witness) + 1
+        ahead = (0, _accepted_tops(shared_seed, 0, need))  # the next round's draw, made while the verifier works
         while True:
-            msg = stream.read_frame(timeout=60.0)
+            msg = stream.read_frame()
             if isinstance(msg, Bye):
-                return
+                return "bye"
             if isinstance(msg, Result):
                 continue
             half = None
@@ -284,23 +356,32 @@ def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, sha
                 half = ((msg.i, msg.j), msg.b)
             if half not in halves or msg.round <= answered:
                 stream.send(Bye())
-                return
+                return "refused-half"
             answered = msg.round
-            lab = round_labelling(inst.witness, shared_seed, msg.round)
+            tops = ahead[1] if ahead[0] == msg.round else _accepted_tops(shared_seed, msg.round, need)
+            lab = _labelling_at(inst.witness, tops, (msg.i, msg.j))
             if delay_s:
                 time.sleep(delay_s)
             if role == "a":
                 stream.send(ResponseA(msg.round, spec.honest_a(lab, half)))
             else:
                 stream.send(ResponseB(msg.round, *spec.honest_b(lab, half)))
-    except (OSError, FrameError, ConnectionError, TimeoutError):
-        return
+            ahead = (msg.round + 1, _accepted_tops(shared_seed, msg.round + 1, need))
+    except TimeoutError:
+        return "idle-timeout"
+    except FrameError:
+        return "garbage"
+    except OSError:  # the verifier closed or reset the connection
+        return "peer-closed"
     finally:
         conn.close()
 
 
 class ProverServer:
-    """Threaded prover endpoint; serves honest responses for one instance."""
+    """Threaded prover endpoint; serves honest responses for one instance.
+
+    `closes` counts why each connection ended, by the keys of CLOSE_REASONS.
+    """
 
     def __init__(
         self,
@@ -317,6 +398,8 @@ class ProverServer:
         self.role = role
         self.shared_seed = shared_seed
         self.delay_s = delay_s
+        self.closes = Counter(dict.fromkeys(CLOSE_REASONS, 0))
+        self._closes_lock = threading.Lock()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -339,12 +422,12 @@ class ProverServer:
                 continue
             except OSError:
                 return
-            worker = threading.Thread(
-                target=_serve_connection,
-                args=(conn, self.inst, self.role, self.shared_seed, self.delay_s),
-                daemon=True,
-            )
-            worker.start()
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        reason = _serve_connection(conn, self.inst, self.role, self.shared_seed, self.delay_s)
+        with self._closes_lock:
+            self.closes[reason] += 1
 
     def stop(self) -> None:
         self._stop.set()
@@ -397,6 +480,14 @@ class RoundTiming:
     recv_b_ns: Optional[int]
 
 
+def _latency_summary(latencies_ns: list) -> dict:
+    """Nearest-rank p50 and p99 and the max, in microseconds (None without samples)."""
+    us = sorted(x / 1e3 for x in latencies_ns)
+    n = len(us)  # the nearest-rank q-th percentile is the ceil(n q / 100)-th smallest
+    ranks = {"p50": -(-n * 50 // 100), "p99": -(-n * 99 // 100), "max": n}
+    return {key: round(us[rank - 1], 1) if us else None for key, rank in ranks.items()}
+
+
 @dataclass
 class SessionReport:
     rounds: int
@@ -411,29 +502,124 @@ class SessionReport:
         return self.rejected_check == 0 and self.rejected_timeout == 0
 
     def to_dict(self) -> dict:
+        reasons = Counter(t.verdict.reason for t in self.transcripts if not t.verdict.accept)
         return {
             "rounds": self.rounds,
             "accepted": self.accepted,
             "rejected_check": self.rejected_check,
             "rejected_timeout": self.rejected_timeout,
             "accepted_all": self.ok,
+            "latency_us": {
+                "a": _latency_summary([t.recv_a_ns - t.send_a_ns for t in self.timings if t.recv_a_ns is not None]),
+                "b": _latency_summary([t.recv_b_ns - t.send_b_ns for t in self.timings if t.recv_b_ns is not None]),
+            },
+            "reject_reasons": {reason.value: reasons[reason] for reason in Reason},
         }
 
 
-def _recv_for_round(stream: _Stream, want_type, round_index: int, cap_s: float):
-    """Next response of `want_type` for this round; stale rounds are skipped."""
-    deadline = time.monotonic() + cap_s
+class _Link:
+    """The verifier's end of one prover connection, driven by the session's selector.
+
+    The socket is non-blocking: `write` sends what the socket takes at once
+    and queues the rest, which goes out as the selector reports it writable.
+    """
+
+    def __init__(self, stream: _Stream, sel: selectors.BaseSelector):
+        self.stream, self.sock, self.sel = stream, stream.sock, sel
+        self.queued = b""
+        self.closed = False
+        self.events = selectors.EVENT_READ
+        self.sock.setblocking(False)
+        sel.register(self.sock, self.events, self)
+
+    def write(self, data: bytes) -> None:
+        if not self.closed:
+            self.queued += data
+            self._flush()
+
+    def _flush(self) -> None:
+        try:
+            self.queued = self.queued[self.sock.send(self.queued) :]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self.close()
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self.queued else 0)
+        if events != self.events:
+            self.events = events
+            self.sel.modify(self.sock, events, self)
+
+    def on_ready(self, mask: int) -> None:
+        if mask & selectors.EVENT_WRITE:
+            self._flush()
+        if mask & selectors.EVENT_READ and not self.closed:
+            try:
+                chunk = self.sock.recv(65536)
+            except BlockingIOError:
+                return
+            except OSError:
+                chunk = b""
+            if chunk:
+                self.stream.buf += chunk
+            else:
+                self.close()
+
+    def response(self, want: type, round_index: int):
+        """Round `round_index`'s response if it is buffered, False if this round
+        can get none from this link, else None (still waiting).
+
+        Responses to earlier rounds are skipped; any other frame, or garbage,
+        fails the round. A frame too long to skip ends the link.
+        """
+        try:
+            while (msg := self.stream.pop()) is not None:
+                if isinstance(msg, want) and msg.round <= round_index:
+                    if msg.round == round_index:
+                        return msg
+                    continue  # stale response from a timed-out round
+                return False
+        except OversizeError:
+            self.close()
+        except FrameError:
+            return False
+        return False if self.closed else None
+
+    def close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            self.sel.unregister(self.sock)
+
+
+def _round_frames(g: Graph, seed: int, round_index: int) -> tuple:
+    """Round `round_index`'s challenge and the challenge frame of each prover."""
+    ch = sample_challenge(ALT_RZKP, g, substream("round", seed, round_index))
+    return ch, encode(ChallengeA(round_index, *ch.edge_a)), encode(ChallengeB(round_index, *ch.edge_b, ch.bit))
+
+
+def _collect(sel: selectors.BaseSelector, wants: list, round_index: int, end_ns: int) -> list:
+    """Per (link, response type) of `wants`, (response, arrival ns) or None if none came by `end_ns`.
+
+    A response is stamped with the time the selector reported its socket
+    readable, so it never includes the time spent on the other prover.
+    """
+    replies: list = [None] * len(wants)
+    waiting = list(range(len(wants)))
+    now = time.monotonic_ns()
     while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError("no response within the transport cap")
-        msg = stream.read_frame(timeout=remaining)
-        if isinstance(msg, want_type):
-            if msg.round == round_index:
-                return msg
-            if msg.round < round_index:
-                continue  # stale response from a timed-out round
-        raise SessionError(f"unexpected frame {msg!r} while waiting for round {round_index}")
+        for k in waiting[:]:
+            link, want = wants[k]
+            msg = link.response(want, round_index)
+            if msg is not None:
+                waiting.remove(k)
+                if msg is not False:
+                    replies[k] = (msg, now)
+        if not waiting or now >= end_ns:
+            return replies
+        events = sel.select((end_ns - now) / 1e9)
+        now = time.monotonic_ns()
+        for key, mask in events:
+            key.data.on_ready(mask)
 
 
 def run_verifier_session(cfg: SessionConfig) -> SessionReport:
@@ -442,14 +628,15 @@ def run_verifier_session(cfg: SessionConfig) -> SessionReport:
     A round rejects on deadline breach (either prover) or on the game checks;
     check verdicts are computed by the same verdict machine the in-process
     simulator uses. Transport failures count as timeouts; only a failed
-    handshake aborts the session.
+    handshake aborts the session. Each round waits at most the deadline plus
+    GRACE_S after its last challenge went out.
     """
     g = cfg.graph
     report = SessionReport(rounds=cfg.rounds, accepted=0, rejected_check=0, rejected_timeout=0)
-    cap_s = max(3.0 * cfg.deadline_ns / 1e9, 2.0)
+    wait_ns = cfg.deadline_ns + int(GRACE_S * 1e9)
     with socket.create_connection(cfg.addr_a, timeout=5.0) as sock_a, socket.create_connection(
         cfg.addr_b, timeout=5.0
-    ) as sock_b:
+    ) as sock_b, selectors.DefaultSelector() as sel:
         sa, sb = _Stream(sock_a), _Stream(sock_b)
         hello = Hello(PROTOCOL_VERSION, GAME_CODES[GameType.ALT_RZKP], g.digest())
         for s in (sa, sb):
@@ -461,44 +648,30 @@ def run_verifier_session(cfg: SessionConfig) -> SessionReport:
                 raise SessionError(f"handshake with {name} failed: {exc}") from exc
             if not isinstance(reply, Hello) or reply.graph_hash != g.digest():
                 raise SessionError(f"{name} refused the session (graph hash mismatch?)")
+        la, lb = _Link(sa, sel), _Link(sb, sel)
+        wants = [(la, ResponseA), (lb, ResponseB)]
+        upcoming = _round_frames(g, cfg.seed, 0)
+        result = b""  # the previous round's Result frame, sent with this round's challenge
         for r in range(cfg.rounds):
-            rng = substream("round", cfg.seed, r)
-            ch = sample_challenge(ALT_RZKP, g, rng)
-            assert isinstance(ch, RzkpChallenge)
-            sent_a = sent_b = False
+            ch, frame_a, frame_b = upcoming
             send_a = time.monotonic_ns()
-            try:
-                sa.send(ChallengeA(r, ch.edge_a[0], ch.edge_a[1]))
-                sent_a = True
-            except OSError:
-                pass
+            la.write(result + frame_a)
             send_b = time.monotonic_ns()
-            try:
-                sb.send(ChallengeB(r, ch.edge_b[0], ch.edge_b[1], ch.bit))
-                sent_b = True
-            except OSError:
-                pass
-            ra = rb = None
-            recv_a = recv_b = None
-            timed_out = not (sent_a and sent_b)
-            if sent_a:
-                try:
-                    msg_a = _recv_for_round(sa, ResponseA, r, cap_s)
-                    recv_a = time.monotonic_ns()
-                    ra = RzkpResponseA(msg_a.w)
-                except (TimeoutError, ConnectionError, FrameError, SessionError, OSError):
-                    timed_out = True
-            if sent_b:
-                try:
-                    msg_b = _recv_for_round(sb, ResponseB, r, cap_s)
-                    recv_b = time.monotonic_ns()
-                    rb = RzkpResponseB((msg_b.wi, msg_b.wj))
-                except (TimeoutError, ConnectionError, FrameError, SessionError, OSError):
-                    timed_out = True
-            if recv_a is not None and recv_a - send_a > cfg.deadline_ns:
-                timed_out = True
-            if recv_b is not None and recv_b - send_b > cfg.deadline_ns:
-                timed_out = True
+            lb.write(result + frame_b)
+            if r + 1 < cfg.rounds:
+                upcoming = _round_frames(g, cfg.seed, r + 1)
+            reply_a, reply_b = _collect(sel, wants, r, send_b + wait_ns)
+            ra = rb = recv_a = recv_b = None
+            if reply_a is not None:
+                ra, recv_a = RzkpResponseA(reply_a[0].w), reply_a[1]
+            if reply_b is not None:
+                rb, recv_b = RzkpResponseB((reply_b[0].wi, reply_b[0].wj)), reply_b[1]
+            timed_out = (
+                recv_a is None
+                or recv_b is None
+                or recv_a - send_a > cfg.deadline_ns
+                or recv_b - send_b > cfg.deadline_ns
+            )
             if timed_out:
                 v = Verdict(False, Reason.TIMEOUT)
                 report.rejected_timeout += 1
@@ -510,15 +683,12 @@ def run_verifier_session(cfg: SessionConfig) -> SessionReport:
                     report.rejected_check += 1
             report.transcripts.append(Transcript(r, ch, ra, rb, v))
             report.timings.append(RoundTiming(send_a, recv_a, send_b, recv_b))
-            result = Result(r, int(v.accept), REASON_CODES[v.reason])
-            for s in (sa, sb):
-                try:
-                    s.send(result)
-                except OSError:
-                    pass
-        for s in (sa, sb):
-            try:
-                s.send(Bye())
-            except OSError:
-                pass
+            result = encode(Result(r, int(v.accept), REASON_CODES[v.reason]))
+        bye = result + encode(Bye())
+        for link in (la, lb):
+            link.write(bye)
+        end_ns = time.monotonic_ns() + wait_ns
+        while any(link.queued and not link.closed for link in (la, lb)) and time.monotonic_ns() < end_ns:
+            for key, mask in sel.select((end_ns - time.monotonic_ns()) / 1e9):
+                key.data.on_ready(mask)
     return report

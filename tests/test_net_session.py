@@ -1,0 +1,284 @@
+"""The event-loop verifier and the prover's partial label decode.
+
+Covers the per-round cost of a hung prover, latency attributed to the prover
+that was late, the session telemetry, why prover connections end, writes that
+never block, and the partial decode against `round_labelling`.
+"""
+
+import json
+import random
+import selectors
+import socket
+import threading
+import time
+
+import pytest
+
+from colorproof import net
+from colorproof.games import Reason
+from colorproof.graphs import PlantedInstance, gen_planted, three_color
+from colorproof.net import (
+    GRACE_S,
+    Bye,
+    ChallengeA,
+    ChallengeB,
+    Hello,
+    SessionConfig,
+    _Link,
+    _Stream,
+    partial_labelling,
+    round_labelling,
+    run_prover,
+    run_verifier_session,
+)
+
+
+@pytest.fixture(scope="module")
+def inst():
+    return gen_planted(6, 9, seed=1)
+
+
+@pytest.fixture(scope="module")
+def provers(inst):
+    pa = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
+    pb = run_prover(("127.0.0.1", 0), inst, "b", shared_seed=42)
+    yield pa, pb
+    pa.stop()
+    pb.stop()
+
+
+# ---------------------------------------------------------------------------
+# Partial label decode
+
+
+@pytest.mark.parametrize("shared_seed", [0, 99, 2**40 + 7])
+def test_partial_labelling_matches_round_labelling(shared_seed):
+    witness = gen_planted(20, 40, seed=11).witness
+    rng = random.Random(shared_seed)
+    for r in range(2000):
+        ref = round_labelling(witness, shared_seed, r)
+        lab = partial_labelling(witness, shared_seed, r, range(len(witness)))
+        assert tuple(lab.colors.values()) == ref.colors
+        assert tuple(lab.w0.values()) == ref.w0
+        assert tuple(lab.w1.values()) == ref.w1
+        i, j = rng.sample(range(len(witness)), 2)
+        pair = partial_labelling(witness, shared_seed, r, (i, j))
+        assert pair.w0 == {i: ref.w0[i], j: ref.w0[j]} and pair.w1 == {i: ref.w1[i], j: ref.w1[j]}
+
+
+@pytest.mark.parametrize("words", [1, 2, 5, 21])
+def test_partial_labelling_continues_the_rng_when_words_run_out(words):
+    # 21 labels plus the permutation need at least 22 accepted words; drawing
+    # fewer first forces the decode to go on drawing from the same rng
+    witness = gen_planted(20, 40, seed=11).witness
+    for r in range(300):
+        ref = round_labelling(witness, 5, r)
+        lab = partial_labelling(witness, 5, r, range(len(witness)), words=words)
+        assert (tuple(lab.colors.values()), tuple(lab.w0.values()), tuple(lab.w1.values())) == (
+            ref.colors, ref.w0, ref.w1
+        )
+
+
+# ---------------------------------------------------------------------------
+# Verifier timing
+
+
+def _silent_prover(received_hello: threading.Event):
+    """A prover that completes HELLO, then reads and never answers."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            stream = _Stream(conn)
+            hello = stream.read_frame(timeout=5.0)
+            stream.send(hello)
+            received_hello.set()
+            conn.settimeout(30.0)
+            while conn.recv(65536):
+                pass
+        listener.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+def test_hung_prover_costs_deadline_plus_grace_per_round(inst, provers):
+    pa, _ = provers
+    hello = threading.Event()
+    addr, thread = _silent_prover(hello)
+    rounds, deadline_s = 5, 0.05
+    cfg = SessionConfig(inst.graph, rounds=rounds, deadline_ns=int(deadline_s * 1e9), seed=5,
+                        addr_a=pa.address, addr_b=addr)
+    t0 = time.monotonic()
+    rep = run_verifier_session(cfg)
+    elapsed = time.monotonic() - t0
+    thread.join(timeout=5.0)
+    assert hello.is_set()
+    assert rep.rejected_timeout == rounds
+    assert all(t.verdict.reason is Reason.TIMEOUT for t in rep.transcripts)
+    assert all(t.recv_b_ns is None for t in rep.timings)
+    # each round waits its deadline plus the grace, not max(3 x deadline, 2 s)
+    assert rounds * deadline_s <= elapsed < rounds * (deadline_s + GRACE_S) + 0.5
+
+
+def test_latency_is_blamed_on_the_late_prover(inst, provers):
+    _, pb = provers
+    slow_a = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42, delay_s=0.05)
+    try:
+        cfg = SessionConfig(inst.graph, rounds=4, deadline_ns=1_000_000_000, seed=5,
+                            addr_a=slow_a.address, addr_b=pb.address)
+        rep = run_verifier_session(cfg)
+        assert rep.accepted == 4
+        for t in rep.timings:
+            assert t.recv_a_ns - t.send_a_ns >= 50_000_000
+            assert t.recv_b_ns - t.send_b_ns < 10_000_000
+        # a deadline between the two latencies rejects every round, and B stays fast
+        cfg = SessionConfig(inst.graph, rounds=4, deadline_ns=25_000_000, seed=6,
+                            addr_a=slow_a.address, addr_b=pb.address)
+        rep = run_verifier_session(cfg)
+        assert rep.rejected_timeout == 4
+        for t in rep.timings:
+            assert t.recv_b_ns - t.send_b_ns < 10_000_000
+            assert t.recv_a_ns is None or t.recv_a_ns - t.send_a_ns >= 50_000_000
+    finally:
+        slow_a.stop()
+
+
+def test_writes_never_block_and_arrive_in_order():
+    a, b = socket.socketpair()
+    a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    b.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    payload = random.Random(3).randbytes(1 << 18)
+    with a, b, selectors.DefaultSelector() as sel:
+        link = _Link(_Stream(a), sel)
+        t0 = time.monotonic()
+        link.write(payload[:100_000])
+        link.write(payload[100_000:])
+        assert time.monotonic() - t0 < 0.5
+        assert link.queued  # the socket took only part of it
+        got = bytearray()
+        b.settimeout(5.0)
+        while len(got) < len(payload):
+            for key, mask in sel.select(0):
+                key.data.on_ready(mask)
+            got += b.recv(65536)
+        assert bytes(got) == payload and not link.queued
+
+
+# ---------------------------------------------------------------------------
+# Telemetry
+
+
+def test_report_adds_latency_and_reject_reasons(inst, provers):
+    pa, pb = provers
+    # 150 rounds: the nearest-rank p99 is the 149th smallest latency (ceil(148.5))
+    rep = run_verifier_session(SessionConfig(inst.graph, rounds=150, deadline_ns=500_000_000, seed=8,
+                                             addr_a=pa.address, addr_b=pb.address))
+    doc = json.loads(json.dumps(rep.to_dict()))
+    assert {k: doc[k] for k in ("rounds", "accepted", "rejected_check", "rejected_timeout", "accepted_all")} == {
+        "rounds": 150, "accepted": 150, "rejected_check": 0, "rejected_timeout": 0, "accepted_all": True,
+    }
+    assert doc["reject_reasons"] == {r.value: 0 for r in Reason}
+    for side, recv, send in (("a", "recv_a_ns", "send_a_ns"), ("b", "recv_b_ns", "send_b_ns")):
+        lat = sorted((getattr(t, recv) - getattr(t, send)) / 1e3 for t in rep.timings)
+        summary = doc["latency_us"][side]
+        assert summary == {"p50": round(lat[74], 1), "p99": round(lat[148], 1), "max": round(lat[-1], 1)}
+        assert 0 < summary["p50"] <= summary["p99"] <= summary["max"]
+
+    other = three_color(inst.graph)
+    if tuple(other) == inst.witness:
+        other = tuple((c + 1) % 3 for c in other)
+    bad_b = run_prover(("127.0.0.1", 0), PlantedInstance(inst.graph, tuple(other)), "b", shared_seed=42)
+    try:
+        rep = run_verifier_session(SessionConfig(inst.graph, rounds=300, deadline_ns=500_000_000, seed=9,
+                                                 addr_a=pa.address, addr_b=bad_b.address))
+    finally:
+        bad_b.stop()
+    reasons = rep.to_dict()["reject_reasons"]
+    assert reasons["well-definition"] == rep.rejected_check > 0
+    assert sum(reasons.values()) == rep.rounds - rep.accepted
+
+    rep = run_verifier_session(SessionConfig(inst.graph, rounds=10, deadline_ns=0, seed=5,
+                                             addr_a=pa.address, addr_b=pb.address))
+    assert rep.to_dict()["reject_reasons"]["timeout"] == 10
+
+
+def _wait_closes(server, total):
+    deadline = time.monotonic() + 5.0
+    while sum(server.closes.values()) < total and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return dict(server.closes)
+
+
+def _hello_then(inst, frames, wait_for_close=True):
+    """A client that completes HELLO, sends `frames`, then waits for the prover to close (or closes first)."""
+
+    def run(sock):
+        stream = _Stream(sock)
+        stream.send(Hello(1, 1, inst.graph.digest()))
+        assert isinstance(stream.read_frame(timeout=2.0), Hello)
+        for frame in frames:
+            sock.sendall(frame if isinstance(frame, bytes) else net.encode(frame))
+        if wait_for_close:
+            sock.settimeout(2.0)
+            while sock.recv(65536):
+                pass
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "reason",
+    ["bye", "bad-hello", "refused-half", "idle-timeout", "garbage", "peer-closed"],
+)
+def test_prover_counts_why_connections_end(monkeypatch, inst, reason):
+    monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 0.2)
+    server = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
+    clients = {
+        "bye": _hello_then(inst, [ChallengeA(0, *inst.graph.edges[0]), Bye()]),
+        "bad-hello": lambda sock: (
+            _Stream(sock).send(Hello(1, 1, bytes(32))), sock.settimeout(2.0), sock.recv(64)
+        ),
+        "refused-half": _hello_then(inst, [ChallengeB(0, *inst.graph.edges[0], 0)]),
+        "idle-timeout": _hello_then(inst, []),
+        "garbage": _hello_then(inst, [b"\x00\x00\x00\x01\x63"]),  # type 0x63 does not exist
+        "peer-closed": _hello_then(inst, [], wait_for_close=False),
+    }
+    try:
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            clients[reason](sock)
+        closes = _wait_closes(server, 1)
+    finally:
+        server.stop()
+    assert closes == {**dict.fromkeys(net.CLOSE_REASONS, 0), reason: 1}
+
+
+def test_session_ends_with_bye_on_both_provers(inst):
+    pa = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
+    pb = run_prover(("127.0.0.1", 0), inst, "b", shared_seed=42)
+    try:
+        for seed in (1, 2):
+            cfg = SessionConfig(inst.graph, rounds=20, deadline_ns=500_000_000, seed=seed,
+                                addr_a=pa.address, addr_b=pb.address)
+            assert run_verifier_session(cfg).ok
+        assert _wait_closes(pa, 2)["bye"] == 2 and _wait_closes(pb, 2)["bye"] == 2
+    finally:
+        pa.stop()
+        pb.stop()
+
+
+def test_verify_json_reports_latency_and_reject_reasons(capsys, tmp_path, inst, provers):
+    from colorproof.cli import main
+
+    pa, pb = provers
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst.graph.to_dict(inst.witness)))
+    code = main(["verify", "--graph", str(path), "--prover-a", "%s:%d" % pa.address,
+                 "--prover-b", "%s:%d" % pb.address, "--rounds", "50", "--deadline-ms", "500", "--seed", "3", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["accepted"] == 50 and doc["accepted_all"] is True
+    assert doc["reject_reasons"] == {r.value: 0 for r in Reason}
+    assert set(doc["latency_us"]) == {"a", "b"}
+    assert all(set(v) == {"p50", "p99", "max"} and v["p50"] > 0 for v in doc["latency_us"].values())
