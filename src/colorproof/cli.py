@@ -156,7 +156,7 @@ def _cmd_zk_test(args) -> int:
         inst = graphs.PlantedInstance(graphs.make_graph(3, [(0, 1), (0, 2), (1, 2)]), (0, 1, 2))
     g = inst.graph
     _, log = games.play_rounds(games.ALT_RZKP, g, strategies.honest_pair(inst), args.rounds, args.seed, keep_log=True)
-    reports = {e: strategies.transcript_uniformity(log, e) for e in g.edges}
+    reports = strategies.uniformity_by_edge(log, g.edges)
     _, log_fixed = games.play_rounds(
         games.ALT_RZKP, g, strategies.fixed_coloring_pair(inst.witness), args.rounds, args.seed + 1, keep_log=True
     )

@@ -15,7 +15,8 @@ Game variants:
 Each variant is defined once, by its `GameSpec` in `SPECS`; everything else
 (the round loop, the quantum evaluator, the wire prover) reads the spec.
 Edge challenges always carry i < j. All samplers draw from an explicit
-`random.Random` stream and match `challenge_pmf` exactly.
+`random.Random` stream, return an index into the graph's `ChallengeTable`
+of interned challenges, and match `challenge_pmf` exactly.
 
 `play_rounds` replays the round stream of the built-in classical pairs in
 bulk (see its docstring); the scalar `verdict` stays the oracle that the
@@ -29,6 +30,7 @@ import itertools
 import json
 import math
 import random
+import threading
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional, Union
 
@@ -88,17 +90,33 @@ class EmptyGraphError(GamesError):
 # Challenges
 
 
+class _HashedOnce:
+    """Keeps its hash after the first call: challenges key a count or cache dict every round."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(map(self.__getattribute__, self.__slots__)))  # the dataclass fields
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
 @dataclass(frozen=True, slots=True)
-class RzkpChallenge:
+class RzkpChallenge(_HashedOnce):
     edge_a: Edge
     edge_b: Edge
     bit: int
+    __hash__ = _HashedOnce.__hash__
 
 
 @dataclass(frozen=True, slots=True)
-class EdgeChallenge:
+class EdgeChallenge(_HashedOnce):
     edge_a: Edge
     vertex_b: int
+    __hash__ = _HashedOnce.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,16 +131,18 @@ class EdgeConstraint:
 
 
 @dataclass(frozen=True, slots=True)
-class BcsChallenge:
+class BcsChallenge(_HashedOnce):
     constraint: Union[VertexConstraint, EdgeConstraint]
     vertex_b: int
     color_b: int
+    __hash__ = _HashedOnce.__hash__
 
 
 @dataclass(frozen=True, slots=True)
-class VertexChallenge:
+class VertexChallenge(_HashedOnce):
     vertex_a: int
     vertex_b: int
+    __hash__ = _HashedOnce.__hash__
 
 
 Challenge = Union[RzkpChallenge, EdgeChallenge, BcsChallenge, VertexChallenge]
@@ -304,15 +324,21 @@ def _bits_ok_columns(*cols: np.ndarray) -> np.ndarray:
 # Per-variant definitions, collected into one GameSpec each below
 
 
-# alt-rzkp
-def _rzkp_sample(g: Graph, mix: float, rng: random.Random) -> RzkpChallenge:
-    i, j = g.edges[rng.randrange(len(g.edges))]
+# alt-rzkp: draws edge e, bit b, side s (endpoint s of e is v) and neighbour k of v
+def _rzkp_sample(t: ChallengeTable, rng: random.Random) -> int:
+    e = rng.randrange(t.ne)
     b = rng.randrange(2)
-    v = i if rng.randrange(2) == 0 else j
-    nbrs = g.adjacency[v]
-    u = nbrs[rng.randrange(len(nbrs))]
-    eb = (v, u) if v < u else (u, v)
-    return RzkpChallenge(edge_a=(i, j), edge_b=eb, bit=b)
+    s = rng.randrange(2)
+    k = rng.randrange(len(t.adjacency[t.edges[e][s]]))
+    return t[((e * 2 + b) * 2 + s) * t.radix + k]
+
+
+def _rzkp_member(t: ChallengeTable, key: int) -> RzkpChallenge:
+    ebs, k = divmod(key, t.radix)
+    i, j = t.edges[ebs >> 2]
+    v = (i, j)[ebs & 1]
+    u = t.adjacency[v][k]
+    return RzkpChallenge(edge_a=(i, j), edge_b=(v, u) if v < u else (u, v), bit=ebs >> 1 & 1)
 
 
 def _rzkp_pmf(g: Graph, mix: float) -> dict:
@@ -380,11 +406,15 @@ def _rzkp_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
     return a, np.stack([label_b(i2), label_b(j2)], axis=1)
 
 
-# alt-edge
-def _edge_sample(g: Graph, mix: float, rng: random.Random) -> EdgeChallenge:
-    i, j = g.edges[rng.randrange(len(g.edges))]
-    v = i if rng.randrange(2) == 0 else j
-    return EdgeChallenge(edge_a=(i, j), vertex_b=v)
+# alt-edge: draws edge e and side s
+def _edge_sample(t: ChallengeTable, rng: random.Random) -> int:
+    e = rng.randrange(t.ne)
+    return t[2 * e + rng.randrange(2)]
+
+
+def _edge_member(t: ChallengeTable, key: int) -> EdgeChallenge:
+    edge = t.edges[key >> 1]
+    return EdgeChallenge(edge_a=edge, vertex_b=edge[key & 1])
 
 
 def _edge_pmf(g: Graph, mix: float) -> dict:
@@ -422,16 +452,23 @@ def _edge_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
     return np.stack([lab.colors_a(i), lab.colors_a(j)], axis=1), lab.colors_b(v)
 
 
-# bcs
-def _bcs_sample(g: Graph, mix: float, rng: random.Random) -> BcsChallenge:
-    if rng.random() < mix:
-        e = g.edges[rng.randrange(len(g.edges))]
+# bcs: draws the branch, then edge e, color alpha and side s, or vertex i and color beta
+def _bcs_sample(t: ChallengeTable, rng: random.Random) -> int:
+    if rng.random() < t.mix:
+        e = rng.randrange(t.ne)
         alpha = rng.randrange(3)
-        k = e[rng.randrange(2)]
-        return BcsChallenge(EdgeConstraint(edge=e, color=alpha), vertex_b=k, color_b=alpha)
-    i = rng.randrange(g.n)
-    beta = rng.randrange(3)
-    return BcsChallenge(VertexConstraint(vertex=i), vertex_b=i, color_b=beta)
+        return t[(e * 3 + alpha) * 2 + rng.randrange(2)]
+    i = rng.randrange(t.n)
+    return t[-1 - (i * 3 + rng.randrange(3))]
+
+
+def _bcs_member(t: ChallengeTable, key: int) -> BcsChallenge:
+    if key < 0:
+        i, beta = divmod(-1 - key, 3)
+        return BcsChallenge(VertexConstraint(vertex=i), vertex_b=i, color_b=beta)
+    e, alpha = divmod(key >> 1, 3)
+    edge = t.edges[e]
+    return BcsChallenge(EdgeConstraint(edge=edge, color=alpha), vertex_b=edge[key & 1], color_b=alpha)
 
 
 def _bcs_pmf(g: Graph, mix: float) -> dict:
@@ -528,12 +565,15 @@ def _bcs_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
     return a, (lab.colors_b(vb) == cb).astype(np.int64)
 
 
-# vertex
-def _vertex_sample(g: Graph, mix: float, rng: random.Random) -> VertexChallenge:
-    if rng.random() < mix:
-        i = rng.randrange(g.n)
-        return VertexChallenge(i, i)
-    i, j = g.edges[rng.randrange(len(g.edges))]
+# vertex: draws the branch, then vertex i or edge e
+def _vertex_sample(t: ChallengeTable, rng: random.Random) -> int:
+    if rng.random() < t.mix:
+        return t[-1 - rng.randrange(t.n)]
+    return t[rng.randrange(t.ne)]
+
+
+def _vertex_member(t: ChallengeTable, key: int) -> VertexChallenge:
+    i, j = (-1 - key,) * 2 if key < 0 else t.edges[key]
     return VertexChallenge(i, j)
 
 
@@ -573,6 +613,12 @@ def _vertex_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.nda
 class GameSpec:
     """Everything that defines one game variant.
 
+    `sample(t, rng)` draws one challenge from a `ChallengeTable` `t` of this
+    variant and returns its index in `t.members`. It makes the variant's
+    `randrange` and `random()` draws in a fixed order (see `play_rounds`),
+    packs them into one int key and looks the key up in `t`. `member(t, key)`
+    builds the challenge a key stands for, once per key and table.
+
     Outcomes are the payloads of the response classes (`response_a(outcome)`
     builds prover A's response). Keys are challenge halves; `a_keys(g)` and
     `b_keys(g)` enumerate every half of a graph in the order the PVM dicts of
@@ -580,15 +626,16 @@ class GameSpec:
     `honest_a(lab, key)` is the honest outcome for one labelling.
 
     The batch round engine reads three more entries. `flat(ch)` writes a
-    challenge as a fixed-width int row. `honest_columns(C, lab)` gives the
-    honest A and B payloads of a block of such rows as int columns (a 2-D
-    array for tuple payloads, padded with -1 past a row's arity, a 1-D one
-    for int payloads). `check_columns(C, A, B)` is `check` on columns: one
+    challenge as a fixed-width int row (`ChallengeTable.rows` holds them).
+    `honest_columns(C, lab)` gives the honest A and B payloads of a block of
+    such rows as int columns (a 2-D array for tuple payloads, padded with -1
+    past a row's arity, a 1-D one for int payloads). `check_columns(C, A, B)` is `check` on columns: one
     code per round, indexing `VERDICT_OF_CODE`.
     """
 
     game: GameType
-    sample: Callable[[Graph, float, random.Random], Challenge]
+    sample: Callable[[ChallengeTable, random.Random], int]
+    member: Callable[[ChallengeTable, int], Challenge]
     pmf: Callable[[Graph, float], dict]
     half_a: Callable[[Challenge], object]
     half_b: Callable[[Challenge], object]
@@ -617,6 +664,7 @@ SPECS = {
     GameType.ALT_RZKP: GameSpec(
         game=GameType.ALT_RZKP,
         sample=_rzkp_sample,
+        member=_rzkp_member,
         pmf=_rzkp_pmf,
         half_a=lambda ch: ch.edge_a,
         half_b=lambda ch: (ch.edge_b, ch.bit),
@@ -638,6 +686,7 @@ SPECS = {
     GameType.ALT_EDGE: GameSpec(
         game=GameType.ALT_EDGE,
         sample=_edge_sample,
+        member=_edge_member,
         pmf=_edge_pmf,
         half_a=lambda ch: ch.edge_a,
         half_b=lambda ch: ch.vertex_b,
@@ -659,6 +708,7 @@ SPECS = {
     GameType.BCS: GameSpec(
         game=GameType.BCS,
         sample=_bcs_sample,
+        member=_bcs_member,
         pmf=_bcs_pmf,
         half_a=lambda ch: ch.constraint,
         half_b=lambda ch: (ch.vertex_b, ch.color_b),
@@ -680,6 +730,7 @@ SPECS = {
     GameType.VERTEX: GameSpec(
         game=GameType.VERTEX,
         sample=_vertex_sample,
+        member=_vertex_member,
         pmf=_vertex_pmf,
         half_a=lambda ch: ch.vertex_a,
         half_b=lambda ch: ch.vertex_b,
@@ -722,10 +773,56 @@ def _require_edges(g: Graph) -> None:
         raise EmptyGraphError("game needs a graph with at least one edge")
 
 
+class ChallengeTable(dict):
+    """One variant's challenges on one graph and mix, interned by the draws that pick them.
+
+    Maps a sampler's draw key to an index in `members`. A key's challenge is
+    built by `spec.member` the first time the key is drawn, so the table
+    holds only what has been drawn so far, never the whole support up front.
+    Members are ordinary challenge objects: equal by value, with an equal
+    hash, to freshly built ones (two keys may stand for equal challenges).
+    """
+
+    def __init__(self, spec: GameSpec, g: Graph, mix: float):
+        super().__init__()
+        self.spec, self.mix, self.n, self.edges, self.adjacency = spec, mix, g.n, g.edges, g.adjacency
+        self.ne = len(g.edges)
+        self.radix = g.max_degree  # rzkp's neighbour draw is the key's lowest digit
+        self.members: list = []
+        self._rows = np.empty((0, 0), np.int64)
+        self.responses = (_Responses(spec.response_a), _Responses(spec.response_b))  # for the batch log
+        self._lock = threading.Lock()
+
+    def __missing__(self, key: int) -> int:
+        with self._lock:  # one index per key when threads share a graph
+            if key not in self:
+                self.members.append(self.spec.member(self, key))
+                self[key] = len(self.members) - 1
+            return self[key]
+
+    def rows(self) -> np.ndarray:
+        """`spec.flat` of every member so far, as int rows indexed like `members`."""
+        rows = self._rows
+        if len(rows) < len(self.members):
+            new = np.array(list(map(self.spec.flat, self.members[len(rows) :])), np.int64)
+            rows = self._rows = np.concatenate([rows, new]) if len(rows) else new
+        return rows
+
+
+def challenge_table(kind: GameKind, g: Graph) -> ChallengeTable:
+    """The `ChallengeTable` of `kind` on `g`, kept on the graph (as its adjacency is)."""
+    key = (kind.game, kind.mix)
+    try:
+        return g.challenge_tables[key]
+    except KeyError:
+        _require_edges(g)
+        return g.challenge_tables.setdefault(key, ChallengeTable(SPECS[kind.game], g, kind.mix))
+
+
 def sample_challenge(kind: GameKind, g: Graph, rng: random.Random) -> Challenge:
     """Draw one challenge from the game's exact distribution."""
-    _require_edges(g)
-    return SPECS[kind.game].sample(g, kind.mix, rng)
+    t = challenge_table(kind, g)
+    return t.members[t.spec.sample(t, rng)]
 
 
 def challenge_pmf(kind: GameKind, g: Graph) -> dict[Challenge, float]:
@@ -784,12 +881,17 @@ def play_rounds(
     `LabellingDraw` draws `randrange(6)` for the permutation when it permutes,
     then one `randrange(3)` per vertex of `colors_a`.
 
+    Challenges come from the graph's `ChallengeTable`: the sampler's draws
+    index a member built once, which is equal by value to a fresh challenge,
+    so the contract and the transcripts are those of building it per round.
+
     The built-in classical pairs (`honest_pair`, `fixed_coloring_pair`,
     `mismatched_pair`) are replayed in bulk when their `shared` is a
     `LabellingDraw` and their answers are `labelled_answer_a`/`_b`, both
     colorings have `g.n` entries and every color is an int in {0, 1, 2}.
     That path consumes the same words of the same stream and returns equal
-    stats and transcripts; every other pair, a pair rebuilt with other
+    stats and transcripts, reading challenge rows from the table by index and
+    logging interned responses; every other pair, a pair rebuilt with other
     callables included, runs the scalar loop.
     """
     if rounds < 0:
@@ -799,7 +901,6 @@ def play_rounds(
     rng = substream("rounds", seed)
     draw = _replayable_draw(pair, g)
     if draw is not None:
-        _require_edges(g)
         accepts, log = _play_labelled(kind, g, draw, rounds, rng, keep_log)
     else:
         accepts, log = _play_scalar(kind, g, pair, rounds, rng, keep_log)
@@ -898,27 +999,30 @@ class WordStream:
         self.pos = 0
 
     def randrange(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError(f"empty range for randrange({n})")
+        words, pos = self.words, self.pos
         shift = 32 - n.bit_length()
-        pos = self.pos
         try:
-            while True:
-                r = self.words[pos] >> shift
+            r = words[pos] >> shift
+            while r >= n:  # never false for n <= 0, which ends at the buffer's end
                 pos += 1
-                if r < n:
-                    self.pos = pos
-                    return r
+                r = words[pos] >> shift
         except IndexError:  # the words read so far were rejected: go on after them
+            if n <= 0:
+                raise ValueError(f"empty range for randrange({n})") from None
             self.pos = pos
             self._refill()
             return self.randrange(n)
+        self.pos = pos + 1
+        return r
 
     def random(self) -> float:
-        if self.pos + 2 > len(self.words):
+        words, pos = self.words, self.pos
+        try:
+            a, b = words[pos] >> 5, words[pos + 1] >> 6
+        except IndexError:
             self._refill()
-        a, b = self.words[self.pos] >> 5, self.words[self.pos + 1] >> 6
-        self.pos += 2
+            return self.random()
+        self.pos = pos + 2
         return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
     def skip_labels(self, n: int) -> int:
@@ -972,25 +1076,42 @@ class LabelColumns:
         return self._labels[self._accepted[self._first + v]].astype(np.int64)
 
 
-def _payload_rows(x: np.ndarray) -> list:
-    """Per round, the payload in a column of honest answers (ints, or tuples without the padding)."""
-    if x.ndim == 1:
-        return x.tolist()
-    rows = x.tolist()
-    if (x[:, -1] == _PAD).any():
-        return [tuple(r[:k]) for r, k in zip(rows, (x != _PAD).sum(axis=1).tolist())]
-    return list(map(tuple, rows))
+class _Responses(dict):
+    """One response class's objects by payload code, each built on first use.
+
+    An int payload's code is the int. A tuple payload's code has one base-4
+    digit per column, the first column most significant, each the value plus
+    1, so the -1 padding is a 0 digit and drops out when decoded.
+    """
+
+    def __init__(self, cls: type):
+        super().__init__()
+        self.cls = cls
+        self.tuples = False
+
+    def __missing__(self, code: int) -> Response:
+        payload = tuple(int(d) - 1 for d in np.base_repr(code, 4) if d != "0") if self.tuples else code
+        r = self[code] = self.cls(payload)
+        return r
+
+    def of(self, x: np.ndarray):
+        """The response to each round of a column of honest payloads."""
+        self.tuples = x.ndim == 2  # a variant's payloads of one side are all ints or all tuples
+        if not self.tuples:
+            return map(self.__getitem__, x.tolist())
+        return map(self.__getitem__, ((x + 1) @ (4 ** np.arange(x.shape[1] - 1, -1, -1))).tolist())
 
 
 def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, rng: random.Random, keep_log: bool):
     """The scalar loop's accept count and log for a `LabellingDraw` pair, from the same rng words.
 
-    Python runs the sampler per round; the labelling draw is skipped in C,
-    and only the labels the round reads are decoded afterwards, with the
-    answers and the verdicts, as numpy columns.
+    Python runs the sampler per round, which yields a table index; the
+    labelling draw is skipped in C, and only the labels the round reads are
+    decoded afterwards, with the answers and the verdicts, as numpy columns.
     """
     spec = SPECS[kind.game]
-    sample, mix, n, permute = spec.sample, kind.mix, g.n, draw.permute
+    table = challenge_table(kind, g)
+    sample, n, permute = spec.sample, g.n, draw.permute
     per_round = 4 * n // 3 + 16  # about the words of one round: n labels, the permutation, the challenge
     block = max(1, _BLOCK_WORDS // per_round)
     draws = n + 1 if permute else n  # see LabelColumns
@@ -1001,17 +1122,17 @@ def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, r
     for start in range(0, rounds, block):
         count = min(block, rounds - start)
         stream.extend(count * per_round)
-        chs, firsts = [], []
+        idx, firsts = [], []
         for _ in range(count):
-            chs.append(sample(g, mix, stream))
+            idx.append(sample(table, stream))
             firsts.append(skip_labels(draws))
-        C = np.array(list(map(spec.flat, chs)), dtype=np.int64)
+        C = table.rows()[idx]
         A, B = spec.honest_columns(C, LabelColumns(draw, stream, firsts))
         codes = spec.check_columns(C, A, B)
         accepts += count - int(np.count_nonzero(codes))
         if log is not None:
-            ra = map(spec.response_a, _payload_rows(A))
-            rb = map(spec.response_b, _payload_rows(B))
+            chs = map(table.members.__getitem__, idx)
+            ra, rb = table.responses[0].of(A), table.responses[1].of(B)
             verdicts = map(VERDICT_OF_CODE.__getitem__, codes.tolist())
             log.extend(map(Transcript, range(start, start + count), chs, ra, rb, verdicts))
         stream.drop_consumed()

@@ -59,6 +59,15 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
+    @cached_property
+    def challenge_tables(self) -> dict:
+        """`games.challenge_table`'s tables, by (game, mix), made on first use."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # the tables hold a lock and the game specs, which neither pickle nor copy; a copy rebuilds them
+        return {k: v for k, v in self.__dict__.items() if k != "challenge_tables"}
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

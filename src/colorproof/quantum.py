@@ -226,9 +226,10 @@ class BornPair:
     _cache: dict = field(default_factory=dict)
 
     def respond(self, kind: GameKind, ch: Challenge, rng: random.Random):
-        if ch not in self._cache:
-            self._cache[ch] = self._distribution(kind, ch)
-        responses, cum = self._cache[ch]
+        dist = self._cache.get(ch)
+        if dist is None:
+            dist = self._cache[ch] = self._distribution(kind, ch)
+        responses, cum = dist
         return responses[bisect.bisect_left(cum, rng.random())]
 
     def _distribution(self, kind: GameKind, ch: Challenge):

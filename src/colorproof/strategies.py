@@ -145,16 +145,26 @@ def transcript_uniformity(transcripts: Iterable[Transcript], edge: Edge) -> Unif
     outside the admissible support (sums equal) counts fully against the
     distance.
     """
-    counts: dict[tuple[int, int, int, int], int] = {}
-    n = 0
+    return uniformity_by_edge(transcripts, [edge])[tuple(edge)]
+
+
+def uniformity_by_edge(transcripts: Iterable[Transcript], edges: Iterable[Edge]) -> dict[Edge, UniformityReport]:
+    """`transcript_uniformity` of every edge in `edges`, from one pass over the transcripts."""
+    counts: dict[Edge, dict] = {tuple(e): {} for e in edges}
     for t in transcripts:
         ch = t.challenge
-        if not isinstance(ch, RzkpChallenge) or ch.edge_a != tuple(edge):
+        if not isinstance(ch, RzkpChallenge):
             continue
-        if t.response_a is None or not isinstance(t.response_a, RzkpResponseA):
+        per_edge = counts.get(ch.edge_a)
+        if per_edge is None or not isinstance(t.response_a, RzkpResponseA):
             continue
-        counts[t.response_a.w] = counts.get(t.response_a.w, 0) + 1
-        n += 1
+        w = t.response_a.w
+        per_edge[w] = per_edge.get(w, 0) + 1
+    return {e: _uniformity_report(e, c) for e, c in counts.items()}
+
+
+def _uniformity_report(edge: Edge, counts: dict) -> UniformityReport:
+    n = sum(counts.values())
     if n == 0:
         raise NoSamplesError(f"no transcripts carry A-challenge {edge}")
     uniform = 1.0 / len(ADMISSIBLE_QUADS)
@@ -165,7 +175,7 @@ def transcript_uniformity(transcripts: Iterable[Transcript], edge: Edge) -> Unif
         if q not in ADMISSIBLE_QUADS:
             tv += c / n
     return UniformityReport(
-        edge=tuple(edge),
+        edge=edge,
         samples=n,
         tv_from_uniform=tv / 2.0,
         support=len(counts),

@@ -1,0 +1,229 @@
+"""The interned challenge tables against the samplers they replaced.
+
+Each sampler packs its draws into a key and returns the index of the key's
+interned challenge. These tests hold it to the samplers that built a fresh
+challenge per draw: the same challenges from the same words, the rng left at
+the same word, and members that are equal, hash alike and serialise alike.
+"""
+
+import copy
+import pickle
+import random
+import sys
+import threading
+from dataclasses import asdict, replace
+
+import pytest
+
+from colorproof import games
+from colorproof.games import (
+    SPECS,
+    BcsChallenge,
+    EdgeChallenge,
+    EdgeConstraint,
+    GameKind,
+    GameType,
+    RzkpChallenge,
+    VertexChallenge,
+    VertexConstraint,
+    WordStream,
+    challenge_pmf,
+    challenge_table,
+    play_rounds,
+    sample_challenge,
+)
+from colorproof.graphs import Graph, gen_planted, make_graph
+from colorproof.strategies import fixed_coloring_pair, honest_pair
+
+
+def reference_sample(kind: GameKind, g: Graph, rng) -> games.Challenge:
+    """One challenge built from its draws, as the samplers did before the tables."""
+    if kind.game is GameType.ALT_RZKP:
+        i, j = g.edges[rng.randrange(len(g.edges))]
+        b = rng.randrange(2)
+        v = i if rng.randrange(2) == 0 else j
+        nbrs = g.adjacency[v]
+        u = nbrs[rng.randrange(len(nbrs))]
+        return RzkpChallenge(edge_a=(i, j), edge_b=(v, u) if v < u else (u, v), bit=b)
+    if kind.game is GameType.ALT_EDGE:
+        i, j = g.edges[rng.randrange(len(g.edges))]
+        return EdgeChallenge(edge_a=(i, j), vertex_b=i if rng.randrange(2) == 0 else j)
+    if kind.game is GameType.BCS:
+        if rng.random() < kind.mix:
+            e = g.edges[rng.randrange(len(g.edges))]
+            alpha = rng.randrange(3)
+            return BcsChallenge(EdgeConstraint(edge=e, color=alpha), vertex_b=e[rng.randrange(2)], color_b=alpha)
+        i = rng.randrange(g.n)
+        return BcsChallenge(VertexConstraint(vertex=i), vertex_b=i, color_b=rng.randrange(3))
+    if rng.random() < kind.mix:
+        i = rng.randrange(g.n)
+        return VertexChallenge(i, i)
+    i, j = g.edges[rng.randrange(len(g.edges))]
+    return VertexChallenge(i, j)
+
+
+def _degree_one() -> Graph:
+    # a path with a pendant triangle: vertices 0 and 5 have one neighbour
+    return make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5)])
+
+
+GRAPHS = {
+    "k3": lambda: make_graph(3, [(0, 1), (1, 2), (0, 2)]),
+    "degree-one": _degree_one,
+    "planted-40-300": lambda: gen_planted(40, 300, 2).graph,  # more than 256 edges: 9-bit edge draws
+}
+KINDS = [GameKind(game, mix) for game in GameType for mix in (0.0, 0.5, 1.0)]
+kind_ids = lambda k: f"{k.game.value}-{k.mix}"  # noqa: E731
+
+
+def _next_word(rng) -> int:
+    """The rng's next 32-bit word (a WordStream's next unconsumed word)."""
+    if isinstance(rng, WordStream):
+        if rng.pos == len(rng.words):
+            rng.extend(1)
+        rng.pos += 1
+        return rng.words[rng.pos - 1]
+    return rng.getrandbits(32)
+
+
+def test_graphs_cover_the_draw_widths():
+    assert len(GRAPHS["planted-40-300"]().edges).bit_length() > 8
+    assert 1 in {len(a) for a in GRAPHS["degree-one"]().adjacency}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@pytest.mark.parametrize("kind", KINDS, ids=kind_ids)
+@pytest.mark.parametrize("stream", [False, True], ids=["random", "word-stream"])
+def test_sampler_matches_reference_word_for_word(name, kind, stream):
+    g = GRAPHS[name]()
+    for seed in (1, 2):
+        ref = random.Random(seed)
+        rng = WordStream(random.Random(seed)) if stream else random.Random(seed)
+        if stream:
+            rng.extend(7)  # a small buffer: the draws cross many refills
+        t = challenge_table(kind, g)
+        for _ in range(1500):
+            want = reference_sample(kind, g, ref)
+            # the batch engine's use of the table on a WordStream, else the scalar loop's
+            got = t.members[SPECS[kind.game].sample(t, rng)] if stream else sample_challenge(kind, g, rng)
+            assert got == want
+        assert _next_word(rng) == ref.getrandbits(32)
+
+
+@pytest.mark.parametrize("name", ["k3", "degree-one"])
+@pytest.mark.parametrize("kind", KINDS, ids=kind_ids)
+def test_members_are_plain_challenges(name, kind):
+    g = GRAPHS[name]()
+    pmf = challenge_pmf(kind, g)
+    rng = random.Random(9)
+    drawn = [sample_challenge(kind, g, rng) for _ in range(4000)]
+    t = challenge_table(kind, g)
+    assert set(t.members) == set(pmf)  # the whole support was drawn
+    spec = SPECS[kind.game]
+    for ch in t.members:
+        fresh = replace(ch)
+        assert fresh is not ch and type(fresh) is type(ch) is spec.challenge
+        assert fresh == ch and ch == fresh and hash(fresh) == hash(ch)
+        assert pmf[ch] == pmf[fresh] > 0.0
+        assert asdict(ch) == asdict(fresh) and repr(ch) == repr(fresh)
+        assert spec.to_json(ch) == spec.to_json(fresh)
+    member_ids = {id(ch) for ch in t.members}
+    assert all(id(ch) in member_ids for ch in drawn)  # every draw returns a member, never a copy
+
+
+def test_asdict_of_a_member_is_unchanged():
+    g = GRAPHS["k3"]()
+    rng = random.Random(3)
+    ch = sample_challenge(GameKind(GameType.BCS, 1.0), g, rng)
+    want = reference_sample(GameKind(GameType.BCS, 1.0), g, random.Random(3))
+    assert asdict(ch) == asdict(want)
+    assert asdict(ch) == {
+        "constraint": {"edge": want.constraint.edge, "color": want.constraint.color},
+        "vertex_b": want.vertex_b,
+        "color_b": want.color_b,
+    }
+
+
+@pytest.mark.parametrize("kind", [GameKind(game) for game in GameType], ids=kind_ids)
+def test_large_graph_builds_only_what_is_drawn(kind):
+    g = gen_planted(900, 1695, 3).graph
+    ref, rng = random.Random(44), random.Random(44)
+    for _ in range(2000):
+        assert sample_challenge(kind, g, rng) == reference_sample(kind, g, ref)
+    assert rng.getrandbits(32) == ref.getrandbits(32)
+    t = challenge_table(kind, g)
+    keys = {
+        GameType.ALT_RZKP: 2 * sum(g.degree(i) + g.degree(j) for i, j in g.edges),
+        GameType.ALT_EDGE: 2 * len(g.edges),
+        GameType.BCS: 6 * len(g.edges) + 3 * g.n,
+        GameType.VERTEX: g.n + len(g.edges),
+    }[kind.game]
+    assert len(t) == len(t.members) <= 2000 < keys
+    assert len(t.rows()) == len(t.members)
+
+
+def test_rows_are_flat_members_as_the_table_grows():
+    g = GRAPHS["planted-40-300"]()
+    for kind in KINDS:
+        t = challenge_table(kind, g)
+        rng = random.Random(2)
+        for draws in (1, 10, 300):
+            for _ in range(draws):
+                sample_challenge(kind, g, rng)
+            assert t.rows().tolist() == [list(SPECS[kind.game].flat(ch)) for ch in t.members]
+
+
+def test_threads_sharing_a_table_get_one_index_per_key():
+    g = gen_planted(60, 150, 4).graph
+    kind = games.ALT_RZKP
+    t = challenge_table(kind, g)
+
+    def draw(seed):
+        rng = random.Random(seed)
+        for _ in range(3000):
+            sample_challenge(kind, g, rng)
+
+    threads = [threading.Thread(target=draw, args=(s,)) for s in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the miss path too
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(t.values()) == list(range(len(t.members)))
+    for key, idx in t.items():
+        assert t.members[idx] == SPECS[kind.game].member(t, key)
+
+
+def test_tables_live_on_the_graph():
+    g = GRAPHS["k3"]()
+    t = challenge_table(games.BCS, g)
+    assert challenge_table(GameKind(GameType.BCS, 0.5), g) is t
+    assert challenge_table(GameKind(GameType.BCS, 0.25), g) is not t
+    assert challenge_table(games.BCS, GRAPHS["k3"]()) is not t  # an equal graph has its own tables
+    with pytest.raises(games.EmptyGraphError):
+        challenge_table(games.BCS, make_graph(2, []))
+
+
+def test_graph_with_tables_still_pickles_and_copies():
+    g = GRAPHS["degree-one"]()
+    want = [sample_challenge(kind, g, random.Random(6)) for kind in KINDS]
+    for other in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert other == g and "challenge_tables" not in vars(other)
+        assert [sample_challenge(kind, other, random.Random(6)) for kind in KINDS] == want
+
+
+@pytest.mark.parametrize("game", list(GameType))
+def test_logged_batch_rounds_share_response_objects(game):
+    inst = gen_planted(20, 40, 1)
+    kind = GameKind(game)
+    for pair in (honest_pair(inst), fixed_coloring_pair(inst.witness)):
+        _, log = play_rounds(kind, inst.graph, pair, 600, 8, keep_log=True)
+        _, again = play_rounds(kind, inst.graph, pair, 600, 9, keep_log=True)
+        for side in ("response_a", "response_b"):
+            values = {getattr(t, side) for t in log + again}
+            assert len({id(getattr(t, side)) for t in log + again}) == len(values)

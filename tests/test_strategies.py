@@ -27,6 +27,7 @@ from colorproof.strategies import (
     honest_pair,
     mismatched_pair,
     transcript_uniformity,
+    uniformity_by_edge,
 )
 
 
@@ -156,6 +157,23 @@ def test_transcript_uniformity_no_samples(k3):
     _, log = play_rounds(ALT_RZKP, inst.graph, honest_pair(inst), 10, seed=3, keep_log=True)
     with pytest.raises(NoSamplesError):
         transcript_uniformity(log, (40, 41))
+
+
+def test_uniformity_by_edge_is_one_pass_of_per_edge_reports():
+    inst = gen_planted(12, 20, seed=4)
+    g = inst.graph
+    _, log = play_rounds(ALT_RZKP, g, honest_pair(inst), 3000, seed=5, keep_log=True)
+    passes = []
+
+    def once():  # a single-use iterator that counts how often it is started
+        passes.append(1)
+        yield from log
+
+    reports = uniformity_by_edge(once(), [list(e) for e in g.edges])
+    assert len(passes) == 1 and list(reports) == list(g.edges)
+    assert reports == {e: transcript_uniformity(log, e) for e in g.edges}
+    with pytest.raises(NoSamplesError):
+        uniformity_by_edge(log, [g.edges[0], (40, 41)])
 
 
 def test_fixed_coloring_transcripts_collapse(k3):
