@@ -43,6 +43,8 @@ def _addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep:
         raise CliError(f"address {text!r} must look like host:port")
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise CliError(f"address {text!r} needs a port in 0..65535")
     return host or "127.0.0.1", int(port)
 
 

@@ -953,8 +953,11 @@ def _replayable_draw(pair, g: Graph) -> Optional[LabellingDraw]:
     return draw
 
 
-# the candidate randrange(3) value in a word's top byte; 3 is a rejected draw
-_LABEL_OF_TOP_BYTE = bytes(b >> 6 for b in range(256))
+# A word's digit, read from its top byte: `randrange(6)` takes the top three bits and
+# `randrange(3)` the top two, and both reject the words whose top two bits are 11 (REJECTED).
+# So digits 0-5 are `randrange(6)` values and `digit >> 1` is `randrange(3)`'s.
+REJECTED = 6
+DRAW_DIGITS = bytes(min(b >> 5, REJECTED) for b in range(256))
 _REFILL_WORDS = 1 << 12
 _BLOCK_WORDS = 1 << 20  # about the words one block of rounds draws, which bounds the buffer
 
@@ -972,7 +975,7 @@ class WordStream:
     more words from the same rng, which continues the stream exactly.
     """
 
-    __slots__ = ("_rng", "_raw", "words", "labels", "pos")
+    __slots__ = ("_rng", "_raw", "words", "digits", "pos")
 
     def __init__(self, rng: random.Random):
         self._rng = rng
@@ -980,10 +983,10 @@ class WordStream:
         self.pos = 0  # the next word to consume
 
     def _reset(self, raw: bytes) -> None:
-        # `labels` holds each word's candidate randrange(3) value
+        # `digits` holds each word's digit (see DRAW_DIGITS)
         self._raw = raw
         self.words = memoryview(np.frombuffer(raw, "<u4").astype(np.uint32, copy=False))
-        self.labels = raw[3::4].translate(_LABEL_OF_TOP_BYTE)
+        self.digits = raw[3::4].translate(DRAW_DIGITS)
 
     def extend(self, count: int) -> None:
         """Draw `count` more words from the rng."""
@@ -991,7 +994,7 @@ class WordStream:
 
     def _refill(self) -> None:
         # an eighth of the buffer at least, so that copying it on each refill costs O(1) per word
-        self.extend(max(_REFILL_WORDS, len(self.labels) // 8))
+        self.extend(max(_REFILL_WORDS, len(self.digits) // 8))
 
     def drop_consumed(self) -> None:
         """Forget the words before `pos` (positions restart at 0)."""
@@ -1029,17 +1032,43 @@ class WordStream:
         """Consume n draws of `randrange(3)`; returns the position of their first word."""
         first = p = self.pos
         q = p + n
-        labels = self.labels
-        rejected = labels.count(3, p, q)
+        digits = self.digits
+        rejected = digits.count(REJECTED, p, q)
         while rejected:
             p = q
             q += rejected
-            rejected = labels.count(3, p, q)
-        if q > len(labels):  # counted past the buffer: draw more and count again
+            rejected = digits.count(REJECTED, p, q)
+        if q > len(digits):  # counted past the buffer: draw more and count again
             self._refill()
             return self.skip_labels(n)
         self.pos = q
         return first
+
+
+def accepted_draws(rng: random.Random, need: int) -> bytes:
+    """The digits of (at least) the next `need` words of `rng` that `randrange(3)` accepts.
+
+    `randbytes` yields the words little-endian, so every fourth byte is a
+    word's top byte. A first draw with too few accepted words is topped up
+    from the same rng, which continues its stream.
+    """
+    count = need + need // 2 + 8
+    digits = b""
+    while len(digits) < need:
+        digits += rng.randbytes(4 * count)[3::4].translate(DRAW_DIGITS).replace(bytes([REJECTED]), b"")
+        count = 2 * (need - len(digits))
+    return digits
+
+
+def labelling_at(colors, draws: bytes, vertices) -> Labelled:
+    """`draw_labellings(colors, colors, True, rng)[0]` at `vertices` only, as dicts over them.
+
+    `draws` is `accepted_draws(rng, len(colors) + 1)`: digit 0 picks the permutation, digit v + 1 gives w0[v].
+    """
+    perm = PERMS3[draws[0]]
+    permuted = {v: perm[colors[v]] for v in vertices}
+    w0 = {v: draws[v + 1] >> 1 for v in vertices}
+    return Labelled(permuted, w0, {v: (permuted[v] - w0[v]) % 3 for v in vertices})
 
 
 _PERM_TABLE = np.array(PERMS3)
@@ -1049,21 +1078,20 @@ class LabelColumns:
     """The labellings of a block of rounds, read at one vertex per round.
 
     `firsts` holds where each round's `LabellingDraw` starts in the
-    stream's buffer. The permutation draw `randrange(6)` rejects exactly the
-    words `randrange(3)` rejects (top two bits 11), so a permuting round's
-    first accepted word is its permutation (the word's top three bits) and
-    the next n accepted words are its bit-0 labels (their top two bits).
+    stream's buffer. A permuting round's first accepted word is its
+    permutation and the next n accepted words are its bit-0 labels, all read
+    from the stream's digits (see DRAW_DIGITS).
     """
 
     def __init__(self, draw: LabellingDraw, stream: WordStream, firsts: list):
         self._colors_a = _PERM_TABLE[:, list(draw.colors_a)]
         self._colors_b = _PERM_TABLE[:, list(draw.colors_b)]
-        self._labels = np.frombuffer(stream.labels, np.uint8)
-        self._accepted = np.flatnonzero(self._labels != 3)
+        self._digits = np.frombuffer(stream.digits, np.uint8)
+        self._accepted = np.flatnonzero(self._digits != REJECTED)
         self._first = np.searchsorted(self._accepted, firsts)
         self._perms = 0
         if draw.permute:
-            self._perms = np.asarray(stream.words)[self._accepted[self._first]] >> 29
+            self._perms = self._digits[self._accepted[self._first]]
             self._first += 1
 
     def colors_a(self, v: np.ndarray) -> np.ndarray:
@@ -1073,7 +1101,7 @@ class LabelColumns:
         return self._colors_b[self._perms, v]
 
     def w0(self, v: np.ndarray) -> np.ndarray:
-        return self._labels[self._accepted[self._first + v]].astype(np.int64)
+        return (self._digits[self._accepted[self._first + v]] >> 1).astype(np.int64)
 
 
 class _Responses(dict):

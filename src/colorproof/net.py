@@ -21,7 +21,8 @@ skipped. The next round's challenge is sampled while the provers answer.
 
 Provers derive their per-round labelling deterministically from a shared
 seed exchanged out-of-band, so two honest provers agree without talking.
-A prover decodes only the labels it answers (`partial_labelling`).
+A prover decodes only the labels it answers, through the batch round
+engine's decoder (`games.accepted_draws` and `games.labelling_at`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Optional, Union
 from .games import (
     ALT_RZKP,
     SPECS,
-    PERMS3,
     GameType,
     Labelled,
     Reason,
@@ -46,7 +46,9 @@ from .games import (
     RzkpResponseB,
     Transcript,
     Verdict,
+    accepted_draws,
     draw_labellings,
+    labelling_at,
     sample_challenge,
     verdict,
 )
@@ -283,47 +285,6 @@ def round_labelling(witness: tuple[int, ...], shared_seed: int, round_index: int
     return draw_labellings(witness, witness, True, rng)[0]
 
 
-# top bytes of the words that randrange(3) and randrange(6) reject: top two bits 11
-_REJECTED_TOPS = bytes(range(0xC0, 0x100))
-
-
-def _accepted_tops(shared_seed: int, round_index: int, need: int, words: Optional[int] = None) -> bytes:
-    """The top bytes of (at least) the first `need` words of round `round_index`'s
-    labelling draw that `randrange(3)` accepts (see `partial_labelling`)."""
-    rng = substream("label", shared_seed, round_index)
-    count = words or need + need // 2 + 8
-    tops = b""
-    while len(tops) < need:
-        tops += rng.randbytes(4 * count)[3::4].translate(None, _REJECTED_TOPS)
-        count = 2 * (need - len(tops))
-    return tops
-
-
-def _labelling_at(witness: tuple[int, ...], tops: bytes, vertices) -> Labelled:
-    perm = PERMS3[tops[0] >> 5]
-    colors = {v: perm[witness[v]] for v in vertices}
-    w0 = {v: tops[v + 1] >> 6 for v in vertices}
-    return Labelled(colors, w0, {v: (colors[v] - w0[v]) % 3 for v in vertices})
-
-
-def partial_labelling(
-    witness: tuple[int, ...], shared_seed: int, round_index: int, vertices, words: Optional[int] = None
-) -> Labelled:
-    """`round_labelling` at `vertices` only, decoded from the same rng words.
-
-    `draw_labellings` takes one `randrange(6)` for the permutation, then one
-    `randrange(3)` per vertex, and both reject exactly the words whose top two
-    bits are 11. So the first accepted word's top three bits pick the
-    permutation, and the top two bits of accepted word v + 1 are w0[v].
-    `randbytes` yields the words little-endian, so every fourth byte is a
-    word's top byte. `words` words are drawn first (enough in all but rare
-    rounds by default); if too few are accepted, more are drawn from the same
-    rng, which continues its stream. colors, w0 and w1 are dicts over
-    `vertices`.
-    """
-    return _labelling_at(witness, _accepted_tops(shared_seed, round_index, max(vertices) + 2, words), vertices)
-
-
 def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, shared_seed: int, delay_s: float) -> str:
     """Answer one verifier; returns why the connection ended (one of CLOSE_REASONS)."""
     spec = SPECS[GameType.ALT_RZKP]
@@ -341,8 +302,8 @@ def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, sha
         # one round's permutation, would reveal colors: each round is answered once
         halves = set(spec.a_keys(inst.graph) if role == "a" else spec.b_keys(inst.graph))
         answered = -1
-        need = len(inst.witness) + 1
-        ahead = (0, _accepted_tops(shared_seed, 0, need))  # the next round's draw, made while the verifier works
+        draws_of = lambda r: accepted_draws(substream("label", shared_seed, r), len(inst.witness) + 1)  # noqa: E731
+        ahead = (0, draws_of(0))  # the next round's draw, made while the verifier works
         while True:
             msg = stream.read_frame()
             if isinstance(msg, Bye):
@@ -358,15 +319,15 @@ def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, sha
                 stream.send(Bye())
                 return "refused-half"
             answered = msg.round
-            tops = ahead[1] if ahead[0] == msg.round else _accepted_tops(shared_seed, msg.round, need)
-            lab = _labelling_at(inst.witness, tops, (msg.i, msg.j))
+            draws = ahead[1] if ahead[0] == msg.round else draws_of(msg.round)
+            lab = labelling_at(inst.witness, draws, (msg.i, msg.j))
             if delay_s:
                 time.sleep(delay_s)
             if role == "a":
                 stream.send(ResponseA(msg.round, spec.honest_a(lab, half)))
             else:
                 stream.send(ResponseB(msg.round, *spec.honest_b(lab, half)))
-            ahead = (msg.round + 1, _accepted_tops(shared_seed, msg.round + 1, need))
+            ahead = (msg.round + 1, draws_of(msg.round + 1))
     except TimeoutError:
         return "idle-timeout"
     except FrameError:
@@ -622,6 +583,13 @@ def _collect(sel: selectors.BaseSelector, wants: list, round_index: int, end_ns:
             key.data.on_ready(mask)
 
 
+def _connect(name: str, addr: tuple[str, int]) -> socket.socket:
+    try:
+        return socket.create_connection(addr, timeout=5.0)
+    except OSError as exc:  # refused, unreachable, timed out or an unknown host
+        raise SessionError(f"cannot connect to {name} at {addr[0]}:{addr[1]}: {exc}") from exc
+
+
 def run_verifier_session(cfg: SessionConfig) -> SessionReport:
     """Drive a full session; every round yields a transcript and timings.
 
@@ -629,13 +597,14 @@ def run_verifier_session(cfg: SessionConfig) -> SessionReport:
     check verdicts are computed by the same verdict machine the in-process
     simulator uses. Transport failures count as timeouts; only a failed
     handshake aborts the session. Each round waits at most the deadline plus
-    GRACE_S after its last challenge went out.
+    GRACE_S after its last challenge went out. A prover that cannot be reached
+    raises SessionError.
     """
     g = cfg.graph
     report = SessionReport(rounds=cfg.rounds, accepted=0, rejected_check=0, rejected_timeout=0)
     wait_ns = cfg.deadline_ns + int(GRACE_S * 1e9)
-    with socket.create_connection(cfg.addr_a, timeout=5.0) as sock_a, socket.create_connection(
-        cfg.addr_b, timeout=5.0
+    with _connect("prover A", cfg.addr_a) as sock_a, _connect(
+        "prover B", cfg.addr_b
     ) as sock_b, selectors.DefaultSelector() as sel:
         sa, sb = _Stream(sock_a), _Stream(sock_b)
         hello = Hello(PROTOCOL_VERSION, GAME_CODES[GameType.ALT_RZKP], g.digest())

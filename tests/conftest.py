@@ -1,3 +1,7 @@
+import re
+import subprocess
+import sys
+
 import pytest
 
 from colorproof.graphs import extend_with_gadgets, make_graph
@@ -26,3 +30,39 @@ def path3():
 @pytest.fixture(scope="session")
 def ext_path3(path3):
     return extend_with_gadgets(path3)
+
+
+@pytest.fixture
+def spawn_prover():
+    """Starts `colorproof serve-prover` subprocesses; each call returns the new prover's address.
+
+    Every process started is killed and waited for when the test ends.
+    """
+    procs = []
+
+    def spawn(instance_file, role: str, shared_seed: int) -> tuple[str, int]:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "colorproof", "serve-prover",
+                "--role", role,
+                "--graph", str(instance_file),
+                "--shared-seed", str(shared_seed),
+                "--listen", "127.0.0.1:0",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        procs.append(proc)
+        line = proc.stdout.readline()
+        match = re.search(r"listen=127\.0\.0\.1:(\d+)", line)
+        assert match, f"prover did not announce a port: {line!r}"
+        return "127.0.0.1", int(match.group(1))
+
+    try:
+        yield spawn
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=5)
+            proc.stdout.close()

@@ -4,6 +4,7 @@ Each test prints one pass/fail line (run with `pytest tests/test_acceptance.py -
 to watch them stream) and enforces the stated runtime budget.
 """
 
+import json
 import math
 import os
 import random
@@ -30,7 +31,6 @@ from colorproof.games import (
     sample_challenge,
 )
 from colorproof.graphs import (
-    PlantedInstance,
     extend_with_gadgets,
     extended_counts,
     gen_planted,
@@ -257,36 +257,34 @@ def test_criterion_08_sequential_extraction(capsys):
                   f"TV {tv:.4f} at 1e5 draws, proper {proper}/10000")
 
 
-def test_criterion_09_networked_equivalence(capsys):
+def test_criterion_09_networked_equivalence(capsys, tmp_path, spawn_prover):
+    # the provers run as `serve-prover` subprocesses, so the sessions time the
+    # wire path rather than interpreter-lock handoffs between threads
     t0 = time.perf_counter()
     inst = gen_planted(6, 9, seed=1)
     ok = True
-    pa = net.run_prover(("127.0.0.1", 0), inst, "a", shared_seed=99)
-    pb = net.run_prover(("127.0.0.1", 0), inst, "b", shared_seed=99)
-    pb_bad = None
-    try:
-        cfg = net.SessionConfig(inst.graph, rounds=10000, deadline_ns=250_000_000, seed=909,
-                                addr_a=pa.address, addr_b=pb.address)
-        rep = net.run_verifier_session(cfg)
-        ok &= rep.ok and rep.accepted == 10000
-        other = three_color(inst.graph)
-        if tuple(other) == inst.witness:
-            other = tuple((c + 1) % 3 for c in other)
-        pb_bad = net.run_prover(("127.0.0.1", 0), PlantedInstance(inst.graph, tuple(other)), "b", shared_seed=99)
-        rounds = 10000
-        cfg2 = net.SessionConfig(inst.graph, rounds=rounds, deadline_ns=250_000_000, seed=910,
-                                 addr_a=pa.address, addr_b=pb_bad.address)
-        rep2 = net.run_verifier_session(cfg2)
-        net_rate = rep2.rejected_check / rounds
-        stats, _ = play_rounds(ALT_RZKP, inst.graph, mismatched_pair(inst.witness, other), rounds, seed=911)
-        sim_rate = 1.0 - stats.win_rate
-        sigma = math.sqrt(max(net_rate * (1 - net_rate), sim_rate * (1 - sim_rate)) * 2.0 / rounds)
-        ok &= abs(net_rate - sim_rate) < 4.0 * sigma
-    finally:
-        pa.stop()
-        pb.stop()
-        if pb_bad is not None:
-            pb_bad.stop()
+    other = three_color(inst.graph)
+    if tuple(other) == inst.witness:
+        other = tuple((c + 1) % 3 for c in other)
+    honest_file, other_file = tmp_path / "honest.json", tmp_path / "other.json"
+    honest_file.write_text(json.dumps(inst.graph.to_dict(inst.witness)))
+    other_file.write_text(json.dumps(inst.graph.to_dict(other)))
+    addr_a = spawn_prover(honest_file, "a", 99)
+    addr_b = spawn_prover(honest_file, "b", 99)
+    addr_b_bad = spawn_prover(other_file, "b", 99)
+    cfg = net.SessionConfig(inst.graph, rounds=10000, deadline_ns=250_000_000, seed=909,
+                            addr_a=addr_a, addr_b=addr_b)
+    rep = net.run_verifier_session(cfg)
+    ok &= rep.ok and rep.accepted == 10000
+    rounds = 10000
+    cfg2 = net.SessionConfig(inst.graph, rounds=rounds, deadline_ns=250_000_000, seed=910,
+                             addr_a=addr_a, addr_b=addr_b_bad)
+    rep2 = net.run_verifier_session(cfg2)
+    net_rate = rep2.rejected_check / rounds
+    stats, _ = play_rounds(ALT_RZKP, inst.graph, mismatched_pair(inst.witness, other), rounds, seed=911)
+    sim_rate = 1.0 - stats.win_rate
+    sigma = math.sqrt(max(net_rate * (1 - net_rate), sim_rate * (1 - sim_rate)) * 2.0 / rounds)
+    ok &= abs(net_rate - sim_rate) < 4.0 * sigma
     blob = os.urandom(1 << 20)
     rng = random.Random(912)
     crashes = 0

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -150,6 +151,49 @@ def test_verify_against_live_provers(capsys, tmp_path):
     finally:
         pa.stop()
         pb.stop()
+
+
+def _instance_file(tmp_path):
+    inst = gen_planted(6, 9, seed=1)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst.graph.to_dict(inst.witness)))
+    return str(path)
+
+
+def _closed_port() -> int:
+    """A port that was bound and then closed, so nothing listens on it."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        return listener.getsockname()[1]
+
+
+@pytest.mark.parametrize(
+    "command, flag, address",
+    [
+        ("verify", "--prover-a", "127.0.0.1:99999"),  # getaddrinfo would wrap it to port 34463
+        ("verify", "--prover-b", "127.0.0.1:abc"),
+        ("verify", "--prover-a", "127.0.0.1:"),
+        ("serve-prover", "--listen", "127.0.0.1:-5"),
+    ],
+)
+def test_bad_port_exits_1(capsys, tmp_path, command, flag, address):
+    argv = [command, "--graph", _instance_file(tmp_path), flag, address]
+    if command == "verify":
+        other = "--prover-b" if flag == "--prover-a" else "--prover-a"
+        argv += [other, f"127.0.0.1:{_closed_port()}"]
+    else:
+        argv += ["--role", "a", "--shared-seed", "1"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and address in err
+
+
+def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
+    port = _closed_port()
+    address = f"127.0.0.1:{port}"
+    argv = ["verify", "--graph", _instance_file(tmp_path), "--prover-a", address, "--prover-b", address]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith(f"error: cannot connect to prover A at {address}")
 
 
 def test_gen_stdout_modes(capsys):

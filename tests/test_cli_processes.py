@@ -2,10 +2,6 @@
 driven by the verify subcommand."""
 
 import json
-import re
-import subprocess
-import sys
-
 
 import pytest
 
@@ -21,49 +17,23 @@ def instance_file(tmp_path_factory):
     return path
 
 
-def _spawn_prover(instance_file, role):
-    proc = subprocess.Popen(
+def test_two_process_session(instance_file, spawn_prover, capsys):
+    _, port_a = spawn_prover(instance_file, "a", 777)
+    _, port_b = spawn_prover(instance_file, "b", 777)
+    code = cli_main(
         [
-            sys.executable, "-m", "colorproof", "serve-prover",
-            "--role", role,
+            "verify",
             "--graph", str(instance_file),
-            "--shared-seed", "777",
-            "--listen", "127.0.0.1:0",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+            "--prover-a", f"127.0.0.1:{port_a}",
+            "--prover-b", f"127.0.0.1:{port_b}",
+            "--rounds", "500",
+            "--deadline-ms", "250",
+            "--seed", "4",
+            "--json",
+        ]
     )
-    line = proc.stdout.readline()
-    match = re.search(r"listen=127\.0\.0\.1:(\d+)", line)
-    if not match:
-        proc.kill()
-        raise AssertionError(f"prover did not announce a port: {line!r}")
-    return proc, int(match.group(1))
-
-
-def test_two_process_session(instance_file, capsys):
-    pa, port_a = _spawn_prover(instance_file, "a")
-    pb, port_b = _spawn_prover(instance_file, "b")
-    try:
-        code = cli_main(
-            [
-                "verify",
-                "--graph", str(instance_file),
-                "--prover-a", f"127.0.0.1:{port_a}",
-                "--prover-b", f"127.0.0.1:{port_b}",
-                "--rounds", "500",
-                "--deadline-ms", "250",
-                "--seed", "4",
-                "--json",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        doc = json.loads(out)
-        assert doc["accepted"] == 500
-        assert doc["accepted_all"] is True
-    finally:
-        for proc in (pa, pb):
-            proc.kill()
-            proc.wait(timeout=5)
+    out = capsys.readouterr().out
+    assert code == 0, out
+    doc = json.loads(out)
+    assert doc["accepted"] == 500
+    assert doc["accepted_all"] is True

@@ -2,7 +2,8 @@
 
 Covers the per-round cost of a hung prover, latency attributed to the prover
 that was late, the session telemetry, why prover connections end, writes that
-never block, and the partial decode against `round_labelling`.
+never block, a prover that cannot be reached, and the prover's label decode
+(`games.accepted_draws` and `games.labelling_at`) against `round_labelling`.
 """
 
 import json
@@ -15,7 +16,7 @@ import time
 import pytest
 
 from colorproof import net
-from colorproof.games import Reason
+from colorproof.games import DRAW_DIGITS, REJECTED, Reason, accepted_draws, labelling_at
 from colorproof.graphs import PlantedInstance, gen_planted, three_color
 from colorproof.net import (
     GRACE_S,
@@ -26,11 +27,11 @@ from colorproof.net import (
     SessionConfig,
     _Link,
     _Stream,
-    partial_labelling,
     round_labelling,
     run_prover,
     run_verifier_session,
 )
+from colorproof.seeds import derive_seed, substream
 
 
 @pytest.fixture(scope="module")
@@ -51,32 +52,116 @@ def provers(inst):
 # Partial label decode
 
 
+def _partial_labelling(witness, rng, vertices):
+    """The prover's decode, at `vertices`, of the labelling drawn from `rng`."""
+    return labelling_at(witness, accepted_draws(rng, len(witness) + 1), vertices)
+
+
 @pytest.mark.parametrize("shared_seed", [0, 99, 2**40 + 7])
 def test_partial_labelling_matches_round_labelling(shared_seed):
     witness = gen_planted(20, 40, seed=11).witness
     rng = random.Random(shared_seed)
     for r in range(2000):
         ref = round_labelling(witness, shared_seed, r)
-        lab = partial_labelling(witness, shared_seed, r, range(len(witness)))
+        lab = _partial_labelling(witness, substream("label", shared_seed, r), range(len(witness)))
         assert tuple(lab.colors.values()) == ref.colors
         assert tuple(lab.w0.values()) == ref.w0
         assert tuple(lab.w1.values()) == ref.w1
         i, j = rng.sample(range(len(witness)), 2)
-        pair = partial_labelling(witness, shared_seed, r, (i, j))
+        pair = _partial_labelling(witness, substream("label", shared_seed, r), (i, j))
         assert pair.w0 == {i: ref.w0[i], j: ref.w0[j]} and pair.w1 == {i: ref.w1[i], j: ref.w1[j]}
+
+
+class _CountingRandom(random.Random):
+    """A `random.Random` that counts its `randbytes` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.randbytes_calls = 0
+
+    def randbytes(self, n):
+        self.randbytes_calls += 1
+        return super().randbytes(n)
+
+
+def test_partial_labelling_continues_the_rng_after_a_short_first_draw():
+    # 20 labels plus the permutation need 21 accepted words; the rounds whose
+    # first draw holds fewer go on drawing from the same rng
+    witness = gen_planted(20, 40, seed=11).witness
+    short = 0
+    for r in range(5000):
+        rng = _CountingRandom(derive_seed("label", 5, r))
+        ref = round_labelling(witness, 5, r)
+        lab = _partial_labelling(witness, rng, range(len(witness)))
+        assert (tuple(lab.colors.values()), tuple(lab.w0.values()), tuple(lab.w1.values())) == (
+            ref.colors, ref.w0, ref.w1
+        )
+        short += rng.randbytes_calls > 1
+    assert short >= 1
+
+
+class _ShortFirstDraw(_CountingRandom):
+    """A `_CountingRandom` whose first `randbytes` call yields only `words` words."""
+
+    def __init__(self, seed, words):
+        super().__init__(seed)
+        self.words = words
+
+    def randbytes(self, n):
+        return super().randbytes(min(n, 4 * self.words) if self.randbytes_calls == 0 else n)
 
 
 @pytest.mark.parametrize("words", [1, 2, 5, 21])
 def test_partial_labelling_continues_the_rng_when_words_run_out(words):
-    # 21 labels plus the permutation need at least 22 accepted words; drawing
-    # fewer first forces the decode to go on drawing from the same rng
+    # 20 labels plus the permutation need 21 accepted words; a first draw of
+    # `words` words holds fewer, so the decode goes on drawing from the same rng
     witness = gen_planted(20, 40, seed=11).witness
+    refilled = 0
     for r in range(300):
+        rng = _ShortFirstDraw(derive_seed("label", 5, r), words)
         ref = round_labelling(witness, 5, r)
-        lab = partial_labelling(witness, 5, r, range(len(witness)), words=words)
+        lab = _partial_labelling(witness, rng, range(len(witness)))
         assert (tuple(lab.colors.values()), tuple(lab.w0.values()), tuple(lab.w1.values())) == (
             ref.colors, ref.w0, ref.w1
         )
+        refilled += rng.randbytes_calls > 1
+    assert refilled == 300 if words < len(witness) + 1 else refilled >= 1
+
+
+class _ServedWord(random.Random):
+    """Serves one 32-bit word, then zero words, to `getrandbits`; counts the words served."""
+
+    def __init__(self, word):
+        super().__init__(0)
+        self.word, self.served = word, 0
+
+    def getrandbits(self, k):
+        word = self.word if self.served == 0 else 0
+        self.served += 1
+        return word >> (32 - k)
+
+
+@pytest.mark.parametrize("n", [6, 3])
+def test_draw_digits_agree_with_randrange(n):
+    for top in range(256):
+        rng = _ServedWord(top << 24 | 0x5A5A5A)
+        value = rng.randrange(n)
+        digit = DRAW_DIGITS[top]
+        assert (rng.served == 1) == (digit != REJECTED), top
+        if digit != REJECTED:
+            assert value == (digit if n == 6 else digit >> 1), top
+
+
+# ---------------------------------------------------------------------------
+# A prover that cannot be reached
+
+
+def test_session_names_the_prover_it_cannot_reach(inst, provers):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        closed = listener.getsockname()  # bound, then closed: nothing listens there
+    cfg = SessionConfig(inst.graph, rounds=1, deadline_ns=10**8, seed=1, addr_a=provers[0].address, addr_b=closed)
+    with pytest.raises(net.SessionError, match=f"prover B at 127.0.0.1:{closed[1]}"):
+        run_verifier_session(cfg)
 
 
 # ---------------------------------------------------------------------------
