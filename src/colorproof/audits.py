@@ -44,10 +44,10 @@ class SweepSummary:
     worst_sample: dict = field(default_factory=dict)  # family -> (seed, index) behind its worst margin
     sample: tuple = (None, None)  # (seed, index) of the sample being audited
 
-    def record(self, family: str, ok: bool, margin: float, count: int = 1) -> None:
-        self.checks[family] = self.checks.get(family, 0) + count
+    def record(self, family: str, ok: bool, margin: float) -> None:
+        self.checks[family] = self.checks.get(family, 0) + 1
         if not ok:
-            self.violations[family] = self.violations.get(family, 0) + count
+            self.violations[family] = self.violations.get(family, 0) + 1
         prev = self.worst_margin.get(family)
         if prev is None or margin < prev:
             self.worst_margin[family] = margin

@@ -93,16 +93,16 @@ def partial_trace_a(s: QuantumStrategy) -> np.ndarray:
     return psi_mat.T @ psi_mat.conj()
 
 
-def sqrt_psd(rho: np.ndarray, floor: float = -1e-10) -> np.ndarray:
-    """Hermitian square root; eigenvalues in [floor, 0) clamp to 0."""
+def sqrt_psd(rho: np.ndarray) -> np.ndarray:
+    """Hermitian square root; eigenvalues in [-1e-10, 0) clamp to 0."""
     lam, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    if lam.min() < floor:
+    if lam.min() < -1e-10:
         raise NumericalError(f"state eigenvalue {lam.min()} below the PSD floor")
     lam = np.clip(lam, 0.0, None)
     return (v * np.sqrt(lam)) @ v.conj().T
 
 
-def extract_assignment(s: QuantumStrategy, g: Graph, tol: float = 1e-9) -> Assignment:
+def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     """Pull B's outcome-1 projectors per (vertex, color) and the reduced state."""
     if s.game is not GameType.BCS:
         raise CertificateError(f"expected a constraint-game strategy, got {s.game}")
@@ -116,10 +116,10 @@ def extract_assignment(s: QuantumStrategy, g: Graph, tol: float = 1e-9) -> Assig
             fams.append(s.pvm_b[key][1])
             projs[key] = s.pvm_b[key][1]
         total = fams[0] + fams[1] + fams[2]
-        if np.abs(total - np.eye(s.dim_b)).max() > tol:
+        if np.abs(total - np.eye(s.dim_b)).max() > 1e-9:
             raise NotVertexCompleteError(f"color projectors at vertex {v} do not sum to identity")
         for a, b in itertools.combinations(range(3), 2):
-            if np.abs(fams[a] @ fams[b] - fams[b] @ fams[a]).max() > tol:
+            if np.abs(fams[a] @ fams[b] - fams[b] @ fams[a]).max() > 1e-9:
                 raise NotVertexCompleteError(f"same-vertex projectors at {v} do not commute")
     rho = partial_trace_a(s)
     tr = float(rho.trace().real)
@@ -279,15 +279,9 @@ def evaluate_bounds(
     return out
 
 
-def check_bounds(
-    nr: NormReport,
-    et: EpsTable,
-    base: Graph,
-    ext: Optional[ExtendedGraph] = None,
-    tol: float = 1e-9,
-) -> list[Violation]:
+def check_bounds(nr: NormReport, et: EpsTable, base: Graph, ext: Optional[ExtendedGraph] = None) -> list[Violation]:
     """The violated certificate inequalities (expected empty; see evaluate_bounds)."""
-    return [v for v in evaluate_bounds(nr, et, base, ext) if v.lhs > v.rhs + tol]
+    return [v for v in evaluate_bounds(nr, et, base, ext) if v.lhs > v.rhs + 1e-9]
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
@@ -328,22 +322,10 @@ def sequential_coloring(a: Assignment, order: Sequence[int], rng: random.Random)
     rho = a.rho.copy()
     colors = [0] * len(order)
     for v in order:
-        probs = []
-        for alpha in F3:
-            b_op = a.projs[(v, alpha)]
-            probs.append(max(0.0, float((b_op @ rho).trace().real)))
-        total = sum(probs)
-        if total < 1e-15:
+        probs = [max(0.0, float((a.projs[(v, alpha)] @ rho).trace().real)) for alpha in F3]
+        if sum(probs) < 1e-15:
             raise NumericalError(f"all branches vanish at vertex {v}")
-        u = rng.random() * total
-        acc = 0.0
-        pick = 2
-        for alpha in F3:
-            acc += probs[alpha]
-            if u <= acc:
-                pick = alpha
-                break
-        colors[v] = pick
+        pick = colors[v] = rng.choices(F3, probs)[0]
         b_op = a.projs[(v, pick)]
         rho = b_op @ rho @ b_op
         rho = rho / probs[pick]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -180,6 +181,8 @@ def _cmd_zk_test(args) -> int:
 def _cmd_audit_quantum(args) -> int:
     from .audits import run_certificate_sweep
 
+    if args.dims < 2:
+        raise CliError(f"--dims must be at least 2, got {args.dims}")
     summary = run_certificate_sweep(samples=args.samples, seed=args.seed, max_dim=args.dims)
     payload = {"config": {"samples": args.samples, "seed": args.seed, "dims": args.dims}, **summary.to_dict()}
     lines = [f"config: samples={args.samples} seed={args.seed} dims={args.dims}"]
@@ -208,6 +211,8 @@ def _cmd_serve_prover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not math.isfinite(args.deadline_ms):
+        raise CliError(f"--deadline-ms must be finite, got {args.deadline_ms}")
     g = _load_graph(args.graph)
     cfg = net.SessionConfig(
         graph=g,
@@ -331,6 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         soundness.SoundnessError,
         quantum.StrategyError,
         net.SessionError,
+        net.ConfigError,
         net.FrameError,
         FileNotFoundError,
         json.JSONDecodeError,

@@ -69,7 +69,7 @@ class GameKind:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mix <= 1.0:
-            raise ValueError(f"mixture weight {self.mix} outside [0,1]")
+            raise GamesError(f"mixture weight {self.mix} outside [0,1]")
 
 
 ALT_RZKP = GameKind(GameType.ALT_RZKP)
@@ -848,7 +848,8 @@ def verdict(kind: GameKind, ch: Challenge, ra: Response, rb: Response) -> Verdic
 # Round loop
 
 
-def wilson_interval(accepts: int, rounds: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(accepts: int, rounds: int) -> tuple[float, float]:
+    z = 1.959963984540054  # the two-sided 95 % normal quantile
     if rounds == 0:
         return (0.0, 1.0)
     p = accepts / rounds

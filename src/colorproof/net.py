@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import selectors
 import socket
+import socketserver
 import struct
 import threading
 import time
@@ -60,6 +61,7 @@ PROTOCOL_VERSION = 1
 GRACE_S = 0.02  # how long past its deadline a round still takes in responses
 HELLO_TIMEOUT_S = 10.0
 IDLE_TIMEOUT_S = 60.0  # a prover closes a connection silent for this long
+POLL_S = 0.05  # how often a started ProverServer checks for stop()
 CLOSE_REASONS = ("bye", "bad-hello", "refused-half", "idle-timeout", "garbage", "peer-closed")
 
 T_HELLO = 1
@@ -104,6 +106,10 @@ class FieldRangeError(FrameError):
 
 
 class SessionError(RuntimeError):
+    pass
+
+
+class ConfigError(ValueError):
     pass
 
 
@@ -338,11 +344,18 @@ def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, sha
         conn.close()
 
 
-class ProverServer:
+class ProverServer(socketserver.ThreadingTCPServer):
     """Threaded prover endpoint; serves honest responses for one instance.
 
+    Each connection runs `_serve_connection` on its own daemon thread.
     `closes` counts why each connection ended, by the keys of CLOSE_REASONS.
+    `start` serves from a background thread and `stop` ends that; the CLI
+    calls the inherited `serve_forever` instead.
     """
+
+    daemon_threads = True
+    allow_reuse_address = True
+    request_queue_size = 8
 
     def __init__(
         self,
@@ -354,55 +367,36 @@ class ProverServer:
         delay_s: float = 0.0,
     ):
         if role not in ("a", "b"):
-            raise ValueError(f"role must be 'a' or 'b', got {role!r}")
+            raise ConfigError(f"role must be 'a' or 'b', got {role!r}")
+        if not 0 <= delay_s < float("inf"):  # time.sleep fails on a negative, NaN or infinite delay
+            raise ConfigError(f"delay must be finite and nonnegative, got {delay_s} s")
         self.inst = inst
         self.role = role
         self.shared_seed = shared_seed
         self.delay_s = delay_s
         self.closes = Counter(dict.fromkeys(CLOSE_REASONS, 0))
         self._closes_lock = threading.Lock()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(8)
-        self._sock.settimeout(0.2)
-        self.address = self._sock.getsockname()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._started = False
+        super().__init__((host, port), None)
+        self.address = self.server_address
 
-    def start(self) -> "ProverServer":
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        reason = _serve_connection(conn, self.inst, self.role, self.shared_seed, self.delay_s)
+    def finish_request(self, request: socket.socket, client_address) -> None:
+        reason = _serve_connection(request, self.inst, self.role, self.shared_seed, self.delay_s)
         with self._closes_lock:
             self.closes[reason] += 1
 
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
+    def handle_error(self, request, client_address) -> None:
+        raise  # an escaped exception ends its thread through threading.excepthook
 
-    def serve_forever(self) -> None:
-        """Blocking accept loop for the CLI entry point."""
-        self._sock.settimeout(None)
-        self._accept_loop()
+    def start(self) -> "ProverServer":
+        self._started = True
+        threading.Thread(target=self.serve_forever, args=(POLL_S,), daemon=True).start()
+        return self
+
+    def stop(self) -> None:
+        if self._started:  # shutdown() waits for a serve_forever loop, forever if none runs
+            self.shutdown()
+        self.server_close()
 
 
 def run_prover(
@@ -428,9 +422,9 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
-            raise ValueError("session needs at least one round")
+            raise ConfigError("session needs at least one round")
         if self.deadline_ns < 0:
-            raise ValueError("deadline must be nonnegative")
+            raise ConfigError("deadline must be nonnegative")
 
 
 @dataclass(frozen=True)

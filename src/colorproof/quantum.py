@@ -154,17 +154,17 @@ def _check_family(fam: dict, dim: int, tol: float, what: str) -> None:
         raise IncompleteFamilyError(f"{what}: family does not sum to identity")
 
 
-def validate_strategy(s: QuantumStrategy, tol: float = PROJ_TOL) -> None:
+def validate_strategy(s: QuantumStrategy) -> None:
     """Enforce unit state, projectivity, and completeness of every family."""
     if s.psi.shape != (s.dim_a * s.dim_b,):
         raise DimensionMismatchError(f"state length {s.psi.shape} != dim_a*dim_b = {s.dim_a * s.dim_b}")
     if not np.all(np.isfinite(s.psi)):
         raise NonFiniteError("state has non-finite amplitudes")
-    if abs(np.linalg.norm(s.psi) - 1.0) > tol:
+    if abs(np.linalg.norm(s.psi) - 1.0) > PROJ_TOL:
         raise BadStateError(f"state norm {np.linalg.norm(s.psi)} is not 1")
     for side, pvms, dim in (("A", s.pvm_a, s.dim_a), ("B", s.pvm_b, s.dim_b)):
         for key, fam in pvms.items():
-            _check_family(fam, dim, tol, f"{side} pvm {key}")
+            _check_family(fam, dim, PROJ_TOL, f"{side} pvm {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,30 +264,22 @@ def transform_strategy(s: QuantumStrategy, u_a: np.ndarray, u_b: np.ndarray) -> 
 # Reference strategies
 
 
-def _honest_outcomes(spec: GameSpec, g: Graph, colors: Sequence[int], w0: Sequence[int]):
-    """Deterministic honest outcome per challenge half, as (a_map, b_map)."""
-    lab = Labelled.split(colors, w0)
+def _honest_outcomes(spec: GameSpec, g: Graph, colors: Sequence[int]):
+    """Deterministic honest outcome per challenge half under the all-zero split, as (a_map, b_map)."""
+    lab = Labelled.split(colors, [0] * g.n)
     a_map = {k: spec.honest_a(lab, k) for k in spec.a_keys(g)}
     b_map = {k: spec.honest_b(lab, k) for k in spec.b_keys(g)}
     return a_map, b_map
 
 
-def classical_embedding(
-    game: GameType,
-    g: Graph,
-    colors: Sequence[int],
-    dim: int = 1,
-    w0: Optional[Sequence[int]] = None,
-) -> QuantumStrategy:
+def classical_embedding(game: GameType, g: Graph, colors: Sequence[int], dim: int = 1) -> QuantumStrategy:
     """Deterministic strategy from a fixed coloring, embedded at any dimension.
 
     The honest outcome's projector is the identity; every other outcome gets
     the zero projector. At dim 1 this is the classical strategy verbatim.
     """
-    if w0 is None:
-        w0 = [0] * g.n
     spec = SPECS[game]
-    a_map, b_map = _honest_outcomes(spec, g, colors, w0)
+    a_map, b_map = _honest_outcomes(spec, g, colors)
     eye = np.eye(dim, dtype=complex)
     zero = np.zeros((dim, dim), dtype=complex)
 
@@ -352,7 +344,7 @@ def random_strategy(
         if colors is None:
             raise StrategyError("graph is not 3-colorable; pass explicit reference colors")
     spec = SPECS[game]
-    a_map, b_map = _honest_outcomes(spec, g, colors, [0] * g.n)
+    a_map, b_map = _honest_outcomes(spec, g, colors)
 
     def build(space, honest, d):
         assign = [space.index(honest)] + [rng.integers(len(space)) for _ in range(d - 1)]

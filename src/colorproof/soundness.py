@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import statistics
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -149,16 +150,9 @@ def scaling_probe(
     """
     if len(points) < 4:
         raise InsufficientPointsError(f"need at least 4 points, got {len(points)}")
-    xs = []
-    ys = []
-    for n, m in points:
-        rep = quantum_value_bound(n, m, max_deg, variant)
-        xs.append(math.log(m))
-        ys.append(-rep.log10_epsilon_star * math.log(10))  # natural log of 1/eps*
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx < 1e-12:
+    ys = [-quantum_value_bound(n, m, max_deg, variant).log10_epsilon_star * math.log(10) for n, m in points]
+    # a constant x need not raise StatisticsError: the fsum mean of 7 copies of log(103) is not log(103)
+    if len({m for _, m in points}) < 2:
         raise InsufficientPointsError("degenerate fit: all points share one edge count")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return sxy / sxx
+    # natural log of 1/eps* against natural log of m
+    return statistics.linear_regression([math.log(m) for _, m in points], ys).slope

@@ -40,7 +40,7 @@ def spawn_prover():
     """
     procs = []
 
-    def spawn(instance_file, role: str, shared_seed: int) -> tuple[str, int]:
+    def spawn(instance_file, role: str, shared_seed: int, delay_ms: float = 0.0) -> tuple[str, int]:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "colorproof", "serve-prover",
@@ -48,6 +48,7 @@ def spawn_prover():
                 "--graph", str(instance_file),
                 "--shared-seed", str(shared_seed),
                 "--listen", "127.0.0.1:0",
+                "--delay-ms", str(delay_ms),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

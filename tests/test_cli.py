@@ -3,6 +3,7 @@ import socket
 
 import pytest
 
+from colorproof import net
 from colorproof.cli import main
 from colorproof.graphs import gen_planted
 from colorproof.net import run_prover
@@ -194,6 +195,38 @@ def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, argv)
     assert code == 1
     assert err.startswith(f"error: cannot connect to prover A at {address}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--rounds", "0"], "at least one round"),
+        (["verify", "--deadline-ms", "-1"], "deadline must be nonnegative"),
+        (["verify", "--deadline-ms", "nan"], "--deadline-ms must be finite"),
+        (["simulate", "--mix", "2", "--rounds", "10"], "mixture weight 2.0"),
+        (["audit-quantum", "--dims", "1", "--samples", "2"], "--dims must be at least 2"),
+        (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "-5"], "finite and nonnegative"),
+        (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "nan"], "finite and nonnegative"),
+    ],
+    ids=[
+        "verify-rounds-0", "verify-negative-deadline", "verify-nan-deadline", "simulate-mix-2", "audit-dims-1",
+        "serve-negative-delay", "serve-nan-delay",
+    ],
+)
+def test_out_of_range_input_exits_1(capsys, monkeypatch, tmp_path, argv, message):
+    # each of these ended in a traceback, except the negative and NaN delays: those provers
+    # served, and every connection thread died in time.sleep
+    def serve_forever(self, *args):
+        raise AssertionError("the prover started serving")
+
+    monkeypatch.setattr(net.ProverServer, "serve_forever", serve_forever)
+    if argv[0] in ("verify", "serve-prover"):
+        argv = argv + ["--graph", _instance_file(tmp_path)]
+    if argv[0] == "verify":
+        argv += ["--prover-a", f"127.0.0.1:{_closed_port()}", "--prover-b", f"127.0.0.1:{_closed_port()}"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and message in err
 
 
 def test_gen_stdout_modes(capsys):

@@ -2,14 +2,17 @@
 
 Covers the per-round cost of a hung prover, latency attributed to the prover
 that was late, the session telemetry, why prover connections end, writes that
-never block, a prover that cannot be reached, and the prover's label decode
-(`games.accepted_draws` and `games.labelling_at`) against `round_labelling`.
+never block, a prover that cannot be reached or misbehaves on the wire, and
+the prover's label decode (`games.accepted_draws` and `games.labelling_at`)
+against `round_labelling`.
 """
 
+import contextlib
 import json
 import random
 import selectors
 import socket
+import struct
 import threading
 import time
 
@@ -24,6 +27,8 @@ from colorproof.net import (
     ChallengeA,
     ChallengeB,
     Hello,
+    ResponseA,
+    ResponseB,
     SessionConfig,
     _Link,
     _Stream,
@@ -165,6 +170,112 @@ def test_session_names_the_prover_it_cannot_reach(inst, provers):
 
 
 # ---------------------------------------------------------------------------
+# A prover that misbehaves on the wire
+
+UNKNOWN_TYPE = b"\x00\x00\x00\x01\x63"  # a whole frame of type 0x63, which does not exist
+OVERSIZE = struct.pack(">IB", net.MAX_PAYLOAD + 1, 5)  # a header too long to skip
+
+
+def _rogue_b(script, connections=1):
+    """A fake prover B that runs `script(conn, stream)` on each of `connections` connections."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            for _ in range(connections):
+                conn, _ = listener.accept()
+                with conn, contextlib.suppress(OSError):
+                    script(conn, _Stream(conn))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+def _drain(conn):
+    """Reads until the verifier closes the connection."""
+    conn.settimeout(10.0)
+    while conn.recv(65536):
+        pass
+
+
+def _honest_b(inst, msg):
+    lab = round_labelling(inst.witness, 42, msg.round)
+    w = lab.w0 if msg.b == 0 else lab.w1
+    return net.encode(ResponseB(msg.round, w[msg.i], w[msg.j]))
+
+
+def test_garbage_instead_of_hello_aborts_the_session(capsys, tmp_path, inst, provers):
+    def garbage_hello(conn, stream):
+        conn.sendall(UNKNOWN_TYPE)
+        _drain(conn)
+
+    addr, thread = _rogue_b(garbage_hello, connections=2)
+    cfg = SessionConfig(inst.graph, rounds=3, deadline_ns=10**8, seed=1, addr_a=provers[0].address, addr_b=addr)
+    with pytest.raises(net.SessionError, match="handshake with prover B failed: unknown message type 99"):
+        run_verifier_session(cfg)
+
+    from colorproof.cli import main
+
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst.graph.to_dict(inst.witness)))
+    code = main(["verify", "--graph", str(path), "--prover-a", "%s:%d" % provers[0].address,
+                 "--prover-b", "%s:%d" % addr, "--rounds", "3"])
+    thread.join(timeout=5.0)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: handshake with prover B failed")
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [UNKNOWN_TYPE, net.encode(ResponseA(1, (0, 0, 0, 0)))],
+    ids=["unknown-type", "response-of-prover-a"],
+)
+def test_a_bad_frame_rejects_its_round_and_the_session_goes_on(inst, provers, frame):
+    def bad_frame_in_round_1(conn, stream):
+        stream.send(stream.read_frame(timeout=5.0))
+        while not isinstance(msg := stream.read_frame(timeout=5.0), Bye):
+            if isinstance(msg, ChallengeB):
+                conn.sendall(frame if msg.round == 1 else _honest_b(inst, msg))
+
+    addr, thread = _rogue_b(bad_frame_in_round_1)
+    cfg = SessionConfig(inst.graph, rounds=4, deadline_ns=2_000_000_000, seed=5,
+                        addr_a=provers[0].address, addr_b=addr)
+    t0 = time.monotonic()
+    rep = run_verifier_session(cfg)
+    elapsed = time.monotonic() - t0
+    thread.join(timeout=5.0)
+    assert [t.verdict.reason for t in rep.transcripts] == [None, Reason.TIMEOUT, None, None]
+    assert rep.accepted == 3 and rep.rejected_timeout == 1
+    assert elapsed < 1.0  # the bad frame fails round 1 at once, not at its 2 s deadline
+    assert not thread.is_alive()  # B read the session to its Bye
+
+
+def test_an_oversize_header_closes_the_link_and_later_rounds_reject_at_once(inst, provers):
+    def oversize_in_round_1(conn, stream):
+        stream.send(stream.read_frame(timeout=5.0))
+        while not (isinstance(msg := stream.read_frame(timeout=5.0), ChallengeB) and msg.round == 1):
+            if isinstance(msg, ChallengeB):
+                conn.sendall(_honest_b(inst, msg))
+        conn.sendall(OVERSIZE)
+        _drain(conn)  # hold the connection open: only the header can end the link
+
+    addr, thread = _rogue_b(oversize_in_round_1)
+    rounds, deadline_s = 6, 2.0
+    cfg = SessionConfig(inst.graph, rounds=rounds, deadline_ns=int(deadline_s * 1e9), seed=5,
+                        addr_a=provers[0].address, addr_b=addr)
+    t0 = time.monotonic()
+    rep = run_verifier_session(cfg)
+    elapsed = time.monotonic() - t0
+    thread.join(timeout=5.0)
+    assert rep.accepted == 1 and rep.rejected_timeout == rounds - 1
+    assert all(t.recv_b_ns is None for t in rep.timings[1:])
+    assert elapsed < 1.0  # five rounds that waited their deadlines would take 10 s
+    assert not thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
 # Verifier timing
 
 
@@ -208,27 +319,26 @@ def test_hung_prover_costs_deadline_plus_grace_per_round(inst, provers):
     assert rounds * deadline_s <= elapsed < rounds * (deadline_s + GRACE_S) + 0.5
 
 
-def test_latency_is_blamed_on_the_late_prover(inst, provers):
-    _, pb = provers
-    slow_a = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42, delay_s=0.05)
-    try:
-        cfg = SessionConfig(inst.graph, rounds=4, deadline_ns=1_000_000_000, seed=5,
-                            addr_a=slow_a.address, addr_b=pb.address)
-        rep = run_verifier_session(cfg)
-        assert rep.accepted == 4
-        for t in rep.timings:
-            assert t.recv_a_ns - t.send_a_ns >= 50_000_000
-            assert t.recv_b_ns - t.send_b_ns < 10_000_000
-        # a deadline between the two latencies rejects every round, and B stays fast
-        cfg = SessionConfig(inst.graph, rounds=4, deadline_ns=25_000_000, seed=6,
-                            addr_a=slow_a.address, addr_b=pb.address)
-        rep = run_verifier_session(cfg)
-        assert rep.rejected_timeout == 4
-        for t in rep.timings:
-            assert t.recv_b_ns - t.send_b_ns < 10_000_000
-            assert t.recv_a_ns is None or t.recv_a_ns - t.send_a_ns >= 50_000_000
-    finally:
-        slow_a.stop()
+def test_latency_is_blamed_on_the_late_prover(tmp_path, inst, spawn_prover):
+    # both provers run as serve-prover processes: a prover thread in this
+    # interpreter would add its scheduling tail to B's latency
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst.graph.to_dict(inst.witness)))
+    slow_a = spawn_prover(path, "a", 42, delay_ms=50)
+    pb = spawn_prover(path, "b", 42)
+    cfg = SessionConfig(inst.graph, rounds=4, deadline_ns=1_000_000_000, seed=5, addr_a=slow_a, addr_b=pb)
+    rep = run_verifier_session(cfg)
+    assert rep.accepted == 4
+    for t in rep.timings:
+        assert t.recv_a_ns - t.send_a_ns >= 50_000_000
+        assert t.recv_b_ns - t.send_b_ns < 10_000_000
+    # a deadline between the two latencies rejects every round, and B stays fast
+    cfg = SessionConfig(inst.graph, rounds=4, deadline_ns=25_000_000, seed=6, addr_a=slow_a, addr_b=pb)
+    rep = run_verifier_session(cfg)
+    assert rep.rejected_timeout == 4
+    for t in rep.timings:
+        assert t.recv_b_ns - t.send_b_ns < 10_000_000
+        assert t.recv_a_ns is None or t.recv_a_ns - t.send_a_ns >= 50_000_000
 
 
 def test_writes_never_block_and_arrive_in_order():
@@ -338,6 +448,40 @@ def test_prover_counts_why_connections_end(monkeypatch, inst, reason):
     finally:
         server.stop()
     assert closes == {**dict.fromkeys(net.CLOSE_REASONS, 0), reason: 1}
+
+
+def test_an_exception_escaping_a_connection_reaches_threading_excepthook(monkeypatch, inst):
+    # socketserver's own handle_error would print it and go on; the prover re-raises it
+    seen = []
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(net, "_serve_connection", broken)
+    monkeypatch.setattr(threading, "excepthook", seen.append)
+    server = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
+    try:
+        with socket.create_connection(server.address, timeout=2.0):
+            pass
+        deadline = time.monotonic() + 5.0
+        while not seen and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        server.stop()
+    assert [str(args.exc_value) for args in seen] == ["boom"]
+    assert sum(server.closes.values()) == 0
+
+
+def test_stop_returns_promptly_started_or_not(inst):
+    for started in (False, True):
+        server = net.ProverServer(inst, "a", shared_seed=42)
+        if started:
+            server.start()
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 0.5
+        with pytest.raises(OSError):  # the listening socket is closed
+            socket.create_connection(server.address, timeout=1.0).close()
 
 
 def test_session_ends_with_bye_on_both_provers(inst):

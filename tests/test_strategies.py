@@ -9,9 +9,15 @@ from colorproof.games import (
     ALT_RZKP,
     BCS,
     VERTEX,
+    EdgeChallenge,
     GameKind,
     GameType,
     Reason,
+    RzkpChallenge,
+    RzkpResponseA,
+    RzkpResponseB,
+    Transcript,
+    Verdict,
     half_a,
     half_b,
     play_rounds,
@@ -174,6 +180,29 @@ def test_uniformity_by_edge_is_one_pass_of_per_edge_reports():
     assert reports == {e: transcript_uniformity(log, e) for e in g.edges}
     with pytest.raises(NoSamplesError):
         uniformity_by_edge(log, [g.edges[0], (40, 41)])
+
+
+def test_uniformity_by_edge_on_hand_built_transcripts():
+    ok, timeout = Verdict(True), Verdict(False, Reason.TIMEOUT)
+    ch = RzkpChallenge((0, 1), (1, 2), 0)
+
+    def rzkp(w, challenge=ch):
+        return Transcript(0, challenge, RzkpResponseA(w), RzkpResponseB((0, 0)), ok)
+
+    log = [
+        rzkp((0, 1, 0, 0)),
+        rzkp((0, 1, 0, 0)),
+        rzkp((1, 1, 0, 0)),
+        rzkp((0, 0, 1, 2)),  # inadmissible: both sums are 0 mod 3
+        Transcript(0, EdgeChallenge((0, 1), 0), RzkpResponseA((2, 2, 2, 2)), None, ok),  # not alt-rzkp
+        rzkp((2, 2, 2, 2), RzkpChallenge((1, 2), (0, 1), 1)),  # another A edge
+        Transcript(0, ch, None, None, timeout),  # no answer from A
+    ]
+    rep = uniformity_by_edge(log, [(0, 1)])[(0, 1)]
+    assert (rep.samples, rep.support) == (4, 3)
+    assert rep.counts == {"0,0,1,2": 1, "0,1,0,0": 2, "1,1,0,0": 1}
+    # TV = 1 - sum over admissible q of min(p(q), 1/54) = 1 - 2/54, the inadmissible 1/4 included in full
+    assert rep.tv_from_uniform == pytest.approx(26 / 27, rel=1e-12)
 
 
 def test_fixed_coloring_transcripts_collapse(k3):
