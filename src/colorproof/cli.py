@@ -111,6 +111,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.rounds < 1:
+        raise CliError(f"--rounds must be at least 1, got {args.rounds}")
     inst = _load_instance(args.graph) if args.graph else graphs.gen_planted(args.nodes, args.edges, args.seed)
     kind = games.GameKind(KIND_NAMES[args.kind], args.mix)
     if args.strategy == "honest":
@@ -183,6 +185,8 @@ def _cmd_audit_quantum(args) -> int:
 
     if args.dims < 2:
         raise CliError(f"--dims must be at least 2, got {args.dims}")
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     summary = run_certificate_sweep(samples=args.samples, seed=args.seed, max_dim=args.dims)
     payload = {"config": {"samples": args.samples, "seed": args.seed, "dims": args.dims}, **summary.to_dict()}
     lines = [f"config: samples={args.samples} seed={args.seed} dims={args.dims}"]

@@ -333,6 +333,24 @@ def _rzkp_sample(t: ChallengeTable, rng: random.Random) -> int:
     return t[((e * 2 + b) * 2 + s) * t.radix + k]
 
 
+# Each replay makes its variant's sampler draws and then skips a labelling draw, `count` times (see `GameSpec`).
+# `while (x := words[(p := p + 1)] >> shift) >= n: pass` is CPython's `x = randrange(n)`, shift = 32 - n.bit_length();
+# `random() < mix` is `(a >> 5 << 26 | b >> 6) < mix * 2**53` on the next two words a and b.
+def _rzkp_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: list, starts: list) -> None:
+    words, acc, rank, pos = s.words, memoryview(s.accepted), memoryview(s.rank), s.pos
+    ne, se, ends, radix = t.ne, 32 - t.ne.bit_length(), t.ends, t.radix
+    for _ in range(count):
+        p = pos - 1
+        while (e := words[(p := p + 1)] >> se) >= ne: pass
+        while (b := words[(p := p + 1)] >> 30) >= 2: pass
+        while (side := words[(p := p + 1)] >> 30) >= 2: pass
+        d, sd = ends[2 * e + side]
+        while (k := words[(p := p + 1)] >> sd) >= d: pass
+        pos = acc[(r := rank[p + 1]) + draws - 1] + 1  # past the next `draws` accepted words
+        keys.append(((e * 2 + b) * 2 + side) * radix + k)
+        starts.append(r)
+
+
 def _rzkp_member(t: ChallengeTable, key: int) -> RzkpChallenge:
     ebs, k = divmod(key, t.radix)
     i, j = t.edges[ebs >> 2]
@@ -412,6 +430,18 @@ def _edge_sample(t: ChallengeTable, rng: random.Random) -> int:
     return t[2 * e + rng.randrange(2)]
 
 
+def _edge_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: list, starts: list) -> None:
+    words, acc, rank, pos = s.words, memoryview(s.accepted), memoryview(s.rank), s.pos
+    ne, se = t.ne, 32 - t.ne.bit_length()
+    for _ in range(count):
+        p = pos - 1
+        while (e := words[(p := p + 1)] >> se) >= ne: pass
+        while (side := words[(p := p + 1)] >> 30) >= 2: pass
+        pos = acc[(r := rank[p + 1]) + draws - 1] + 1
+        keys.append(2 * e + side)
+        starts.append(r)
+
+
 def _edge_member(t: ChallengeTable, key: int) -> EdgeChallenge:
     edge = t.edges[key >> 1]
     return EdgeChallenge(edge_a=edge, vertex_b=edge[key & 1])
@@ -460,6 +490,25 @@ def _bcs_sample(t: ChallengeTable, rng: random.Random) -> int:
         return t[(e * 3 + alpha) * 2 + rng.randrange(2)]
     i = rng.randrange(t.n)
     return t[-1 - (i * 3 + rng.randrange(3))]
+
+
+def _bcs_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: list, starts: list) -> None:
+    words, acc, rank, pos = s.words, memoryview(s.accepted), memoryview(s.rank), s.pos
+    n, ne, sn, se, cut = t.n, t.ne, 32 - t.n.bit_length(), 32 - t.ne.bit_length(), t.mix * 2**53
+    for _ in range(count):
+        p = pos + 1
+        if (words[pos] >> 5 << 26 | words[p] >> 6) < cut:
+            while (e := words[(p := p + 1)] >> se) >= ne: pass
+            while (alpha := words[(p := p + 1)] >> 30) >= 3: pass
+            while (side := words[(p := p + 1)] >> 30) >= 2: pass
+            key = (e * 3 + alpha) * 2 + side
+        else:
+            while (i := words[(p := p + 1)] >> sn) >= n: pass
+            while (beta := words[(p := p + 1)] >> 30) >= 3: pass
+            key = -1 - (i * 3 + beta)
+        pos = acc[(r := rank[p + 1]) + draws - 1] + 1
+        keys.append(key)
+        starts.append(r)
 
 
 def _bcs_member(t: ChallengeTable, key: int) -> BcsChallenge:
@@ -572,6 +621,21 @@ def _vertex_sample(t: ChallengeTable, rng: random.Random) -> int:
     return t[rng.randrange(t.ne)]
 
 
+def _vertex_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: list, starts: list) -> None:
+    words, acc, rank, pos = s.words, memoryview(s.accepted), memoryview(s.rank), s.pos
+    n, ne, sn, se, cut = t.n, t.ne, 32 - t.n.bit_length(), 32 - t.ne.bit_length(), t.mix * 2**53
+    for _ in range(count):
+        p = pos + 1
+        if (words[pos] >> 5 << 26 | words[p] >> 6) < cut:
+            while (i := words[(p := p + 1)] >> sn) >= n: pass
+            key = -1 - i
+        else:
+            while (key := words[(p := p + 1)] >> se) >= ne: pass
+        pos = acc[(r := rank[p + 1]) + draws - 1] + 1
+        keys.append(key)
+        starts.append(r)
+
+
 def _vertex_member(t: ChallengeTable, key: int) -> VertexChallenge:
     i, j = (-1 - key,) * 2 if key < 0 else t.edges[key]
     return VertexChallenge(i, j)
@@ -625,16 +689,25 @@ class GameSpec:
     a quantum strategy hold them, which seeded strategy draws depend on.
     `honest_a(lab, key)` is the honest outcome for one labelling.
 
-    The batch round engine reads three more entries. `flat(ch)` writes a
-    challenge as a fixed-width int row (`ChallengeTable.rows` holds them).
-    `honest_columns(C, lab)` gives the honest A and B payloads of a block of
-    such rows as int columns (a 2-D array for tuple payloads, padded with -1
-    past a row's arity, a 1-D one for int payloads). `check_columns(C, A, B)` is `check` on columns: one
+    The batch round engine reads five more entries. `replay(t, stream, draws,
+    count, keys, starts)` plays `count` rounds of a `WordStream` from
+    `stream.pos` in one loop, each `sample`'s draws and then `draws` accepted
+    words of labels. It appends the key `sample` would look up in `t` to
+    `keys` and the rank of the first label word among the accepted words to
+    `starts`, and raises IndexError where the buffer ends. `sample_words`
+    bounds the words one `sample` is expected to read (2 per `randrange` and
+    per `random()`). `flat(ch)` writes a challenge as a fixed-width int row
+    (`ChallengeTable.rows` holds them). `honest_columns(C, lab)` gives the
+    honest A and B payloads of a block of such rows as int columns (a 2-D
+    array for tuple payloads, padded with -1 past a row's arity, a 1-D one
+    for int payloads). `check_columns(C, A, B)` is `check` on columns: one
     code per round, indexing `VERDICT_OF_CODE`.
     """
 
     game: GameType
     sample: Callable[[ChallengeTable, random.Random], int]
+    replay: Callable[[ChallengeTable, WordStream, int, int, list, list], None]
+    sample_words: int
     member: Callable[[ChallengeTable, int], Challenge]
     pmf: Callable[[Graph, float], dict]
     half_a: Callable[[Challenge], object]
@@ -664,6 +737,8 @@ SPECS = {
     GameType.ALT_RZKP: GameSpec(
         game=GameType.ALT_RZKP,
         sample=_rzkp_sample,
+        replay=_rzkp_replay,
+        sample_words=8,
         member=_rzkp_member,
         pmf=_rzkp_pmf,
         half_a=lambda ch: ch.edge_a,
@@ -686,6 +761,8 @@ SPECS = {
     GameType.ALT_EDGE: GameSpec(
         game=GameType.ALT_EDGE,
         sample=_edge_sample,
+        replay=_edge_replay,
+        sample_words=4,
         member=_edge_member,
         pmf=_edge_pmf,
         half_a=lambda ch: ch.edge_a,
@@ -708,6 +785,8 @@ SPECS = {
     GameType.BCS: GameSpec(
         game=GameType.BCS,
         sample=_bcs_sample,
+        replay=_bcs_replay,
+        sample_words=8,
         member=_bcs_member,
         pmf=_bcs_pmf,
         half_a=lambda ch: ch.constraint,
@@ -730,6 +809,8 @@ SPECS = {
     GameType.VERTEX: GameSpec(
         game=GameType.VERTEX,
         sample=_vertex_sample,
+        replay=_vertex_replay,
+        sample_words=4,
         member=_vertex_member,
         pmf=_vertex_pmf,
         half_a=lambda ch: ch.vertex_a,
@@ -788,6 +869,7 @@ class ChallengeTable(dict):
         self.spec, self.mix, self.n, self.edges, self.adjacency = spec, mix, g.n, g.edges, g.adjacency
         self.ne = len(g.edges)
         self.radix = g.max_degree  # rzkp's neighbour draw is the key's lowest digit
+        self.ends = [(d, 32 - d.bit_length()) for e in g.edges for d in map(g.degree, e)]  # at 2e + s, for rzkp
         self.members: list = []
         self._rows = np.empty((0, 0), np.int64)
         self.responses = (_Responses(spec.response_a), _Responses(spec.response_b))  # for the batch log
@@ -890,8 +972,9 @@ def play_rounds(
     `mismatched_pair`) are replayed in bulk when their `shared` is a
     `LabellingDraw` and their answers are `labelled_answer_a`/`_b`, both
     colorings have `g.n` entries and every color is an int in {0, 1, 2}.
-    That path consumes the same words of the same stream and returns equal
-    stats and transcripts, reading challenge rows from the table by index and
+    That path plays each block of words in one loop (`spec.replay`) and
+    consumes the same words of the same stream, so it returns equal stats
+    and transcripts, reading challenge rows from the table by index and
     logging interned responses; every other pair, a pair rebuilt with other
     callables included, runs the scalar loop.
     """
@@ -959,91 +1042,41 @@ def _replayable_draw(pair, g: Graph) -> Optional[LabellingDraw]:
 # So digits 0-5 are `randrange(6)` values and `digit >> 1` is `randrange(3)`'s.
 REJECTED = 6
 DRAW_DIGITS = bytes(min(b >> 5, REJECTED) for b in range(256))
-_REFILL_WORDS = 1 << 12
 _BLOCK_WORDS = 1 << 20  # about the words one block of rounds draws, which bounds the buffer
 
 
 class WordStream:
-    """A `random.Random` stream drawn in bulk as 32-bit words and replayed.
+    """A `random.Random` stream drawn in bulk as 32-bit words, for `GameSpec.replay`.
 
     Each word is one output of the generator (MT19937's `genrand_uint32`).
     `rng.randbytes(4 * W)` is `getrandbits(32 * W)` in little-endian order:
     the next W words, in draw order, read as `'<u4'` on any platform. The
-    methods consume words as CPython's `random.Random` does: `randrange(n)`
-    takes the top `n.bit_length()` bits of a word and draws again while the
-    value is >= n; `random()` takes two words a, b and returns
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53. Reading past the buffer draws
-    more words from the same rng, which continues the stream exactly.
+    buffer also keeps the positions of the words that `randrange(3)` accepts
+    (`accepted`) and each position's rank among them (`rank[p]`, the number
+    of accepted words before p).
     """
 
-    __slots__ = ("_rng", "_raw", "words", "digits", "pos")
+    __slots__ = ("_rng", "_raw", "words", "accepted", "rank", "pos")
 
     def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._reset(b"")
+        self._rng, self._raw = rng, b""  # the words and their index come with the first `extend`
         self.pos = 0  # the next word to consume
 
     def _reset(self, raw: bytes) -> None:
-        # `digits` holds each word's digit (see DRAW_DIGITS)
         self._raw = raw
-        self.words = memoryview(np.frombuffer(raw, "<u4").astype(np.uint32, copy=False))
-        self.digits = raw[3::4].translate(DRAW_DIGITS)
+        words = np.frombuffer(raw, "<u4").astype(np.uint32, copy=False)
+        self.words = memoryview(words)
+        accepted = np.concatenate(([False], words < 3 << 30))  # the top two bits are not 11 (see DRAW_DIGITS)
+        self.accepted, self.rank = np.flatnonzero(accepted[1:]), np.cumsum(accepted)
 
     def extend(self, count: int) -> None:
-        """Draw `count` more words from the rng."""
+        """Draw `count` more words from the rng, which continues its stream exactly."""
         self._reset(self._raw + self._rng.randbytes(4 * count))
-
-    def _refill(self) -> None:
-        # an eighth of the buffer at least, so that copying it on each refill costs O(1) per word
-        self.extend(max(_REFILL_WORDS, len(self.digits) // 8))
 
     def drop_consumed(self) -> None:
         """Forget the words before `pos` (positions restart at 0)."""
         self._reset(self._raw[4 * self.pos :])
         self.pos = 0
-
-    def randrange(self, n: int) -> int:
-        words, pos = self.words, self.pos
-        shift = 32 - n.bit_length()
-        try:
-            r = words[pos] >> shift
-            while r >= n:  # never false for n <= 0, which ends at the buffer's end
-                pos += 1
-                r = words[pos] >> shift
-        except IndexError:  # the words read so far were rejected: go on after them
-            if n <= 0:
-                raise ValueError(f"empty range for randrange({n})") from None
-            self.pos = pos
-            self._refill()
-            return self.randrange(n)
-        self.pos = pos + 1
-        return r
-
-    def random(self) -> float:
-        words, pos = self.words, self.pos
-        try:
-            a, b = words[pos] >> 5, words[pos + 1] >> 6
-        except IndexError:
-            self._refill()
-            return self.random()
-        self.pos = pos + 2
-        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
-
-    def skip_labels(self, n: int) -> int:
-        """Consume n draws of `randrange(3)`; returns the position of their first word."""
-        first = p = self.pos
-        q = p + n
-        digits = self.digits
-        rejected = digits.count(REJECTED, p, q)
-        while rejected:
-            p = q
-            q += rejected
-            rejected = digits.count(REJECTED, p, q)
-        if q > len(digits):  # counted past the buffer: draw more and count again
-            self._refill()
-            return self.skip_labels(n)
-        self.pos = q
-        return first
 
 
 def accepted_draws(rng: random.Random, need: int) -> bytes:
@@ -1073,26 +1106,26 @@ def labelling_at(colors, draws: bytes, vertices) -> Labelled:
 
 
 _PERM_TABLE = np.array(PERMS3)
+_DIGITS = np.frombuffer(DRAW_DIGITS, np.uint8)
 
 
 class LabelColumns:
     """The labellings of a block of rounds, read at one vertex per round.
 
-    `firsts` holds where each round's `LabellingDraw` starts in the
-    stream's buffer. A permuting round's first accepted word is its
-    permutation and the next n accepted words are its bit-0 labels, all read
-    from the stream's digits (see DRAW_DIGITS).
+    `starts` holds each round's `LabellingDraw` start as a rank among the
+    accepted words of the stream's buffer. A permuting round's first
+    accepted word is its permutation and the next n accepted words are its
+    bit-0 labels, each read from its word's top byte (see DRAW_DIGITS).
     """
 
-    def __init__(self, draw: LabellingDraw, stream: WordStream, firsts: list):
+    def __init__(self, draw: LabellingDraw, stream: WordStream, starts: list):
         self._colors_a = _PERM_TABLE[:, list(draw.colors_a)]
         self._colors_b = _PERM_TABLE[:, list(draw.colors_b)]
-        self._digits = np.frombuffer(stream.digits, np.uint8)
-        self._accepted = np.flatnonzero(self._digits != REJECTED)
-        self._first = np.searchsorted(self._accepted, firsts)
+        self._words, self._accepted = np.asarray(stream.words), stream.accepted
+        self._first = np.array(starts)
         self._perms = 0
         if draw.permute:
-            self._perms = self._digits[self._accepted[self._first]]
+            self._perms = _DIGITS[self._words[self._accepted[self._first]] >> 24]
             self._first += 1
 
     def colors_a(self, v: np.ndarray) -> np.ndarray:
@@ -1102,7 +1135,7 @@ class LabelColumns:
         return self._colors_b[self._perms, v]
 
     def w0(self, v: np.ndarray) -> np.ndarray:
-        return (self._digits[self._accepted[self._first + v]] >> 1).astype(np.int64)
+        return (_DIGITS[self._words[self._accepted[self._first + v]] >> 24] >> 1).astype(np.int64)
 
 
 class _Responses(dict):
@@ -1134,29 +1167,32 @@ class _Responses(dict):
 def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, rng: random.Random, keep_log: bool):
     """The scalar loop's accept count and log for a `LabellingDraw` pair, from the same rng words.
 
-    Python runs the sampler per round, which yields a table index; the
-    labelling draw is skipped in C, and only the labels the round reads are
-    decoded afterwards, with the answers and the verdicts, as numpy columns.
+    `spec.replay` gives a block's challenge keys and label starts; only the labels the rounds read
+    are decoded afterwards, with the answers and the verdicts, as numpy columns.
     """
     spec = SPECS[kind.game]
     table = challenge_table(kind, g)
-    sample, n, permute = spec.sample, g.n, draw.permute
-    per_round = 4 * n // 3 + 16  # about the words of one round: n labels, the permutation, the challenge
-    block = max(1, _BLOCK_WORDS // per_round)
-    draws = n + 1 if permute else n  # see LabelColumns
+    draws = g.n + 1 if draw.permute else g.n  # see LabelColumns
+    per_round = 4 * draws / 3 + spec.sample_words  # a bound on a round's expected words
+    block = max(1, int(_BLOCK_WORDS / per_round))
     stream = WordStream(rng)
-    skip_labels = stream.skip_labels
     accepts = 0
     log: Optional[list[Transcript]] = [] if keep_log else None
     for start in range(0, rounds, block):
         count = min(block, rounds - start)
-        stream.extend(count * per_round)
-        idx, firsts = [], []
-        for _ in range(count):
-            idx.append(sample(table, stream))
-            firsts.append(skip_labels(draws))
+        if start:
+            stream.drop_consumed()
+        stream.extend(int(count * per_round + math.sqrt(count * per_round)))  # margin: about 1.5 standard deviations
+        keys, starts = [], []
+        while len(keys) < count:
+            try:
+                spec.replay(table, stream, draws, count - len(keys), keys, starts)
+            except IndexError:  # the buffer ended inside a round: draw more words and replay from that round
+                stream.extend(int((count - len(keys)) * per_round))
+            stream.pos = int(stream.accepted[starts[-1] + draws - 1]) + 1 if starts else 0  # past the last round
+        idx = list(map(table.__getitem__, keys))
         C = table.rows()[idx]
-        A, B = spec.honest_columns(C, LabelColumns(draw, stream, firsts))
+        A, B = spec.honest_columns(C, LabelColumns(draw, stream, starts))
         codes = spec.check_columns(C, A, B)
         accepts += count - int(np.count_nonzero(codes))
         if log is not None:
@@ -1164,7 +1200,6 @@ def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, r
             ra, rb = table.responses[0].of(A), table.responses[1].of(B)
             verdicts = map(VERDICT_OF_CODE.__getitem__, codes.tolist())
             log.extend(map(Transcript, range(start, start + count), chs, ra, rb, verdicts))
-        stream.drop_consumed()
     return accepts, log
 
 

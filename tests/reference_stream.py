@@ -1,0 +1,56 @@
+"""A per-draw reference for `games.WordStream`: CPython's draws replayed one call at a time.
+
+The batch round engine replays each block's draws in one fused loop per
+variant (`GameSpec.replay`). This class keeps the draw-at-a-time reading of
+the same words, as the reference the tests hold that loop and the stream to.
+"""
+
+from colorproof.games import WordStream
+
+_REFILL_WORDS = 1 << 12
+
+
+class ReferenceStream(WordStream):
+    """A `WordStream` with `random.Random`'s `randrange(n)` and `random()`, one word read at a time."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.extend(0)
+
+    def _refill(self) -> None:
+        # an eighth of the buffer at least, so that copying it on each refill costs O(1) per word
+        self.extend(max(_REFILL_WORDS, len(self.words) // 8))
+
+    def randrange(self, n: int) -> int:
+        words, pos = self.words, self.pos
+        shift = 32 - n.bit_length()
+        try:
+            r = words[pos] >> shift
+            while r >= n:  # never false for n <= 0, which ends at the buffer's end
+                pos += 1
+                r = words[pos] >> shift
+        except IndexError:  # the words read so far were rejected: go on after them
+            if n <= 0:
+                raise ValueError(f"empty range for randrange({n})") from None
+            self.pos = pos
+            self._refill()
+            return self.randrange(n)
+        self.pos = pos + 1
+        return r
+
+    def random(self) -> float:
+        words, pos = self.words, self.pos
+        try:
+            a, b = words[pos] >> 5, words[pos + 1] >> 6
+        except IndexError:
+            self._refill()
+            return self.random()
+        self.pos = pos + 2
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def skip_labels(self, n: int) -> int:
+        """Consume n draws of `randrange(3)`; returns the position of their first word."""
+        first = self.pos
+        for _ in range(n):
+            self.randrange(3)
+        return first

@@ -34,6 +34,7 @@ from colorproof.games import (
 )
 from colorproof.graphs import Graph, gen_planted, make_graph
 from colorproof.strategies import fixed_coloring_pair, honest_pair
+from reference_stream import ReferenceStream
 
 
 def reference_sample(kind: GameKind, g: Graph, rng) -> games.Challenge:
@@ -98,7 +99,7 @@ def test_sampler_matches_reference_word_for_word(name, kind, stream):
     g = GRAPHS[name]()
     for seed in (1, 2):
         ref = random.Random(seed)
-        rng = WordStream(random.Random(seed)) if stream else random.Random(seed)
+        rng = ReferenceStream(random.Random(seed)) if stream else random.Random(seed)
         if stream:
             rng.extend(7)  # a small buffer: the draws cross many refills
         t = challenge_table(kind, g)

@@ -204,18 +204,22 @@ def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
         (["verify", "--deadline-ms", "-1"], "deadline must be nonnegative"),
         (["verify", "--deadline-ms", "nan"], "--deadline-ms must be finite"),
         (["simulate", "--mix", "2", "--rounds", "10"], "mixture weight 2.0"),
+        (["simulate", "--rounds", "0"], "--rounds must be at least 1"),
         (["audit-quantum", "--dims", "1", "--samples", "2"], "--dims must be at least 2"),
+        (["audit-quantum", "--samples", "0"], "--samples must be at least 1"),
+        (["audit-quantum", "--samples", "-1"], "--samples must be at least 1"),
         (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "-5"], "finite and nonnegative"),
         (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "nan"], "finite and nonnegative"),
     ],
     ids=[
-        "verify-rounds-0", "verify-negative-deadline", "verify-nan-deadline", "simulate-mix-2", "audit-dims-1",
-        "serve-negative-delay", "serve-nan-delay",
+        "verify-rounds-0", "verify-negative-deadline", "verify-nan-deadline", "simulate-mix-2", "simulate-rounds-0",
+        "audit-dims-1", "audit-samples-0", "audit-samples-minus-1", "serve-negative-delay", "serve-nan-delay",
     ],
 )
 def test_out_of_range_input_exits_1(capsys, monkeypatch, tmp_path, argv, message):
     # each of these ended in a traceback, except the negative and NaN delays: those provers
-    # served, and every connection thread died in time.sleep
+    # served, and every connection thread died in time.sleep; and simulate with no rounds and
+    # audit-quantum with no samples, which reported a perfect rate or PASS for no work
     def serve_forever(self, *args):
         raise AssertionError("the prover started serving")
 

