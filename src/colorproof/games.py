@@ -277,10 +277,12 @@ def _reject(reason: Reason) -> Verdict:
     return Verdict(False, reason)
 
 
-# the column verdicts return one code per round: 0 accepts, k rejects with the k-th Reason
+# one code per verdict: 0 accepts, k rejects with the k-th Reason; the column verdicts
+# return these codes, and net's Result frames carry them
+REASON_CODE = {None: 0, **{r: code for code, r in enumerate(Reason, 1)}}
 VERDICT_OF_CODE = (ACCEPT, *(_reject(r) for r in Reason))
 _MALFORMED, _EDGE, _WELL, _CONSTRAINT = (
-    list(Reason).index(r) + 1
+    REASON_CODE[r]
     for r in (Reason.MALFORMED, Reason.EDGE_VERIFICATION, Reason.WELL_DEFINITION, Reason.CONSTRAINT_SATISFACTION)
 )
 _PAD = -1  # fills a payload column past the row's arity (bcs A answers two bits to an edge constraint)

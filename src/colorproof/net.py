@@ -39,6 +39,7 @@ from typing import Optional, Union
 
 from .games import (
     ALT_RZKP,
+    REASON_CODE,
     SPECS,
     GameType,
     Labelled,
@@ -72,17 +73,7 @@ T_RESPONSE_B = 5
 T_RESULT = 6
 T_BYE = 7
 
-GAME_CODES = {GameType.ALT_RZKP: 1}  # the only game the wire carries
-
-REASON_CODES = {
-    None: 0,
-    Reason.EDGE_VERIFICATION: 1,
-    Reason.WELL_DEFINITION: 2,
-    Reason.CONSTRAINT_SATISFACTION: 3,
-    Reason.MALFORMED: 4,
-    Reason.TIMEOUT: 5,
-}
-REASON_FROM_CODE = {v: k for k, v in REASON_CODES.items()}
+GAME_CODE = 1  # HELLO's code for alt-rzkp, the only game the wire carries
 
 
 class FrameError(ValueError):
@@ -187,7 +178,7 @@ def _check_fields(t: int, values: tuple) -> None:
         if not 0 <= value < limit:
             raise FieldRangeError(f"{name}={value} outside 0..{limit - 1}")
     if t == T_HELLO:
-        if values[1] not in GAME_CODES.values():
+        if values[1] != GAME_CODE:
             raise FieldRangeError(f"unknown game code {values[1]}")
         if len(values[2]) != 32:
             raise FieldRangeError("graph hash must be 32 bytes")
@@ -295,7 +286,7 @@ def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, sha
     """Answer one verifier; returns why the connection ended (one of CLOSE_REASONS)."""
     spec = SPECS[GameType.ALT_RZKP]
     stream = _Stream(conn)
-    hello_back = Hello(PROTOCOL_VERSION, GAME_CODES[GameType.ALT_RZKP], inst.graph.digest())
+    hello_back = Hello(PROTOCOL_VERSION, GAME_CODE, inst.graph.digest())
     try:
         conn.settimeout(HELLO_TIMEOUT_S)
         hello = stream.read_frame()
@@ -601,7 +592,7 @@ def run_verifier_session(cfg: SessionConfig) -> SessionReport:
         "prover B", cfg.addr_b
     ) as sock_b, selectors.DefaultSelector() as sel:
         sa, sb = _Stream(sock_a), _Stream(sock_b)
-        hello = Hello(PROTOCOL_VERSION, GAME_CODES[GameType.ALT_RZKP], g.digest())
+        hello = Hello(PROTOCOL_VERSION, GAME_CODE, g.digest())
         for s in (sa, sb):
             s.send(hello)
         for s, name in ((sa, "prover A"), (sb, "prover B")):
@@ -646,7 +637,7 @@ def run_verifier_session(cfg: SessionConfig) -> SessionReport:
                     report.rejected_check += 1
             report.transcripts.append(Transcript(r, ch, ra, rb, v))
             report.timings.append(RoundTiming(send_a, recv_a, send_b, recv_b))
-            result = encode(Result(r, int(v.accept), REASON_CODES[v.reason]))
+            result = encode(Result(r, int(v.accept), REASON_CODE[v.reason]))
         bye = result + encode(Bye())
         for link in (la, lb):
             link.write(bye)

@@ -67,6 +67,8 @@ def _check_inputs(n: int, m: int, max_deg: int) -> None:
         raise SoundnessError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if m > n * (n - 1) // 2:
         raise SoundnessError(f"edge count {m} impossible on {n} vertices")
+    if max_deg < 1 or 2 * m > n * max_deg:
+        raise SoundnessError(f"no graph on {n} vertices has {m} edges and max degree {max_deg}")
     if max_deg > n - 1 or 3 * n - 3 - 2 * max_deg <= 0:
         raise DegenerateDegreeError(f"extended minimum degree 3*{n}-3-2*{max_deg} is not positive")
 
@@ -115,8 +117,8 @@ def quantum_value_bound(
     the 1 - 1/m classical ceiling: eps* = (m * m' * bracket)^-4.
     """
     _check_inputs(n, m, max_deg)
-    if k <= 0:
-        raise SoundnessError(f"soundness exponent k must be positive, got {k}")
+    if not 0 < k < math.inf:
+        raise SoundnessError(f"soundness exponent k must be positive and finite, got {k}")
     n_ext, m_ext = extended_counts(n, m)
     with mp.workdps(_DPS):
         log10_base = mp.log10(mp.mpf(m)) + mp.log10(mp.mpf(m_ext)) + mp.log10(_bracket(n, m, max_deg, variant))

@@ -1,10 +1,11 @@
 """The event-loop verifier and the prover's partial label decode.
 
 Covers the per-round cost of a hung prover, latency attributed to the prover
-that was late, the session telemetry, why prover connections end, writes that
-never block, a prover that cannot be reached or misbehaves on the wire, and
-the prover's label decode (`games.accepted_draws` and `games.labelling_at`)
-against `round_labelling`.
+that was late, the reason byte of the verifier's `Result` frames, the session
+telemetry, why prover connections end, writes that never block, a prover
+that cannot be reached or misbehaves on the wire, and the prover's label
+decode (`games.accepted_draws` and `games.labelling_at`) against
+`round_labelling`.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import time
 import pytest
 
 from colorproof import net
-from colorproof.games import DRAW_DIGITS, REJECTED, Reason, accepted_draws, labelling_at
+from colorproof.games import DRAW_DIGITS, REASON_CODE, REJECTED, VERDICT_OF_CODE, Reason, accepted_draws, labelling_at
 from colorproof.graphs import PlantedInstance, gen_planted, three_color
 from colorproof.net import (
     GRACE_S,
@@ -360,6 +361,59 @@ def test_writes_never_block_and_arrive_in_order():
                 key.data.on_ready(mask)
             got += b.recv(65536)
         assert bytes(got) == payload and not link.queued
+
+
+# ---------------------------------------------------------------------------
+# Result frames
+
+
+def test_reason_codes_are_pinned():
+    # the reason byte of a Result frame is part of the wire format
+    assert REASON_CODE == {
+        None: 0,
+        Reason.EDGE_VERIFICATION: 1,
+        Reason.WELL_DEFINITION: 2,
+        Reason.CONSTRAINT_SATISFACTION: 3,
+        Reason.MALFORMED: 4,
+        Reason.TIMEOUT: 5,
+    }
+    assert [VERDICT_OF_CODE[code].reason for code in REASON_CODE.values()] == list(REASON_CODE)
+
+
+def test_result_frames_carry_the_reason_byte(inst, provers):
+    frames = []
+
+    def off_by_one_then_silent_then_honest(conn, stream):
+        # round 0: both labels one off the witness's (well-definition); round 1: no answer (timeout); then honest
+        conn.settimeout(10.0)
+        buf = b""
+        while chunk := conn.recv(65536):
+            buf += chunk
+            while len(buf) >= 4 and len(buf) >= (size := 4 + int.from_bytes(buf[:4], "big")):
+                frames.append(buf[:size])
+                msg, buf = net.decode(buf[:size]), buf[size:]
+                if isinstance(msg, Hello):
+                    conn.sendall(net.encode(msg))
+                elif isinstance(msg, ChallengeB) and msg.round == 0:
+                    lab = round_labelling(inst.witness, 42, 0)
+                    w = lab.w0 if msg.b == 0 else lab.w1
+                    conn.sendall(net.encode(ResponseB(0, (w[msg.i] + 1) % 3, (w[msg.j] + 1) % 3)))
+                elif isinstance(msg, ChallengeB) and msg.round > 1:
+                    conn.sendall(_honest_b(inst, msg))
+
+    addr, thread = _rogue_b(off_by_one_then_silent_then_honest)
+    cfg = SessionConfig(inst.graph, rounds=3, deadline_ns=500_000_000, seed=5,
+                        addr_a=provers[0].address, addr_b=addr)
+    rep = run_verifier_session(cfg)
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert [t.verdict.reason for t in rep.transcripts] == [Reason.WELL_DEFINITION, Reason.TIMEOUT, None]
+    # length, type 6, round, verdict byte, reason byte
+    assert [f.hex() for f in frames if f[4] == net.T_RESULT] == [
+        "0000000b" "06" "0000000000000000" "00" "02",
+        "0000000b" "06" "0000000000000001" "00" "05",
+        "0000000b" "06" "0000000000000002" "01" "00",
+    ]
 
 
 # ---------------------------------------------------------------------------

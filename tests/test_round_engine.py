@@ -240,7 +240,8 @@ def test_batch_equals_scalar_across_refills_and_blocks(monkeypatch):
     }
     extend = WordStream.extend
     monkeypatch.setattr(WordStream, "extend", lambda self, count: extend(self, min(count, 5)))
-    monkeypatch.setattr(games, "_BLOCK_WORDS", 500)  # blocks of 11 rounds, each carrying a tail over
+    # a round's word bound at n = 20 is 31 to 36 words, so blocks are 13 to 16 rounds, each carrying a tail over
+    monkeypatch.setattr(games, "_BLOCK_WORDS", 500)
     for kind in KINDS[:4]:
         for label, pair in _pairs(inst).items():
             assert play_rounds(kind, g, pair, 300, 9, keep_log=True) == want[(kind, label)], (kind, label)

@@ -117,6 +117,25 @@ def test_edge_win_floor_input_validation():
         edge_win_floor(4, 100, 2, 0.0)  # impossible edge count
 
 
+@pytest.mark.parametrize(
+    "n,m,max_deg",
+    [(10, 5, -1), (10, 5, 0), (10, 40, 1), (200, 401, 4)],
+    ids=["max-deg-minus-1", "max-deg-0", "2m-over-n-max-deg", "table-row-one-edge-too-many"],
+)
+def test_impossible_degree_bound_rejected(n, m, max_deg):
+    # no graph on n vertices with max degree max_deg has more than n*max_deg/2 edges
+    with pytest.raises(SoundnessError, match="no graph on"):
+        quantum_value_bound(n, m, max_deg)
+    with pytest.raises(SoundnessError, match="no graph on"):
+        edge_win_floor(n, m, max_deg, 0.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_non_finite_soundness_exponent_rejected(k):
+    with pytest.raises(SoundnessError, match="positive and finite"):
+        quantum_value_bound(10, 5, 4, k=k)
+
+
 def test_scaling_exponent_near_eight():
     pts = [(n, int(1.9 * n)) for n in (200, 400, 600, 900)]
     slope = scaling_probe(pts, 4)
