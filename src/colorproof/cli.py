@@ -4,6 +4,7 @@ Subcommands: gen, extend, bounds, simulate, bruteforce, zk-test,
 audit-quantum, serve-prover, verify. Every randomized subcommand takes
 --seed and echoes its resolved configuration; --json switches to a stable
 machine-readable output. Exit codes: 0 success, 1 domain error, 2 usage.
+A stdout whose reader has gone ends the output; the command exits cleanly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -21,6 +23,13 @@ KIND_NAMES = {t.value: t for t in games.GameType}
 
 class CliError(Exception):
     pass
+
+
+# the errors a command reports as `error: ...` with exit 1
+_DOMAIN_ERRORS = (
+    CliError, games.GamesError, graphs.GraphError, strategies.StrategiesError, soundness.SoundnessError,
+    quantum.StrategyError, net.SessionError, net.ConfigError, net.FrameError, FileNotFoundError, json.JSONDecodeError,
+)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -330,23 +339,16 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
-        return _COMMANDS[args.command](args)
-    except (
-        CliError,
-        games.GamesError,
-        graphs.GraphError,
-        strategies.StrategiesError,
-        soundness.SoundnessError,
-        quantum.StrategyError,
-        net.SessionError,
-        net.ConfigError,
-        net.FrameError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-    ) as exc:
+        code = _COMMANDS[args.command](args)
+        print(end="", flush=True)  # flushes stdout, if any: a closed one shows here, not as an error at exit
+    except BrokenPipeError:  # the reader of stdout has gone: the output ends (the signal module docs' recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -19,8 +19,9 @@ Edge challenges always carry i < j. All samplers draw from an explicit
 of interned challenges, and match `challenge_pmf` exactly.
 
 `play_rounds` replays the round stream of the built-in classical pairs in
-bulk (see its docstring); the scalar `verdict` stays the oracle that the
-column verdicts are tested against.
+bulk (see its docstring). The scalar `verdict` is each variant's one
+verdict: the batch engine and the quantum winning sets read it through
+`VERDICT_TABLES`, filled from it per challenge shape.
 """
 
 from __future__ import annotations
@@ -277,14 +278,10 @@ def _reject(reason: Reason) -> Verdict:
     return Verdict(False, reason)
 
 
-# one code per verdict: 0 accepts, k rejects with the k-th Reason; the column verdicts
-# return these codes, and net's Result frames carry them
+# one code per verdict: 0 accepts, k rejects with the k-th Reason; the verdict tables
+# hold these codes, and net's Result frames carry them
 REASON_CODE = {None: 0, **{r: code for code, r in enumerate(Reason, 1)}}
 VERDICT_OF_CODE = (ACCEPT, *(_reject(r) for r in Reason))
-_MALFORMED, _EDGE, _WELL, _CONSTRAINT = (
-    REASON_CODE[r]
-    for r in (Reason.MALFORMED, Reason.EDGE_VERIFICATION, Reason.WELL_DEFINITION, Reason.CONSTRAINT_SATISFACTION)
-)
 _PAD = -1  # fills a payload column past the row's arity (bcs A answers two bits to an edge constraint)
 
 
@@ -307,19 +304,11 @@ class WinStats:
 
 
 def _colors_ok(*vals: int) -> bool:
-    return all(v in (0, 1, 2) for v in vals)
+    return all(map(F3.__contains__, vals))
 
 
 def _bits_ok(*vals: int) -> bool:
-    return all(v in (0, 1) for v in vals)
-
-
-def _colors_ok_columns(*cols: np.ndarray) -> np.ndarray:
-    return np.logical_and.reduce([(c >= 0) & (c <= 2) for c in cols])
-
-
-def _bits_ok_columns(*cols: np.ndarray) -> np.ndarray:
-    return np.logical_and.reduce([(c == 0) | (c == 1) for c in cols])
+    return all(map((0, 1).__contains__, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +388,6 @@ def _rzkp_honest_b(lab: Labelled, half) -> tuple:
     return (w[i], w[j])
 
 
-def _rzkp_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    i, j, i2, j2, b = C.T
-    wi0, wi1, wj0, wj1 = A.T
-    bi, bj = B.T
-    malformed = ~(_colors_ok_columns(wi0, wi1, wj0, wj1, bi, bj) & ((b == 0) | (b == 1)))
-    a_j = np.where(b == 0, wj0, wj1)
-    a_i = np.where(i == j, a_j, np.where(b == 0, wi0, wi1))
-
-    def disagree(v, a):  # as the scalar dicts: B's second endpoint wins when i' == j'
-        return ((v == i2) & (v != j2) & (a != bi)) | ((v == j2) & (a != bj))
-
-    edge = (wi0 + wi1) % 3 == (wj0 + wj1) % 3
-    return np.select([malformed, edge, disagree(i, a_i) | disagree(j, a_j)], [_MALFORMED, _EDGE, _WELL], 0)
-
-
 def _rzkp_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
     i, j, i2, j2, b = C.T
     wi, wj = lab.w0(i), lab.w0(j)
@@ -470,13 +444,6 @@ def _edge_check(ch: EdgeChallenge, ra: EdgeResponseA, rb: EdgeResponseB) -> Verd
     if ch.vertex_b == j and cj != rb.color:
         return _reject(Reason.WELL_DEFINITION)
     return ACCEPT
-
-
-def _edge_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    i, j, v = C.T
-    ci, cj = A.T
-    well = ((v == i) & (ci != B)) | ((v == j) & (cj != B))
-    return np.select([~_colors_ok_columns(ci, cj, B), ci == cj, well], [_MALFORMED, _EDGE, _WELL], 0)
 
 
 def _edge_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
@@ -564,6 +531,13 @@ def _bcs_check(ch: BcsChallenge, ra: BcsResponseA, rb: BcsResponseB) -> Verdict:
     return ACCEPT
 
 
+def _bcs_shape(ch: BcsChallenge) -> tuple:
+    con = ch.constraint
+    if isinstance(con, VertexConstraint):  # the verdict reads A's bit at color_b
+        return (0, ch.vertex_b == con.vertex, ch.color_b)
+    return (1, ch.vertex_b == con.edge[0], ch.vertex_b == con.edge[1], ch.color_b == con.color)
+
+
 def _bcs_honest_a(lab: Labelled, con) -> tuple:
     if isinstance(con, VertexConstraint):
         c = lab.colors[con.vertex]
@@ -590,19 +564,6 @@ def _bcs_flat(ch: BcsChallenge) -> tuple:
     if isinstance(con, VertexConstraint):
         return (0, con.vertex, con.vertex, 0, ch.vertex_b, ch.color_b)
     return (1, *con.edge, con.color, ch.vertex_b, ch.color_b)
-
-
-def _bcs_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Column `bcs` verdict; A's third column is read on vertex constraints only."""
-    edge, x, y, alpha, vb, cb = C.T
-    edge = edge == 1
-    a0, a1, a2 = A.T
-    malformed = ~(_bits_ok_columns(a0, a1, B) & (edge | _bits_ok_columns(a2)))
-    unsatisfied = np.where(edge, a0 * a1 != 0, a0 + a1 + a2 != 1)
-    well_vertex = (vb == x) & (np.choose(cb.clip(0, 2), (a0, a1, a2)) != B)
-    well_edge = (cb == alpha) & (((vb == x) & (a0 != B)) | ((vb == y) & (a1 != B)))
-    well = np.where(edge, well_edge, well_vertex)
-    return np.select([malformed, unsatisfied, well], [_MALFORMED, _CONSTRAINT, _WELL], 0)
 
 
 def _bcs_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
@@ -664,13 +625,6 @@ def _vertex_check(ch: VertexChallenge, ra: VertexResponse, rb: VertexResponse) -
     return ACCEPT
 
 
-def _vertex_check_columns(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    diagonal = C[:, 0] == C[:, 1]
-    return np.select(
-        [~_colors_ok_columns(A, B), diagonal & (A != B), ~diagonal & (A == B)], [_MALFORMED, _WELL, _EDGE], 0
-    )
-
-
 # ---------------------------------------------------------------------------
 # The spec table
 
@@ -702,8 +656,11 @@ class GameSpec:
     (`ChallengeTable.rows` holds them). `honest_columns(C, lab)` gives the
     honest A and B payloads of a block of such rows as int columns (a 2-D
     array for tuple payloads, padded with -1 past a row's arity, a 1-D one
-    for int payloads). `check_columns(C, A, B)` is `check` on columns: one
-    code per round, indexing `VERDICT_OF_CODE`.
+    for int payloads).
+
+    `shape(ch)` is a small tuple of what `check` reads of a challenge besides
+    the answers, with no vertex names: challenges of one shape get one verdict
+    on every answer pair, so `VERDICT_TABLES` keeps one table per shape.
     """
 
     game: GameType
@@ -727,7 +684,7 @@ class GameSpec:
     to_json: Callable[[Challenge], dict]
     flat: Callable[[Challenge], tuple]
     honest_columns: Callable[[np.ndarray, LabelColumns], tuple]
-    check_columns: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    shape: Callable[[Challenge], tuple]
 
 
 _LABELS4 = tuple(itertools.product(F3, repeat=4))
@@ -758,7 +715,7 @@ SPECS = {
         to_json=asdict,
         flat=lambda ch: (*ch.edge_a, *ch.edge_b, ch.bit),
         honest_columns=_rzkp_honest_columns,
-        check_columns=_rzkp_check_columns,
+        shape=lambda ch: (ch.bit, *map((ch.edge_a + ch.edge_b).index, ch.edge_a + ch.edge_b)),  # which ends are equal
     ),
     GameType.ALT_EDGE: GameSpec(
         game=GameType.ALT_EDGE,
@@ -782,7 +739,7 @@ SPECS = {
         to_json=asdict,
         flat=lambda ch: (*ch.edge_a, ch.vertex_b),
         honest_columns=_edge_honest_columns,
-        check_columns=_edge_check_columns,
+        shape=lambda ch: (ch.vertex_b == ch.edge_a[0], ch.vertex_b == ch.edge_a[1]),
     ),
     GameType.BCS: GameSpec(
         game=GameType.BCS,
@@ -806,7 +763,7 @@ SPECS = {
         to_json=_bcs_json,
         flat=_bcs_flat,
         honest_columns=_bcs_honest_columns,
-        check_columns=_bcs_check_columns,
+        shape=_bcs_shape,
     ),
     GameType.VERTEX: GameSpec(
         game=GameType.VERTEX,
@@ -830,7 +787,7 @@ SPECS = {
         to_json=asdict,
         flat=lambda ch: (ch.vertex_a, ch.vertex_b),
         honest_columns=lambda C, lab: (lab.colors_a(C[:, 0]), lab.colors_b(C[:, 1])),
-        check_columns=_vertex_check_columns,
+        shape=lambda ch: (ch.vertex_a == ch.vertex_b,),
     ),
 }
 
@@ -873,8 +830,7 @@ class ChallengeTable(dict):
         self.radix = g.max_degree  # rzkp's neighbour draw is the key's lowest digit
         self.ends = [(d, 32 - d.bit_length()) for e in g.edges for d in map(g.degree, e)]  # at 2e + s, for rzkp
         self.members: list = []
-        self._rows = np.empty((0, 0), np.int64)
-        self.responses = (_Responses(spec.response_a), _Responses(spec.response_b))  # for the batch log
+        self._rows = self._shapes = np.empty(0, np.int64)
         self._lock = threading.Lock()
 
     def __missing__(self, key: int) -> int:
@@ -884,13 +840,20 @@ class ChallengeTable(dict):
                 self[key] = len(self.members) - 1
             return self[key]
 
-    def rows(self) -> np.ndarray:
-        """`spec.flat` of every member so far, as int rows indexed like `members`."""
-        rows = self._rows
-        if len(rows) < len(self.members):
-            new = np.array(list(map(self.spec.flat, self.members[len(rows) :])), np.int64)
-            rows = self._rows = np.concatenate([rows, new]) if len(rows) else new
-        return rows
+    def _column(self, name: str, fn: Callable) -> np.ndarray:
+        """`fn` of every member so far, as ints indexed like `members`, kept in attribute `name`."""
+        have = getattr(self, name)
+        if len(have) < len(self.members):
+            new = np.array(list(map(fn, self.members[len(have) :])), np.int64)
+            have = np.concatenate([have, new]) if len(have) else new
+            setattr(self, name, have)
+        return have
+
+    def rows(self) -> np.ndarray:  # `spec.flat` of each member
+        return self._column("_rows", self.spec.flat)
+
+    def shapes(self) -> np.ndarray:  # each member's shape index in its variant's `VERDICT_TABLES`
+        return self._column("_shapes", VERDICT_TABLES[self.spec.game].of)
 
 
 def challenge_table(kind: GameKind, g: Graph) -> ChallengeTable:
@@ -928,6 +891,63 @@ def verdict(kind: GameKind, ch: Challenge, ra: Response, rb: Response) -> Verdic
         return _reject(Reason.MALFORMED)
 
 
+_CODES = 4**4  # payload codes of up to four columns
+
+
+def _payload_code(payload) -> int:
+    """A payload's code: an int payload's is the int. A tuple's has one base-4 digit per column, the first
+    column least significant, each the value plus 1, so -1 padding past the payload's arity adds nothing."""
+    return payload if isinstance(payload, int) else sum((x + 1) << 2 * k for k, x in enumerate(payload))
+
+
+def _payload_codes(x: np.ndarray) -> np.ndarray:
+    """The code of each round's payload in a column of payloads (see `_payload_code`)."""
+    return x if x.ndim == 1 else (x + 1) @ (4 ** np.arange(x.shape[1]))
+
+
+class VerdictTable(dict):
+    """`verdict()` of one variant by challenge shape: maps `spec.shape(ch)` to an index s.
+
+    `codes[s, code_a, code_b]` is the `REASON_CODE` of the verdict at every challenge of shape s, on the
+    answers of payload codes code_a and code_b (see `_payload_code`). `of(ch)`, called before reading `codes`,
+    fills slice s on the first challenge of its shape, calling `verdict` on it and every well-formed outcome
+    pair; every other code reads malformed. `wins[s]` is (a_outs, b_outs, a_picks, b_picks): the outcome
+    spaces, and the winning pairs as indices into them, B outcome major, each in outcome order. `responses`
+    holds one response object per well-formed code of each side, which the batch log shares.
+    """
+
+    def __init__(self, spec: GameSpec):
+        super().__init__()
+        self.spec, self.kind, self.wins, self.responses = spec, GameKind(spec.game), [], ({}, {})
+        self._lock = threading.Lock()
+        self.codes = np.empty((0, _CODES, _CODES), np.int8)
+
+    def of(self, ch: Challenge) -> int:
+        shape = self.spec.shape(ch)
+        if shape not in self:
+            with self._lock:  # one fill per shape when threads share the tables
+                if shape not in self:
+                    self._fill(ch, shape)
+        return self[shape]
+
+    def _fill(self, ch: Challenge, shape: tuple) -> None:
+        spec = self.spec
+        a_outs, b_outs = spec.a_outcomes(spec.half_a(ch)), spec.b_outcomes(spec.half_b(ch))
+        ca, cb = (list(map(_payload_code, outs)) for outs in (a_outs, b_outs))
+        t = np.full(self.codes.shape[1:], REASON_CODE[Reason.MALFORMED], np.int8)
+        ra = [self.responses[0].setdefault(c, spec.response_a(x)) for c, x in zip(ca, a_outs)]
+        rb = [self.responses[1].setdefault(c, spec.response_b(x)) for c, x in zip(cb, b_outs)]
+        for j, b in zip(cb, rb):
+            t[ca, j] = [REASON_CODE[verdict(self.kind, ch, a, b).reason] for a in ra]
+        b_picks, a_picks = np.nonzero(t[np.ix_(ca, cb)].T == 0)  # B outcome major
+        self.wins.append((a_outs, b_outs, a_picks, b_picks))
+        self.codes = np.concatenate([self.codes, t[None]])
+        self[shape] = len(self)  # last: whoever finds the shape finds its slice
+
+
+VERDICT_TABLES = {game: VerdictTable(spec) for game, spec in SPECS.items()}
+
+
 # ---------------------------------------------------------------------------
 # Round loop
 
@@ -944,12 +964,7 @@ def wilson_interval(accepts: int, rounds: int) -> tuple[float, float]:
 
 
 def play_rounds(
-    kind: GameKind,
-    g: Graph,
-    pair,
-    rounds: int,
-    seed: int,
-    keep_log: bool = False,
+    kind: GameKind, g: Graph, pair, rounds: int, seed: int, keep_log: bool = False
 ) -> tuple[WinStats, Optional[list[Transcript]]]:
     """Play independent rounds against a strategy pair.
 
@@ -964,21 +979,14 @@ def play_rounds(
     and, for bcs and vertex, one `random()` first), then the pair's
     `shared` draw or `respond` draw, before round r + 1 draws anything. A
     `LabellingDraw` draws `randrange(6)` for the permutation when it permutes,
-    then one `randrange(3)` per vertex of `colors_a`.
-
-    Challenges come from the graph's `ChallengeTable`: the sampler's draws
-    index a member built once, which is equal by value to a fresh challenge,
-    so the contract and the transcripts are those of building it per round.
+    then one `randrange(3)` per vertex of `colors_a`. Challenges come from
+    the graph's `ChallengeTable`, whose members equal freshly built ones.
 
     The built-in classical pairs (`honest_pair`, `fixed_coloring_pair`,
-    `mismatched_pair`) are replayed in bulk when their `shared` is a
-    `LabellingDraw` and their answers are `labelled_answer_a`/`_b`, both
-    colorings have `g.n` entries and every color is an int in {0, 1, 2}.
-    That path plays each block of words in one loop (`spec.replay`) and
-    consumes the same words of the same stream, so it returns equal stats
-    and transcripts, reading challenge rows from the table by index and
-    logging interned responses; every other pair, a pair rebuilt with other
-    callables included, runs the scalar loop.
+    `mismatched_pair`) are replayed in bulk when `_replayable_draw` takes
+    them (`_play_labelled`). That path consumes the same words of the same
+    stream, so it returns equal stats and transcripts; every other pair, a
+    pair rebuilt with other callables included, runs the scalar loop.
     """
     if rounds < 0:
         raise GamesError("negative round count")
@@ -1024,7 +1032,8 @@ def _play_scalar(kind: GameKind, g: Graph, pair, rounds: int, rng: random.Random
 
 
 def _replayable_draw(pair, g: Graph) -> Optional[LabellingDraw]:
-    """The pair's `LabellingDraw` when the batch engine can replay the pair, else None."""
+    """The pair's `LabellingDraw` when the batch engine can replay the pair, else None: its answers must be
+    `labelled_answer_a`/`_b`, and both colorings must have `g.n` entries, each an int in {0, 1, 2}."""
     draw = getattr(pair, "shared", None)
     if (
         type(draw) is not LabellingDraw
@@ -1140,40 +1149,16 @@ class LabelColumns:
         return (_DIGITS[self._words[self._accepted[self._first + v]] >> 24] >> 1).astype(np.int64)
 
 
-class _Responses(dict):
-    """One response class's objects by payload code, each built on first use.
-
-    An int payload's code is the int. A tuple payload's code has one base-4
-    digit per column, the first column most significant, each the value plus
-    1, so the -1 padding is a 0 digit and drops out when decoded.
-    """
-
-    def __init__(self, cls: type):
-        super().__init__()
-        self.cls = cls
-        self.tuples = False
-
-    def __missing__(self, code: int) -> Response:
-        payload = tuple(int(d) - 1 for d in np.base_repr(code, 4) if d != "0") if self.tuples else code
-        r = self[code] = self.cls(payload)
-        return r
-
-    def of(self, x: np.ndarray):
-        """The response to each round of a column of honest payloads."""
-        self.tuples = x.ndim == 2  # a variant's payloads of one side are all ints or all tuples
-        if not self.tuples:
-            return map(self.__getitem__, x.tolist())
-        return map(self.__getitem__, ((x + 1) @ (4 ** np.arange(x.shape[1] - 1, -1, -1))).tolist())
-
-
 def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, rng: random.Random, keep_log: bool):
     """The scalar loop's accept count and log for a `LabellingDraw` pair, from the same rng words.
 
     `spec.replay` gives a block's challenge keys and label starts; only the labels the rounds read
-    are decoded afterwards, with the answers and the verdicts, as numpy columns.
+    are decoded afterwards, with the answers, as numpy columns. Each round's verdict is one gather
+    from its shape's slice of `VERDICT_TABLES`, at the answers' payload codes.
     """
     spec = SPECS[kind.game]
     table = challenge_table(kind, g)
+    verdicts = VERDICT_TABLES[kind.game]
     draws = g.n + 1 if draw.permute else g.n  # see LabelColumns
     per_round = 4 * draws / 3 + spec.sample_words  # a bound on a round's expected words
     block = max(1, int(_BLOCK_WORDS / per_round))
@@ -1193,15 +1178,15 @@ def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, r
                 stream.extend(int((count - len(keys)) * per_round))
             stream.pos = int(stream.accepted[starts[-1] + draws - 1]) + 1 if starts else 0  # past the last round
         idx = list(map(table.__getitem__, keys))
-        C = table.rows()[idx]
-        A, B = spec.honest_columns(C, LabelColumns(draw, stream, starts))
-        codes = spec.check_columns(C, A, B)
+        shapes = table.shapes()[idx]  # fills any new shape, so `verdicts.codes` holds them all
+        A, B = map(_payload_codes, spec.honest_columns(table.rows()[idx], LabelColumns(draw, stream, starts)))
+        codes = verdicts.codes[shapes, A, B]
         accepts += count - int(np.count_nonzero(codes))
         if log is not None:
             chs = map(table.members.__getitem__, idx)
-            ra, rb = table.responses[0].of(A), table.responses[1].of(B)
-            verdicts = map(VERDICT_OF_CODE.__getitem__, codes.tolist())
-            log.extend(map(Transcript, range(start, start + count), chs, ra, rb, verdicts))
+            ra, rb = (map(r.__getitem__, x.tolist()) for r, x in zip(verdicts.responses, (A, B)))
+            verdicts_of = map(VERDICT_OF_CODE.__getitem__, codes.tolist())
+            log.extend(map(Transcript, range(start, start + count), chs, ra, rb, verdicts_of))
     return accepts, log
 
 

@@ -5,9 +5,9 @@ challenge half. Winning probabilities are computed exactly:
 
     p_win = sum_{x,y} p(x,y) sum_{winning (a,b)} <psi| A^x_a (x) B^y_b |psi>
 
-with the winning sets taken straight from the game verdict machine, so the
-exact evaluator and the round-by-round simulator can never disagree about
-what counts as a win.
+with the winning sets read from `games.VERDICT_TABLES`, filled from the scalar
+verdict and read by the batch round engine too, so the exact evaluator and
+the round-by-round simulator can never disagree about what counts as a win.
 
 The two strategy transformers implement the reduction chain:
 
@@ -37,6 +37,7 @@ import numpy as np
 from .games import (
     F3,
     SPECS,
+    VERDICT_TABLES,
     Challenge,
     EdgeConstraint,
     GameKind,
@@ -45,7 +46,6 @@ from .games import (
     Labelled,
     VertexConstraint,
     challenge_pmf,
-    verdict,
 )
 from .graphs import Graph, three_color
 
@@ -104,28 +104,40 @@ class QuantumStrategy:
 # Winning sets
 
 
+def _numbered(index: dict, known: dict, key, outs: tuple, picks: np.ndarray) -> np.ndarray:
+    """The index of each (key, outs[k]) for k in picks, numbering each new one in order of first sight."""
+    at = known.setdefault(key, [-1] * len(outs))  # by k; -1 until numbered
+    for k in dict.fromkeys(picks.tolist()):
+        if at[k] < 0:
+            at[k] = index[key, outs[k]] = len(index)
+    return np.array(at)[picks]
+
+
 @lru_cache(maxsize=None)
 def _winning_sets(kind: GameKind, g: Graph) -> tuple[list, list, np.ndarray]:
-    """Winning sets as weights: (a_rows, b_cols, weights), via verdict().
+    """Winning sets as weights: (a_rows, b_cols, weights), from the verdict tables.
 
     weights[r, c] is the probability of the challenges at which A's (key,
-    outcome) a_rows[r] and B's b_cols[c] win together.
+    outcome) a_rows[r] and B's b_cols[c] win together. A challenge's winning
+    pairs are its shape's `wins`, B outcome major, so rows, columns and the
+    order of the summed probabilities are those of a `verdict` per pair.
     """
-    spec = SPECS[kind.game]
-    a_rows, b_cols = {}, {}  # row / column index per (key, outcome)
-    rows, cols, probs = [], [], []  # per winning pair; flat lists keep the collector idle
+    spec, tables = SPECS[kind.game], VERDICT_TABLES[kind.game]
+    a_rows, b_cols, a_known, b_known = {}, {}, {}, {}  # row / column index per (key, outcome), and by key
+    a_runs, b_runs = {}, {}  # a challenge's row / column per winning pair, by (key, shape)
+    rows, cols, probs = [], [], []  # per challenge
     for ch, p in challenge_pmf(kind, g).items():
-        a_key, b_key = spec.half_a(ch), spec.half_b(ch)
-        a_sp = spec.a_outcomes(a_key)
-        for b_out in spec.b_outcomes(b_key):
-            rb = spec.response_b(b_out)
-            wins = [a_out for a_out in a_sp if verdict(kind, ch, spec.response_a(a_out), rb).accept]
-            if wins:
-                rows += [a_rows.setdefault((a_key, a_out), len(a_rows)) for a_out in wins]
-                cols += [b_cols.setdefault((b_key, b_out), len(b_cols))] * len(wins)
-                probs += [p] * len(wins)
+        a_key, b_key, s = spec.half_a(ch), spec.half_b(ch), tables.of(ch)
+        a_outs, b_outs, a_picks, b_picks = tables.wins[s]
+        if (a_key, s) not in a_runs:
+            a_runs[a_key, s] = _numbered(a_rows, a_known, a_key, a_outs, a_picks)
+        if (b_key, s) not in b_runs:
+            b_runs[b_key, s] = _numbered(b_cols, b_known, b_key, b_outs, b_picks)
+        rows.append(a_runs[a_key, s])
+        cols.append(b_runs[b_key, s])
+        probs.append(p)
     weights = np.zeros((len(a_rows), len(b_cols)))
-    np.add.at(weights, (rows, cols), probs)
+    np.add.at(weights, (np.concatenate(rows), np.concatenate(cols)), np.repeat(probs, list(map(len, rows))))
     return list(a_rows), list(b_cols), weights
 
 

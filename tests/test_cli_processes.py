@@ -2,6 +2,9 @@
 driven by the verify subcommand."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,19 @@ def test_two_process_session(instance_file, spawn_prover, capsys):
     doc = json.loads(out)
     assert doc["accepted"] == 500
     assert doc["accepted_all"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["audit-quantum", "--samples", "2", "--json"], ["bounds", "--nodes", "10", "--edges", "12", "--max-deg", "4"]],
+    ids=["audit-quantum-json", "bounds-text"],
+)
+def test_closed_stdout_ends_the_output_cleanly(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the command writes
+    try:
+        argv = [sys.executable, "-m", "colorproof", *argv]
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -2,9 +2,10 @@
 
 `play_rounds` replays the built-in classical pairs from the rng's words in
 bulk. These tests pin the three things that path relies on: the word stream
-reproduces CPython's `random.Random` draw for draw, the column verdicts equal
-`verdict()` on arbitrary int columns, and whole runs equal the scalar loop,
-which a pair rebuilt with wrapped callables still takes.
+reproduces CPython's `random.Random` draw for draw, the verdict tables it
+gathers from equal `verdict()` on challenges with colliding vertex ids, and
+whole runs equal the scalar loop, which a pair rebuilt with wrapped callables
+still takes.
 """
 
 import dataclasses
@@ -99,7 +100,7 @@ def test_permutation_draw_rejects_the_words_a_label_draw_rejects():
 
 
 # ---------------------------------------------------------------------------
-# Column verdicts against the scalar verdict
+# Verdict tables against the scalar verdict
 
 
 def _value(rng: random.Random, hi: int) -> int:
@@ -129,16 +130,6 @@ def _random_round(game: GameType, rng: random.Random):
     return VertexChallenge(a, rng.choice([a, v()])), _value(rng, 2), _value(rng, 2)
 
 
-def _columns(game: GameType, rows: list, rng: random.Random):
-    spec = SPECS[game]
-    C = np.array([spec.flat(ch) for ch, _, _ in rows])
-    if game is GameType.BCS:  # an edge constraint's third column is filler the verdict must ignore
-        A = np.array([bits + (rng.randrange(-1, 3),) * (3 - len(bits)) for _, bits, _ in rows])
-    else:
-        A = np.array([ra for _, ra, _ in rows])
-    return C, A, np.array([rb for _, _, rb in rows])
-
-
 EXPECTED_REASONS = {
     GameType.ALT_RZKP: {None, Reason.MALFORMED, Reason.EDGE_VERIFICATION, Reason.WELL_DEFINITION},
     GameType.ALT_EDGE: {None, Reason.MALFORMED, Reason.EDGE_VERIFICATION, Reason.WELL_DEFINITION},
@@ -148,18 +139,26 @@ EXPECTED_REASONS = {
 
 
 @pytest.mark.parametrize("game", list(GameType))
-def test_column_verdict_equals_scalar_verdict(game):
+def test_table_verdict_equals_scalar_verdict(game):
+    """Each challenge's shape slice holds `verdict()` at every well-formed outcome pair, malformed elsewhere."""
     rng = random.Random(f"columns-{game.value}")
-    spec = SPECS[game]
+    spec, tables = SPECS[game], games.VERDICT_TABLES[game]
     kind = GameKind(game)
-    rows = [_random_round(game, rng) for _ in range(4000)]
-    C, A, B = _columns(game, rows, rng)
-    codes = spec.check_columns(C, A, B).tolist()
     seen = set()  # (reason, bcs constraint kind)
-    for (ch, ra, rb), code in zip(rows, codes):
-        want = verdict(kind, ch, spec.response_a(ra), spec.response_b(rb))
-        assert VERDICT_OF_CODE[code] == want, (ch, ra, rb)
-        seen.add((want.reason, type(ch.constraint) if game is GameType.BCS else None))
+    for _ in range(300):
+        ch = _random_round(game, rng)[0]
+        s = tables.of(ch)  # first: a new shape's slice is added to `codes`
+        table = tables.codes[s]
+        well_formed = np.zeros(table.shape, bool)
+        for a in spec.a_outcomes(spec.half_a(ch)):
+            for b in spec.b_outcomes(spec.half_b(ch)):
+                at = games._payload_code(a), games._payload_code(b)
+                want = verdict(kind, ch, spec.response_a(a), spec.response_b(b))
+                assert VERDICT_OF_CODE[table[at]] == want, (ch, a, b)
+                well_formed[at] = True
+        assert (table[~well_formed] == games.REASON_CODE[Reason.MALFORMED]).all()
+        con = type(ch.constraint) if game is GameType.BCS else None
+        seen |= {(VERDICT_OF_CODE[code].reason, con) for code in np.unique(table).tolist()}
     assert {reason for reason, _ in seen} == EXPECTED_REASONS[game]
     if game is GameType.BCS:  # every reason on both constraint kinds
         for con in (VertexConstraint, EdgeConstraint):
