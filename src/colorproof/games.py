@@ -21,17 +21,21 @@ of interned challenges, and match `challenge_pmf` exactly.
 `play_rounds` replays the round stream of the built-in classical pairs in
 bulk (see its docstring). The scalar `verdict` is each variant's one
 verdict: the batch engine and the quantum winning sets read it through
-`VERDICT_TABLES`, filled from it per challenge shape.
+`VERDICT_TABLES`, filled from it per challenge shape. Likewise `honest_a` and
+`honest_b` are the one honest answer: the batch engine reads them through
+`HONEST_TABLES`, filled from them per challenge half.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
 import random
 import threading
+from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional, Union
 
@@ -282,7 +286,6 @@ def _reject(reason: Reason) -> Verdict:
 # hold these codes, and net's Result frames carry them
 REASON_CODE = {None: 0, **{r: code for code, r in enumerate(Reason, 1)}}
 VERDICT_OF_CODE = (ACCEPT, *(_reject(r) for r in Reason))
-_PAD = -1  # fills a payload column past the row's arity (bcs A answers two bits to an edge constraint)
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,18 +354,16 @@ def _rzkp_member(t: ChallengeTable, key: int) -> RzkpChallenge:
 
 
 def _rzkp_pmf(g: Graph, mix: float) -> dict:
-    # (1/2|E|) * [ (d_ii' + d_ij') / 2|N(i)| + (d_jj' + d_ji') / 2|N(j)| ]
+    # (1/2|E|) * [ (d_ii' + d_ij') / 2|N(i)| + (d_jj' + d_ji') / 2|N(j)| ], nonzero on the edges at i or j
     ne = len(g.edges)
     pmf: dict = {}
     for i, j in g.edges:
-        for ep in g.edges:
+        for ep in sorted({(min(v, u), max(v, u)) for v in (i, j) for u in g.adjacency[v]}):  # in `g.edges` order
             for b in (0, 1):
                 w = 0.0
                 w += (int(i == ep[0]) + int(i == ep[1])) / (2 * g.degree(i))
                 w += (int(j == ep[1]) + int(j == ep[0])) / (2 * g.degree(j))
-                if w:
-                    ch = RzkpChallenge(edge_a=(i, j), edge_b=ep, bit=b)
-                    pmf[ch] = pmf.get(ch, 0.0) + w / (2 * ne)
+                pmf[RzkpChallenge(edge_a=(i, j), edge_b=ep, bit=b)] = w / (2 * ne)
     return pmf
 
 
@@ -386,18 +387,6 @@ def _rzkp_honest_b(lab: Labelled, half) -> tuple:
     (i, j), b = half
     w = lab.w0 if b == 0 else lab.w1
     return (w[i], w[j])
-
-
-def _rzkp_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
-    i, j, i2, j2, b = C.T
-    wi, wj = lab.w0(i), lab.w0(j)
-    a = np.stack([wi, (lab.colors_a(i) - wi) % 3, wj, (lab.colors_a(j) - wj) % 3], axis=1)
-
-    def label_b(v):
-        w = lab.w0(v)
-        return np.where(b == 0, w, (lab.colors_b(v) - w) % 3)
-
-    return a, np.stack([label_b(i2), label_b(j2)], axis=1)
 
 
 # alt-edge: draws edge e and side s
@@ -444,11 +433,6 @@ def _edge_check(ch: EdgeChallenge, ra: EdgeResponseA, rb: EdgeResponseB) -> Verd
     if ch.vertex_b == j and cj != rb.color:
         return _reject(Reason.WELL_DEFINITION)
     return ACCEPT
-
-
-def _edge_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
-    i, j, v = C.T
-    return np.stack([lab.colors_a(i), lab.colors_a(j)], axis=1), lab.colors_b(v)
 
 
 # bcs: draws the branch, then edge e, color alpha and side s, or vertex i and color beta
@@ -559,24 +543,6 @@ def _bcs_json(ch: BcsChallenge) -> dict:
     return {"constraint": c, "vertex_b": ch.vertex_b, "color_b": ch.color_b}
 
 
-def _bcs_flat(ch: BcsChallenge) -> tuple:
-    con = ch.constraint
-    if isinstance(con, VertexConstraint):
-        return (0, con.vertex, con.vertex, 0, ch.vertex_b, ch.color_b)
-    return (1, *con.edge, con.color, ch.vertex_b, ch.color_b)
-
-
-def _bcs_honest_columns(C: np.ndarray, lab: LabelColumns) -> tuple:
-    edge, x, y, alpha, vb, cb = C.T
-    edge = edge == 1
-    cx, cy = lab.colors_a(x), lab.colors_a(y)
-    a = np.stack(
-        [np.where(edge, cx == alpha, cx == 0), np.where(edge, cy == alpha, cx == 1), np.where(edge, _PAD, cx == 2)],
-        axis=1,
-    )
-    return a, (lab.colors_b(vb) == cb).astype(np.int64)
-
-
 # vertex: draws the branch, then vertex i or edge e
 def _vertex_sample(t: ChallengeTable, rng: random.Random) -> int:
     if rng.random() < t.mix:
@@ -643,20 +609,20 @@ class GameSpec:
     builds prover A's response). Keys are challenge halves; `a_keys(g)` and
     `b_keys(g)` enumerate every half of a graph in the order the PVM dicts of
     a quantum strategy hold them, which seeded strategy draws depend on.
-    `honest_a(lab, key)` is the honest outcome for one labelling.
+    `honest_a(lab, half)` is the honest outcome for one labelling. An honest
+    function reads the labelling (its `colors`, `w0` and `w1`) at the same
+    one or two vertices of its half, whatever the labels are: `HONEST_TABLES`
+    finds those vertices by calling it once and tabulates its outcome on
+    every label they can carry.
 
-    The batch round engine reads five more entries. `replay(t, stream, draws,
+    The batch round engine reads two more entries. `replay(t, stream, draws,
     count, keys, starts)` plays `count` rounds of a `WordStream` from
     `stream.pos` in one loop, each `sample`'s draws and then `draws` accepted
     words of labels. It appends the key `sample` would look up in `t` to
     `keys` and the rank of the first label word among the accepted words to
     `starts`, and raises IndexError where the buffer ends. `sample_words`
     bounds the words one `sample` is expected to read (2 per `randrange` and
-    per `random()`). `flat(ch)` writes a challenge as a fixed-width int row
-    (`ChallengeTable.rows` holds them). `honest_columns(C, lab)` gives the
-    honest A and B payloads of a block of such rows as int columns (a 2-D
-    array for tuple payloads, padded with -1 past a row's arity, a 1-D one
-    for int payloads).
+    per `random()`).
 
     `shape(ch)` is a small tuple of what `check` reads of a challenge besides
     the answers, with no vertex names: challenges of one shape get one verdict
@@ -682,8 +648,6 @@ class GameSpec:
     honest_b: Callable[[Labelled, object], object]
     check: Callable[[Challenge, Response, Response], Verdict]
     to_json: Callable[[Challenge], dict]
-    flat: Callable[[Challenge], tuple]
-    honest_columns: Callable[[np.ndarray, LabelColumns], tuple]
     shape: Callable[[Challenge], tuple]
 
 
@@ -713,8 +677,6 @@ SPECS = {
         honest_b=_rzkp_honest_b,
         check=_rzkp_check,
         to_json=asdict,
-        flat=lambda ch: (*ch.edge_a, *ch.edge_b, ch.bit),
-        honest_columns=_rzkp_honest_columns,
         shape=lambda ch: (ch.bit, *map((ch.edge_a + ch.edge_b).index, ch.edge_a + ch.edge_b)),  # which ends are equal
     ),
     GameType.ALT_EDGE: GameSpec(
@@ -737,8 +699,6 @@ SPECS = {
         honest_b=lambda lab, v: lab.colors[v],
         check=_edge_check,
         to_json=asdict,
-        flat=lambda ch: (*ch.edge_a, ch.vertex_b),
-        honest_columns=_edge_honest_columns,
         shape=lambda ch: (ch.vertex_b == ch.edge_a[0], ch.vertex_b == ch.edge_a[1]),
     ),
     GameType.BCS: GameSpec(
@@ -761,8 +721,6 @@ SPECS = {
         honest_b=lambda lab, half: int(lab.colors[half[0]] == half[1]),
         check=_bcs_check,
         to_json=_bcs_json,
-        flat=_bcs_flat,
-        honest_columns=_bcs_honest_columns,
         shape=_bcs_shape,
     ),
     GameType.VERTEX: GameSpec(
@@ -785,8 +743,6 @@ SPECS = {
         honest_b=lambda lab, v: lab.colors[v],
         check=_vertex_check,
         to_json=asdict,
-        flat=lambda ch: (ch.vertex_a, ch.vertex_b),
-        honest_columns=lambda C, lab: (lab.colors_a(C[:, 0]), lab.colors_b(C[:, 1])),
         shape=lambda ch: (ch.vertex_a == ch.vertex_b,),
     ),
 }
@@ -830,7 +786,7 @@ class ChallengeTable(dict):
         self.radix = g.max_degree  # rzkp's neighbour draw is the key's lowest digit
         self.ends = [(d, 32 - d.bit_length()) for e in g.edges for d in map(g.degree, e)]  # at 2e + s, for rzkp
         self.members: list = []
-        self._rows = self._shapes = np.empty(0, np.int64)
+        self._reads = self._shapes = np.empty(0, np.int64)
         self._lock = threading.Lock()
 
     def __missing__(self, key: int) -> int:
@@ -849,11 +805,18 @@ class ChallengeTable(dict):
             setattr(self, name, have)
         return have
 
-    def rows(self) -> np.ndarray:  # `spec.flat` of each member
-        return self._column("_rows", self.spec.flat)
-
     def shapes(self) -> np.ndarray:  # each member's shape index in its variant's `VERDICT_TABLES`
         return self._column("_shapes", VERDICT_TABLES[self.spec.game].of)
+
+    def reads(self) -> np.ndarray:
+        """Each member's row (h_a, h_b, a0, a1, b0, b1): its halves' indices in its variant's
+        `HONEST_TABLES` and the vertices A's and B's honest answers read (`HonestTable.reads`)."""
+        return self._column("_reads", self._read_row)
+
+    def _read_row(self, ch: Challenge) -> tuple:
+        honest_a, honest_b = HONEST_TABLES[self.spec.game]
+        h_a, h_b = honest_a.of(self.spec.half_a(ch)), honest_b.of(self.spec.half_b(ch))
+        return (h_a, h_b, *honest_a.reads[h_a], *honest_b.reads[h_b])
 
 
 def challenge_table(kind: GameKind, g: Graph) -> ChallengeTable:
@@ -894,15 +857,11 @@ def verdict(kind: GameKind, ch: Challenge, ra: Response, rb: Response) -> Verdic
 _CODES = 4**4  # payload codes of up to four columns
 
 
+@functools.lru_cache(maxsize=None)  # few payloads, each coded many times by the table fills
 def _payload_code(payload) -> int:
     """A payload's code: an int payload's is the int. A tuple's has one base-4 digit per column, the first
-    column least significant, each the value plus 1, so -1 padding past the payload's arity adds nothing."""
+    column least significant, each the value plus 1, so a 2-tuple and a 3-tuple never share a code."""
     return payload if isinstance(payload, int) else sum((x + 1) << 2 * k for k, x in enumerate(payload))
-
-
-def _payload_codes(x: np.ndarray) -> np.ndarray:
-    """The code of each round's payload in a column of payloads (see `_payload_code`)."""
-    return x if x.ndim == 1 else (x + 1) @ (4 ** np.arange(x.shape[1]))
 
 
 class VerdictTable(dict):
@@ -946,6 +905,55 @@ class VerdictTable(dict):
 
 
 VERDICT_TABLES = {game: VerdictTable(spec) for game, spec in SPECS.items()}
+
+
+# color c_k, bit-0 label u_k and bit-1 label t_k at two vertices, (c1, u1, t1, c0, u0, t0), at d0 + 9 * d1
+_LABEL_PAIRS = [(c1, u1, (c1 - u1) % 3, c0, u0, (c0 - u0) % 3) for c1, u1, c0, u0 in itertools.product(F3, repeat=4)]
+
+
+class HonestTable(dict):
+    """One side's honest answer of one variant, by challenge half: maps a half to an index h.
+
+    `reads[h]` is the pair of vertices whose labels the half's honest answer reads (a half that reads one
+    vertex lists it twice). `codes[h, d0 + 9 * d1]` is the `_payload_code` of `honest(lab, half)` on a
+    labelling with color c_k and bit-0 label u_k at `reads[h][k]`, where d_k = 3 * c_k + u_k. `of(half)`
+    fills row h on the first look-up of its half; `codes` has spare rows past the filled ones.
+    """
+
+    def __init__(self, honest: Callable[[Labelled, object], object]):
+        super().__init__()
+        self.honest, self.reads = honest, []
+        self._lock = threading.Lock()
+        self.codes = np.empty((0, 81), np.int16)
+
+    def of(self, half) -> int:
+        if half not in self:
+            with self._lock:  # one fill per half when threads share the tables
+                if half not in self:
+                    self._fill(half)
+        return self[half]
+
+    def _fill(self, half) -> None:
+        seen = defaultdict(int)  # reads 0 at every vertex and keeps the vertices read, in read order
+        self.honest(Labelled(seen, seen, seen), half)
+        v0, v1 = reads = (*seen, *seen)[:2]
+        colors, w0, w1 = {}, {}, {}
+        lab, row = Labelled(colors, w0, w1), []
+        for c1, u1, t1, c0, u0, t0 in _LABEL_PAIRS[: 9 if v0 == v1 else 81]:  # at v0 == v1, v0's labels win
+            colors[v1], w0[v1], w1[v1] = c1, u1, t1
+            colors[v0], w0[v0], w1[v0] = c0, u0, t0
+            row.append(_payload_code(self.honest(lab, half)))
+        h = len(self.reads)
+        if h == len(self.codes):  # double the rows, so that filling H halves copies O(H) rows
+            grown = np.empty((max(16, 2 * h), 81), np.int16)
+            grown[:h] = self.codes
+            self.codes = grown
+        self.codes[h] = row * (81 // len(row))  # a one-vertex row depends on d0 only
+        self.reads.append(reads)
+        self[half] = h  # last: whoever finds the half finds its row
+
+
+HONEST_TABLES = {game: (HonestTable(spec.honest_a), HonestTable(spec.honest_b)) for game, spec in SPECS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1120,46 +1128,22 @@ _PERM_TABLE = np.array(PERMS3)
 _DIGITS = np.frombuffer(DRAW_DIGITS, np.uint8)
 
 
-class LabelColumns:
-    """The labellings of a block of rounds, read at one vertex per round.
-
-    `starts` holds each round's `LabellingDraw` start as a rank among the
-    accepted words of the stream's buffer. A permuting round's first
-    accepted word is its permutation and the next n accepted words are its
-    bit-0 labels, each read from its word's top byte (see DRAW_DIGITS).
-    """
-
-    def __init__(self, draw: LabellingDraw, stream: WordStream, starts: list):
-        self._colors_a = _PERM_TABLE[:, list(draw.colors_a)]
-        self._colors_b = _PERM_TABLE[:, list(draw.colors_b)]
-        self._words, self._accepted = np.asarray(stream.words), stream.accepted
-        self._first = np.array(starts)
-        self._perms = 0
-        if draw.permute:
-            self._perms = _DIGITS[self._words[self._accepted[self._first]] >> 24]
-            self._first += 1
-
-    def colors_a(self, v: np.ndarray) -> np.ndarray:
-        return self._colors_a[self._perms, v]
-
-    def colors_b(self, v: np.ndarray) -> np.ndarray:
-        return self._colors_b[self._perms, v]
-
-    def w0(self, v: np.ndarray) -> np.ndarray:
-        return (_DIGITS[self._words[self._accepted[self._first + v]] >> 24] >> 1).astype(np.int64)
-
-
 def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, rng: random.Random, keep_log: bool):
     """The scalar loop's accept count and log for a `LabellingDraw` pair, from the same rng words.
 
-    `spec.replay` gives a block's challenge keys and label starts; only the labels the rounds read
-    are decoded afterwards, with the answers, as numpy columns. Each round's verdict is one gather
-    from its shape's slice of `VERDICT_TABLES`, at the answers' payload codes.
+    `spec.replay` gives a block's challenge keys and label starts. A permuting round's first accepted
+    word is its permutation and the next n accepted words are its bit-0 labels, each read from its
+    word's top byte (see DRAW_DIGITS). Only the labels at the vertices a round's honest answers read
+    (`ChallengeTable.reads`) are decoded, in one gather, and the answers' payload codes come from
+    `HONEST_TABLES`. Each round's verdict is one gather from its shape's slice of `VERDICT_TABLES`,
+    at those codes.
     """
     spec = SPECS[kind.game]
     table = challenge_table(kind, g)
-    verdicts = VERDICT_TABLES[kind.game]
-    draws = g.n + 1 if draw.permute else g.n  # see LabelColumns
+    verdicts, (honest_a, honest_b) = VERDICT_TABLES[kind.game], HONEST_TABLES[kind.game]
+    colors = 3 * _PERM_TABLE[:, list(draw.colors_a + draw.colors_b)]  # 3 * color, B's color of v at n + v
+    side = np.array([0, 0, g.n, g.n])  # A's two reads, then B's
+    draws = g.n + 1 if draw.permute else g.n
     per_round = 4 * draws / 3 + spec.sample_words  # a bound on a round's expected words
     block = max(1, int(_BLOCK_WORDS / per_round))
     stream = WordStream(rng)
@@ -1177,13 +1161,21 @@ def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, r
             except IndexError:  # the buffer ended inside a round: draw more words and replay from that round
                 stream.extend(int((count - len(keys)) * per_round))
             stream.pos = int(stream.accepted[starts[-1] + draws - 1]) + 1 if starts else 0  # past the last round
-        idx = list(map(table.__getitem__, keys))
+        idx = np.fromiter(map(table.__getitem__, keys), np.intp, count)
         shapes = table.shapes()[idx]  # fills any new shape, so `verdicts.codes` holds them all
-        A, B = map(_payload_codes, spec.honest_columns(table.rows()[idx], LabelColumns(draw, stream, starts)))
+        reads = table.reads()[idx]  # likewise for the honest tables' rows
+        words, first, perm = np.asarray(stream.words), np.array(starts)[:, None], 0
+        if draw.permute:
+            perm = _DIGITS[words[stream.accepted[first]] >> 24]
+            first = first + 1
+        v = reads[:, 2:]
+        d = colors[perm, v + side] + (_DIGITS[words[stream.accepted[first + v]] >> 24] >> 1)
+        d = d[:, ::2] + 9 * d[:, 1::2]  # d0 + 9 * d1 of A's reads, then of B's
+        A, B = honest_a.codes[reads[:, 0], d[:, 0]], honest_b.codes[reads[:, 1], d[:, 1]]
         codes = verdicts.codes[shapes, A, B]
         accepts += count - int(np.count_nonzero(codes))
         if log is not None:
-            chs = map(table.members.__getitem__, idx)
+            chs = map(table.members.__getitem__, idx.tolist())
             ra, rb = (map(r.__getitem__, x.tolist()) for r, x in zip(verdicts.responses, (A, B)))
             verdicts_of = map(VERDICT_OF_CODE.__getitem__, codes.tolist())
             log.extend(map(Transcript, range(start, start + count), chs, ra, rb, verdicts_of))

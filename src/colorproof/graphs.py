@@ -141,15 +141,27 @@ def make_graph(n: int, raw_edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, tuple(sorted(seen)))
 
 
+def _ints(values, what: str) -> list[int]:
+    """`values` as a list of ints; a document's value of any other type (a bool, a float, a string) is an error."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise GraphError(f"{what} must be a list of integers, got {values!r}")
+    return values
+
+
 def graph_from_dict(d: dict) -> Graph:
-    return make_graph(int(d["n"]), d["edges"])
+    """The graph of a JSON document `{"n": int, "edges": [[i, j], ...]}`; GraphError if it has another form."""
+    if not (isinstance(d, dict) and type(d.get("n")) is int and isinstance(d.get("edges"), list)):
+        raise GraphError("a graph document must be an object with an integer n and a list of edges")
+    if any(len(_ints(e, "an edge")) != 2 for e in d["edges"]):
+        raise GraphError("each edge must be a pair [i, j]")
+    return make_graph(d["n"], d["edges"])
 
 
 def instance_from_dict(d: dict) -> PlantedInstance:
     g = graph_from_dict(d)
     if "witness" not in d:
         raise GraphError("instance file has no witness coloring")
-    w = tuple(int(c) for c in d["witness"])
+    w = tuple(_ints(d["witness"], "witness"))
     bad = validate_coloring(g, w)
     if bad:
         raise GraphError(f"witness is not proper, monochromatic edges {bad}")
@@ -175,6 +187,8 @@ def gen_planted(n: int, m: int, seed: int) -> PlantedInstance:
     """
     if n < 3:
         raise GraphError(f"need n >= 3, got {n}")
+    if m < 0:
+        raise GraphError(f"edge count {m} is negative")
     rng = substream("planted", n, m, seed)
     witness = tuple(rng.randrange(3) for _ in range(n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if witness[i] != witness[j]]

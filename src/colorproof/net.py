@@ -42,14 +42,12 @@ from .games import (
     REASON_CODE,
     SPECS,
     GameType,
-    Labelled,
     Reason,
     RzkpResponseA,
     RzkpResponseB,
     Transcript,
     Verdict,
     accepted_draws,
-    draw_labellings,
     labelling_at,
     sample_challenge,
     verdict,
@@ -270,16 +268,6 @@ class _Stream:
 
 # ---------------------------------------------------------------------------
 # Prover
-
-
-def round_labelling(witness: tuple[int, ...], shared_seed: int, round_index: int) -> Labelled:
-    """The honest per-round coloring permutation and label split.
-
-    Both provers call this with the same shared seed, so their labellings
-    agree without any communication.
-    """
-    rng = substream("label", shared_seed, round_index)
-    return draw_labellings(witness, witness, True, rng)[0]
 
 
 def _serve_connection(conn: socket.socket, inst: PlantedInstance, role: str, shared_seed: int, delay_s: float) -> str:

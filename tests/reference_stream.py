@@ -1,11 +1,14 @@
-"""A per-draw reference for `games.WordStream`: CPython's draws replayed one call at a time.
+"""Per-draw references: CPython's draws replayed one call at a time.
 
 The batch round engine replays each block's draws in one fused loop per
-variant (`GameSpec.replay`). This class keeps the draw-at-a-time reading of
-the same words, as the reference the tests hold that loop and the stream to.
+variant (`GameSpec.replay`). `ReferenceStream` keeps the draw-at-a-time
+reading of the same words, as the reference the tests hold that loop and the
+stream to. `round_labelling` is a wire prover's whole labelling of a round,
+drawn with `draw_labellings`, which the prover's partial decode must match.
 """
 
-from colorproof.games import WordStream
+from colorproof.games import Labelled, WordStream, draw_labellings
+from colorproof.seeds import substream
 
 _REFILL_WORDS = 1 << 12
 
@@ -54,3 +57,13 @@ class ReferenceStream(WordStream):
         for _ in range(n):
             self.randrange(3)
         return first
+
+
+def round_labelling(witness: tuple[int, ...], shared_seed: int, round_index: int) -> Labelled:
+    """The honest per-round coloring permutation and label split.
+
+    Both provers draw it from the same shared seed, so their labellings
+    agree without any communication.
+    """
+    rng = substream("label", shared_seed, round_index)
+    return draw_labellings(witness, witness, True, rng)[0]

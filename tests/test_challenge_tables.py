@@ -160,18 +160,23 @@ def test_large_graph_builds_only_what_is_drawn(kind):
         GameType.VERTEX: g.n + len(g.edges),
     }[kind.game]
     assert len(t) == len(t.members) <= 2000 < keys
-    assert len(t.rows()) == len(t.members)
+    assert len(t.reads()) == len(t.members)
 
 
-def test_rows_are_flat_members_as_the_table_grows():
+def test_reads_are_members_honest_reads_as_the_table_grows():
     g = GRAPHS["planted-40-300"]()
     for kind in KINDS:
-        t = challenge_table(kind, g)
+        t, spec = challenge_table(kind, g), SPECS[kind.game]
+        honest_a, honest_b = games.HONEST_TABLES[kind.game]
         rng = random.Random(2)
         for draws in (1, 10, 300):
             for _ in range(draws):
                 sample_challenge(kind, g, rng)
-            assert t.rows().tolist() == [list(SPECS[kind.game].flat(ch)) for ch in t.members]
+            want = []
+            for ch in t.members:
+                h_a, h_b = honest_a.of(spec.half_a(ch)), honest_b.of(spec.half_b(ch))
+                want.append([h_a, h_b, *honest_a.reads[h_a], *honest_b.reads[h_b]])
+            assert t.reads().tolist() == want
 
 
 def test_threads_sharing_a_table_get_one_index_per_key():

@@ -273,3 +273,37 @@ def test_infeasible_gen_exits_1(capsys):
     code, _, err = run_cli(capsys, ["gen", "--nodes", "4", "--edges", "7", "--seed", "0"])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "--nodes", "5", "--edges", "-1"], ["simulate", "--edges", "-2", "--rounds", "10"]], ids=["gen", "simulate"]
+)
+def test_negative_edge_count_exits_1(capsys, argv):
+    # both ended in a ValueError traceback from the edge draw
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "edge count" in err
+
+
+MALFORMED_DOCUMENTS = {
+    "not-an-object": [],
+    "n-a-string": {"n": "x", "edges": [[0, 1]], "witness": [0, 1]},
+    "n-a-float": {"n": 3.5, "edges": [[0, 1]], "witness": [0, 1, 2]},
+    "edge-of-one-vertex": {"n": 3, "edges": [[0]], "witness": [0, 1, 2]},
+    "no-edges-key": {"n": 3, "witness": [0, 1, 2]},
+    "witness-a-string": {"n": 3, "edges": [[0, 1]], "witness": ["a", 1, 2]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [(c, d) for d in MALFORMED_DOCUMENTS for c in ("extend", "simulate") if (c, d) != ("extend", "witness-a-string")],
+)
+def test_malformed_graph_document_exits_1(capsys, tmp_path, command, doc):
+    # each ended in a TypeError, ValueError, IndexError or KeyError traceback, except n = 3.5, read as 3
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[doc]))
+    argv = [command, "--graph", str(path)] + (["--rounds", "10"] if command == "simulate" else [])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")

@@ -88,6 +88,38 @@ def test_rzkp_pmf_matches_operational_decomposition(c5):
         assert pmf[ch] == pytest.approx(float(p), abs=1e-15)
 
 
+def _quadratic_rzkp_pmf(g) -> dict:
+    """The alt-rzkp pmf by walking every pair of edges, the reference for the walk over touching edges."""
+    ne = len(g.edges)
+    pmf: dict = {}
+    for i, j in g.edges:
+        for ep in g.edges:
+            for b in (0, 1):
+                w = 0.0
+                w += (int(i == ep[0]) + int(i == ep[1])) / (2 * g.degree(i))
+                w += (int(j == ep[1]) + int(j == ep[0])) / (2 * g.degree(j))
+                if w:
+                    ch = RzkpChallenge(edge_a=(i, j), edge_b=ep, bit=b)
+                    pmf[ch] = pmf.get(ch, 0.0) + w / (2 * ne)
+    return pmf
+
+
+@pytest.mark.parametrize("graph", ["k3", "c5", "ext-path3", "planted-20-40", "planted-100-200"])
+def test_rzkp_pmf_equals_the_all_pairs_walk(graph, k3, c5, ext_path3):
+    # the same keys in the same order with the same float bits: the winning sets' row order
+    # and the pinned golden margins depend on all three
+    g = {
+        "k3": k3,
+        "c5": c5,
+        "ext-path3": ext_path3.full,
+        "planted-20-40": gen_planted(20, 40, 1).graph,
+        "planted-100-200": gen_planted(100, 200, 1).graph,
+    }[graph]
+    got, want = list(challenge_pmf(ALT_RZKP, g).items()), list(_quadratic_rzkp_pmf(g).items())
+    assert [ch for ch, _ in got] == [ch for ch, _ in want]
+    assert [p.hex() for _, p in got] == [p.hex() for _, p in want]
+
+
 def test_rzkp_pmf_irregular_degrees_by_hand():
     # star with center 0: deg(0) = 3, leaves have degree 1, so the two
     # degree-weighted terms of the distribution finally differ

@@ -27,11 +27,11 @@ from colorproof.net import (
     TruncatedError,
     decode,
     encode,
-    round_labelling,
     run_prover,
     run_verifier_session,
 )
 from colorproof.strategies import mismatched_pair
+from reference_stream import round_labelling
 
 MESSAGES = [
     Hello(1, 1, bytes(range(32))),

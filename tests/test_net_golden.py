@@ -26,10 +26,10 @@ from colorproof.net import (
     SessionConfig,
     decode,
     encode,
-    round_labelling,
     run_prover,
     run_verifier_session,
 )
+from reference_stream import round_labelling
 
 SPEC = SPECS[GameType.ALT_RZKP]
 

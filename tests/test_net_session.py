@@ -33,11 +33,11 @@ from colorproof.net import (
     SessionConfig,
     _Link,
     _Stream,
-    round_labelling,
     run_prover,
     run_verifier_session,
 )
 from colorproof.seeds import derive_seed, substream
+from reference_stream import round_labelling
 
 
 @pytest.fixture(scope="module")

@@ -94,7 +94,7 @@ def test_word_stream_rejects_an_empty_range():
 
 def test_permutation_draw_rejects_the_words_a_label_draw_rejects():
     # randrange(6) reads the top 3 bits and randrange(3) the top 2 of a word;
-    # LabelColumns skips the permutation as one more label draw
+    # the batch engine skips the permutation as one more label draw
     for top in range(256):
         assert ((top >> 5) >= 6) == ((top >> 6) == 3)
 
