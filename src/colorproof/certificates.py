@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import F3, EdgeConstraint, GameType
+from .games import BCS, F3, BcsChallenge, BcsResponseA, BcsResponseB, EdgeConstraint, GameType, verdict
 from .graphs import ExtendedGraph, Graph
-from .quantum import QuantumStrategy, _qform, joint_probabilities
+from .quantum import QuantumStrategy
 
 
 class CertificateError(ValueError):
@@ -131,16 +131,25 @@ def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
 _BITS2 = ((0, 0), (0, 1), (1, 0), (1, 1))
 # [k, (b0, b1), bt]: the +-1 product of A's indicator for endpoint k and B's indicator bt
 _OBS = np.array([[[(2.0 * bits[k] - 1.0) * (2.0 * bt - 1.0) for bt in (0, 1)] for bits in _BITS2] for k in (0, 1)])
+# [k, (b0, b1), bt]: 1 where verdict() rejects A's bits against B's bit bt at endpoint k of the edge
+_LOSSES = np.array(
+    [
+        [[not verdict(BCS, ch, BcsResponseA(bits), BcsResponseB(bt)).accept for bt in (0, 1)] for bits in _BITS2]
+        for ch in (BcsChallenge(EdgeConstraint((0, 1), 0), k, 0) for k in (0, 1))
+    ],
+    dtype=float,
+)
 
 
 def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     """Failure probability of every edge-verification challenge choice.
 
-    The aggregate satisfies mean(entries) = 1 - p_win restricted to the
-    edge-constraint branch; the identity is checked by the test suite against
-    an independent computation of that winning probability. Observables come
-    from joint_probabilities. Entries keep the scalar _qform sums: a rounding-size
-    eps enters the bounds as sqrt(eps), so 1e-16 of reordering moves margins 1e-8.
+    Each pair of A's and B's outcomes gets its mass once, as ||A Psi B^T||_F^2 =
+    <psi| A (x) B |psi>. An entry sums the masses of the pairs verdict() rejects,
+    an observable all four with signs. As a sum of squares, an exactly losing
+    pair weighs rounding squared, not rounding: eps enters the bounds as
+    sqrt(eps). The aggregate, mean(entries), is 1 - p_win on the edge-constraint
+    branch, which the test suite checks against win_probability.
     """
     if s.game is not GameType.BCS:
         raise CertificateError(f"expected a constraint-game strategy, got {s.game}")
@@ -148,32 +157,35 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     for a_key in a_keys:
         if a_key not in s.pvm_a:
             raise MissingProjectorError(f"strategy has no A measurement for {a_key}")
-    psi_mat = s.psi_matrix()
-    pa = np.stack([s.pvm_a[key][bits] for key in a_keys for bits in _BITS2])
-    pb = np.stack([s.pvm_b[(end, key.color)][bt] for key in a_keys for end in key.edge for bt in (0, 1)])
-    n = len(a_keys)
-    # block r of the joint: A's family a_keys[r] against B's families at both of its endpoints
-    pairs = joint_probabilities(psi_mat, pa, pb).reshape(n, 4, n, 2, 2)[np.arange(n), :, np.arange(n)]
-    obs = np.einsum("rakb,kab->rk", pairs, _OBS).tolist()
-    entries, observable = {}, {}
-    for r, key in enumerate(a_keys):
-        fam_a = s.pvm_a[key]
-        for k, end in enumerate(key.edge):
-            fam_b = s.pvm_b[(end, key.color)]
-            # B's 1 wins only with A's `lone` pair; B's 0 wins with (0, 0) and the mirror of `lone`
-            lone = (1, 0) if k == 0 else (0, 1)
-            win = _qform(psi_mat, fam_a[(0, 0)] + fam_a[lone[::-1]], fam_b[0]) + _qform(psi_mat, fam_a[lone], fam_b[1])
-            eps = 1.0 - win
-            if eps < -1e-9 or eps > 1.0 + 1e-9:
-                raise NumericalError(f"failure probability {eps} escaped [0,1]")
-            entries[(*key.edge, key.color, end)] = min(1.0, max(0.0, eps))
-            observable[(*key.edge, key.color, end)] = obs[r][k]
-    agg = sum(entries.values()) / len(entries)
-    return EpsTable(entries=entries, aggregate=agg, observable=observable)
+    pa = np.array([[s.pvm_a[key][bits] for bits in _BITS2] for key in a_keys])  # (r, bits, d_a, d_a)
+    pb = np.array([[[s.pvm_b[(end, key.color)][bt] for bt in (0, 1)] for end in key.edge] for key in a_keys])
+    amp = (pa[:, :, None, None] @ s.psi_matrix()) @ pb[:, None].swapaxes(-1, -2)  # (r, bits, end, bit, d_a, d_b)
+    pairs = (amp.real**2 + amp.imag**2).sum(axis=(-2, -1))
+    eps = np.einsum("rakb,kab->rk", pairs, _LOSSES)
+    if eps.max() > 1.0 + 1e-9:
+        raise NumericalError(f"failure probability {eps.max()} escaped [0,1]")
+    keys = [(*key.edge, key.color, end) for key in a_keys for end in key.edge]
+    entries = dict(zip(keys, np.minimum(eps, 1.0).ravel().tolist()))
+    observable = dict(zip(keys, np.einsum("rakb,kab->rk", pairs, _OBS).ravel().tolist()))
+    return EpsTable(entries=entries, aggregate=sum(entries.values()) / len(entries), observable=observable)
 
 
-def _frob(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, "fro"))
+def _frob(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
+def _commutator_norms(projs: np.ndarray, pairs, sr: np.ndarray) -> np.ndarray:
+    """||[B^i_a, B^j_b] sqrt(rho)||_F for each pair (i, j) and colors a, b, as (pair, a, b)."""
+    ij = np.array(pairs, dtype=int).reshape(-1, 2)
+    bi, bj = projs[ij[:, 0], :, None], projs[ij[:, 1], None, :]
+    return _frob((bi @ bj - bj @ bi) @ sr)
+
+
+def _keyed(heads, values: np.ndarray) -> dict:
+    """values[h, c...] keyed (*heads[h], *c), the colors c running fastest."""
+    colors = list(itertools.product(F3, repeat=values.ndim - 1))
+    return dict(zip(((*h, *c) for h in heads for c in colors), values.ravel().tolist()))
 
 
 def assignment_norms(a: Assignment, base: Graph, ext: Optional[ExtendedGraph] = None) -> NormReport:
@@ -184,35 +196,21 @@ def assignment_norms(a: Assignment, base: Graph, ext: Optional[ExtendedGraph] = 
     everything runs over `base` alone.
     """
     op_graph = ext.full if ext is not None else base
-    for v in range(op_graph.n):
-        for alpha in F3:
-            if (v, alpha) not in a.projs:
-                raise MissingProjectorError(f"assignment has no projector for {(v, alpha)}")
+    missing = [(v, alpha) for v in range(op_graph.n) for alpha in F3 if (v, alpha) not in a.projs]
+    if missing:
+        raise MissingProjectorError(f"assignment has no projector for {missing[0]}")
     sr = sqrt_psd(a.rho)
-    tracial: dict = {}
-    for v in range(op_graph.n):
-        for alpha in F3:
-            b_op = a.projs[(v, alpha)]
-            tracial[(v, alpha)] = _frob(b_op @ sr - sr @ b_op)
-    commuting: dict = {}
-    edge_coloring: dict = {}
-    for i, j in op_graph.edges:
-        for alpha in F3:
-            bi = a.projs[(i, alpha)]
-            edge_coloring[(i, j, alpha)] = _frob(bi @ a.projs[(j, alpha)] @ sr)
-            for beta in F3:
-                bj = a.projs[(j, beta)]
-                commuting[(i, j, alpha, beta)] = _frob((bi @ bj - bj @ bi) @ sr)
-    gadget: dict = {}
-    if ext is not None:
-        for gd in ext.gadgets:
-            i, j = gd.pair
-            for alpha in F3:
-                bi = a.projs[(i, alpha)]
-                for beta in F3:
-                    bj = a.projs[(j, beta)]
-                    gadget[(i, j, alpha, beta)] = _frob((bi @ bj - bj @ bi) @ sr)
-    return NormReport(dim=a.dim, tracial=tracial, commuting=commuting, edge_coloring=edge_coloring, gadget=gadget)
+    projs = np.array([[a.projs[(v, alpha)] for alpha in F3] for v in range(op_graph.n)])  # (vertex, color, d, d)
+    edges = op_graph.edges
+    ij = np.array(edges, dtype=int).reshape(-1, 2)
+    pairs = [gd.pair for gd in ext.gadgets] if ext is not None else []
+    return NormReport(
+        dim=a.dim,
+        tracial=_keyed([(v,) for v in range(op_graph.n)], _frob(projs @ sr - sr @ projs)),
+        commuting=_keyed(edges, _commutator_norms(projs, edges, sr)),
+        edge_coloring=_keyed(edges, _frob(projs[ij[:, 0]] @ projs[ij[:, 1]] @ sr)),
+        gadget=_keyed(pairs, _commutator_norms(projs, pairs, sr)),
+    )
 
 
 def _s_bound(eps: float) -> float:

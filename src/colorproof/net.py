@@ -61,6 +61,7 @@ GRACE_S = 0.02  # how long past its deadline a round still takes in responses
 HELLO_TIMEOUT_S = 10.0
 IDLE_TIMEOUT_S = 60.0  # a prover closes a connection silent for this long
 POLL_S = 0.05  # how often a started ProverServer checks for stop()
+MAX_WAIT_S = 86400.0  # longest deadline or delay: epoll and time.sleep overflow near 24.8 days
 CLOSE_REASONS = ("bye", "bad-hello", "refused-half", "idle-timeout", "garbage", "peer-closed")
 
 T_HELLO = 1
@@ -347,8 +348,8 @@ class ProverServer(socketserver.ThreadingTCPServer):
     ):
         if role not in ("a", "b"):
             raise ConfigError(f"role must be 'a' or 'b', got {role!r}")
-        if not 0 <= delay_s < float("inf"):  # time.sleep fails on a negative, NaN or infinite delay
-            raise ConfigError(f"delay must be finite and nonnegative, got {delay_s} s")
+        if not 0 <= delay_s <= MAX_WAIT_S:  # time.sleep fails on a negative, NaN or huge delay
+            raise ConfigError(f"delay must be finite and nonnegative, at most {MAX_WAIT_S:g} s; got {delay_s} s")
         self.inst = inst
         self.role = role
         self.shared_seed = shared_seed
@@ -402,8 +403,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ConfigError("session needs at least one round")
-        if self.deadline_ns < 0:
-            raise ConfigError("deadline must be nonnegative")
+        if not 0 <= self.deadline_ns <= MAX_WAIT_S * 1e9:  # select() overflows on a huge timeout
+            raise ConfigError(f"deadline must be nonnegative, at most {MAX_WAIT_S:g} s; got {self.deadline_ns / 1e9} s")
 
 
 @dataclass(frozen=True)

@@ -183,11 +183,6 @@ def validate_strategy(s: QuantumStrategy) -> None:
 # Exact winning probability
 
 
-def _qform(psi_mat: np.ndarray, a_op: np.ndarray, b_op: np.ndarray) -> float:
-    # <psi| A (x) B |psi> = Tr[Psi^dag A Psi B^T]; the scalar reference of joint_probabilities
-    return float(np.vdot(psi_mat, a_op @ psi_mat @ b_op.T).real)
-
-
 def joint_probabilities(psi_mat: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Every <psi| A (x) B |psi> for stacked A (nA, dA, dA) and B (nB, dB, dB), as (nA, nB).
 

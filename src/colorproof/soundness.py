@@ -52,7 +52,6 @@ class SoundnessReport:
     rounds_mantissa: float
     rounds_exponent: int
     log10_rounds: float
-    eps_sou_log10: float  # log10 of the e^-k soundness target
 
     @property
     def rounds_str(self) -> str:
@@ -139,7 +138,6 @@ def quantum_value_bound(
             rounds_mantissa=mant,
             rounds_exponent=exp,
             log10_rounds=float(log10_rounds),
-            eps_sou_log10=float(-mp.mpf(k) / mp.log(10)),
         )
 
 

@@ -15,15 +15,18 @@ from colorproof.certificates import (
     sqrt_psd,
 )
 from colorproof.games import GameKind, GameType
-from colorproof.graphs import validate_coloring
+from colorproof.graphs import three_color, validate_coloring
 from colorproof.quantum import (
     QuantumStrategy,
     classical_embedding,
+    haar_unitary,
     maximally_entangled,
     random_strategy,
     reduce_edge_to_bcs,
+    transform_strategy,
     win_probability,
 )
+from reference_quantum import _qform
 
 BCS_EDGE_ONLY = GameKind(GameType.BCS, 1.0)
 
@@ -66,6 +69,18 @@ def test_eps_table_honest_all_zero(k3):
     assert max(et.entries.values()) < 1e-12
     assert et.aggregate < 1e-12
     assert min(et.observable.values()) > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("graph", ["k3", "ext"])
+def test_eps_table_exactly_honest_under_local_unitaries(graph, k3, ext_path3):
+    # every losing pair of an honest strategy is exactly zero; a local basis change leaves it
+    # rounding-size in each amplitude, so its mass is rounding squared, not rounding
+    g = k3 if graph == "k3" else ext_path3.full
+    s = classical_embedding(GameType.BCS, g, three_color(g), dim=3)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        et = eps_table(transform_strategy(s, haar_unitary(3, rng), haar_unitary(3, rng)), g)
+        assert max(et.entries.values()) <= 1e-30
 
 
 def test_eps_table_aggregate_identity(k3):
@@ -263,7 +278,6 @@ def test_observable_algebra_identity_and_conflict_mass(k3):
     # Y_i + Y_j + Y_i Y_j + I = 4*A_11 exactly, and the both-indicators-set
     # mass is at most the average of the two endpoint failure probabilities
     from colorproof.games import EdgeConstraint
-    from colorproof.quantum import _qform
 
     rng = np.random.default_rng(71)
     for jig in (0.05, 0.3):
@@ -290,7 +304,7 @@ def test_tracial_cross_bound_at_general_states():
     # states by transforming both operators into the state's Schmidt basis
     import math
 
-    from colorproof.quantum import _qform, haar_unitary
+    from colorproof.quantum import haar_unitary
 
     rng = np.random.default_rng(72)
     for trial in range(80):

@@ -203,6 +203,7 @@ def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
         (["verify", "--rounds", "0"], "at least one round"),
         (["verify", "--deadline-ms", "-1"], "deadline must be nonnegative"),
         (["verify", "--deadline-ms", "nan"], "--deadline-ms must be finite"),
+        (["verify", "--deadline-ms", "3e9"], "at most 86400 s"),
         (["simulate", "--mix", "2", "--rounds", "10"], "mixture weight 2.0"),
         (["simulate", "--rounds", "0"], "--rounds must be at least 1"),
         (["audit-quantum", "--dims", "1", "--samples", "2"], "--dims must be at least 2"),
@@ -210,19 +211,21 @@ def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
         (["audit-quantum", "--samples", "-1"], "--samples must be at least 1"),
         (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "-5"], "finite and nonnegative"),
         (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "nan"], "finite and nonnegative"),
+        (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "1e16"], "at most 86400 s"),
         (["bounds", "--nodes", "10", "--edges", "5", "--max-deg", "4", "--k", "nan"], "positive and finite"),
         (["bounds", "--nodes", "10", "--edges", "5", "--max-deg", "4", "--k", "inf"], "positive and finite"),
         (["bounds", "--nodes", "10", "--edges", "5", "--max-deg", "-1"], "max degree -1"),
         (["bounds", "--nodes", "10", "--edges", "40", "--max-deg", "1"], "no graph on 10 vertices has 40 edges"),
     ],
     ids=[
-        "verify-rounds-0", "verify-negative-deadline", "verify-nan-deadline", "simulate-mix-2", "simulate-rounds-0",
-        "audit-dims-1", "audit-samples-0", "audit-samples-minus-1", "serve-negative-delay", "serve-nan-delay",
+        "verify-rounds-0", "verify-negative-deadline", "verify-nan-deadline", "verify-huge-deadline",
+        "simulate-mix-2", "simulate-rounds-0", "audit-dims-1", "audit-samples-0", "audit-samples-minus-1",
+        "serve-negative-delay", "serve-nan-delay", "serve-huge-delay",
         "bounds-k-nan", "bounds-k-inf", "bounds-max-deg-minus-1", "bounds-more-edges-than-max-deg-allows",
     ],
 )
 def test_out_of_range_input_exits_1(capsys, monkeypatch, tmp_path, argv, message):
-    # each of these ended in a traceback, except the negative and NaN delays: those provers
+    # each of these ended in a traceback, except the negative, NaN and huge delays: those provers
     # served, and every connection thread died in time.sleep; simulate with no rounds and
     # audit-quantum with no samples, which reported a perfect rate or PASS for no work; and
     # bounds with more edges than max-deg allows, which printed a round count

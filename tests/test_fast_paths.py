@@ -40,13 +40,13 @@ from colorproof.quantum import (
     _check_family,
     _lcm_degrees,
     _marginal,
-    _qform,
     arbitrary_strategy,
     random_strategy,
     reduce_edge_to_bcs,
     reduce_rzkp_to_edge,
     win_probability,
 )
+from reference_quantum import _qform
 
 K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
 EXT = extend_with_gadgets(make_graph(3, [(0, 1), (1, 2)]))
