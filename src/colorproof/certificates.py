@@ -153,6 +153,8 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     """
     if s.game is not GameType.BCS:
         raise CertificateError(f"expected a constraint-game strategy, got {s.game}")
+    if not g.edges:
+        raise CertificateError("eps table needs a graph with at least one edge")
     a_keys = [EdgeConstraint(e, alpha) for e in g.edges for alpha in F3]
     for a_key in a_keys:
         if a_key not in s.pvm_a:

@@ -369,7 +369,7 @@ def _rzkp_pmf(g: Graph, mix: float) -> dict:
 
 def _rzkp_check(ch: RzkpChallenge, ra: RzkpResponseA, rb: RzkpResponseB) -> Verdict:
     wi0, wi1, wj0, wj1 = ra.w
-    if not (_colors_ok(wi0, wi1, wj0, wj1) and _colors_ok(*rb.w) and ch.bit in (0, 1)):
+    if not (_colors_ok(wi0, wi1, wj0, wj1) and len(rb.w) == 2 and _colors_ok(*rb.w) and ch.bit in (0, 1)):
         return _reject(Reason.MALFORMED)
     if (wi0 + wi1) % 3 == (wj0 + wj1) % 3:
         return _reject(Reason.EDGE_VERIFICATION)
@@ -769,7 +769,35 @@ def _require_edges(g: Graph) -> None:
         raise EmptyGraphError("game needs a graph with at least one edge")
 
 
-class ChallengeTable(dict):
+class InternTable(dict):
+    """A dict from key to dense index, whose row is made on the key's first look-up.
+
+    A look-up of a new key (`self[key]`, or `intern(key, source)`) calls `_make(source)` under the table's
+    one lock, so threads sharing a table make each row once. The row goes into `rows`, one numpy buffer
+    that doubles when full, at the key's index, and the index is published last: whoever finds the key
+    finds its row. Rows not made yet read -1.
+    """
+
+    def __init__(self, row: tuple, dtype):
+        super().__init__()
+        self.rows = np.full((1, *row), -1, dtype)
+        self._lock = threading.Lock()
+
+    def __missing__(self, key) -> int:
+        return self.intern(key, key)
+
+    def intern(self, key, source) -> int:
+        with self._lock:
+            if key not in self:  # another thread may have made it while this one waited
+                h = len(self)
+                if h == len(self.rows):  # double the rows, so that making H rows copies O(H) rows
+                    self.rows = np.concatenate([self.rows, np.full_like(self.rows, -1)])
+                self.rows[h] = self._make(source)
+                self[key] = h  # last: whoever finds the key finds its row
+            return self[key]
+
+
+class ChallengeTable(InternTable):
     """One variant's challenges on one graph and mix, interned by the draws that pick them.
 
     Maps a sampler's draw key to an index in `members`. A key's challenge is
@@ -777,46 +805,36 @@ class ChallengeTable(dict):
     holds only what has been drawn so far, never the whole support up front.
     Members are ordinary challenge objects: equal by value, with an equal
     hash, to freshly built ones (two keys may stand for equal challenges).
+
+    A member's row is the batch engine's: (s, h_a, h_b, a0, a1, b0, b1), its shape index in its variant's
+    `VERDICT_TABLES`, its halves' indices in `HONEST_TABLES`, and the vertices A's and B's honest answers
+    read (`HonestTable.reads`). Only `batch_rows` makes it, so sampling fills no verdict or honest table.
     """
 
     def __init__(self, spec: GameSpec, g: Graph, mix: float):
-        super().__init__()
+        super().__init__((7,), np.int64)
         self.spec, self.mix, self.n, self.edges, self.adjacency = spec, mix, g.n, g.edges, g.adjacency
         self.ne = len(g.edges)
         self.radix = g.max_degree  # rzkp's neighbour draw is the key's lowest digit
         self.ends = [(d, 32 - d.bit_length()) for e in g.edges for d in map(g.degree, e)]  # at 2e + s, for rzkp
         self.members: list = []
-        self._reads = self._shapes = np.empty(0, np.int64)
-        self._lock = threading.Lock()
 
-    def __missing__(self, key: int) -> int:
-        with self._lock:  # one index per key when threads share a graph
-            if key not in self:
-                self.members.append(self.spec.member(self, key))
-                self[key] = len(self.members) - 1
-            return self[key]
+    def _make(self, key: int) -> int:
+        self.members.append(self.spec.member(self, key))
+        return -1  # the row waits for `batch_rows`
 
-    def _column(self, name: str, fn: Callable) -> np.ndarray:
-        """`fn` of every member so far, as ints indexed like `members`, kept in attribute `name`."""
-        have = getattr(self, name)
-        if len(have) < len(self.members):
-            new = np.array(list(map(fn, self.members[len(have) :])), np.int64)
-            have = np.concatenate([have, new]) if len(have) else new
-            setattr(self, name, have)
-        return have
-
-    def shapes(self) -> np.ndarray:  # each member's shape index in its variant's `VERDICT_TABLES`
-        return self._column("_shapes", VERDICT_TABLES[self.spec.game].of)
-
-    def reads(self) -> np.ndarray:
-        """Each member's row (h_a, h_b, a0, a1, b0, b1): its halves' indices in its variant's
-        `HONEST_TABLES` and the vertices A's and B's honest answers read (`HonestTable.reads`)."""
-        return self._column("_reads", self._read_row)
-
-    def _read_row(self, ch: Challenge) -> tuple:
-        honest_a, honest_b = HONEST_TABLES[self.spec.game]
-        h_a, h_b = honest_a.of(self.spec.half_a(ch)), honest_b.of(self.spec.half_b(ch))
-        return (h_a, h_b, *honest_a.reads[h_a], *honest_b.reads[h_b])
+    def batch_rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows of members `idx`, making those not made yet under the table's lock."""
+        new = idx[self.rows[idx, 0] < 0]
+        if len(new):
+            spec, (honest_a, honest_b) = self.spec, HONEST_TABLES[self.spec.game]
+            with self._lock:
+                for k in np.unique(new).tolist():
+                    ch = self.members[k]
+                    h_a, h_b = honest_a[spec.half_a(ch)], honest_b[spec.half_b(ch)]
+                    s = VERDICT_TABLES[spec.game].of(ch)
+                    self.rows[k] = (s, h_a, h_b, *honest_a.reads[h_a], *honest_b.reads[h_b])
+        return self.rows[idx]
 
 
 def challenge_table(kind: GameKind, g: Graph) -> ChallengeTable:
@@ -864,44 +882,37 @@ def _payload_code(payload) -> int:
     return payload if isinstance(payload, int) else sum((x + 1) << 2 * k for k, x in enumerate(payload))
 
 
-class VerdictTable(dict):
+class VerdictTable(InternTable):
     """`verdict()` of one variant by challenge shape: maps `spec.shape(ch)` to an index s.
 
-    `codes[s, code_a, code_b]` is the `REASON_CODE` of the verdict at every challenge of shape s, on the
-    answers of payload codes code_a and code_b (see `_payload_code`). `of(ch)`, called before reading `codes`,
-    fills slice s on the first challenge of its shape, calling `verdict` on it and every well-formed outcome
+    `rows[s, code_a, code_b]` is the `REASON_CODE` of the verdict at every challenge of shape s, on the
+    answers of payload codes code_a and code_b (see `_payload_code`). `of(ch)`, called before reading `rows`,
+    makes row s on the first challenge of its shape, calling `verdict` on it and every well-formed outcome
     pair; every other code reads malformed. `wins[s]` is (a_outs, b_outs, a_picks, b_picks): the outcome
     spaces, and the winning pairs as indices into them, B outcome major, each in outcome order. `responses`
     holds one response object per well-formed code of each side, which the batch log shares.
     """
 
     def __init__(self, spec: GameSpec):
-        super().__init__()
+        super().__init__((_CODES, _CODES), np.int8)
         self.spec, self.kind, self.wins, self.responses = spec, GameKind(spec.game), [], ({}, {})
-        self._lock = threading.Lock()
-        self.codes = np.empty((0, _CODES, _CODES), np.int8)
 
     def of(self, ch: Challenge) -> int:
         shape = self.spec.shape(ch)
-        if shape not in self:
-            with self._lock:  # one fill per shape when threads share the tables
-                if shape not in self:
-                    self._fill(ch, shape)
-        return self[shape]
+        return self[shape] if shape in self else self.intern(shape, ch)
 
-    def _fill(self, ch: Challenge, shape: tuple) -> None:
+    def _make(self, ch: Challenge) -> np.ndarray:
         spec = self.spec
         a_outs, b_outs = spec.a_outcomes(spec.half_a(ch)), spec.b_outcomes(spec.half_b(ch))
         ca, cb = (list(map(_payload_code, outs)) for outs in (a_outs, b_outs))
-        t = np.full(self.codes.shape[1:], REASON_CODE[Reason.MALFORMED], np.int8)
+        t = np.full(self.rows.shape[1:], REASON_CODE[Reason.MALFORMED], np.int8)
         ra = [self.responses[0].setdefault(c, spec.response_a(x)) for c, x in zip(ca, a_outs)]
         rb = [self.responses[1].setdefault(c, spec.response_b(x)) for c, x in zip(cb, b_outs)]
         for j, b in zip(cb, rb):
             t[ca, j] = [REASON_CODE[verdict(self.kind, ch, a, b).reason] for a in ra]
         b_picks, a_picks = np.nonzero(t[np.ix_(ca, cb)].T == 0)  # B outcome major
         self.wins.append((a_outs, b_outs, a_picks, b_picks))
-        self.codes = np.concatenate([self.codes, t[None]])
-        self[shape] = len(self)  # last: whoever finds the shape finds its slice
+        return t
 
 
 VERDICT_TABLES = {game: VerdictTable(spec) for game, spec in SPECS.items()}
@@ -911,29 +922,20 @@ VERDICT_TABLES = {game: VerdictTable(spec) for game, spec in SPECS.items()}
 _LABEL_PAIRS = [(c1, u1, (c1 - u1) % 3, c0, u0, (c0 - u0) % 3) for c1, u1, c0, u0 in itertools.product(F3, repeat=4)]
 
 
-class HonestTable(dict):
+class HonestTable(InternTable):
     """One side's honest answer of one variant, by challenge half: maps a half to an index h.
 
     `reads[h]` is the pair of vertices whose labels the half's honest answer reads (a half that reads one
-    vertex lists it twice). `codes[h, d0 + 9 * d1]` is the `_payload_code` of `honest(lab, half)` on a
-    labelling with color c_k and bit-0 label u_k at `reads[h][k]`, where d_k = 3 * c_k + u_k. `of(half)`
-    fills row h on the first look-up of its half; `codes` has spare rows past the filled ones.
+    vertex lists it twice). `rows[h, d0 + 9 * d1]` is the `_payload_code` of `honest(lab, half)` on a
+    labelling with color c_k and bit-0 label u_k at `reads[h][k]`, where d_k = 3 * c_k + u_k. `self[half]`
+    makes row h on the first look-up of its half.
     """
 
     def __init__(self, honest: Callable[[Labelled, object], object]):
-        super().__init__()
+        super().__init__((81,), np.int16)
         self.honest, self.reads = honest, []
-        self._lock = threading.Lock()
-        self.codes = np.empty((0, 81), np.int16)
 
-    def of(self, half) -> int:
-        if half not in self:
-            with self._lock:  # one fill per half when threads share the tables
-                if half not in self:
-                    self._fill(half)
-        return self[half]
-
-    def _fill(self, half) -> None:
+    def _make(self, half) -> list:
         seen = defaultdict(int)  # reads 0 at every vertex and keeps the vertices read, in read order
         self.honest(Labelled(seen, seen, seen), half)
         v0, v1 = reads = (*seen, *seen)[:2]
@@ -943,14 +945,8 @@ class HonestTable(dict):
             colors[v1], w0[v1], w1[v1] = c1, u1, t1
             colors[v0], w0[v0], w1[v0] = c0, u0, t0
             row.append(_payload_code(self.honest(lab, half)))
-        h = len(self.reads)
-        if h == len(self.codes):  # double the rows, so that filling H halves copies O(H) rows
-            grown = np.empty((max(16, 2 * h), 81), np.int16)
-            grown[:h] = self.codes
-            self.codes = grown
-        self.codes[h] = row * (81 // len(row))  # a one-vertex row depends on d0 only
         self.reads.append(reads)
-        self[half] = h  # last: whoever finds the half finds its row
+        return row * (81 // len(row))  # a one-vertex row depends on d0 only
 
 
 HONEST_TABLES = {game: (HonestTable(spec.honest_a), HonestTable(spec.honest_b)) for game, spec in SPECS.items()}
@@ -1134,8 +1130,8 @@ def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, r
     `spec.replay` gives a block's challenge keys and label starts. A permuting round's first accepted
     word is its permutation and the next n accepted words are its bit-0 labels, each read from its
     word's top byte (see DRAW_DIGITS). Only the labels at the vertices a round's honest answers read
-    (`ChallengeTable.reads`) are decoded, in one gather, and the answers' payload codes come from
-    `HONEST_TABLES`. Each round's verdict is one gather from its shape's slice of `VERDICT_TABLES`,
+    (its `ChallengeTable.batch_rows` row) are decoded, in one gather, and the answers' payload codes come
+    from `HONEST_TABLES`. Each round's verdict is one gather from its shape's row of `VERDICT_TABLES`,
     at those codes.
     """
     spec = SPECS[kind.game]
@@ -1162,17 +1158,16 @@ def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, r
                 stream.extend(int((count - len(keys)) * per_round))
             stream.pos = int(stream.accepted[starts[-1] + draws - 1]) + 1 if starts else 0  # past the last round
         idx = np.fromiter(map(table.__getitem__, keys), np.intp, count)
-        shapes = table.shapes()[idx]  # fills any new shape, so `verdicts.codes` holds them all
-        reads = table.reads()[idx]  # likewise for the honest tables' rows
+        rows = table.batch_rows(idx)  # makes any new shape's and half's rows too
         words, first, perm = np.asarray(stream.words), np.array(starts)[:, None], 0
         if draw.permute:
             perm = _DIGITS[words[stream.accepted[first]] >> 24]
             first = first + 1
-        v = reads[:, 2:]
+        v = rows[:, 3:]
         d = colors[perm, v + side] + (_DIGITS[words[stream.accepted[first + v]] >> 24] >> 1)
         d = d[:, ::2] + 9 * d[:, 1::2]  # d0 + 9 * d1 of A's reads, then of B's
-        A, B = honest_a.codes[reads[:, 0], d[:, 0]], honest_b.codes[reads[:, 1], d[:, 1]]
-        codes = verdicts.codes[shapes, A, B]
+        A, B = honest_a.rows[rows[:, 1], d[:, 0]], honest_b.rows[rows[:, 2], d[:, 1]]
+        codes = verdicts.rows[rows[:, 0], A, B]
         accepts += count - int(np.count_nonzero(codes))
         if log is not None:
             chs = map(table.members.__getitem__, idx.tolist())

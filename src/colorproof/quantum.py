@@ -200,12 +200,13 @@ def joint_probabilities(psi_mat: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> 
     return (left.reshape(n, d_b * d_b) @ pb.reshape(len(pb), d_b * d_b).T).real
 
 
-def _stack_ops(pvms: dict, layout: list, side: str) -> np.ndarray:
-    """pvms[key][out] for every (key, out) of `layout`, stacked."""
+def _stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
+    """pvms[key][out] for every (key, out) of `layout`, stacked; an outcome its family omits reads as zero."""
     for key in dict.fromkeys(key for key, _ in layout):
         if key not in pvms:
             raise MissingPvmError(f"no {side} measurement for challenge {key}")
-    return np.stack([pvms[key][out] for key, out in layout])
+    zero = np.zeros((dim, dim), dtype=complex)
+    return np.stack([pvms[key].get(out, zero) for key, out in layout])
 
 
 def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:
@@ -213,7 +214,8 @@ def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:
     if s.game is not kind.game:
         raise MissingPvmError(f"strategy plays {s.game}, asked to evaluate {kind.game}")
     a_rows, b_cols, weights = _winning_sets(kind, g)
-    joint = joint_probabilities(s.psi_matrix(), _stack_ops(s.pvm_a, a_rows, "A"), _stack_ops(s.pvm_b, b_cols, "B"))
+    pa, pb = _stack_ops(s.pvm_a, a_rows, "A", s.dim_a), _stack_ops(s.pvm_b, b_cols, "B", s.dim_b)
+    joint = joint_probabilities(s.psi_matrix(), pa, pb)
     total = float(np.sum(weights * joint))
     if total < -1e-9 or total > 1.0 + 1e-9:
         raise StrategyError(f"winning probability {total} escaped [0,1]")

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -30,6 +31,27 @@ def path3():
 @pytest.fixture(scope="session")
 def ext_path3(path3):
     return extend_with_gadgets(path3)
+
+
+@pytest.fixture(scope="session")
+def race():
+    """Runs `target(k)` on six threads at once, k = 0..5, switching threads often (inside a table's
+    fill too), and fails if a thread is still running after `timeout` seconds."""
+
+    def run(target, timeout: float = 120) -> None:
+        threads = [threading.Thread(target=target, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=timeout)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+
+    return run
 
 
 @pytest.fixture

@@ -224,6 +224,15 @@ def test_eps_table_missing_constraint(k3):
         eps_table(bcs, k3)
 
 
+def test_eps_table_edgeless_graph(k3):
+    from colorproof.certificates import CertificateError
+    from colorproof.graphs import make_graph
+
+    bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, np.random.default_rng(94))
+    with pytest.raises(CertificateError):
+        eps_table(bcs, make_graph(2, []))
+
+
 def test_product_state_strategies_flow_through(k3):
     # Schmidt-rank-1 shared state: rho is a pure projector, sqrt(rho) = rho;
     # the whole certificate chain must handle the rank-deficient case

@@ -9,10 +9,9 @@ the same word, and members that are equal, hash alike and serialise alike.
 import copy
 import pickle
 import random
-import sys
-import threading
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from colorproof import games
@@ -160,26 +159,41 @@ def test_large_graph_builds_only_what_is_drawn(kind):
         GameType.VERTEX: g.n + len(g.edges),
     }[kind.game]
     assert len(t) == len(t.members) <= 2000 < keys
-    assert len(t.reads()) == len(t.members)
+    assert len(t.batch_rows(np.arange(len(t.members)))) == len(t.members)
 
 
-def test_reads_are_members_honest_reads_as_the_table_grows():
+def test_batch_rows_are_members_shapes_and_honest_reads_as_the_table_grows():
     g = GRAPHS["planted-40-300"]()
     for kind in KINDS:
         t, spec = challenge_table(kind, g), SPECS[kind.game]
-        honest_a, honest_b = games.HONEST_TABLES[kind.game]
+        verdicts, (honest_a, honest_b) = games.VERDICT_TABLES[kind.game], games.HONEST_TABLES[kind.game]
         rng = random.Random(2)
         for draws in (1, 10, 300):
             for _ in range(draws):
                 sample_challenge(kind, g, rng)
             want = []
             for ch in t.members:
-                h_a, h_b = honest_a.of(spec.half_a(ch)), honest_b.of(spec.half_b(ch))
-                want.append([h_a, h_b, *honest_a.reads[h_a], *honest_b.reads[h_b]])
-            assert t.reads().tolist() == want
+                h_a, h_b = honest_a[spec.half_a(ch)], honest_b[spec.half_b(ch)]
+                want.append([verdicts.of(ch), h_a, h_b, *honest_a.reads[h_a], *honest_b.reads[h_b]])
+            assert t.batch_rows(np.arange(len(t.members))).tolist() == want
 
 
-def test_threads_sharing_a_table_get_one_index_per_key():
+def test_sampling_fills_no_verdict_or_honest_table(monkeypatch):
+    verdicts = {game: games.VerdictTable(spec) for game, spec in SPECS.items()}
+    honest = {game: tuple(map(games.HonestTable, (spec.honest_a, spec.honest_b))) for game, spec in SPECS.items()}
+    monkeypatch.setattr(games, "VERDICT_TABLES", verdicts)
+    monkeypatch.setattr(games, "HONEST_TABLES", honest)
+    inst = gen_planted(20, 40, 1)
+    for kind in KINDS:
+        rng = random.Random(5)
+        for _ in range(2000):
+            sample_challenge(kind, inst.graph, rng)
+    assert not any(len(t) for t in [*verdicts.values(), *(t for pair in honest.values() for t in pair)])
+    play_rounds(games.VERTEX, inst.graph, honest_pair(inst), 50, 1)  # the batch engine makes its tables' rows
+    assert len(verdicts[GameType.VERTEX]) and all(map(len, honest[GameType.VERTEX]))
+
+
+def test_threads_sharing_a_table_get_one_index_per_key(race):
     g = gen_planted(60, 150, 4).graph
     kind = games.ALT_RZKP
     t = challenge_table(kind, g)
@@ -189,17 +203,7 @@ def test_threads_sharing_a_table_get_one_index_per_key():
         for _ in range(3000):
             sample_challenge(kind, g, rng)
 
-    threads = [threading.Thread(target=draw, args=(s,)) for s in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the miss path too
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    race(draw, timeout=60)
     assert sorted(t.values()) == list(range(len(t.members)))
     for key, idx in t.items():
         assert t.members[idx] == SPECS[kind.game].member(t, key)

@@ -256,6 +256,8 @@ def test_verdict_malformed_never_raises():
     assert verdict(ALT_RZKP, ch, VertexResponse(0), RzkpResponseB((0, 1))).reason is Reason.MALFORMED
     assert verdict(ALT_RZKP, ch, RzkpResponseA((0, 1, 2, 5)), RzkpResponseB((0, 1))).reason is Reason.MALFORMED
     assert verdict(ALT_RZKP, ch, None, None).reason is Reason.MALFORMED
+    ch, three_labels = RzkpChallenge((0, 1), (1, 2), 0), RzkpResponseB((1, 0, 2))  # B's edge has two ends
+    assert verdict(ALT_RZKP, ch, RzkpResponseA((0, 1, 1, 1)), three_labels).reason is Reason.MALFORMED
     assert verdict(BCS, BcsChallenge(VertexConstraint(0), 0, 0), BcsResponseA((1, 0)), BcsResponseB(1)).reason is Reason.MALFORMED
 
 

@@ -9,8 +9,6 @@ every half of five graphs on random full-length labellings.
 """
 
 import random
-import sys
-import threading
 
 import pytest
 
@@ -42,44 +40,34 @@ def test_every_half_row_is_its_scalar_honest_answer(game):
         labs = [Labelled.split([rng.randrange(3) for _ in range(g.n)], [rng.randrange(3) for _ in range(g.n)]) for _ in range(30)]
         for table, honest, halves in zip(games.HONEST_TABLES[game], (spec.honest_a, spec.honest_b), _halves(game, g)):
             for half in halves:
-                h = table.of(half)
+                h = table[half]
                 v0, v1 = table.reads[h]
                 for lab in labs:
                     d0, d1 = (3 * lab.colors[v] + lab.w0[v] for v in (v0, v1))
-                    assert table.codes[h, d0 + 9 * d1] == games._payload_code(honest(lab, half)), (name, half, lab)
+                    assert table.rows[h, d0 + 9 * d1] == games._payload_code(honest(lab, half)), (name, half, lab)
 
 
 def test_a_half_read_at_one_vertex_lists_it_twice():
     honest_a, honest_b = games.HONEST_TABLES[GameType.VERTEX]
-    assert honest_a.reads[honest_a.of(3)] == (3, 3)
+    assert honest_a.reads[honest_a[3]] == (3, 3)
     rzkp_b = games.HONEST_TABLES[GameType.ALT_RZKP][1]
-    assert rzkp_b.reads[rzkp_b.of(((2, 5), 1))] == (2, 5)
+    assert rzkp_b.reads[rzkp_b[((2, 5), 1)]] == (2, 5)
 
 
-def test_threads_sharing_an_honest_table_fill_each_half_once():
+def test_threads_sharing_an_honest_table_fill_each_half_once(race):
     spec = SPECS[GameType.BCS]
     t = HonestTable(spec.honest_a)  # empty: every thread races to fill the same halves, through several regrowths
     halves = _halves(GameType.BCS, gen_planted(20, 40, 1).graph)[0]
     got: dict = {}
 
     def look_up(k):
-        got[k] = [(half, t.of(half)) for half in halves[k:] + halves[:k]]
+        got[k] = [(half, t[half]) for half in halves[k:] + halves[:k]]
 
-    threads = [threading.Thread(target=look_up, args=(k,)) for k in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the fill too
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    race(look_up, timeout=60)
     assert sorted(t.values()) == list(range(len(halves))) and len(t.reads) == len(halves)
     assert all(t[half] == h for pairs in got.values() for half, h in pairs)
     serial = HonestTable(spec.honest_a)
     for half in halves:
-        s = serial.of(half)
+        s = serial[half]
         assert t.reads[t[half]] == serial.reads[s]
-        assert t.codes[t[half]].tolist() == serial.codes[s].tolist()
+        assert t.rows[t[half]].tolist() == serial.rows[s].tolist()

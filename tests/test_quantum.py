@@ -68,6 +68,19 @@ def test_win_probability_missing_pvm(k3):
         win_probability(VERTEX, k3, s)
 
 
+@pytest.mark.parametrize("colors", [(0, 1, 2), (0, 0, 1)])
+@pytest.mark.parametrize("game", [GameType.VERTEX, GameType.ALT_RZKP], ids=lambda game: game.value)
+def test_omitted_outcomes_read_as_zero_projectors(k3, game, colors):
+    full = classical_embedding(game, k3, colors, dim=2)
+    sparse = classical_embedding(game, k3, colors, dim=2)
+    for fam in [*sparse.pvm_a.values(), *sparse.pvm_b.values()]:
+        for out in [out for out, p in fam.items() if not p.any()]:
+            del fam[out]
+    validate_strategy(sparse)
+    kind = GameKind(game)
+    assert win_probability(kind, k3, sparse) == win_probability(kind, k3, full)
+
+
 def test_unitary_invariance(k3):
     rng = np.random.default_rng(5)
     s = random_strategy(GameType.ALT_EDGE, k3, 3, 3, rng, 0.25)

@@ -147,8 +147,8 @@ def test_table_verdict_equals_scalar_verdict(game):
     seen = set()  # (reason, bcs constraint kind)
     for _ in range(300):
         ch = _random_round(game, rng)[0]
-        s = tables.of(ch)  # first: a new shape's slice is added to `codes`
-        table = tables.codes[s]
+        s = tables.of(ch)  # first: a new shape's row is added to `rows`
+        table = tables.rows[s]
         well_formed = np.zeros(table.shape, bool)
         for a in spec.a_outcomes(spec.half_a(ch)):
             for b in spec.b_outcomes(spec.half_b(ch)):

@@ -10,8 +10,6 @@ replaced.
 """
 
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -49,7 +47,7 @@ def test_every_member_gets_its_own_verdict_from_its_shape(game):
     kind, spec, tables = GameKind(game), SPECS[game], games.VERDICT_TABLES[game]
     for name, g in _graphs().items():
         t = _fill(kind, g)
-        shapes = t.shapes()
+        shapes = t.batch_rows(np.arange(len(t.members)))[:, 0]
         for ch, s in zip(t.members, shapes.tolist()):
             a_outs, b_outs = spec.a_outcomes(spec.half_a(ch)), spec.b_outcomes(spec.half_b(ch))
             ca = list(map(games._payload_code, a_outs))
@@ -57,13 +55,13 @@ def test_every_member_gets_its_own_verdict_from_its_shape(game):
             for b in b_outs:
                 rb = spec.response_b(b)
                 want = [REASON_CODE[verdict(kind, ch, r, rb).reason] for r in ra]
-                assert tables.codes[s, ca, games._payload_code(b)].tolist() == want, (name, ch, b)
+                assert tables.rows[s, ca, games._payload_code(b)].tolist() == want, (name, ch, b)
     graphs = [gen_planted(n, m, 1).graph for n, m in ((20, 40), (60, 120))]
     counts = [len({spec.shape(ch) for ch in challenge_pmf(kind, g)}) for g in graphs]
     assert counts == [SHAPE_COUNTS[game]] * 2  # a vertex name in a shape would grow with the graph
 
 
-def test_threads_sharing_a_verdict_table_fill_each_shape_once():
+def test_threads_sharing_a_verdict_table_fill_each_shape_once(race):
     spec = SPECS[GameType.ALT_RZKP]
     t = games.VerdictTable(spec)  # empty: every thread races to fill the same shapes
     chs = list(challenge_pmf(games.ALT_RZKP, gen_planted(20, 40, 1).graph))
@@ -72,18 +70,8 @@ def test_threads_sharing_a_verdict_table_fill_each_shape_once():
     def look_up(k):
         got[k] = [(ch, t.of(ch)) for ch in chs[k:] + chs[:k]]
 
-    threads = [threading.Thread(target=look_up, args=(k,)) for k in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the fill too
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert sorted(t.values()) == list(range(SHAPE_COUNTS[GameType.ALT_RZKP])) and len(t.wins) == len(t.codes) == len(t)
+    race(look_up)
+    assert sorted(t.values()) == list(range(SHAPE_COUNTS[GameType.ALT_RZKP])) and len(t.wins) == len(t) <= len(t.rows)
     assert all(s == t[spec.shape(ch)] for pairs in got.values() for ch, s in pairs)
 
 
