@@ -107,14 +107,15 @@ def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     if s.game is not GameType.BCS:
         raise CertificateError(f"expected a constraint-game strategy, got {s.game}")
     projs: dict = {}
+    zero = np.zeros((s.dim_b, s.dim_b), dtype=complex)  # an omitted outcome reads as zero
     for v in range(g.n):
         fams = []
         for alpha in F3:
             key = (v, alpha)
             if key not in s.pvm_b:
                 raise MissingProjectorError(f"strategy has no B measurement for {key}")
-            fams.append(s.pvm_b[key][1])
-            projs[key] = s.pvm_b[key][1]
+            fams.append(s.pvm_b[key].get(1, zero))
+            projs[key] = fams[-1]
         total = fams[0] + fams[1] + fams[2]
         if np.abs(total - np.eye(s.dim_b)).max() > 1e-9:
             raise NotVertexCompleteError(f"color projectors at vertex {v} do not sum to identity")
@@ -159,8 +160,9 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     for a_key in a_keys:
         if a_key not in s.pvm_a:
             raise MissingProjectorError(f"strategy has no A measurement for {a_key}")
-    pa = np.array([[s.pvm_a[key][bits] for bits in _BITS2] for key in a_keys])  # (r, bits, d_a, d_a)
-    pb = np.array([[[s.pvm_b[(end, key.color)][bt] for bt in (0, 1)] for end in key.edge] for key in a_keys])
+    za, zb = (np.zeros((d, d), dtype=complex) for d in (s.dim_a, s.dim_b))  # an omitted outcome reads as zero
+    pa = np.array([[s.pvm_a[key].get(bits, za) for bits in _BITS2] for key in a_keys])  # (r, bits, d_a, d_a)
+    pb = np.array([[[s.pvm_b[(end, key.color)].get(bt, zb) for bt in (0, 1)] for end in key.edge] for key in a_keys])
     amp = (pa[:, :, None, None] @ s.psi_matrix()) @ pb[:, None].swapaxes(-1, -2)  # (r, bits, end, bit, d_a, d_b)
     pairs = (amp.real**2 + amp.imag**2).sum(axis=(-2, -1))
     eps = np.einsum("rakb,kab->rk", pairs, _LOSSES)

@@ -18,16 +18,19 @@ Edge challenges always carry i < j. All samplers draw from an explicit
 `random.Random` stream, return an index into the graph's `ChallengeTable`
 of interned challenges, and match `challenge_pmf` exactly.
 
-`play_rounds` replays the round stream of the built-in classical pairs in
-bulk (see its docstring). The scalar `verdict` is each variant's one
-verdict: the batch engine and the quantum winning sets read it through
-`VERDICT_TABLES`, filled from it per challenge shape. Likewise `honest_a` and
-`honest_b` are the one honest answer: the batch engine reads them through
-`HONEST_TABLES`, filled from them per challenge half.
+`play_rounds` replays the round stream of the built-in classical pairs and
+of the joint (Born-rule) samplers in bulk (see its docstring). The scalar
+`verdict` is each variant's one verdict: the batch engine and the quantum
+winning sets read it through `VERDICT_TABLES`, filled from it per challenge
+shape, and a joint sampler's batch rounds through `JointRows`, filled from
+it per challenge and response pair. Likewise `honest_a` and `honest_b` are
+the one honest answer: the batch engine reads them through `HONEST_TABLES`,
+filled from them per challenge half.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -36,7 +39,7 @@ import math
 import random
 import threading
 from collections import defaultdict
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -245,6 +248,65 @@ class LabellingDraw:
         return draw_labellings(self.colors_a, self.colors_b, self.permute, rng)
 
 
+class JointRows:
+    """A joint sampler's distributions as padded rows, for the batch engine.
+
+    `of(kind, sampler, chs)` gives each challenge's row j, adding the rows of new ones. `cum[j]` is the
+    challenge's cumulative weights, padded with 2.0 (above every `random()`), `pairs[j]` its response pairs,
+    and `codes[j]` the `REASON_CODE` of `verdict()` on each pair, called once per challenge and pair.
+    """
+
+    def __init__(self):
+        self.index: dict = {}
+        self.pairs: list = []
+        self.cum, self.codes = np.ones((0, 1)), np.zeros((0, 1), np.int8)
+        self._lock = threading.Lock()
+
+    def of(self, kind: GameKind, sampler: JointSampler, chs: list) -> list:
+        if not all(map(self.index.__contains__, chs)):
+            with self._lock:
+                new = list(dict.fromkeys(ch for ch in chs if ch not in self.index))  # two keys may be one challenge
+                dists = [sampler.distribution(kind, ch) for ch in new]  # raises before anything is added
+                j0, width = len(self.pairs), max([self.cum.shape[1]] + [len(cum) for _, cum in dists])
+                cum = np.full((j0 + len(new), width), 2.0)
+                codes = np.zeros(cum.shape, np.int8)
+                cum[:j0, : self.cum.shape[1]], codes[:j0, : self.cum.shape[1]] = self.cum, self.codes
+                for j, ch, (pairs, c) in zip(itertools.count(j0), new, dists):
+                    cum[j, : len(c)] = c
+                    codes[j, : len(c)] = [REASON_CODE[verdict(kind, ch, ra, rb).reason] for ra, rb in pairs]
+                    self.pairs.append(pairs)
+                self.cum, self.codes = cum, codes
+                self.index.update(zip(new, itertools.count(j0)))  # last: whoever finds a challenge finds its row
+        return list(map(self.index.__getitem__, chs))
+
+
+@dataclass
+class JointSampler:
+    """A pair that answers both halves of a challenge at once, through `respond` (see `play_rounds`).
+
+    `_distribution(kind, ch)` is the response pairs a challenge can get and their cumulative weights, the
+    last exactly 1.0. `respond` draws pair `bisect_left(cum, rng.random())`: one `random()` per round.
+    `distribution` keeps each challenge's in `_cache`, and the batch engine keeps its rows in `_rows`.
+    `quantum.BornPair` is one.
+    """
+
+    _cache: dict = field(default_factory=dict, kw_only=True, repr=False)
+    _rows: JointRows = field(default_factory=JointRows, kw_only=True, repr=False, compare=False)
+
+    def _distribution(self, kind: GameKind, ch: Challenge) -> tuple[list, list]:
+        raise NotImplementedError
+
+    def distribution(self, kind: GameKind, ch: Challenge) -> tuple[list, list]:
+        dist = self._cache.get(ch)
+        if dist is None:
+            dist = self._cache[ch] = self._distribution(kind, ch)
+        return dist
+
+    def respond(self, kind: GameKind, ch: Challenge, rng: random.Random) -> tuple[Response, Response]:
+        responses, cum = self.distribution(kind, ch)
+        return responses[bisect.bisect_left(cum, rng.random())]
+
+
 def labelled_answer_a(kind: GameKind, half, labs: tuple[Labelled, Labelled]) -> Response:
     """Prover A's honest answer from the first labelling of a `LabellingDraw`."""
     spec = SPECS[kind.game]
@@ -327,11 +389,11 @@ def _rzkp_sample(t: ChallengeTable, rng: random.Random) -> int:
     return t[((e * 2 + b) * 2 + s) * t.radix + k]
 
 
-# Each replay makes its variant's sampler draws and then skips a labelling draw, `count` times (see `GameSpec`).
+# Each replay makes its variant's sampler draws and then steps past the trailing draw, `count` times (see `GameSpec`).
 # `while (x := words[(p := p + 1)] >> shift) >= n: pass` is CPython's `x = randrange(n)`, shift = 32 - n.bit_length();
 # `random() < mix` is `(a >> 5 << 26 | b >> 6) < mix * 2**53` on the next two words a and b.
-def _rzkp_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: list, starts: list) -> None:
-    words, acc, rank, pos = s.words, memoryview(s.accepted), memoryview(s.rank), s.pos
+def _rzkp_replay(t: ChallengeTable, s: WordStream, count: int, keys: list, starts: list) -> None:
+    words, past, pos = s.words, s.trail_end, s.pos
     ne, se, ends, radix = t.ne, 32 - t.ne.bit_length(), t.ends, t.radix
     for _ in range(count):
         p = pos - 1
@@ -340,9 +402,9 @@ def _rzkp_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys:
         while (side := words[(p := p + 1)] >> 30) >= 2: pass
         d, sd = ends[2 * e + side]
         while (k := words[(p := p + 1)] >> sd) >= d: pass
-        pos = acc[(r := rank[p + 1]) + draws - 1] + 1  # past the next `draws` accepted words
+        pos = past[(q := p + 1)]  # past the trailing draw
         keys.append(((e * 2 + b) * 2 + side) * radix + k)
-        starts.append(r)
+        starts.append(q)
 
 
 def _rzkp_member(t: ChallengeTable, key: int) -> RzkpChallenge:
@@ -395,16 +457,16 @@ def _edge_sample(t: ChallengeTable, rng: random.Random) -> int:
     return t[2 * e + rng.randrange(2)]
 
 
-def _edge_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: list, starts: list) -> None:
-    words, acc, rank, pos = s.words, memoryview(s.accepted), memoryview(s.rank), s.pos
+def _edge_replay(t: ChallengeTable, s: WordStream, count: int, keys: list, starts: list) -> None:
+    words, past, pos = s.words, s.trail_end, s.pos
     ne, se = t.ne, 32 - t.ne.bit_length()
     for _ in range(count):
         p = pos - 1
         while (e := words[(p := p + 1)] >> se) >= ne: pass
         while (side := words[(p := p + 1)] >> 30) >= 2: pass
-        pos = acc[(r := rank[p + 1]) + draws - 1] + 1
+        pos = past[(q := p + 1)]
         keys.append(2 * e + side)
-        starts.append(r)
+        starts.append(q)
 
 
 def _edge_member(t: ChallengeTable, key: int) -> EdgeChallenge:
@@ -445,8 +507,8 @@ def _bcs_sample(t: ChallengeTable, rng: random.Random) -> int:
     return t[-1 - (i * 3 + rng.randrange(3))]
 
 
-def _bcs_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: list, starts: list) -> None:
-    words, acc, rank, pos = s.words, memoryview(s.accepted), memoryview(s.rank), s.pos
+def _bcs_replay(t: ChallengeTable, s: WordStream, count: int, keys: list, starts: list) -> None:
+    words, past, pos = s.words, s.trail_end, s.pos
     n, ne, sn, se, cut = t.n, t.ne, 32 - t.n.bit_length(), 32 - t.ne.bit_length(), t.mix * 2**53
     for _ in range(count):
         p = pos + 1
@@ -459,9 +521,9 @@ def _bcs_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: 
             while (i := words[(p := p + 1)] >> sn) >= n: pass
             while (beta := words[(p := p + 1)] >> 30) >= 3: pass
             key = -1 - (i * 3 + beta)
-        pos = acc[(r := rank[p + 1]) + draws - 1] + 1
+        pos = past[(q := p + 1)]
         keys.append(key)
-        starts.append(r)
+        starts.append(q)
 
 
 def _bcs_member(t: ChallengeTable, key: int) -> BcsChallenge:
@@ -550,8 +612,8 @@ def _vertex_sample(t: ChallengeTable, rng: random.Random) -> int:
     return t[rng.randrange(t.ne)]
 
 
-def _vertex_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, keys: list, starts: list) -> None:
-    words, acc, rank, pos = s.words, memoryview(s.accepted), memoryview(s.rank), s.pos
+def _vertex_replay(t: ChallengeTable, s: WordStream, count: int, keys: list, starts: list) -> None:
+    words, past, pos = s.words, s.trail_end, s.pos
     n, ne, sn, se, cut = t.n, t.ne, 32 - t.n.bit_length(), 32 - t.ne.bit_length(), t.mix * 2**53
     for _ in range(count):
         p = pos + 1
@@ -560,9 +622,9 @@ def _vertex_replay(t: ChallengeTable, s: WordStream, draws: int, count: int, key
             key = -1 - i
         else:
             while (key := words[(p := p + 1)] >> se) >= ne: pass
-        pos = acc[(r := rank[p + 1]) + draws - 1] + 1
+        pos = past[(q := p + 1)]
         keys.append(key)
-        starts.append(r)
+        starts.append(q)
 
 
 def _vertex_member(t: ChallengeTable, key: int) -> VertexChallenge:
@@ -615,14 +677,14 @@ class GameSpec:
     finds those vertices by calling it once and tabulates its outcome on
     every label they can carry.
 
-    The batch round engine reads two more entries. `replay(t, stream, draws,
-    count, keys, starts)` plays `count` rounds of a `WordStream` from
-    `stream.pos` in one loop, each `sample`'s draws and then `draws` accepted
-    words of labels. It appends the key `sample` would look up in `t` to
-    `keys` and the rank of the first label word among the accepted words to
-    `starts`, and raises IndexError where the buffer ends. `sample_words`
-    bounds the words one `sample` is expected to read (2 per `randrange` and
-    per `random()`).
+    The batch round engine reads two more entries. `replay(t, stream, count,
+    keys, starts)` plays `count` rounds of a `WordStream` from `stream.pos`
+    in one loop, each `sample`'s draws and then the stream's trailing draw
+    (the pair's labelling or `random()`). It appends the key `sample` would
+    look up in `t` to `keys` and the position of the trailing draw's first
+    word to `starts`, steps past that draw through `stream.trail_end`, and
+    raises IndexError where the buffer ends. `sample_words` bounds the words
+    one `sample` is expected to read (2 per `randrange` and per `random()`).
 
     `shape(ch)` is a small tuple of what `check` reads of a challenge besides
     the answers, with no vertex names: challenges of one shape get one verdict
@@ -631,7 +693,7 @@ class GameSpec:
 
     game: GameType
     sample: Callable[[ChallengeTable, random.Random], int]
-    replay: Callable[[ChallengeTable, WordStream, int, int, list, list], None]
+    replay: Callable[[ChallengeTable, WordStream, int, list, list], None]
     sample_words: int
     member: Callable[[ChallengeTable, int], Challenge]
     pmf: Callable[[Graph, float], dict]
@@ -964,7 +1026,7 @@ def wilson_interval(accepts: int, rounds: int) -> tuple[float, float]:
     denom = 1.0 + z * z / rounds
     center = (p + z * z / (2 * rounds)) / denom
     half = z * math.sqrt(p * (1.0 - p) / rounds + z * z / (4.0 * rounds * rounds)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    return (0.0 if accepts == 0 else max(0.0, center - half), 1.0 if accepts == rounds else min(1.0, center + half))
 
 
 def play_rounds(
@@ -983,25 +1045,32 @@ def play_rounds(
     and, for bcs and vertex, one `random()` first), then the pair's
     `shared` draw or `respond` draw, before round r + 1 draws anything. A
     `LabellingDraw` draws `randrange(6)` for the permutation when it permutes,
-    then one `randrange(3)` per vertex of `colors_a`. Challenges come from
-    the graph's `ChallengeTable`, whose members equal freshly built ones.
+    then one `randrange(3)` per vertex of `colors_a`; a `JointSampler` draws
+    one `random()`. Challenges come from the graph's `ChallengeTable`, whose
+    members equal freshly built ones.
 
-    The built-in classical pairs (`honest_pair`, `fixed_coloring_pair`,
-    `mismatched_pair`) are replayed in bulk when `_replayable_draw` takes
-    them (`_play_labelled`). That path consumes the same words of the same
-    stream, so it returns equal stats and transcripts; every other pair, a
-    pair rebuilt with other callables included, runs the scalar loop.
+    Two kinds of pair are replayed in bulk, from the same words of the same
+    stream, so they return equal stats and transcripts:
+      * the built-in classical pairs (`honest_pair`, `fixed_coloring_pair`,
+        `mismatched_pair`), when `_replayable_draw` takes them
+        (`_play_labelled`);
+      * a `JointSampler` such as `quantum.BornPair` whose `respond` is
+        neither patched on the instance nor overridden (`_play_joint`). If
+        a challenge's distribution raises, the call reruns in the scalar
+        loop on a fresh stream, which rejects those rounds as malformed.
+    Every other pair, a pair rebuilt with other callables included, runs
+    the scalar loop.
     """
     if rounds < 0:
         raise GamesError("negative round count")
     if rounds == 0:
         return WinStats(0, 0, 1.0, (0.0, 1.0), degenerate=True), ([] if keep_log else None)
-    rng = substream("rounds", seed)
-    draw = _replayable_draw(pair, g)
+    played, draw = None, _replayable_draw(pair, g)
     if draw is not None:
-        accepts, log = _play_labelled(kind, g, draw, rounds, rng, keep_log)
-    else:
-        accepts, log = _play_scalar(kind, g, pair, rounds, rng, keep_log)
+        played = _play_labelled(kind, g, draw, rounds, substream("rounds", seed), keep_log)
+    elif _replays_jointly(pair):
+        played = _play_joint(kind, g, pair, rounds, substream("rounds", seed), keep_log)
+    accepts, log = played or _play_scalar(kind, g, pair, rounds, substream("rounds", seed), keep_log)
     stats = WinStats(rounds, accepts, accepts / rounds, wilson_interval(accepts, rounds))
     return stats, log
 
@@ -1032,7 +1101,7 @@ def _play_scalar(kind: GameKind, g: Graph, pair, rounds: int, rng: random.Random
 
 
 # ---------------------------------------------------------------------------
-# Batch round engine for the built-in classical pairs
+# Batch round engine for the built-in classical pairs and the joint samplers
 
 
 def _replayable_draw(pair, g: Graph) -> Optional[LabellingDraw]:
@@ -1052,6 +1121,12 @@ def _replayable_draw(pair, g: Graph) -> Optional[LabellingDraw]:
     return draw
 
 
+def _replays_jointly(pair) -> bool:
+    """Whether the batch engine replays `pair`: a `JointSampler` whose `respond` is neither overridden by
+    its class nor patched on the instance."""
+    return isinstance(pair, JointSampler) and type(pair).respond is JointSampler.respond and "respond" not in vars(pair)
+
+
 # A word's digit, read from its top byte: `randrange(6)` takes the top three bits and
 # `randrange(3)` the top two, and both reject the words whose top two bits are 11 (REJECTED).
 # So digits 0-5 are `randrange(6)` values and `digit >> 1` is `randrange(3)`'s.
@@ -1069,12 +1144,18 @@ class WordStream:
     buffer also keeps the positions of the words that `randrange(3)` accepts
     (`accepted`) and each position's rank among them (`rank[p]`, the number
     of accepted words before p).
+
+    Each round ends with the pair's draw after the sampler's, its trailing
+    draw; `trail(stream)` (`label_trail(draws)` or `random_trail`) gives
+    `trail_end[q]`, the position just past a trailing draw that starts at
+    word q. It stops where that draw would run past the buffer, so reading
+    past its end raises IndexError, as reading past `words` does.
     """
 
-    __slots__ = ("_rng", "_raw", "words", "accepted", "rank", "pos")
+    __slots__ = ("_rng", "_raw", "_trail", "words", "accepted", "rank", "trail_end", "pos")
 
-    def __init__(self, rng: random.Random):
-        self._rng, self._raw = rng, b""  # the words and their index come with the first `extend`
+    def __init__(self, rng: random.Random, trail: Callable[[WordStream], np.ndarray]):
+        self._rng, self._raw, self._trail = rng, b"", trail  # the words and their index come with the first `extend`
         self.pos = 0  # the next word to consume
 
     def _reset(self, raw: bytes) -> None:
@@ -1083,6 +1164,7 @@ class WordStream:
         self.words = memoryview(words)
         accepted = np.concatenate(([False], words < 3 << 30))  # the top two bits are not 11 (see DRAW_DIGITS)
         self.accepted, self.rank = np.flatnonzero(accepted[1:]), np.cumsum(accepted)
+        self.trail_end = memoryview(self._trail(self))
 
     def extend(self, count: int) -> None:
         """Draw `count` more words from the rng, which continues its stream exactly."""
@@ -1092,6 +1174,41 @@ class WordStream:
         """Forget the words before `pos` (positions restart at 0)."""
         self._reset(self._raw[4 * self.pos :])
         self.pos = 0
+
+
+def label_trail(draws: int) -> Callable[[WordStream], np.ndarray]:
+    """A labelling's trailing draw: the next `draws` words that `randrange(3)` accepts."""
+
+    def trail(s: WordStream) -> np.ndarray:
+        fits = np.searchsorted(s.rank, len(s.accepted) - draws, "right")  # the starts whose last word is drawn
+        return (s.accepted[draws - 1 :] + 1)[s.rank[:fits]]  # accepted[rank[q] + draws - 1] + 1
+
+    return trail
+
+
+def random_trail(s: WordStream) -> np.ndarray:
+    """One `random()`'s trailing draw: the next two words."""
+    return np.arange(2, len(s.words) + 1)
+
+
+def _replayed_blocks(table: ChallengeTable, stream: WordStream, rounds: int, per_round: float):
+    """`rounds` rounds replayed by `table.spec.replay`, in blocks of about `_BLOCK_WORDS` words: yields each
+    block's first round, round count, member indices in `table` and trailing-draw starts (see `GameSpec`).
+    `per_round` bounds a round's expected words; a block that runs short draws more and replays on."""
+    block = max(1, int(_BLOCK_WORDS / per_round))
+    for start in range(0, rounds, block):
+        count = min(block, rounds - start)
+        if start:
+            stream.drop_consumed()
+        stream.extend(int(count * per_round + math.sqrt(count * per_round)))  # margin: about 1.5 standard deviations
+        keys, starts = [], []
+        while len(keys) < count:
+            try:
+                table.spec.replay(table, stream, count - len(keys), keys, starts)
+            except IndexError:  # the buffer ended inside a round: draw more words and replay from that round
+                stream.extend(int((count - len(keys)) * per_round))
+            stream.pos = stream.trail_end[starts[-1]] if starts else 0  # past the last round
+        yield start, count, np.fromiter(map(table.__getitem__, keys), np.intp, count), np.array(starts)
 
 
 def accepted_draws(rng: random.Random, need: int) -> bytes:
@@ -1134,32 +1251,17 @@ def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, r
     from `HONEST_TABLES`. Each round's verdict is one gather from its shape's row of `VERDICT_TABLES`,
     at those codes.
     """
-    spec = SPECS[kind.game]
     table = challenge_table(kind, g)
     verdicts, (honest_a, honest_b) = VERDICT_TABLES[kind.game], HONEST_TABLES[kind.game]
     colors = 3 * _PERM_TABLE[:, list(draw.colors_a + draw.colors_b)]  # 3 * color, B's color of v at n + v
     side = np.array([0, 0, g.n, g.n])  # A's two reads, then B's
     draws = g.n + 1 if draw.permute else g.n
-    per_round = 4 * draws / 3 + spec.sample_words  # a bound on a round's expected words
-    block = max(1, int(_BLOCK_WORDS / per_round))
-    stream = WordStream(rng)
+    stream = WordStream(rng, label_trail(draws))
     accepts = 0
     log: Optional[list[Transcript]] = [] if keep_log else None
-    for start in range(0, rounds, block):
-        count = min(block, rounds - start)
-        if start:
-            stream.drop_consumed()
-        stream.extend(int(count * per_round + math.sqrt(count * per_round)))  # margin: about 1.5 standard deviations
-        keys, starts = [], []
-        while len(keys) < count:
-            try:
-                spec.replay(table, stream, draws, count - len(keys), keys, starts)
-            except IndexError:  # the buffer ended inside a round: draw more words and replay from that round
-                stream.extend(int((count - len(keys)) * per_round))
-            stream.pos = int(stream.accepted[starts[-1] + draws - 1]) + 1 if starts else 0  # past the last round
-        idx = np.fromiter(map(table.__getitem__, keys), np.intp, count)
+    for start, count, idx, starts in _replayed_blocks(table, stream, rounds, 4 * draws / 3 + table.spec.sample_words):
         rows = table.batch_rows(idx)  # makes any new shape's and half's rows too
-        words, first, perm = np.asarray(stream.words), np.array(starts)[:, None], 0
+        words, first, perm = np.asarray(stream.words), stream.rank[starts][:, None], 0
         if draw.permute:
             perm = _DIGITS[words[stream.accepted[first]] >> 24]
             first = first + 1
@@ -1172,6 +1274,36 @@ def _play_labelled(kind: GameKind, g: Graph, draw: LabellingDraw, rounds: int, r
         if log is not None:
             chs = map(table.members.__getitem__, idx.tolist())
             ra, rb = (map(r.__getitem__, x.tolist()) for r, x in zip(verdicts.responses, (A, B)))
+            verdicts_of = map(VERDICT_OF_CODE.__getitem__, codes.tolist())
+            log.extend(map(Transcript, range(start, start + count), chs, ra, rb, verdicts_of))
+    return accepts, log
+
+
+def _play_joint(kind: GameKind, g: Graph, pair: JointSampler, rounds: int, rng: random.Random, keep_log: bool):
+    """The scalar loop's accept count and log for a `JointSampler`, from the same rng words; None if a
+    challenge's distribution raises (the scalar loop rejects such a round as malformed, drawing no `random()`).
+
+    `spec.replay` gives a block's challenge keys and where each round's `random()` u starts; u is decoded
+    as CPython does. A round's response pair is the number of its challenge's cumulative weights below u
+    (`bisect_left`), and its verdict is that pair's code in `JointRows`.
+    """
+    table, rows, stream = challenge_table(kind, g), pair._rows, WordStream(rng, random_trail)
+    accepts = 0
+    log: Optional[list[Transcript]] = [] if keep_log else None
+    for start, count, idx, starts in _replayed_blocks(table, stream, rounds, table.spec.sample_words + 2):
+        members, at = np.unique(idx, return_inverse=True)
+        try:
+            j = np.array(rows.of(kind, pair, list(map(table.members.__getitem__, members.tolist()))))[at]
+        except Exception:  # as `respond` raising in the scalar loop
+            return None
+        words = np.asarray(stream.words)
+        u = ((words[starts] >> 5) * 67108864.0 + (words[starts + 1] >> 6)) * (1.0 / 9007199254740992.0)
+        picks = np.count_nonzero(rows.cum[j] < u[:, None], axis=1)
+        codes = rows.codes[j, picks]
+        accepts += count - int(np.count_nonzero(codes))
+        if log is not None:
+            chs = map(table.members.__getitem__, idx.tolist())
+            ra, rb = zip(*map(lambda r, k: rows.pairs[r][k], j.tolist(), picks.tolist()))
             verdicts_of = map(VERDICT_OF_CODE.__getitem__, codes.tolist())
             log.extend(map(Transcript, range(start, start + count), chs, ra, rb, verdicts_of))
     return accepts, log

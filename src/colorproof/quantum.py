@@ -24,11 +24,9 @@ The two strategy transformers implement the reduction chain:
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -43,6 +41,7 @@ from .games import (
     GameKind,
     GameSpec,
     GameType,
+    JointSampler,
     Labelled,
     VertexConstraint,
     challenge_pmf,
@@ -223,23 +222,16 @@ def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:
 
 
 @dataclass
-class BornPair:
+class BornPair(JointSampler):
     """Joint Born-rule sampler, pluggable into games.play_rounds.
 
     Samples (a, b) from the exact joint outcome distribution of the strategy
     for each round's challenge; distributionally identical to two isolated
-    provers measuring their halves.
+    provers measuring their halves. As a `games.JointSampler` it draws one
+    `random()` per round, and `play_rounds` replays it in bulk.
     """
 
     strategy: QuantumStrategy
-    _cache: dict = field(default_factory=dict)
-
-    def respond(self, kind: GameKind, ch: Challenge, rng: random.Random):
-        dist = self._cache.get(ch)
-        if dist is None:
-            dist = self._cache[ch] = self._distribution(kind, ch)
-        responses, cum = dist
-        return responses[bisect.bisect_left(cum, rng.random())]
 
     def _distribution(self, kind: GameKind, ch: Challenge):
         """Response pairs with nonzero Born weight, and their cumulative weights."""
@@ -581,8 +573,9 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
         out.update({tuple(int(cv == a) for a in F3): by_color[cv] for cv in F3})
         pvm_a[VertexConstraint(v)] = out
 
-    eye_b = np.eye(d_b, dtype=complex)
-    pvm_b = {(v, beta): {1: s.pvm_b[v][beta].copy(), 0: eye_b - s.pvm_b[v][beta]} for v in range(g.n) for beta in F3}
+    eye_b, zero_b = np.eye(d_b, dtype=complex), np.zeros((d_b, d_b), dtype=complex)
+    ones = {(v, beta): s.pvm_b[v].get(beta, zero_b) for v in range(g.n) for beta in F3}  # an omitted outcome is zero
+    pvm_b = {key: {1: p.copy(), 0: eye_b - p} for key, p in ones.items()}
 
     psi2 = np.tile(s.psi_matrix() * (1.0 / math.sqrt(slots)), (slots, 1))
     return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), pvm_a, pvm_b)

@@ -7,7 +7,7 @@ stream to. `round_labelling` is a wire prover's whole labelling of a round,
 drawn with `draw_labellings`, which the prover's partial decode must match.
 """
 
-from colorproof.games import Labelled, WordStream, draw_labellings
+from colorproof.games import Labelled, WordStream, draw_labellings, random_trail
 from colorproof.seeds import substream
 
 _REFILL_WORDS = 1 << 12
@@ -17,7 +17,7 @@ class ReferenceStream(WordStream):
     """A `WordStream` with `random.Random`'s `randrange(n)` and `random()`, one word read at a time."""
 
     def __init__(self, rng):
-        super().__init__(rng)
+        super().__init__(rng, random_trail)
         self.extend(0)
 
     def _refill(self) -> None:

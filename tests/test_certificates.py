@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -23,7 +24,9 @@ from colorproof.quantum import (
     maximally_entangled,
     random_strategy,
     reduce_edge_to_bcs,
+    reduce_rzkp_to_edge,
     transform_strategy,
+    validate_strategy,
     win_probability,
 )
 from reference_quantum import _qform
@@ -358,3 +361,37 @@ def test_json_serialization_roundtrips_values(k3):
     assert re_im == [pytest.approx(a.rho[0, 0].real), pytest.approx(a.rho[0, 0].imag)]
     key = "0,1,0,0"
     assert doc["norms"]["commuting"][key] == pytest.approx(nr.commuting[(0, 1, 0, 0)])
+
+
+def _stripped(s: QuantumStrategy) -> QuantumStrategy:
+    """`s` with the zero projectors left out of its families, which `validate_strategy` accepts."""
+    strip = lambda pvms: {k: {o: p for o, p in fam.items() if np.any(p)} for k, fam in pvms.items()}  # noqa: E731
+    return dataclasses.replace(s, pvm_a=strip(s.pvm_a), pvm_b=strip(s.pvm_b))
+
+
+def _assert_same_strategy(got: QuantumStrategy, want: QuantumStrategy) -> None:
+    assert (got.game, got.dim_a, got.dim_b) == (want.game, want.dim_a, want.dim_b)
+    assert np.array_equal(got.psi, want.psi)
+    for side in ("pvm_a", "pvm_b"):
+        got_fams, want_fams = getattr(got, side), getattr(want, side)
+        assert got_fams.keys() == want_fams.keys()
+        for key, fam in want_fams.items():
+            assert got_fams[key].keys() == fam.keys() and all(np.array_equal(got_fams[key][o], p) for o, p in fam.items())
+
+
+def test_omitted_zero_projectors_read_as_zero(k3):
+    colors = (0, 1, 2)
+    for game, reduce in ((GameType.ALT_RZKP, reduce_rzkp_to_edge), (GameType.ALT_EDGE, reduce_edge_to_bcs)):
+        full = classical_embedding(game, k3, colors, dim=2)
+        stripped = _stripped(full)
+        validate_strategy(stripped)
+        assert any(len(fam) < len(full.pvm_b[key]) for key, fam in stripped.pvm_b.items())
+        _assert_same_strategy(reduce(stripped, k3), reduce(full, k3))
+    full = classical_embedding(GameType.BCS, k3, colors, dim=2)
+    stripped = _stripped(full)
+    validate_strategy(stripped)
+    got, want = extract_assignment(stripped, k3), extract_assignment(full, k3)
+    assert got.projs.keys() == want.projs.keys()
+    assert all(np.array_equal(got.projs[key], p) for key, p in want.projs.items())
+    assert np.array_equal(got.rho, want.rho)
+    assert eps_table(stripped, k3) == eps_table(full, k3)

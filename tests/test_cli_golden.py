@@ -20,7 +20,7 @@ import pytest
 
 from colorproof.cli import main
 
-_WILSON_2000 = "[0.9980829527187469,0.9999999999999998]"
+_WILSON_2000 = "[0.9980829527187469,1.0]"
 
 SIMULATE = {
     ("alt-rzkp", "honest"): "5f54e685367e1d67c86286e279dd55fe3a86c60a4736487b32d909076a6fcbd8",

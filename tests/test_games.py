@@ -386,6 +386,12 @@ def test_wilson_interval_sane():
     assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
+def test_wilson_interval_endpoints_are_exact():
+    for n in range(1, 3000):
+        assert wilson_interval(0, n)[0] == 0.0 and wilson_interval(n, n)[1] == 1.0, n
+        assert 0.0 < wilson_interval(0, n)[1] and wilson_interval(n, n)[0] < 1.0, n
+
+
 def test_mix_validation():
     with pytest.raises(ValueError):
         GameKind(GameType.BCS, 1.5)

@@ -1,12 +1,13 @@
 """Each variant's fused block replay against its per-draw sampler, word for word.
 
 `GameSpec.replay` plays a block of rounds (the challenge draws of `sample`,
-then a labelling draw) in one loop over a `WordStream`'s words. These tests
-play the same rounds with `spec.sample` and `draw_labellings` on a plain
-`random.Random` that counts the words it reads, and ask for the same keys,
-the same label starts, the same labels and the same end position, also when
-the buffer ends inside a round and the replay resumes from that round after
-a refill.
+then the stream's trailing draw: a labelling, or one `random()`) in one loop
+over a `WordStream`'s words. These tests play the same rounds with
+`spec.sample` and `draw_labellings` or `random()` on a plain `random.Random`
+that counts the words it reads, and ask for the same keys, the same trailing
+draw starts, the same labels or `random()` values and the same end position,
+also when the buffer ends inside a round and the replay resumes from that
+round after a refill.
 """
 
 import random
@@ -22,6 +23,8 @@ from colorproof.games import (
     WordStream,
     challenge_table,
     draw_labellings,
+    label_trail,
+    random_trail,
 )
 from colorproof.graphs import gen_planted, make_graph
 
@@ -60,16 +63,15 @@ def test_graphs_cover_the_draw_widths():
     assert 1 in {len(a) for a in GRAPHS["degree-one"]().adjacency}
 
 
-def _reference(kind: GameKind, g, colors, permute: bool, seed: int):
-    """Per round: `sample`'s table index, the labelling draw's first word and its labelling, the words read so far."""
+def _reference(kind: GameKind, g, trailing, seed: int):
+    """Per round: `sample`'s table index, the trailing draw's first word and its value, the words read so far."""
     t = challenge_table(kind, g)
     rng = CountingRandom(seed)
     rounds = []
     for _ in range(ROUNDS):
         index = SPECS[kind.game].sample(t, rng)
         first = rng.words
-        lab, _ = draw_labellings(colors, colors, permute, rng)
-        rounds.append((index, first, lab, rng.words))
+        rounds.append((index, first, trailing(rng), rng.words))
     return rounds
 
 
@@ -82,6 +84,28 @@ def _accepted_before(seed: int, words: int) -> list:
     return rank
 
 
+def _replay(kind: GameKind, g, stream: WordStream, want: list, buffer) -> tuple[list, list]:
+    """`spec.replay` of the rounds of `want`, resuming after each refill as the engine does."""
+    t = challenge_table(kind, g)
+    end_of = [0] + [end for _, _, _, end in want]
+    stream.extend(buffer or end_of[-1] + 64)
+    keys, starts = [], []
+    for _ in range(end_of[-1]):  # refills of 29 words: some rounds fit, some resume after one or two more
+        # after the last whole round, as the engine resumes
+        stream.pos = stream.trail_end[starts[-1]] if starts else 0
+        assert stream.pos == end_of[len(keys)]
+        try:
+            SPECS[kind.game].replay(t, stream, ROUNDS - len(keys), keys, starts)
+            break
+        except IndexError:  # the buffer ended inside a round
+            assert buffer and len(keys) == len(starts) < ROUNDS
+            stream.extend(29)
+    assert stream.trail_end[starts[-1]] == end_of[-1]
+    assert list(map(t.__getitem__, keys)) == [index for index, _, _, _ in want]
+    assert starts == [first for _, first, _, _ in want]
+    return keys, starts
+
+
 @pytest.mark.parametrize("buffer", [None, 3], ids=["one-buffer", "tiny-refills"])
 @pytest.mark.parametrize("permute", [True, False], ids=["permute", "fixed"])
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -90,43 +114,44 @@ def test_replay_matches_sample_word_for_word(kind, name, permute, buffer):
     g = GRAPHS[name]()
     seed = 7
     colors = [v % 3 for v in range(g.n)]
-    want = _reference(kind, g, colors, permute, seed)
-    end_of = [0] + [end for _, _, _, end in want]
-    rank = _accepted_before(seed, end_of[-1])
-    t = challenge_table(kind, g)
+    want = _reference(kind, g, lambda rng: draw_labellings(colors, colors, permute, rng)[0], seed)
     draws = g.n + 1 if permute else g.n
-    stream = WordStream(random.Random(seed))
-    stream.extend(buffer or end_of[-1] + 64)
-    keys, starts = [], []
-    for _ in range(end_of[-1]):  # refills of 29 words: some rounds fit, some resume after one or two more
-        # after the last whole round, as the engine resumes
-        stream.pos = int(stream.accepted[starts[-1] + draws - 1]) + 1 if starts else 0
-        assert stream.pos == end_of[len(keys)]
-        try:
-            SPECS[kind.game].replay(t, stream, draws, ROUNDS - len(keys), keys, starts)
-            break
-        except IndexError:  # the buffer ended inside a round
-            assert buffer and len(keys) == len(starts) < ROUNDS
-            stream.extend(29)
-    assert stream.accepted[starts[-1] + draws - 1] + 1 == end_of[-1]
-    assert list(map(t.__getitem__, keys)) == [index for index, _, _, _ in want]
-    assert starts == [rank[first] for _, first, _, _ in want]
-    # the words each start points at decode to the round's labelling
+    stream = WordStream(random.Random(seed), label_trail(draws))
+    _, starts = _replay(kind, g, stream, want, buffer)
+    rank = _accepted_before(seed, want[-1][-1])
+    assert [stream.rank[start] for start in starts] == [rank[first] for _, first, _, _ in want]
+    # the accepted words from each start decode to the round's labelling
     words, accepted = stream.words, stream.accepted
     for start, (_, _, lab, _) in zip(starts, want):
-        digits = [DRAW_DIGITS[words[accepted[start + k]] >> 24] for k in range(draws)]
+        digits = [DRAW_DIGITS[words[accepted[stream.rank[start] + k]] >> 24] for k in range(draws)]
         if permute:
             perm = PERMS3[digits.pop(0)]
             assert lab.colors == tuple(perm[c] for c in colors)
         assert lab.w0 == tuple(d >> 1 for d in digits)
 
 
+@pytest.mark.parametrize("buffer", [None, 3], ids=["one-buffer", "tiny-refills"])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.game.value}-{k.mix}")
+def test_replay_with_a_random_trail_matches_sample(kind, name, buffer):
+    """A joint sampler's round: `sample`'s draws, then one `random()` from the two words at the start."""
+    g = GRAPHS[name]()
+    want = _reference(kind, g, lambda rng: rng.random(), 8)
+    stream = WordStream(random.Random(8), random_trail)
+    _, starts = _replay(kind, g, stream, want, buffer)
+    words = stream.words
+    for start, (_, _, u, _) in zip(starts, want):
+        assert ((words[start] >> 5) * 67108864.0 + (words[start + 1] >> 6)) * (1.0 / 9007199254740992.0) == u
+
+
 def test_replay_stops_at_the_buffer_end():
     g = GRAPHS["planted-20-40"]()
-    for kind in KINDS:
-        stream = WordStream(random.Random(3))
-        stream.extend(50)  # not enough for two rounds of 21 labels
-        keys, starts = [], []
-        with pytest.raises(IndexError):
-            SPECS[kind.game].replay(challenge_table(kind, g), stream, g.n + 1, 10, keys, starts)
-        assert len(keys) == len(starts) < 2
+    # 50 words are not enough for two rounds of 21 labels, 7 not for two rounds of at least 4 words
+    for trail, words in ((label_trail(g.n + 1), 50), (random_trail, 7)):
+        for kind in KINDS:
+            stream = WordStream(random.Random(3), trail)
+            stream.extend(words)
+            keys, starts = [], []
+            with pytest.raises(IndexError):
+                SPECS[kind.game].replay(challenge_table(kind, g), stream, 10, keys, starts)
+            assert len(keys) == len(starts) < 2

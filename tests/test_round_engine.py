@@ -1,11 +1,12 @@
 """The batch round engine against the scalar round loop and the scalar verdict.
 
-`play_rounds` replays the built-in classical pairs from the rng's words in
-bulk. These tests pin the three things that path relies on: the word stream
-reproduces CPython's `random.Random` draw for draw, the verdict tables it
-gathers from equal `verdict()` on challenges with colliding vertex ids, and
-whole runs equal the scalar loop, which a pair rebuilt with wrapped callables
-still takes.
+`play_rounds` replays the built-in classical pairs and the Born-rule pairs
+from the rng's words in bulk. These tests pin the three things that path
+relies on: the word stream reproduces CPython's `random.Random` draw for
+draw, the verdict tables it gathers from equal `verdict()` on challenges with
+colliding vertex ids, and whole runs equal the scalar loop, which a pair
+rebuilt with wrapped callables or a `respond` patched or overridden still
+takes, as does a Born pair whose distribution raises on some challenge.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from colorproof.games import (
     EdgeConstraint,
     GameKind,
     GameType,
+    JointSampler,
     LabellingDraw,
     Reason,
     RzkpChallenge,
@@ -38,7 +40,8 @@ from colorproof.games import (
     play_rounds,
     verdict,
 )
-from colorproof.graphs import PlantedInstance, gen_planted, make_graph
+from colorproof.graphs import PlantedInstance, gen_planted, make_graph, three_color
+from colorproof.quantum import BornPair, arbitrary_strategy, random_strategy
 from colorproof.strategies import ClassicalStrategyPair, fixed_coloring_pair, honest_pair, mismatched_pair
 from reference_stream import ReferenceStream
 
@@ -290,3 +293,117 @@ def test_replaced_pair_runs_the_scalar_loop(monkeypatch):
     assert stats.accepts == 50 and len(calls) == 50
     monkeypatch.setattr(games, "_play_scalar", None)  # the built-in pair never reaches the scalar loop
     assert play_rounds(ALT_RZKP, inst.graph, pair, 50, 1)[0] == stats
+
+
+# ---------------------------------------------------------------------------
+# Born-rule pairs: the batch path against the scalar loop
+
+
+def _born(kind: GameKind, g, seed: int, arbitrary: bool = False) -> BornPair:
+    rng = np.random.default_rng(seed)
+    if arbitrary:
+        return BornPair(arbitrary_strategy(kind.game, g, 2, 3, rng))
+    return BornPair(random_strategy(kind.game, g, 2, 2, rng, jiggle=0.3, colors=three_color(g)))
+
+
+def _scalar_born(pair: BornPair) -> BornPair:
+    """A fresh pair of the same strategy whose `respond` is patched on the instance: the scalar loop."""
+    ref = BornPair(pair.strategy)
+    ref.respond = lambda *a: JointSampler.respond(ref, *a)
+    return ref
+
+
+@pytest.mark.parametrize("arbitrary", [False, True], ids=["near-honest", "arbitrary"])
+@pytest.mark.parametrize("name", ["k3", "planted-20-40"])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.game.value}-{k.mix}")
+def test_born_batch_equals_scalar_loop(kind, name, arbitrary):
+    g = INSTANCES[name].graph
+    pair = _born(kind, g, 31, arbitrary)
+    assert games._replays_jointly(pair) and not games._replays_jointly(_scalar_born(pair))
+    for rounds, seed in ((0, 1), (1, 2), (1, 3), (150, 4)):
+        for keep_log in (True, False):
+            got = play_rounds(kind, g, pair, rounds, seed, keep_log=keep_log)
+            want = play_rounds(kind, g, _scalar_born(pair), rounds, seed, keep_log=keep_log)
+            assert got == want, (rounds, seed, keep_log)
+
+
+def test_born_batch_equals_scalar_across_refills_and_blocks(monkeypatch):
+    g = INSTANCES["planted-20-40"].graph
+    pairs = {kind: _born(kind, g, 32) for kind in KINDS[:4]}
+    want = {kind: play_rounds(kind, g, _scalar_born(pair), 300, 9, keep_log=True) for kind, pair in pairs.items()}
+    extend = WordStream.extend
+    monkeypatch.setattr(WordStream, "extend", lambda self, count: extend(self, min(count, 5)))
+    monkeypatch.setattr(games, "_BLOCK_WORDS", 500)  # a round's word bound is 6 to 10 words: blocks of 50 to 83 rounds
+    for kind, pair in pairs.items():
+        assert play_rounds(kind, g, pair, 300, 9, keep_log=True) == want[kind], kind
+
+
+def test_born_verdicts_come_from_verdict_once_per_challenge_and_pair(monkeypatch):
+    g = INSTANCES["planted-20-40"].graph
+    calls = []
+    monkeypatch.setattr(games, "verdict", lambda *a: calls.append(a[1:]) or verdict(*a))
+    for kind in KINDS[:4]:
+        pair = _born(kind, g, 33)
+        for seed in (1, 2):
+            play_rounds(kind, g, pair, 400, seed)
+        pairs = [(ch, *rr) for ch in pair._cache for rr in pair._cache[ch][0]]
+        assert sorted(map(repr, calls)) == sorted(map(repr, pairs)), kind
+        calls.clear()
+
+
+class _CountingBornPair(BornPair):
+    def respond(self, kind, ch, rng):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().respond(kind, ch, rng)
+
+
+def _without(pvms: dict, key) -> dict:
+    return {k: fam for k, fam in pvms.items() if k != key}
+
+
+def _born_fallbacks() -> dict:
+    k3 = INSTANCES["k3"].graph
+    s = _born(ALT_EDGE, k3, 34).strategy
+    v = _born(VERTEX, k3, 35).strategy
+    seven = {k: {(7 if out == 2 else out): p for out, p in fam.items()} for k, fam in v.pvm_a.items()}
+    return {
+        "missing-pvm": (ALT_EDGE, dataclasses.replace(s, pvm_a=_without(s.pvm_a, (0, 1)))),
+        "mass-not-one": (ALT_EDGE, dataclasses.replace(s, psi=1.1 * s.psi)),
+        "color-7": (VERTEX, dataclasses.replace(v, pvm_a=seven)),
+    }
+
+
+@pytest.mark.parametrize("name", ["missing-pvm", "mass-not-one", "color-7"])
+def test_born_fallbacks_equal_the_scalar_loop(name):
+    g = INSTANCES["k3"].graph
+    kind, strategy = _born_fallbacks()[name]
+    pair = BornPair(strategy)
+    want = play_rounds(kind, g, _scalar_born(pair), 200, 5, keep_log=True)
+    assert play_rounds(kind, g, pair, 200, 5, keep_log=True) == want
+    assert play_rounds(kind, g, pair, 200, 5)[0] == want[0]
+    reasons = {t.verdict.reason for t in want[1]}
+    assert Reason.MALFORMED in reasons
+    if name != "mass-not-one":  # the other challenges still play
+        assert None in reasons
+
+
+def test_patched_born_pairs_run_the_scalar_loop():
+    g = INSTANCES["planted-20-40"].graph
+    pair = _born(ALT_EDGE, g, 36)
+    want = play_rounds(ALT_EDGE, g, pair, 300, 3, keep_log=True)
+    patched = BornPair(pair.strategy)
+    calls = []
+    patched.respond = lambda *a: calls.append(1) or JointSampler.respond(patched, *a)
+    subclassed = _CountingBornPair(pair.strategy)
+    assert not games._replays_jointly(patched) and not games._replays_jointly(subclassed)
+    assert play_rounds(ALT_EDGE, g, patched, 300, 3, keep_log=True) == want and len(calls) == 300
+    assert play_rounds(ALT_EDGE, g, subclassed, 300, 3, keep_log=True) == want and subclassed.calls == 300
+
+
+def test_plain_born_pair_never_reaches_the_scalar_loop(monkeypatch):
+    g = INSTANCES["planted-20-40"].graph
+    pairs = {kind: _born(kind, g, 37) for kind in KINDS[:4]}
+    want = {kind: play_rounds(kind, g, _scalar_born(pair), 200, 6, keep_log=True) for kind, pair in pairs.items()}
+    monkeypatch.setattr(games, "_play_scalar", None)
+    for kind, pair in pairs.items():
+        assert play_rounds(kind, g, pair, 200, 6, keep_log=True) == want[kind], kind
