@@ -160,6 +160,9 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     for a_key in a_keys:
         if a_key not in s.pvm_a:
             raise MissingProjectorError(f"strategy has no A measurement for {a_key}")
+        for b_key in ((end, a_key.color) for end in a_key.edge):
+            if b_key not in s.pvm_b:
+                raise MissingProjectorError(f"strategy has no B measurement for {b_key}")
     za, zb = (np.zeros((d, d), dtype=complex) for d in (s.dim_a, s.dim_b))  # an omitted outcome reads as zero
     pa = np.array([[s.pvm_a[key].get(bits, za) for bits in _BITS2] for key in a_keys])  # (r, bits, d_a, d_a)
     pb = np.array([[[s.pvm_b[(end, key.color)].get(bt, zb) for bt in (0, 1)] for end in key.edge] for key in a_keys])
@@ -284,33 +287,6 @@ def evaluate_bounds(
 def check_bounds(nr: NormReport, et: EpsTable, base: Graph, ext: Optional[ExtendedGraph] = None) -> list[Violation]:
     """The violated certificate inequalities (expected empty; see evaluate_bounds)."""
     return [v for v in evaluate_bounds(nr, et, base, ext) if v.lhs > v.rhs + 1e-9]
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def assignment_to_json(a: Assignment) -> dict:
-    """JSON-ready form of an assignment; complex entries become [re, im]."""
-    return {
-        "dim": a.dim,
-        "rho": _matrix_to_json(a.rho),
-        "projectors": {f"{v},{alpha}": _matrix_to_json(p) for (v, alpha), p in sorted(a.projs.items())},
-        "vertices": list(a.vertices),
-    }
-
-
-def norm_report_to_json(nr: NormReport) -> dict:
-    def flat(d: dict) -> dict:
-        return {",".join(map(str, k)): float(v) for k, v in sorted(d.items())}
-
-    return {
-        "dim": nr.dim,
-        "tracial": flat(nr.tracial),
-        "commuting": flat(nr.commuting),
-        "edge_coloring": flat(nr.edge_coloring),
-        "gadget": flat(nr.gadget),
-    }
 
 
 def sequential_coloring(a: Assignment, order: Sequence[int], rng: random.Random) -> tuple[int, ...]:

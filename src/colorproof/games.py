@@ -1,4 +1,4 @@
-"""The four two-prover 3-coloring games: samplers, exact pmfs, verdicts.
+"""The four two-prover 3-coloring games: challenge draws, exact pmfs, verdicts.
 
 Game variants:
   * alt-rzkp  -- prover A gets an edge (i, j) and answers two labellings per
@@ -14,9 +14,11 @@ Game variants:
 
 Each variant is defined once, by its `GameSpec` in `SPECS`; everything else
 (the round loop, the quantum evaluator, the wire prover) reads the spec.
-Edge challenges always carry i < j. All samplers draw from an explicit
-`random.Random` stream, return an index into the graph's `ChallengeTable`
-of interned challenges, and match `challenge_pmf` exactly.
+Edge challenges always carry i < j. A variant's `replay` is its one draw
+order: it reads a round's challenge draws from a stream of 32-bit words and
+packs them into a key of the graph's `ChallengeTable` of interned
+challenges. `sample_challenge` is its one-round run on an explicit
+`random.Random` stream, and matches `challenge_pmf` exactly.
 
 `play_rounds` replays the round stream of the built-in classical pairs and
 of the joint (Born-rule) samplers in bulk (see its docstring). The scalar
@@ -37,6 +39,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import threading
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
@@ -380,18 +383,12 @@ def _bits_ok(*vals: int) -> bool:
 # Per-variant definitions, collected into one GameSpec each below
 
 
-# alt-rzkp: draws edge e, bit b, side s (endpoint s of e is v) and neighbour k of v
-def _rzkp_sample(t: ChallengeTable, rng: random.Random) -> int:
-    e = rng.randrange(t.ne)
-    b = rng.randrange(2)
-    s = rng.randrange(2)
-    k = rng.randrange(len(t.adjacency[t.edges[e][s]]))
-    return t[((e * 2 + b) * 2 + s) * t.radix + k]
-
-
-# Each replay makes its variant's sampler draws and then steps past the trailing draw, `count` times (see `GameSpec`).
+# Each replay makes its variant's challenge draws, then steps past the trailing draw, `count` times (see `GameSpec`).
 # `while (x := words[(p := p + 1)] >> shift) >= n: pass` is CPython's `x = randrange(n)`, shift = 32 - n.bit_length();
 # `random() < mix` is `(a >> 5 << 26 | b >> 6) < mix * 2**53` on the next two words a and b.
+
+
+# alt-rzkp: draws edge e, bit b, side s (endpoint s of e is v) and neighbour k of v
 def _rzkp_replay(t: ChallengeTable, s: WordStream, count: int, keys: list, starts: list) -> None:
     words, past, pos = s.words, s.trail_end, s.pos
     ne, se, ends, radix = t.ne, 32 - t.ne.bit_length(), t.ends, t.radix
@@ -452,11 +449,6 @@ def _rzkp_honest_b(lab: Labelled, half) -> tuple:
 
 
 # alt-edge: draws edge e and side s
-def _edge_sample(t: ChallengeTable, rng: random.Random) -> int:
-    e = rng.randrange(t.ne)
-    return t[2 * e + rng.randrange(2)]
-
-
 def _edge_replay(t: ChallengeTable, s: WordStream, count: int, keys: list, starts: list) -> None:
     words, past, pos = s.words, s.trail_end, s.pos
     ne, se = t.ne, 32 - t.ne.bit_length()
@@ -498,15 +490,6 @@ def _edge_check(ch: EdgeChallenge, ra: EdgeResponseA, rb: EdgeResponseB) -> Verd
 
 
 # bcs: draws the branch, then edge e, color alpha and side s, or vertex i and color beta
-def _bcs_sample(t: ChallengeTable, rng: random.Random) -> int:
-    if rng.random() < t.mix:
-        e = rng.randrange(t.ne)
-        alpha = rng.randrange(3)
-        return t[(e * 3 + alpha) * 2 + rng.randrange(2)]
-    i = rng.randrange(t.n)
-    return t[-1 - (i * 3 + rng.randrange(3))]
-
-
 def _bcs_replay(t: ChallengeTable, s: WordStream, count: int, keys: list, starts: list) -> None:
     words, past, pos = s.words, s.trail_end, s.pos
     n, ne, sn, se, cut = t.n, t.ne, 32 - t.n.bit_length(), 32 - t.ne.bit_length(), t.mix * 2**53
@@ -606,12 +589,6 @@ def _bcs_json(ch: BcsChallenge) -> dict:
 
 
 # vertex: draws the branch, then vertex i or edge e
-def _vertex_sample(t: ChallengeTable, rng: random.Random) -> int:
-    if rng.random() < t.mix:
-        return t[-1 - rng.randrange(t.n)]
-    return t[rng.randrange(t.ne)]
-
-
 def _vertex_replay(t: ChallengeTable, s: WordStream, count: int, keys: list, starts: list) -> None:
     words, past, pos = s.words, s.trail_end, s.pos
     n, ne, sn, se, cut = t.n, t.ne, 32 - t.n.bit_length(), 32 - t.ne.bit_length(), t.mix * 2**53
@@ -661,11 +638,19 @@ def _vertex_check(ch: VertexChallenge, ra: VertexResponse, rb: VertexResponse) -
 class GameSpec:
     """Everything that defines one game variant.
 
-    `sample(t, rng)` draws one challenge from a `ChallengeTable` `t` of this
-    variant and returns its index in `t.members`. It makes the variant's
-    `randrange` and `random()` draws in a fixed order (see `play_rounds`),
-    packs them into one int key and looks the key up in `t`. `member(t, key)`
-    builds the challenge a key stands for, once per key and table.
+    `replay(t, stream, count, keys, starts)` is the variant's one draw order.
+    It plays `count` rounds of a `WordStream` from `stream.pos` in one loop,
+    each the challenge's `randrange` and `random()` draws in a fixed order
+    (see `play_rounds`) and then the stream's trailing draw (the pair's
+    labelling or `random()`). It packs a round's challenge draws into one int
+    key and appends it to `keys`, appends the position of the trailing draw's
+    first word to `starts`, steps past that draw through `stream.trail_end`,
+    and raises IndexError where the buffer ends. `sample_challenge` is its
+    one-round run, with no trailing draw. A key is looked up in a
+    `ChallengeTable` `t` of this variant, and `member(t, key)` builds the
+    challenge it stands for, once per key and table. `sample_words` bounds
+    the words one round's challenge draws are expected to read (2 per
+    `randrange` and per `random()`).
 
     Outcomes are the payloads of the response classes (`response_a(outcome)`
     builds prover A's response). Keys are challenge halves; `a_keys(g)` and
@@ -677,22 +662,12 @@ class GameSpec:
     finds those vertices by calling it once and tabulates its outcome on
     every label they can carry.
 
-    The batch round engine reads two more entries. `replay(t, stream, count,
-    keys, starts)` plays `count` rounds of a `WordStream` from `stream.pos`
-    in one loop, each `sample`'s draws and then the stream's trailing draw
-    (the pair's labelling or `random()`). It appends the key `sample` would
-    look up in `t` to `keys` and the position of the trailing draw's first
-    word to `starts`, steps past that draw through `stream.trail_end`, and
-    raises IndexError where the buffer ends. `sample_words` bounds the words
-    one `sample` is expected to read (2 per `randrange` and per `random()`).
-
     `shape(ch)` is a small tuple of what `check` reads of a challenge besides
     the answers, with no vertex names: challenges of one shape get one verdict
     on every answer pair, so `VERDICT_TABLES` keeps one table per shape.
     """
 
     game: GameType
-    sample: Callable[[ChallengeTable, random.Random], int]
     replay: Callable[[ChallengeTable, WordStream, int, list, list], None]
     sample_words: int
     member: Callable[[ChallengeTable, int], Challenge]
@@ -721,7 +696,6 @@ _BITS2 = tuple(itertools.product((0, 1), repeat=2))
 SPECS = {
     GameType.ALT_RZKP: GameSpec(
         game=GameType.ALT_RZKP,
-        sample=_rzkp_sample,
         replay=_rzkp_replay,
         sample_words=8,
         member=_rzkp_member,
@@ -743,7 +717,6 @@ SPECS = {
     ),
     GameType.ALT_EDGE: GameSpec(
         game=GameType.ALT_EDGE,
-        sample=_edge_sample,
         replay=_edge_replay,
         sample_words=4,
         member=_edge_member,
@@ -765,7 +738,6 @@ SPECS = {
     ),
     GameType.BCS: GameSpec(
         game=GameType.BCS,
-        sample=_bcs_sample,
         replay=_bcs_replay,
         sample_words=8,
         member=_bcs_member,
@@ -787,7 +759,6 @@ SPECS = {
     ),
     GameType.VERTEX: GameSpec(
         game=GameType.VERTEX,
-        sample=_vertex_sample,
         replay=_vertex_replay,
         sample_words=4,
         member=_vertex_member,
@@ -862,7 +833,7 @@ class InternTable(dict):
 class ChallengeTable(InternTable):
     """One variant's challenges on one graph and mix, interned by the draws that pick them.
 
-    Maps a sampler's draw key to an index in `members`. A key's challenge is
+    Maps a replay's draw key to an index in `members`. A key's challenge is
     built by `spec.member` the first time the key is drawn, so the table
     holds only what has been drawn so far, never the whole support up front.
     Members are ordinary challenge objects: equal by value, with an equal
@@ -909,10 +880,32 @@ def challenge_table(kind: GameKind, g: Graph) -> ChallengeTable:
         return g.challenge_tables.setdefault(key, ChallengeTable(SPECS[kind.game], g, kind.mix))
 
 
+class _DrawnWords:
+    """One round's words for `sample_challenge`: reading `words[p]` draws `rng`'s next word (`getrandbits(32)`).
+
+    A replay reads each position once and in order, so `rng` draws exactly the words of the variant's
+    `randrange` and `random()` calls. There is no trailing draw: `trail_end[q]` is q.
+    """
+
+    __slots__ = ("_draw",)
+    trail_end, pos = range(sys.maxsize), 0
+
+    def __init__(self, rng: random.Random):
+        self._draw = rng.getrandbits
+
+    @property
+    def words(self) -> _DrawnWords:
+        return self
+
+    def __getitem__(self, p: int) -> int:
+        return self._draw(32)
+
+
 def sample_challenge(kind: GameKind, g: Graph, rng: random.Random) -> Challenge:
-    """Draw one challenge from the game's exact distribution."""
-    t = challenge_table(kind, g)
-    return t.members[t.spec.sample(t, rng)]
+    """Draw one challenge from the game's exact distribution: one round of the variant's `replay` on `rng`."""
+    t, keys = challenge_table(kind, g), []
+    t.spec.replay(t, _DrawnWords(rng), 1, keys, [])
+    return t.members[t[keys[0]]]
 
 
 def challenge_pmf(kind: GameKind, g: Graph) -> dict[Challenge, float]:
@@ -1041,12 +1034,13 @@ def play_rounds(
     possible) or a joint sampler `respond` (used for Born-rule simulation of
     quantum strategies). Strategy exceptions count as Reject(malformed).
 
-    Stream contract: round r draws its challenge (`spec.sample`: `randrange`
-    and, for bcs and vertex, one `random()` first), then the pair's
-    `shared` draw or `respond` draw, before round r + 1 draws anything. A
-    `LabellingDraw` draws `randrange(6)` for the permutation when it permutes,
-    then one `randrange(3)` per vertex of `colors_a`; a `JointSampler` draws
-    one `random()`. Challenges come from the graph's `ChallengeTable`, whose
+    Stream contract: round r draws its challenge (`sample_challenge`, one
+    round of the variant's one draw order `spec.replay`: `randrange` and, for
+    bcs and vertex, one `random()` first), then the pair's `shared` draw or
+    `respond` draw, before round r + 1 draws anything. A `LabellingDraw`
+    draws `randrange(6)` for the permutation when it permutes, then one
+    `randrange(3)` per vertex of `colors_a`; a `JointSampler` draws one
+    `random()`. Challenges come from the graph's `ChallengeTable`, whose
     members equal freshly built ones.
 
     Two kinds of pair are replayed in bulk, from the same words of the same
@@ -1140,16 +1134,17 @@ class WordStream:
 
     Each word is one output of the generator (MT19937's `genrand_uint32`).
     `rng.randbytes(4 * W)` is `getrandbits(32 * W)` in little-endian order:
-    the next W words, in draw order, read as `'<u4'` on any platform. The
-    buffer also keeps the positions of the words that `randrange(3)` accepts
-    (`accepted`) and each position's rank among them (`rank[p]`, the number
-    of accepted words before p).
+    the next W words, in draw order, read as `'<u4'` on any platform.
 
-    Each round ends with the pair's draw after the sampler's, its trailing
+    Each round ends with the pair's draw after the challenge's, its trailing
     draw; `trail(stream)` (`label_trail(draws)` or `random_trail`) gives
     `trail_end[q]`, the position just past a trailing draw that starts at
     word q. It stops where that draw would run past the buffer, so reading
-    past its end raises IndexError, as reading past `words` does.
+    past its end raises IndexError, as reading past `words` does. Only a
+    labelling stream indexes its accepted words: `label_trail` keeps the
+    positions of the words that `randrange(3)` accepts (`accepted`) and each
+    position's rank among them (`rank[p]`, the number of accepted words
+    before p).
     """
 
     __slots__ = ("_rng", "_raw", "_trail", "words", "accepted", "rank", "trail_end", "pos")
@@ -1160,10 +1155,7 @@ class WordStream:
 
     def _reset(self, raw: bytes) -> None:
         self._raw = raw
-        words = np.frombuffer(raw, "<u4").astype(np.uint32, copy=False)
-        self.words = memoryview(words)
-        accepted = np.concatenate(([False], words < 3 << 30))  # the top two bits are not 11 (see DRAW_DIGITS)
-        self.accepted, self.rank = np.flatnonzero(accepted[1:]), np.cumsum(accepted)
+        self.words = memoryview(np.frombuffer(raw, "<u4").astype(np.uint32, copy=False))
         self.trail_end = memoryview(self._trail(self))
 
     def extend(self, count: int) -> None:
@@ -1177,9 +1169,12 @@ class WordStream:
 
 
 def label_trail(draws: int) -> Callable[[WordStream], np.ndarray]:
-    """A labelling's trailing draw: the next `draws` words that `randrange(3)` accepts."""
+    """A labelling's trailing draw: the next `draws` words that `randrange(3)` accepts (indexed on the stream
+    as `accepted` and `rank`, see `WordStream`)."""
 
     def trail(s: WordStream) -> np.ndarray:
+        accepted = np.concatenate(([False], np.asarray(s.words) < 3 << 30))  # top bits not 11 (see DRAW_DIGITS)
+        s.accepted, s.rank = np.flatnonzero(accepted[1:]), np.cumsum(accepted)
         fits = np.searchsorted(s.rank, len(s.accepted) - draws, "right")  # the starts whose last word is drawn
         return (s.accepted[draws - 1 :] + 1)[s.rank[:fits]]  # accepted[rank[q] + draws - 1] + 1
 

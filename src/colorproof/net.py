@@ -379,14 +379,6 @@ class ProverServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
 
-def run_prover(
-    endpoint: tuple[str, int], inst: PlantedInstance, role: str, shared_seed: int, delay_s: float = 0.0
-) -> ProverServer:
-    """Start a prover server on `endpoint`; returns the running server."""
-    host, port = endpoint
-    return ProverServer(inst, role, shared_seed, host=host, port=port, delay_s=delay_s).start()
-
-
 # ---------------------------------------------------------------------------
 # Verifier
 

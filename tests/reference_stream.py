@@ -1,14 +1,59 @@
 """Per-draw references: CPython's draws replayed one call at a time.
 
-The batch round engine replays each block's draws in one fused loop per
-variant (`GameSpec.replay`). `ReferenceStream` keeps the draw-at-a-time
-reading of the same words, as the reference the tests hold that loop and the
-stream to. `round_labelling` is a wire prover's whole labelling of a round,
-drawn with `draw_labellings`, which the prover's partial decode must match.
+Each variant's draw order is written once, as its fused replay loop
+(`GameSpec.replay`). `reference_sample` builds a challenge from
+`random.Random`'s own `randrange` and `random()` calls instead, as the
+reference the tests hold each replay to. `ReferenceStream` keeps the
+draw-at-a-time reading of a `WordStream`'s words, as the reference the tests
+hold the stream to. `round_labelling` is a wire prover's whole labelling of a
+round, drawn with `draw_labellings`, which the prover's partial decode must
+match.
 """
 
-from colorproof.games import Labelled, WordStream, draw_labellings, random_trail
+from colorproof.games import (
+    BcsChallenge,
+    Challenge,
+    EdgeChallenge,
+    EdgeConstraint,
+    GameKind,
+    GameType,
+    Labelled,
+    RzkpChallenge,
+    VertexChallenge,
+    VertexConstraint,
+    WordStream,
+    draw_labellings,
+    random_trail,
+)
+from colorproof.graphs import Graph
 from colorproof.seeds import substream
+
+
+def reference_sample(kind: GameKind, g: Graph, rng) -> Challenge:
+    """One challenge built from `rng`'s `randrange` and `random()` draws, in each variant's draw order."""
+    if kind.game is GameType.ALT_RZKP:
+        i, j = g.edges[rng.randrange(len(g.edges))]
+        b = rng.randrange(2)
+        v = i if rng.randrange(2) == 0 else j
+        nbrs = g.adjacency[v]
+        u = nbrs[rng.randrange(len(nbrs))]
+        return RzkpChallenge(edge_a=(i, j), edge_b=(v, u) if v < u else (u, v), bit=b)
+    if kind.game is GameType.ALT_EDGE:
+        i, j = g.edges[rng.randrange(len(g.edges))]
+        return EdgeChallenge(edge_a=(i, j), vertex_b=i if rng.randrange(2) == 0 else j)
+    if kind.game is GameType.BCS:
+        if rng.random() < kind.mix:
+            e = g.edges[rng.randrange(len(g.edges))]
+            alpha = rng.randrange(3)
+            return BcsChallenge(EdgeConstraint(edge=e, color=alpha), vertex_b=e[rng.randrange(2)], color_b=alpha)
+        i = rng.randrange(g.n)
+        return BcsChallenge(VertexConstraint(vertex=i), vertex_b=i, color_b=rng.randrange(3))
+    if rng.random() < kind.mix:
+        i = rng.randrange(g.n)
+        return VertexChallenge(i, i)
+    i, j = g.edges[rng.randrange(len(g.edges))]
+    return VertexChallenge(i, j)
+
 
 _REFILL_WORDS = 1 << 12
 

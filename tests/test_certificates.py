@@ -227,6 +227,16 @@ def test_eps_table_missing_constraint(k3):
         eps_table(bcs, k3)
 
 
+def test_eps_table_missing_b_family(k3):
+    from colorproof.certificates import MissingProjectorError
+
+    s = classical_embedding(GameType.BCS, k3, (0, 1, 2))
+    del s.pvm_b[(0, 0)]
+    for read in (eps_table, extract_assignment):
+        with pytest.raises(MissingProjectorError, match=r"no B measurement for \(0, 0\)"):
+            read(s, k3)
+
+
 def test_eps_table_edgeless_graph(k3):
     from colorproof.certificates import CertificateError
     from colorproof.graphs import make_graph
@@ -345,22 +355,6 @@ def test_tracial_cross_bound_at_general_states():
         bound = math.sqrt(max(0.0, 2.0 * eps * (2.0 - eps)))
         assert np.linalg.norm(x_s @ sr - sr @ x_s, "fro") <= bound + 1e-9
         assert np.linalg.norm(x_s @ sr - sr @ y_s.T, "fro") <= bound + 1e-9
-
-
-def test_json_serialization_roundtrips_values(k3):
-    import json
-
-    from colorproof.certificates import assignment_to_json, norm_report_to_json
-
-    rng = np.random.default_rng(55)
-    bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, rng)
-    a = extract_assignment(bcs, k3)
-    nr = assignment_norms(a, k3)
-    doc = json.loads(json.dumps({"assignment": assignment_to_json(a), "norms": norm_report_to_json(nr)}))
-    re_im = doc["assignment"]["rho"][0][0]
-    assert re_im == [pytest.approx(a.rho[0, 0].real), pytest.approx(a.rho[0, 0].imag)]
-    key = "0,1,0,0"
-    assert doc["norms"]["commuting"][key] == pytest.approx(nr.commuting[(0, 1, 0, 0)])
 
 
 def _stripped(s: QuantumStrategy) -> QuantumStrategy:

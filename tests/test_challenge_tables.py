@@ -1,9 +1,12 @@
 """The interned challenge tables against the samplers they replaced.
 
-Each sampler packs its draws into a key and returns the index of the key's
-interned challenge. These tests hold it to the samplers that built a fresh
-challenge per draw: the same challenges from the same words, the rng left at
-the same word, and members that are equal, hash alike and serialise alike.
+Each variant's replay packs a round's draws into a key, and the table gives
+the key's interned challenge. These tests hold `sample_challenge` (one round
+of the replay) to `reference_sample`, which builds a fresh challenge per
+draw: the same challenges from the same words, the rng left at the same
+word, and members that are equal, hash alike and serialise alike. The
+`word-stream` case runs the replay one round at a time on a `WordStream`
+whose small buffer ends inside many rounds.
 """
 
 import copy
@@ -17,14 +20,8 @@ import pytest
 from colorproof import games
 from colorproof.games import (
     SPECS,
-    BcsChallenge,
-    EdgeChallenge,
-    EdgeConstraint,
     GameKind,
     GameType,
-    RzkpChallenge,
-    VertexChallenge,
-    VertexConstraint,
     WordStream,
     challenge_pmf,
     challenge_table,
@@ -33,33 +30,7 @@ from colorproof.games import (
 )
 from colorproof.graphs import Graph, gen_planted, make_graph
 from colorproof.strategies import fixed_coloring_pair, honest_pair
-from reference_stream import ReferenceStream
-
-
-def reference_sample(kind: GameKind, g: Graph, rng) -> games.Challenge:
-    """One challenge built from its draws, as the samplers did before the tables."""
-    if kind.game is GameType.ALT_RZKP:
-        i, j = g.edges[rng.randrange(len(g.edges))]
-        b = rng.randrange(2)
-        v = i if rng.randrange(2) == 0 else j
-        nbrs = g.adjacency[v]
-        u = nbrs[rng.randrange(len(nbrs))]
-        return RzkpChallenge(edge_a=(i, j), edge_b=(v, u) if v < u else (u, v), bit=b)
-    if kind.game is GameType.ALT_EDGE:
-        i, j = g.edges[rng.randrange(len(g.edges))]
-        return EdgeChallenge(edge_a=(i, j), vertex_b=i if rng.randrange(2) == 0 else j)
-    if kind.game is GameType.BCS:
-        if rng.random() < kind.mix:
-            e = g.edges[rng.randrange(len(g.edges))]
-            alpha = rng.randrange(3)
-            return BcsChallenge(EdgeConstraint(edge=e, color=alpha), vertex_b=e[rng.randrange(2)], color_b=alpha)
-        i = rng.randrange(g.n)
-        return BcsChallenge(VertexConstraint(vertex=i), vertex_b=i, color_b=rng.randrange(3))
-    if rng.random() < kind.mix:
-        i = rng.randrange(g.n)
-        return VertexChallenge(i, i)
-    i, j = g.edges[rng.randrange(len(g.edges))]
-    return VertexChallenge(i, j)
+from reference_stream import reference_sample
 
 
 def _degree_one() -> Graph:
@@ -74,6 +45,23 @@ GRAPHS = {
 }
 KINDS = [GameKind(game, mix) for game in GameType for mix in (0.0, 0.5, 1.0)]
 kind_ids = lambda k: f"{k.game.value}-{k.mix}"  # noqa: E731
+
+
+def _no_trail(s: WordStream) -> np.ndarray:
+    """A stream with no trailing draw: `trail_end[q]` is q."""
+    return np.arange(len(s.words) + 1)
+
+
+def _replayed(t: games.ChallengeTable, stream: WordStream) -> int:
+    """One round of `t.spec.replay` on a `_no_trail` stream, drawing more words where the buffer ends."""
+    keys, starts = [], []
+    while not keys:
+        try:
+            t.spec.replay(t, stream, 1, keys, starts)
+        except IndexError:
+            stream.extend(7)
+    stream.pos = starts[0]
+    return t[keys[0]]
 
 
 def _next_word(rng) -> int:
@@ -98,14 +86,14 @@ def test_sampler_matches_reference_word_for_word(name, kind, stream):
     g = GRAPHS[name]()
     for seed in (1, 2):
         ref = random.Random(seed)
-        rng = ReferenceStream(random.Random(seed)) if stream else random.Random(seed)
+        rng = WordStream(random.Random(seed), _no_trail) if stream else random.Random(seed)
         if stream:
             rng.extend(7)  # a small buffer: the draws cross many refills
         t = challenge_table(kind, g)
         for _ in range(1500):
             want = reference_sample(kind, g, ref)
-            # the batch engine's use of the table on a WordStream, else the scalar loop's
-            got = t.members[SPECS[kind.game].sample(t, rng)] if stream else sample_challenge(kind, g, rng)
+            # the replay one round at a time on a WordStream with no trailing draw, else the scalar loop's
+            got = t.members[_replayed(t, rng)] if stream else sample_challenge(kind, g, rng)
             assert got == want
         assert _next_word(rng) == ref.getrandbits(32)
 

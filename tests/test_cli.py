@@ -6,7 +6,7 @@ import pytest
 from colorproof import net
 from colorproof.cli import main
 from colorproof.graphs import gen_planted
-from colorproof.net import run_prover
+from colorproof.net import ProverServer
 
 
 def run_cli(capsys, argv):
@@ -130,8 +130,8 @@ def test_verify_against_live_provers(capsys, tmp_path):
     inst = gen_planted(6, 9, seed=1)
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps(inst.graph.to_dict(inst.witness)))
-    pa = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=9)
-    pb = run_prover(("127.0.0.1", 0), inst, "b", shared_seed=9)
+    pa = ProverServer(inst, "a", 9).start()
+    pb = ProverServer(inst, "b", 9).start()
     try:
         code, out, _ = run_cli(
             capsys,

@@ -19,6 +19,7 @@ from colorproof.net import (
     FrameError,
     Hello,
     OversizeError,
+    ProverServer,
     ResponseA,
     ResponseB,
     Result,
@@ -27,7 +28,6 @@ from colorproof.net import (
     TruncatedError,
     decode,
     encode,
-    run_prover,
     run_verifier_session,
 )
 from colorproof.strategies import mismatched_pair
@@ -53,8 +53,8 @@ def inst():
 
 @pytest.fixture(scope="module")
 def provers(inst):
-    pa = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
-    pb = run_prover(("127.0.0.1", 0), inst, "b", shared_seed=42)
+    pa = ProverServer(inst, "a", 42).start()
+    pb = ProverServer(inst, "b", 42).start()
     yield pa, pb
     pa.stop()
     pb.stop()
@@ -194,7 +194,7 @@ def test_mismatched_witness_rejections_match_in_process(inst, provers):
     other = three_color(inst.graph)
     if tuple(other) == inst.witness:
         other = tuple((c + 1) % 3 for c in other)
-    pb2 = run_prover(("127.0.0.1", 0), PlantedInstance(inst.graph, tuple(other)), "b", shared_seed=42)
+    pb2 = ProverServer(PlantedInstance(inst.graph, tuple(other)), "b", 42).start()
     try:
         rounds = 4000
         cfg = SessionConfig(inst.graph, rounds=rounds, deadline_ns=200_000_000, seed=6, addr_a=pa.address, addr_b=pb2.address)
@@ -212,7 +212,7 @@ def test_mismatched_witness_rejections_match_in_process(inst, provers):
 
 def test_slow_prover_times_out(inst, provers):
     pa, _ = provers
-    slow = run_prover(("127.0.0.1", 0), inst, "b", shared_seed=42, delay_s=0.03)
+    slow = ProverServer(inst, "b", 42, delay_s=0.03).start()
     try:
         cfg = SessionConfig(inst.graph, rounds=15, deadline_ns=2_000_000, seed=5, addr_a=pa.address, addr_b=slow.address)
         rep = run_verifier_session(cfg)
@@ -238,7 +238,7 @@ def test_graph_hash_mismatch_refused(inst, provers):
 
 
 def test_prover_rejects_wrong_role_frames(inst):
-    p = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
+    p = ProverServer(inst, "a", 42).start()
     try:
         with socket.create_connection(p.address, timeout=2.0) as sock:
             from colorproof.net import _Stream
@@ -276,7 +276,7 @@ def test_prover_refuses_challenges_off_its_graph(monkeypatch, role, challenge):
         ended.append(None)
 
     monkeypatch.setattr(net, "_serve_connection", recording_serve)
-    p = run_prover(("127.0.0.1", 0), inst, role, shared_seed=42)
+    p = ProverServer(inst, role, 42).start()
     try:
         with socket.create_connection(p.address, timeout=2.0) as sock:
             stream = _Stream(sock)
@@ -308,7 +308,7 @@ def test_prover_answers_each_round_once(role, first, replay):
 
     inst = gen_planted(8, 10, 3)
     assert inst.graph.has_edge(0, 1) and inst.graph.has_edge(1, 4) and not inst.graph.has_edge(0, 4)
-    p = run_prover(("127.0.0.1", 0), inst, role, shared_seed=42)
+    p = ProverServer(inst, role, 42).start()
     try:
         with socket.create_connection(p.address, timeout=2.0) as sock:
             stream = _Stream(sock)

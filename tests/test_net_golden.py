@@ -20,13 +20,13 @@ from colorproof.net import (
     ChallengeA,
     ChallengeB,
     Hello,
+    ProverServer,
     ResponseA,
     ResponseB,
     Result,
     SessionConfig,
     decode,
     encode,
-    run_prover,
     run_verifier_session,
 )
 from reference_stream import round_labelling
@@ -39,7 +39,7 @@ RECORDED = {
     "b": ("2d3f01b3a0d56e625b9ef999b253b3d86a4105f9579451e6ce66a71fbdca65e1", 11144),
 }
 RECORDED_TRANSCRIPTS = "ffea1a91ed65d0833ca33dcb4102f80061bc1cfa54999bddab6572688842b0d9"
-# sha256 of the JSON-lines transcripts of seeded sessions against `run_prover` provers
+# sha256 of the JSON-lines transcripts of seeded sessions against `ProverServer` provers
 HONEST_TRANSCRIPTS = "cb455e841bea867a51de7d581f0d35c787d1954be3ea0f2109222933e9bb63d9"
 MISMATCHED_TRANSCRIPTS = "989eabf408dd1a75ccc328e9fe95f52445b21e1948608c57127e02da8ac498e3"
 
@@ -137,8 +137,8 @@ def test_recording_provers_receive_the_same_bytes(inst, other):
 
 
 def test_seeded_honest_session_keeps_its_transcripts(inst):
-    pa = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
-    pb = run_prover(("127.0.0.1", 0), inst, "b", shared_seed=42)
+    pa = ProverServer(inst, "a", 42).start()
+    pb = ProverServer(inst, "b", 42).start()
     try:
         cfg = SessionConfig(inst.graph, rounds=1000, deadline_ns=5_000_000_000, seed=21,
                             addr_a=pa.address, addr_b=pb.address)
@@ -151,8 +151,8 @@ def test_seeded_honest_session_keeps_its_transcripts(inst):
 
 
 def test_seeded_mismatched_session_keeps_its_transcripts(inst, other):
-    pa = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
-    pb = run_prover(("127.0.0.1", 0), PlantedInstance(inst.graph, other), "b", shared_seed=42)
+    pa = ProverServer(inst, "a", 42).start()
+    pb = ProverServer(PlantedInstance(inst.graph, other), "b", 42).start()
     try:
         cfg = SessionConfig(inst.graph, rounds=1000, deadline_ns=5_000_000_000, seed=22,
                             addr_a=pa.address, addr_b=pb.address)

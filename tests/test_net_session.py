@@ -28,12 +28,12 @@ from colorproof.net import (
     ChallengeA,
     ChallengeB,
     Hello,
+    ProverServer,
     ResponseA,
     ResponseB,
     SessionConfig,
     _Link,
     _Stream,
-    run_prover,
     run_verifier_session,
 )
 from colorproof.seeds import derive_seed, substream
@@ -47,8 +47,8 @@ def inst():
 
 @pytest.fixture(scope="module")
 def provers(inst):
-    pa = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
-    pb = run_prover(("127.0.0.1", 0), inst, "b", shared_seed=42)
+    pa = ProverServer(inst, "a", 42).start()
+    pb = ProverServer(inst, "b", 42).start()
     yield pa, pb
     pa.stop()
     pb.stop()
@@ -439,7 +439,7 @@ def test_report_adds_latency_and_reject_reasons(inst, provers):
     other = three_color(inst.graph)
     if tuple(other) == inst.witness:
         other = tuple((c + 1) % 3 for c in other)
-    bad_b = run_prover(("127.0.0.1", 0), PlantedInstance(inst.graph, tuple(other)), "b", shared_seed=42)
+    bad_b = ProverServer(PlantedInstance(inst.graph, tuple(other)), "b", 42).start()
     try:
         rep = run_verifier_session(SessionConfig(inst.graph, rounds=300, deadline_ns=500_000_000, seed=9,
                                                  addr_a=pa.address, addr_b=bad_b.address))
@@ -484,7 +484,7 @@ def _hello_then(inst, frames, wait_for_close=True):
 )
 def test_prover_counts_why_connections_end(monkeypatch, inst, reason):
     monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 0.2)
-    server = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
+    server = ProverServer(inst, "a", 42).start()
     clients = {
         "bye": _hello_then(inst, [ChallengeA(0, *inst.graph.edges[0]), Bye()]),
         "bad-hello": lambda sock: (
@@ -513,7 +513,7 @@ def test_an_exception_escaping_a_connection_reaches_threading_excepthook(monkeyp
 
     monkeypatch.setattr(net, "_serve_connection", broken)
     monkeypatch.setattr(threading, "excepthook", seen.append)
-    server = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
+    server = ProverServer(inst, "a", 42).start()
     try:
         with socket.create_connection(server.address, timeout=2.0):
             pass
@@ -539,8 +539,8 @@ def test_stop_returns_promptly_started_or_not(inst):
 
 
 def test_session_ends_with_bye_on_both_provers(inst):
-    pa = run_prover(("127.0.0.1", 0), inst, "a", shared_seed=42)
-    pb = run_prover(("127.0.0.1", 0), inst, "b", shared_seed=42)
+    pa = ProverServer(inst, "a", 42).start()
+    pb = ProverServer(inst, "b", 42).start()
     try:
         for seed in (1, 2):
             cfg = SessionConfig(inst.graph, rounds=20, deadline_ns=500_000_000, seed=seed,

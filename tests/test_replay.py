@@ -1,13 +1,13 @@
-"""Each variant's fused block replay against its per-draw sampler, word for word.
+"""Each variant's fused block replay against a per-draw reference, word for word.
 
-`GameSpec.replay` plays a block of rounds (the challenge draws of `sample`,
-then the stream's trailing draw: a labelling, or one `random()`) in one loop
-over a `WordStream`'s words. These tests play the same rounds with
-`spec.sample` and `draw_labellings` or `random()` on a plain `random.Random`
-that counts the words it reads, and ask for the same keys, the same trailing
-draw starts, the same labels or `random()` values and the same end position,
-also when the buffer ends inside a round and the replay resumes from that
-round after a refill.
+`GameSpec.replay` is each variant's one draw order: it plays a block of
+rounds (the challenge's draws, then the stream's trailing draw: a labelling,
+or one `random()`) in one loop over a `WordStream`'s words. These tests play
+the same rounds with `reference_sample` and `draw_labellings` or `random()`
+on a plain `random.Random` that counts the words it reads, and ask for the
+same challenges, the same trailing draw starts, the same labels or
+`random()` values and the same end position, also when the buffer ends
+inside a round and the replay resumes from that round after a refill.
 """
 
 import random
@@ -27,6 +27,7 @@ from colorproof.games import (
     random_trail,
 )
 from colorproof.graphs import gen_planted, make_graph
+from reference_stream import reference_sample
 
 
 class CountingRandom(random.Random):
@@ -64,14 +65,13 @@ def test_graphs_cover_the_draw_widths():
 
 
 def _reference(kind: GameKind, g, trailing, seed: int):
-    """Per round: `sample`'s table index, the trailing draw's first word and its value, the words read so far."""
-    t = challenge_table(kind, g)
+    """Per round: the challenge, the trailing draw's first word and its value, the words read so far."""
     rng = CountingRandom(seed)
     rounds = []
     for _ in range(ROUNDS):
-        index = SPECS[kind.game].sample(t, rng)
+        ch = reference_sample(kind, g, rng)
         first = rng.words
-        rounds.append((index, first, trailing(rng), rng.words))
+        rounds.append((ch, first, trailing(rng), rng.words))
     return rounds
 
 
@@ -101,7 +101,7 @@ def _replay(kind: GameKind, g, stream: WordStream, want: list, buffer) -> tuple[
             assert buffer and len(keys) == len(starts) < ROUNDS
             stream.extend(29)
     assert stream.trail_end[starts[-1]] == end_of[-1]
-    assert list(map(t.__getitem__, keys)) == [index for index, _, _, _ in want]
+    assert [t.members[t[key]] for key in keys] == [ch for ch, _, _, _ in want]
     assert starts == [first for _, first, _, _ in want]
     return keys, starts
 
@@ -134,7 +134,7 @@ def test_replay_matches_sample_word_for_word(kind, name, permute, buffer):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.game.value}-{k.mix}")
 def test_replay_with_a_random_trail_matches_sample(kind, name, buffer):
-    """A joint sampler's round: `sample`'s draws, then one `random()` from the two words at the start."""
+    """A joint sampler's round: the challenge's draws, then one `random()` from the two words at the start."""
     g = GRAPHS[name]()
     want = _reference(kind, g, lambda rng: rng.random(), 8)
     stream = WordStream(random.Random(8), random_trail)

@@ -15,7 +15,16 @@ import numpy as np
 import pytest
 
 from colorproof import audits, games, quantum
-from colorproof.games import REASON_CODE, SPECS, GameKind, GameType, challenge_pmf, challenge_table, verdict
+from colorproof.games import (
+    REASON_CODE,
+    SPECS,
+    GameKind,
+    GameType,
+    challenge_pmf,
+    challenge_table,
+    sample_challenge,
+    verdict,
+)
 from colorproof.graphs import extend_with_gadgets, gen_planted, make_graph
 
 SHAPE_COUNTS = {GameType.ALT_RZKP: 10, GameType.ALT_EDGE: 2, GameType.BCS: 5, GameType.VERTEX: 2}
@@ -38,7 +47,7 @@ def _fill(kind: GameKind, g) -> games.ChallengeTable:
     for _ in range(200_000):
         if support <= set(t.members):
             return t
-        t.spec.sample(t, rng)
+        sample_challenge(kind, g, rng)
     raise AssertionError(f"{len(support - set(t.members))} challenges never drawn")
 
 
