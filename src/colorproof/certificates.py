@@ -6,7 +6,8 @@ commuting satisfying one: commutators with sqrt(rho) (tracial defect),
 neighbor commutators, edge-coloring products, and gadget-pair commutators.
 `check_bounds` evaluates every inequality the reduction proof promises and
 returns the violations (an empty list, unless the implementation is wrong --
-these are theorems).
+these are theorems). A strategy missing a family raises `quantum.MissingPvmError`;
+`MissingProjectorError` is for an `Assignment` missing a projector.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .games import BCS, F3, BcsChallenge, BcsResponseA, BcsResponseB, EdgeConstraint, GameType, verdict
 from .graphs import ExtendedGraph, Graph
-from .quantum import QuantumStrategy
+from .quantum import QuantumStrategy, _stack_ops
 
 
 class CertificateError(ValueError):
@@ -106,27 +107,19 @@ def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     """Pull B's outcome-1 projectors per (vertex, color) and the reduced state."""
     if s.game is not GameType.BCS:
         raise CertificateError(f"expected a constraint-game strategy, got {s.game}")
-    projs: dict = {}
-    zero = np.zeros((s.dim_b, s.dim_b), dtype=complex)  # an omitted outcome reads as zero
-    for v in range(g.n):
-        fams = []
-        for alpha in F3:
-            key = (v, alpha)
-            if key not in s.pvm_b:
-                raise MissingProjectorError(f"strategy has no B measurement for {key}")
-            fams.append(s.pvm_b[key].get(1, zero))
-            projs[key] = fams[-1]
-        total = fams[0] + fams[1] + fams[2]
-        if np.abs(total - np.eye(s.dim_b)).max() > 1e-9:
+    keys = [(v, alpha) for v in range(g.n) for alpha in F3]
+    ones = _stack_ops(s.pvm_b, [(key, 1) for key in keys], "B", s.dim_b)
+    for v, fams in enumerate(ones.reshape(g.n, 3, s.dim_b, s.dim_b)):
+        if np.abs(fams[0] + fams[1] + fams[2] - np.eye(s.dim_b)).max() > 1e-9:
             raise NotVertexCompleteError(f"color projectors at vertex {v} do not sum to identity")
-        for a, b in itertools.combinations(range(3), 2):
-            if np.abs(fams[a] @ fams[b] - fams[b] @ fams[a]).max() > 1e-9:
+        for a, b in itertools.combinations(fams, 2):
+            if np.abs(a @ b - b @ a).max() > 1e-9:
                 raise NotVertexCompleteError(f"same-vertex projectors at {v} do not commute")
     rho = partial_trace_a(s)
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > 1e-9:
         raise NumericalError(f"reduced state trace {tr} != 1")
-    return Assignment(dim=s.dim_b, rho=rho, projs=projs, vertices=tuple(range(g.n)))
+    return Assignment(dim=s.dim_b, rho=rho, projs=dict(zip(keys, ones)), vertices=tuple(range(g.n)))
 
 
 _BITS2 = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -157,15 +150,10 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     if not g.edges:
         raise CertificateError("eps table needs a graph with at least one edge")
     a_keys = [EdgeConstraint(e, alpha) for e in g.edges for alpha in F3]
-    for a_key in a_keys:
-        if a_key not in s.pvm_a:
-            raise MissingProjectorError(f"strategy has no A measurement for {a_key}")
-        for b_key in ((end, a_key.color) for end in a_key.edge):
-            if b_key not in s.pvm_b:
-                raise MissingProjectorError(f"strategy has no B measurement for {b_key}")
-    za, zb = (np.zeros((d, d), dtype=complex) for d in (s.dim_a, s.dim_b))  # an omitted outcome reads as zero
-    pa = np.array([[s.pvm_a[key].get(bits, za) for bits in _BITS2] for key in a_keys])  # (r, bits, d_a, d_a)
-    pb = np.array([[[s.pvm_b[(end, key.color)].get(bt, zb) for bt in (0, 1)] for end in key.edge] for key in a_keys])
+    a_layout = [(key, bits) for key in a_keys for bits in _BITS2]
+    b_layout = [((end, key.color), bt) for key in a_keys for end in key.edge for bt in (0, 1)]
+    pa = _stack_ops(s.pvm_a, a_layout, "A", s.dim_a).reshape(-1, 4, s.dim_a, s.dim_a)  # (r, bits, d_a, d_a)
+    pb = _stack_ops(s.pvm_b, b_layout, "B", s.dim_b).reshape(-1, 2, 2, s.dim_b, s.dim_b)  # (r, end, bit, d_b, d_b)
     amp = (pa[:, :, None, None] @ s.psi_matrix()) @ pb[:, None].swapaxes(-1, -2)  # (r, bits, end, bit, d_a, d_b)
     pairs = (amp.real**2 + amp.imag**2).sum(axis=(-2, -1))
     eps = np.einsum("rakb,kab->rk", pairs, _LOSSES)

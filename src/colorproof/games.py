@@ -783,16 +783,6 @@ SPECS = {
 _SPEC_OF_CHALLENGE = {spec.challenge: spec for spec in SPECS.values()}
 
 
-def half_a(ch: Challenge):
-    """The part of a challenge that prover A is allowed to see."""
-    return _SPEC_OF_CHALLENGE[type(ch)].half_a(ch)
-
-
-def half_b(ch: Challenge):
-    """The part of a challenge that prover B is allowed to see."""
-    return _SPEC_OF_CHALLENGE[type(ch)].half_b(ch)
-
-
 # ---------------------------------------------------------------------------
 # Sampling, exact pmfs and the verdict machine
 

@@ -85,7 +85,8 @@ class QuantumStrategy:
 
     `pvm_a` maps prover A's challenge half to {outcome: projector}, `pvm_b`
     likewise for prover B. Outcome keys follow the game's response payloads
-    (e.g. 4-tuples of labels for the labelling game's prover A).
+    (e.g. 4-tuples of labels for the labelling game's prover A). An omitted
+    outcome reads as a zero projector; a missing family raises `MissingPvmError`.
     """
 
     game: GameType
@@ -199,11 +200,16 @@ def joint_probabilities(psi_mat: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> 
     return (left.reshape(n, d_b * d_b) @ pb.reshape(len(pb), d_b * d_b).T).real
 
 
+def _require_families(pvms: dict, keys, side: str) -> None:
+    """MissingPvmError naming the first of `keys` that has no measurement family in `pvms`."""
+    for key in keys:
+        if key not in pvms:
+            raise MissingPvmError(f"strategy has no {side} measurement for {key}")
+
+
 def _stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
     """pvms[key][out] for every (key, out) of `layout`, stacked; an outcome its family omits reads as zero."""
-    for key in dict.fromkeys(key for key, _ in layout):
-        if key not in pvms:
-            raise MissingPvmError(f"no {side} measurement for challenge {key}")
+    _require_families(pvms, (key for key, _ in layout), side)
     zero = np.zeros((dim, dim), dtype=complex)
     return np.stack([pvms[key].get(out, zero) for key, out in layout])
 
@@ -211,7 +217,7 @@ def _stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
 def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:
     """Exact winning probability of a strategy, clamped to [0, 1]."""
     if s.game is not kind.game:
-        raise MissingPvmError(f"strategy plays {s.game}, asked to evaluate {kind.game}")
+        raise StrategyError(f"strategy plays {s.game.value}, expected {kind.game.value}")
     a_rows, b_cols, weights = _winning_sets(kind, g)
     pa, pb = _stack_ops(s.pvm_a, a_rows, "A", s.dim_a), _stack_ops(s.pvm_b, b_cols, "B", s.dim_b)
     joint = joint_probabilities(s.psi_matrix(), pa, pb)
@@ -440,16 +446,20 @@ MAX_REDUCED_DIM = 4096  # ancilla registers grow with lcm of degrees; keep desk-
 
 
 def _lcm_degrees(g: Graph) -> int:
-    degs = [g.degree(v) for v in range(g.n) if g.degree(v) > 0]
-    if not degs:
-        raise StrategyError("graph has no edges")
-    return math.lcm(*degs)
+    return math.lcm(*map(g.degree, range(g.n)))  # 0 with an isolated vertex: _reduction_input rejects those first
 
 
-def _require_no_isolated(g: Graph) -> None:
+def _reduction_input(s: QuantumStrategy, g: Graph, game: GameType) -> int:
+    """Check a reduction's input (game, validity, no isolated vertex, every family present); the slot count."""
+    if s.game is not game:
+        raise StrategyError(f"strategy plays {s.game.value}, expected {game.value}")
+    validate_strategy(s)
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
     if isolated:
         raise StrategyError(f"reduction needs every vertex on an edge; isolated: {isolated}")
+    _require_families(s.pvm_a, SPECS[game].a_keys(g), "A")
+    _require_families(s.pvm_b, SPECS[game].b_keys(g), "B")
+    return _lcm_degrees(g)
 
 
 def _marginal(fam: dict, pos: int, value: int, d: int) -> np.ndarray:
@@ -505,12 +515,8 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     projective family via a shift-register ancilla, so an eps-perfect input
     yields an output winning with probability at least 1 - eps - 2*sqrt(eps).
     """
-    if s.game is not GameType.ALT_RZKP:
-        raise StrategyError(f"expected a labelling-game strategy, got {s.game}")
-    validate_strategy(s)
-    _require_no_isolated(g)
+    slots = _reduction_input(s, g, GameType.ALT_RZKP)
     d_a, d_b = s.dim_a, s.dim_b
-    slots = _lcm_degrees(g)
     d_b2 = 2 * slots * 3 * d_b
     if d_b2 > MAX_REDUCED_DIM:
         raise DimensionMismatchError(f"reduced B dimension {d_b2} exceeds {MAX_REDUCED_DIM}")
@@ -545,12 +551,8 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     commutation properties hold by construction, and the edge-verification
     winning probability never drops below the input's.
     """
-    if s.game is not GameType.ALT_EDGE:
-        raise StrategyError(f"expected an edge-game strategy, got {s.game}")
-    validate_strategy(s)
-    _require_no_isolated(g)
+    slots = _reduction_input(s, g, GameType.ALT_EDGE)
     d_a, d_b = s.dim_a, s.dim_b
-    slots = _lcm_degrees(g)
     d_a2 = slots * d_a
     if d_a2 > MAX_REDUCED_DIM:
         raise DimensionMismatchError(f"reduced A dimension {d_a2} exceeds {MAX_REDUCED_DIM}")
@@ -573,9 +575,8 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
         out.update({tuple(int(cv == a) for a in F3): by_color[cv] for cv in F3})
         pvm_a[VertexConstraint(v)] = out
 
-    eye_b, zero_b = np.eye(d_b, dtype=complex), np.zeros((d_b, d_b), dtype=complex)
-    ones = {(v, beta): s.pvm_b[v].get(beta, zero_b) for v in range(g.n) for beta in F3}  # an omitted outcome is zero
-    pvm_b = {key: {1: p.copy(), 0: eye_b - p} for key, p in ones.items()}
+    keys = [(v, beta) for v in range(g.n) for beta in F3]  # bcs's B key (v, beta) is the edge game's (key, outcome)
+    pvm_b = {key: {1: p, 0: np.eye(d_b) - p} for key, p in zip(keys, _stack_ops(s.pvm_b, keys, "B", d_b))}
 
     psi2 = np.tile(s.psi_matrix() * (1.0 / math.sqrt(slots)), (slots, 1))
     return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), pvm_a, pvm_b)

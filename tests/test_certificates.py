@@ -217,23 +217,23 @@ def test_extract_assignment_rejects_incomplete_vertex(k3):
 
 
 def test_eps_table_missing_constraint(k3):
-    from colorproof.certificates import MissingProjectorError
     from colorproof.games import EdgeConstraint
+    from colorproof.quantum import MissingPvmError
 
     rng = np.random.default_rng(94)
     bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, rng)
     del bcs.pvm_a[EdgeConstraint((0, 1), 0)]
-    with pytest.raises(MissingProjectorError):
+    with pytest.raises(MissingPvmError):
         eps_table(bcs, k3)
 
 
 def test_eps_table_missing_b_family(k3):
-    from colorproof.certificates import MissingProjectorError
+    from colorproof.quantum import MissingPvmError
 
     s = classical_embedding(GameType.BCS, k3, (0, 1, 2))
     del s.pvm_b[(0, 0)]
     for read in (eps_table, extract_assignment):
-        with pytest.raises(MissingProjectorError, match=r"no B measurement for \(0, 0\)"):
+        with pytest.raises(MissingPvmError, match=r"no B measurement for \(0, 0\)"):
             read(s, k3)
 
 

@@ -10,6 +10,7 @@ from colorproof.games import (
     ALT_EDGE,
     ALT_RZKP,
     BCS,
+    SPECS,
     VERTEX,
     BcsChallenge,
     BcsResponseA,
@@ -28,8 +29,6 @@ from colorproof.games import (
     VertexConstraint,
     VertexResponse,
     challenge_pmf,
-    half_a,
-    half_b,
     play_rounds,
     sample_challenge,
     transcript_to_json_line,
@@ -312,11 +311,11 @@ def test_verdict_total_under_response_fuzz(data):
 
 def test_half_accessors():
     ch = RzkpChallenge((0, 1), (1, 2), 1)
-    assert half_a(ch) == (0, 1)
-    assert half_b(ch) == ((1, 2), 1)
+    assert SPECS[GameType.ALT_RZKP].half_a(ch) == (0, 1)
+    assert SPECS[GameType.ALT_RZKP].half_b(ch) == ((1, 2), 1)
     bch = BcsChallenge(VertexConstraint(2), 2, 1)
-    assert half_a(bch) == VertexConstraint(2)
-    assert half_b(bch) == (2, 1)
+    assert SPECS[GameType.BCS].half_a(bch) == VertexConstraint(2)
+    assert SPECS[GameType.BCS].half_b(bch) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

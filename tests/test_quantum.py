@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from colorproof.games import ALT_EDGE, ALT_RZKP, GameKind, GameType, VERTEX, play_rounds
+from colorproof.certificates import eps_table, extract_assignment
+from colorproof.games import ALT_EDGE, ALT_RZKP, EdgeConstraint, GameKind, GameType, VERTEX, play_rounds
 from colorproof.graphs import make_graph
 from colorproof.quantum import (
     BadStateError,
@@ -13,6 +15,7 @@ from colorproof.quantum import (
     MissingPvmError,
     NonFiniteError,
     NotProjectiveError,
+    StrategyError,
     classical_embedding,
     haar_unitary,
     matrix_norms,
@@ -66,6 +69,44 @@ def test_win_probability_missing_pvm(k3):
     del s.pvm_a[1]
     with pytest.raises(MissingPvmError):
         win_probability(VERTEX, k3, s)
+
+
+def test_win_probability_rejects_another_games_strategy(k3):
+    s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2))
+    with pytest.raises(StrategyError, match="strategy plays vertex, expected alt-edge") as raised:
+        win_probability(ALT_EDGE, k3, s)
+    assert not isinstance(raised.value, MissingPvmError)
+
+
+# each reader of a strategy's families, with the game of the strategy it reads
+_READERS = {
+    "win_probability": (lambda s, g: win_probability(GameKind(GameType.BCS), g, s), GameType.BCS),
+    "eps_table": (eps_table, GameType.BCS),
+    "extract_assignment": (extract_assignment, GameType.BCS),
+    "reduce_rzkp_to_edge": (reduce_rzkp_to_edge, GameType.ALT_RZKP),
+    "reduce_edge_to_bcs": (reduce_edge_to_bcs, GameType.ALT_EDGE),
+}
+# a family of each side that each reader needs
+_DELETED = [
+    ("win_probability", "A", EdgeConstraint((0, 1), 0)),
+    ("win_probability", "B", (0, 0)),
+    ("eps_table", "A", EdgeConstraint((0, 1), 0)),
+    ("eps_table", "B", (0, 0)),
+    ("extract_assignment", "B", (0, 0)),  # reads no A family
+    ("reduce_rzkp_to_edge", "A", (0, 1)),
+    ("reduce_rzkp_to_edge", "B", ((0, 1), 0)),
+    ("reduce_edge_to_bcs", "A", (0, 1)),
+    ("reduce_edge_to_bcs", "B", 0),
+]
+
+
+@pytest.mark.parametrize(("reader", "side", "key"), _DELETED, ids=lambda x: str(x).replace(" ", ""))
+def test_every_reader_raises_missing_pvm_for_a_deleted_family(k3, reader, side, key):
+    read, game = _READERS[reader]
+    s = classical_embedding(game, k3, (0, 1, 2), dim=2)
+    del (s.pvm_a if side == "A" else s.pvm_b)[key]
+    with pytest.raises(MissingPvmError, match=re.escape(f"strategy has no {side} measurement for {key}")):
+        read(s, k3)
 
 
 @pytest.mark.parametrize("colors", [(0, 1, 2), (0, 0, 1)])

@@ -8,6 +8,7 @@ from colorproof.games import (
     ALT_EDGE,
     ALT_RZKP,
     BCS,
+    SPECS,
     VERTEX,
     EdgeChallenge,
     GameKind,
@@ -18,8 +19,6 @@ from colorproof.games import (
     RzkpResponseB,
     Transcript,
     Verdict,
-    half_a,
-    half_b,
     play_rounds,
     sample_challenge,
 )
@@ -151,11 +150,12 @@ def test_no_signaling_challenge_swap():
         ch2 = sample_challenge(kind, inst.graph, rng)
         shared = pair.shared(kind, inst.graph, random.Random(77))
         # A's answer depends only on A's half: swap B's half freely
-        a1 = pair.answer_a(kind, half_a(ch1), shared)
-        a1_again = pair.answer_a(kind, half_a(ch1), shared)
+        spec = SPECS[kind.game]
+        a1 = pair.answer_a(kind, spec.half_a(ch1), shared)
+        a1_again = pair.answer_a(kind, spec.half_a(ch1), shared)
         assert a1 == a1_again
-        b1 = pair.answer_b(kind, half_b(ch2), shared)
-        assert pair.answer_b(kind, half_b(ch2), shared) == b1
+        b1 = pair.answer_b(kind, spec.half_b(ch2), shared)
+        assert pair.answer_b(kind, spec.half_b(ch2), shared) == b1
 
 
 def test_transcript_uniformity_no_samples(k3):
