@@ -6,8 +6,9 @@ commuting satisfying one: commutators with sqrt(rho) (tracial defect),
 neighbor commutators, edge-coloring products, and gadget-pair commutators.
 `check_bounds` evaluates every inequality the reduction proof promises and
 returns the violations (an empty list, unless the implementation is wrong --
-these are theorems). A strategy missing a family raises `quantum.MissingPvmError`;
-`MissingProjectorError` is for an `Assignment` missing a projector.
+these are theorems). A strategy of another game raises `quantum.StrategyError`
+and one missing a family `quantum.MissingPvmError`, as in every reader of a
+strategy; `MissingProjectorError` is for an `Assignment` missing a projector.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .games import BCS, F3, BcsChallenge, BcsResponseA, BcsResponseB, EdgeConstraint, GameType, verdict
 from .graphs import ExtendedGraph, Graph
-from .quantum import QuantumStrategy, _stack_ops
+from .quantum import QuantumStrategy, _require_game, _stack_ops
 
 
 class CertificateError(ValueError):
@@ -105,8 +106,7 @@ def sqrt_psd(rho: np.ndarray) -> np.ndarray:
 
 def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     """Pull B's outcome-1 projectors per (vertex, color) and the reduced state."""
-    if s.game is not GameType.BCS:
-        raise CertificateError(f"expected a constraint-game strategy, got {s.game}")
+    _require_game(s, GameType.BCS)
     keys = [(v, alpha) for v in range(g.n) for alpha in F3]
     ones = _stack_ops(s.pvm_b, [(key, 1) for key in keys], "B", s.dim_b)
     for v, fams in enumerate(ones.reshape(g.n, 3, s.dim_b, s.dim_b)):
@@ -145,8 +145,7 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     sqrt(eps). The aggregate, mean(entries), is 1 - p_win on the edge-constraint
     branch, which the test suite checks against win_probability.
     """
-    if s.game is not GameType.BCS:
-        raise CertificateError(f"expected a constraint-game strategy, got {s.game}")
+    _require_game(s, GameType.BCS)
     if not g.edges:
         raise CertificateError("eps table needs a graph with at least one edge")
     a_keys = [EdgeConstraint(e, alpha) for e in g.edges for alpha in F3]

@@ -20,6 +20,19 @@ The two strategy transformers implement the reduction chain:
     projective.
   * reduce_edge_to_bcs -- colors become indicator bits; A's neighbor choice
     for consistency constraints uses the same slot-register construction.
+
+Validation, generation and both reductions work on one side of a strategy
+at a time, in stacked form. A side's families are flattened once (family
+order, then outcome order, each operator tagged with its family index and
+outcome), and per-family sums -- completeness, color-sum coarse-graining,
+indicator re-encoding, marginals -- are `np.add.at` into a (family, ...)
+stack, which adds each family's operators in the family's own order, so the
+sums equal the per-family loops bit for bit and an omitted outcome is simply
+absent. The generators keep a fixed draw order: each family, in key order,
+draws its assignment integers and then its Gaussian matrices from `rng`
+exactly as a per-family loop would; only after all draws does the side get
+one batched `eigh` (or `qr`) and one batched `U diag U^dag` rotation per
+outcome-space size.
 """
 
 from __future__ import annotations
@@ -145,38 +158,66 @@ def _winning_sets(kind: GameKind, g: Graph) -> tuple[list, list, np.ndarray]:
 # Validation
 
 
-def _check_family(fam: dict, dim: int, tol: float, what: str) -> None:
-    outs, ops = list(fam), list(fam.values())
-    # only same-shape operators stack; a fault of an earlier outcome still comes first
-    n = next((k for k, p in enumerate(ops) if p.shape != (dim, dim)), len(ops))
-    stack = np.array(ops[:n], dtype=complex).reshape(n, dim, dim)
+def _flatten(pvms: dict, keys) -> tuple[list, list, np.ndarray]:
+    """The operators of the families `keys`, in family then outcome order: (outcomes, operators, family index of each)."""
+    outs, ops = [], []
+    for key in keys:
+        outs += pvms[key]
+        ops += pvms[key].values()
+    return outs, ops, np.repeat(np.arange(len(keys)), [len(pvms[key]) for key in keys])
+
+
+def _summed(ops: np.ndarray, targets: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(n, d, d) stack whose entry t sums the ops with target t, each in the order given (np.add.at)."""
+    out = np.zeros((n, d, d), dtype=complex)
+    np.add.at(out, targets, ops)
+    return out
+
+
+def _validate_side(pvms: dict, dim: int, side: str) -> None:
+    """Raise on the first faulty family of one side, all of its operators checked as one stack.
+
+    Families are scanned in dict order; within a family the first outcome that
+    is non-finite, not Hermitian, not idempotent or of the wrong shape is the
+    fault reported, and a family with none is checked for completeness.
+    """
+    keys = list(pvms)
+    outs, ops, fam = _flatten(pvms, keys)
+    shaped = np.array([p.shape == (dim, dim) for p in ops], dtype=bool)
+    stack = np.array([p for p, ok in zip(ops, shaped) if ok], dtype=complex).reshape(-1, dim, dim)
     finite = np.isfinite(stack).all(axis=(1, 2))
     stack[~finite] = 0.0
-    hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol
-    idempotent = np.abs(stack @ stack - stack).max(axis=(1, 2)) <= tol
-    bad = ~(finite & hermitian & idempotent)
-    if bad.any():
-        k = int(bad.argmax())
-        if not finite[k]:
-            raise NonFiniteError(f"{what}: non-finite entries in projector {outs[k]}")
-        raise NotProjectiveError(f"{what}: outcome {outs[k]} not {'idempotent' if hermitian[k] else 'Hermitian'}")
-    if n < len(ops):
-        raise DimensionMismatchError(f"{what}: projector for {outs[n]} has shape {ops[n].shape}, want {(dim, dim)}")
-    if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > tol:
-        raise IncompleteFamilyError(f"{what}: family does not sum to identity")
+    hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= PROJ_TOL
+    idempotent = np.abs(stack @ stack - stack).max(axis=(1, 2)) <= PROJ_TOL
+    faulty = ~shaped
+    faulty[shaped] = ~(finite & hermitian & idempotent)
+    sums = _summed(stack, fam[shaped], len(keys), dim)
+    incomplete = np.abs(sums - np.eye(dim)).max(axis=(1, 2)) > PROJ_TOL
+    f_op = int(fam[faulty][0]) if faulty.any() else len(keys)
+    f_inc = int(incomplete.argmax()) if incomplete.any() else len(keys)
+    if f_inc < f_op:
+        raise IncompleteFamilyError(f"{side} pvm {keys[f_inc]}: family does not sum to identity")
+    if f_op == len(keys):
+        return
+    i = int(faulty.argmax())
+    what, k = f"{side} pvm {keys[f_op]}", int(shaped[:i].sum())  # k: op i's place in the stack
+    if not shaped[i]:
+        raise DimensionMismatchError(f"{what}: projector for {outs[i]} has shape {ops[i].shape}, want {(dim, dim)}")
+    if not finite[k]:
+        raise NonFiniteError(f"{what}: non-finite entries in projector {outs[i]}")
+    raise NotProjectiveError(f"{what}: outcome {outs[i]} not {'idempotent' if hermitian[k] else 'Hermitian'}")
 
 
 def validate_strategy(s: QuantumStrategy) -> None:
-    """Enforce unit state, projectivity, and completeness of every family."""
+    """Enforce unit state, projectivity, and completeness of every family (side A's faults first)."""
     if s.psi.shape != (s.dim_a * s.dim_b,):
         raise DimensionMismatchError(f"state length {s.psi.shape} != dim_a*dim_b = {s.dim_a * s.dim_b}")
     if not np.all(np.isfinite(s.psi)):
         raise NonFiniteError("state has non-finite amplitudes")
     if abs(np.linalg.norm(s.psi) - 1.0) > PROJ_TOL:
         raise BadStateError(f"state norm {np.linalg.norm(s.psi)} is not 1")
-    for side, pvms, dim in (("A", s.pvm_a, s.dim_a), ("B", s.pvm_b, s.dim_b)):
-        for key, fam in pvms.items():
-            _check_family(fam, dim, PROJ_TOL, f"{side} pvm {key}")
+    _validate_side(s.pvm_a, s.dim_a, "A")
+    _validate_side(s.pvm_b, s.dim_b, "B")
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +241,12 @@ def joint_probabilities(psi_mat: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> 
     return (left.reshape(n, d_b * d_b) @ pb.reshape(len(pb), d_b * d_b).T).real
 
 
+def _require_game(s: QuantumStrategy, game: GameType) -> None:
+    """StrategyError unless the strategy plays `game`: the one wrong-game check of every reader."""
+    if s.game is not game:
+        raise StrategyError(f"strategy plays {s.game.value}, expected {game.value}")
+
+
 def _require_families(pvms: dict, keys, side: str) -> None:
     """MissingPvmError naming the first of `keys` that has no measurement family in `pvms`."""
     for key in keys:
@@ -216,8 +263,7 @@ def _stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
 
 def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:
     """Exact winning probability of a strategy, clamped to [0, 1]."""
-    if s.game is not kind.game:
-        raise StrategyError(f"strategy plays {s.game.value}, expected {kind.game.value}")
+    _require_game(s, kind.game)
     a_rows, b_cols, weights = _winning_sets(kind, g)
     pa, pb = _stack_ops(s.pvm_a, a_rows, "A", s.dim_a), _stack_ops(s.pvm_b, b_cols, "B", s.dim_b)
     joint = joint_probabilities(s.psi_matrix(), pa, pb)
@@ -300,33 +346,48 @@ def classical_embedding(game: GameType, g: Graph, colors: Sequence[int], dim: in
     return QuantumStrategy(game, dim, dim, psi, pvm_a, pvm_b)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
+def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A d x d matrix of standard complex normals, real parts drawn first."""
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of Ginibre matrices: Q of z = QR, each column phased by R's diagonal."""
     q, r = np.linalg.qr(z)
-    ph = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * ph
+    ph = np.diagonal(r, axis1=-2, axis2=-1) / np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return q * ph[..., None, :]
 
 
-def _expi_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    lam, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * t * lam)) @ v.conj().T
-
-
-def _random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / (2.0 * math.sqrt(d))
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    return _haar(_ginibre(d, rng) / math.sqrt(2.0))
 
 
 def maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
-def _rotated_partition(space: Sequence, assign: Sequence[int], u: np.ndarray) -> dict:
-    """{outcome: U P U^dag}, P projecting onto the basis vectors k with space[assign[k]] == outcome."""
-    d = len(assign)
-    diag = np.zeros((len(space), d, d), dtype=complex)
-    diag[assign, range(d), range(d)] = 1.0
-    return dict(zip(space, u @ diag @ u.conj().T))
+def _rotated_partitions(assign: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    """U_f P_fo U_f^dag as (F, k, d, d), P_fo projecting onto the basis vectors j with assign[f, j] == o."""
+    f, d = assign.shape
+    diag = np.zeros((f, k, d, d), dtype=complex)
+    basis = np.arange(d)
+    diag[np.arange(f)[:, None], assign, basis, basis] = 1.0
+    return u[:, None] @ diag @ u.conj().swapaxes(-1, -2)[:, None]
+
+
+def _rotated_families(spaces: list, assigns: list, u: np.ndarray) -> list[dict]:
+    """Family f as {outcome: U_f P U_f^dag} over spaces[f], basis vector j answering spaces[f][assigns[f][j]].
+
+    One batched rotation per outcome-space size: bcs's A side mixes 4- and 8-outcome families.
+    """
+    fams: list = [None] * len(spaces)
+    by_size: dict = {}
+    for f, space in enumerate(spaces):
+        by_size.setdefault(len(space), []).append(f)
+    for k, group in by_size.items():
+        for f, ops in zip(group, _rotated_partitions(np.array([assigns[f] for f in group]), u[group], k)):
+            fams[f] = dict(zip(spaces[f], ops))
+    return fams
 
 
 def random_strategy(
@@ -344,7 +405,8 @@ def random_strategy(
     Every family is then conjugated by its own unitary exp(i*jiggle*H), and
     the state drifts from |0,0> toward a random state as jiggle grows. At
     jiggle 0 the strategy is exactly honest (winning probability 1); around
-    jiggle ~0.5 it is thoroughly scrambled.
+    jiggle ~0.5 it is thoroughly scrambled. Draws: per family, A's then B's,
+    its d - 1 random answers, then H; the state's noise last.
     """
     if colors is None:
         colors = three_color(g)
@@ -353,13 +415,19 @@ def random_strategy(
     spec = SPECS[game]
     a_map, b_map = _honest_outcomes(spec, g, colors)
 
-    def build(space, honest, d):
-        assign = [space.index(honest)] + [rng.integers(len(space)) for _ in range(d - 1)]
-        u = _expi_hermitian(_random_hermitian(d, rng), jiggle * math.pi)
-        return _rotated_partition(space, assign, u)
+    def side(honest: dict, outcomes, d: int) -> dict:
+        spaces = [outcomes(key) for key in honest]
+        assigns, zs = [], []
+        for space, h in zip(spaces, honest.values()):
+            assigns.append([space.index(h)] + [rng.integers(len(space)) for _ in range(d - 1)])
+            zs.append(_ginibre(d, rng))
+        z = np.array(zs).reshape(-1, d, d)
+        lam, v = np.linalg.eigh((z + z.conj().swapaxes(-1, -2)) / (2.0 * math.sqrt(d)))
+        u = (v * np.exp(1j * (jiggle * math.pi) * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return dict(zip(honest, _rotated_families(spaces, assigns, u)))
 
-    pvm_a = {k: build(spec.a_outcomes(k), honest, dim_a) for k, honest in a_map.items()}
-    pvm_b = {k: build(spec.b_outcomes(k), honest, dim_b) for k, honest in b_map.items()}
+    pvm_a = side(a_map, spec.a_outcomes, dim_a)
+    pvm_b = side(b_map, spec.b_outcomes, dim_b)
     anchor = np.zeros(dim_a * dim_b, dtype=complex)
     anchor[0] = 1.0
     noise = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
@@ -380,16 +448,21 @@ def arbitrary_strategy(
     Every family is a Haar-rotated random partition of the basis over the
     full outcome space, and the state is uniformly random. Winning
     probabilities land wherever they land; useful for auditing statements
-    that must hold for arbitrary valid strategies.
+    that must hold for arbitrary valid strategies. Draws: per family, A's
+    then B's, its d answers, then its Ginibre matrix; the state last.
     """
     spec = SPECS[game]
 
-    def build(space, d):
-        assign = [rng.integers(len(space)) for _ in range(d)]
-        return _rotated_partition(space, assign, haar_unitary(d, rng))
+    def side(keys: list, outcomes, d: int) -> dict:
+        spaces = [outcomes(key) for key in keys]
+        assigns, zs = [], []
+        for space in spaces:
+            assigns.append([rng.integers(len(space)) for _ in range(d)])
+            zs.append(_ginibre(d, rng) / math.sqrt(2.0))
+        return dict(zip(keys, _rotated_families(spaces, assigns, _haar(np.array(zs).reshape(-1, d, d)))))
 
-    pvm_a = {key: build(spec.a_outcomes(key), dim_a) for key in spec.a_keys(g)}
-    pvm_b = {key: build(spec.b_outcomes(key), dim_b) for key in spec.b_keys(g)}
+    pvm_a = side(spec.a_keys(g), spec.a_outcomes, dim_a)
+    pvm_b = side(spec.b_keys(g), spec.b_outcomes, dim_b)
     psi = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     psi = psi / np.linalg.norm(psi)
     return QuantumStrategy(game, dim_a, dim_b, psi, pvm_a, pvm_b)
@@ -412,7 +485,7 @@ def random_pvm(d: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarr
     """Random complete projective family: Haar-rotated diagonal partition."""
     assign = [k % outcomes for k in range(d)]
     rng.shuffle(assign)
-    return list(_rotated_partition(range(outcomes), assign, haar_unitary(d, rng)).values())
+    return list(_rotated_partitions(np.array([assign]), haar_unitary(d, rng)[None], outcomes)[0])
 
 
 def pinching_chain(families: Sequence[Sequence[np.ndarray]], fixed: dict[int, int]) -> np.ndarray:
@@ -451,8 +524,7 @@ def _lcm_degrees(g: Graph) -> int:
 
 def _reduction_input(s: QuantumStrategy, g: Graph, game: GameType) -> int:
     """Check a reduction's input (game, validity, no isolated vertex, every family present); the slot count."""
-    if s.game is not game:
-        raise StrategyError(f"strategy plays {s.game.value}, expected {game.value}")
+    _require_game(s, game)
     validate_strategy(s)
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
     if isolated:
@@ -462,14 +534,27 @@ def _reduction_input(s: QuantumStrategy, g: Graph, game: GameType) -> int:
     return _lcm_degrees(g)
 
 
-def _marginal(fam: dict, pos: int, value: int, d: int) -> np.ndarray:
-    """Sum the family over the non-`pos` component of its 2-tuple outcomes."""
-    return sum((p for out, p in fam.items() if out[pos] == value), np.zeros((d, d), dtype=complex))
+def _marginals(pvms: dict, keys: list, d: int) -> np.ndarray:
+    """(family, pos, value, d, d): each family of 2-tuple outcomes summed over the outcomes with out[pos] == value."""
+    outs, ops, fam = _flatten(pvms, keys)
+    targets = fam[:, None] * 6 + [0, 3] + np.array(outs).reshape(-1, 2)  # (op, pos)
+    return _summed(np.array(ops)[:, None], targets, 6 * len(keys), d).reshape(-1, 2, 3, d, d)
 
 
-def _incident(v: int, u: int) -> tuple[tuple[int, int], int]:
-    """The edge {v, u} as the graph stores it, and v's position in it."""
-    return ((v, u), 0) if v < u else ((u, v), 1)
+def _neighbor_slots(g: Graph, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edge, pos, chosen) over the directed edges (v, u), v ascending, u in adjacency order.
+
+    edge and pos: the index of {v, u} in g.edges and v's position in it;
+    chosen[v, slot]: the directed edge that slot register value `slot` measures, v's to nbrs[slot % deg].
+    """
+    edge_index = {e: k for k, e in enumerate(g.edges)}
+    pairs = [(v, u) for v in range(g.n) for u in g.adjacency[v]]
+    edge = np.array([edge_index[(min(v, u), max(v, u))] for v, u in pairs], dtype=np.intp)
+    pos = np.array([int(v > u) for v, u in pairs], dtype=np.intp)
+    degrees = [len(g.adjacency[v]) for v in range(g.n)]
+    starts = np.cumsum([0] + degrees[:-1])
+    chosen = starts[:, None] + np.arange(slots) % np.array(degrees)[:, None]  # (v, slot)
+    return edge, pos, chosen
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -486,22 +571,10 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 
 
 _SHIFTS = (np.arange(3)[:, None] - np.arange(3)) % 3  # [r, t] -> (r - t) mod 3
-
-
-def _dilated_blocks(pvm_b: dict, v: int, u: int, bit: int, d_b: int) -> np.ndarray:
-    """B's three color-sum blocks for vertex v measured through edge {v, u}.
-
-    The first measurement (at `bit`) is dilated into the shift-register
-    unitary U = sum_a kron(shift^a, first[a]), whose block (r, t) is
-    first[(r - t) mod 3]; block c_sum is U^dag sel U with sel the block
-    diagonal of second[(c_sum - a) mod 3] over the register value a.
-    """
-    e, pos = _incident(v, u)
-    first = np.stack([_marginal(pvm_b[(e, bit)], pos, a, d_b) for a in F3])
-    second = np.stack([_marginal(pvm_b[(e, 1 - bit)], pos, c, d_b) for c in F3])
-    u_dilate = first[_SHIFTS].transpose(0, 2, 1, 3).reshape(3 * d_b, 3 * d_b)
-    sels = _block_diag(second[_SHIFTS])
-    return u_dilate.conj().T @ sels @ u_dilate
+_SUMS = list(itertools.product(F3, F3))  # the edge game's A outcomes (c_i, c_j)
+_BITS2 = list(itertools.product((0, 1), repeat=2))
+_BITS3 = list(itertools.product((0, 1), repeat=3))
+_ONE_HOT = [_BITS3.index(tuple(int(c == a) for a in F3)) for c in F3]  # color c's indicator triple in _BITS3
 
 
 def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
@@ -514,6 +587,13 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     two outcomes mod 3. The sequential measurement is dilated into a single
     projective family via a shift-register ancilla, so an eps-perfect input
     yields an output winning with probability at least 1 - eps - 2*sqrt(eps).
+
+    Every (vertex, neighbor, bit) dilation of B is one batched product
+    U^dag sel U: the first measurement `first` (at `bit`) becomes the
+    shift-register unitary U = sum_a kron(shift^a, first[a]), whose block
+    (r, t) is first[(r - t) mod 3], and color sum c's block is U^dag sel U
+    with sel the block diagonal of second[(c - a) mod 3] over the register
+    value a.
     """
     slots = _reduction_input(s, g, GameType.ALT_RZKP)
     d_a, d_b = s.dim_a, s.dim_b
@@ -521,20 +601,21 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     if d_b2 > MAX_REDUCED_DIM:
         raise DimensionMismatchError(f"reduced B dimension {d_b2} exceeds {MAX_REDUCED_DIM}")
 
-    pvm_a: dict = {}
-    for e in g.edges:
-        out = {(ci, cj): np.zeros((d_a, d_a), dtype=complex) for ci in F3 for cj in F3}
-        for w, p in s.pvm_a[e].items():
-            out[((w[0] + w[1]) % 3, (w[2] + w[3]) % 3)] += p
-        pvm_a[e] = out
+    outs, ops, fam = _flatten(s.pvm_a, g.edges)
+    w = np.array(outs).reshape(-1, 4)
+    sums = _summed(np.array(ops), fam * 9 + (w[:, 0] + w[:, 1]) % 3 * 3 + (w[:, 2] + w[:, 3]) % 3, 9 * len(g.edges), d_a)
+    pvm_a = {e: dict(zip(_SUMS, m)) for e, m in zip(g.edges, sums.reshape(-1, 9, d_a, d_a))}
 
-    # flat B index = ((bit*slots + slot)*3 + anc)*d_b + core; slot value s measures via nbrs[s % deg]
-    pvm_b: dict = {}
-    for v in range(g.n):
-        nbrs = g.adjacency[v]
-        per_nbr = {(bit, u): _dilated_blocks(s.pvm_b, v, u, bit, d_b) for bit in (0, 1) for u in nbrs}
-        blocks = [per_nbr[(bit, nbrs[slot % len(nbrs)])] for bit in (0, 1) for slot in range(slots)]
-        pvm_b[v] = dict(zip(F3, _block_diag(np.stack(blocks, axis=1))))
+    marg = _marginals(s.pvm_b, [(e, bit) for e in g.edges for bit in (0, 1)], d_b).reshape(-1, 2, 2, 3, d_b, d_b)
+    edge, pos, chosen = _neighbor_slots(g, slots)
+    first = marg[edge[:, None], [[0, 1]], pos[:, None]]  # (directed edge, bit, a, d_b, d_b)
+    second = marg[edge[:, None], [[1, 0]], pos[:, None]]
+    u_dilate = first[:, :, _SHIFTS].swapaxes(-3, -2).reshape(len(edge), 2, 3 * d_b, 3 * d_b)
+    dilated = u_dilate.conj().swapaxes(-1, -2)[:, :, None] @ _block_diag(second[:, :, _SHIFTS]) @ u_dilate[:, :, None]
+    # flat B index = ((bit*slots + slot)*3 + anc)*d_b + core
+    blocks = dilated[chosen[:, None, :], np.arange(2)[:, None]]  # (v, bit, slot, c, 3 d_b, 3 d_b)
+    stacked = _block_diag(blocks.transpose(0, 3, 1, 2, 4, 5).reshape(g.n, 3, 2 * slots, 3 * d_b, 3 * d_b))
+    pvm_b = {v: dict(zip(F3, m)) for v, m in enumerate(stacked)}
 
     psi2 = np.zeros((d_a, 2 * slots, 3, d_b), dtype=complex)
     psi2[:, :, 0, :] = (s.psi_matrix() * (1.0 / math.sqrt(2 * slots)))[:, None, :]  # anc = 0 in every slot
@@ -557,23 +638,22 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     if d_a2 > MAX_REDUCED_DIM:
         raise DimensionMismatchError(f"reduced A dimension {d_a2} exceeds {MAX_REDUCED_DIM}")
 
-    pvm_a: dict = {}
-    for e in g.edges:
-        for alpha in F3:
-            out = {bits: np.zeros((d_a, d_a), dtype=complex) for bits in itertools.product((0, 1), repeat=2)}
-            for (ci, cj), p in s.pvm_a[e].items():
-                out[(int(ci == alpha), int(cj == alpha))] += p
-            # every slot register value measures the same family: kron(I_slots, m)
-            tiled = np.broadcast_to(np.stack(list(out.values()))[:, None], (4, slots, d_a, d_a))
-            pvm_a[EdgeConstraint(e, alpha)] = dict(zip(out, _block_diag(tiled)))
-    for v in range(g.n):
-        nbrs = g.adjacency[v]
-        margs = [[_marginal(s.pvm_a[e], pos, cv, d_a) for cv in F3] for e, pos in (_incident(v, u) for u in nbrs)]
-        out = {t: np.zeros((d_a2, d_a2), dtype=complex) for t in itertools.product((0, 1), repeat=3)}
-        # slot register value `slot` measures the edge to nbrs[slot % deg]
-        by_color = _block_diag(np.array([[margs[slot % len(nbrs)][cv] for slot in range(slots)] for cv in F3]))
-        out.update({tuple(int(cv == a) for a in F3): by_color[cv] for cv in F3})
-        pvm_a[VertexConstraint(v)] = out
+    outs, ops, fam = _flatten(s.pvm_a, g.edges)
+    c = np.array(outs).reshape(-1, 2)
+    alpha = np.array(F3)
+    targets = (fam[:, None] * 3 + alpha) * 4 + 2 * (c[:, :1] == alpha) + (c[:, 1:] == alpha)  # (op, alpha)
+    bits = _summed(np.array(ops)[:, None], targets, 12 * len(g.edges), d_a).reshape(-1, 4, 1, d_a, d_a)
+    # every slot register value measures the same family: kron(I_slots, m)
+    by_edge = _block_diag(np.broadcast_to(bits, (len(bits), 4, slots, d_a, d_a)))
+    keys = [EdgeConstraint(e, a) for e in g.edges for a in F3]
+    pvm_a: dict = {key: dict(zip(_BITS2, m)) for key, m in zip(keys, by_edge)}
+
+    marg = _marginals(s.pvm_a, g.edges, d_a)
+    edge, pos, chosen = _neighbor_slots(g, slots)
+    # slot register value `slot` measures the edge to nbrs[slot % deg]
+    by_vertex = np.zeros((g.n, 8, d_a2, d_a2), dtype=complex)
+    by_vertex[:, _ONE_HOT] = _block_diag(marg[edge[chosen], pos[chosen]].swapaxes(1, 2))
+    pvm_a.update((VertexConstraint(v), dict(zip(_BITS3, m))) for v, m in enumerate(by_vertex))
 
     keys = [(v, beta) for v in range(g.n) for beta in F3]  # bcs's B key (v, beta) is the edge game's (key, outcome)
     pvm_b = {key: {1: p, 0: np.eye(d_b) - p} for key, p in zip(keys, _stack_ops(s.pvm_b, keys, "B", d_b))}

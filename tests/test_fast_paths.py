@@ -2,14 +2,18 @@
 
 The reductions build their ancilla registers by slicing; the references
 below build the same matrices with np.kron, exactly as the reduction proofs
-write them, and the two must agree bit for bit. The stacked joint-probability
-kernel behind win_probability, eps_table and BornPair must agree with a
-per-challenge sum of the scalar quadratic form _qform.
+write them, and the two must agree bit for bit. The stacked generators must
+equal the per-family loops of `reference_quantum` bit for bit, rng included,
+and the stacked validator must report the fault a family-by-family scan
+finds. The stacked joint-probability kernel behind win_probability,
+eps_table and BornPair must agree with a per-challenge sum of the scalar
+quadratic form _qform.
 """
 
 import itertools
 import math
 import random
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -37,16 +41,16 @@ from colorproof.quantum import (
     NonFiniteError,
     NotProjectiveError,
     QuantumStrategy,
-    _check_family,
     _lcm_degrees,
-    _marginal,
     arbitrary_strategy,
     random_strategy,
     reduce_edge_to_bcs,
     reduce_rzkp_to_edge,
+    validate_strategy,
     win_probability,
 )
-from reference_quantum import _qform
+import reference_quantum
+from reference_quantum import _marginal, _qform
 
 K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
 EXT = extend_with_gadgets(make_graph(3, [(0, 1), (1, 2)]))
@@ -134,7 +138,7 @@ def _kron_edge_to_bcs(s: QuantumStrategy, g) -> QuantumStrategy:
     pvm_b = {}
     for v in range(g.n):
         for beta in F3:
-            proj = s.pvm_b[v][beta]
+            proj = s.pvm_b[v].get(beta, np.zeros((d_b, d_b), dtype=complex))
             pvm_b[(v, beta)] = {1: proj.copy(), 0: np.eye(d_b, dtype=complex) - proj}
     psi2 = np.zeros((d_a2, d_b), dtype=complex)
     for slot in range(slots):
@@ -160,16 +164,48 @@ def _draw(game, g, dims, rng, arbitrary):
     return random_strategy(game, g, dims[0], dims[1], rng, 0.3)
 
 
+def _sparse(s: QuantumStrategy) -> QuantumStrategy:
+    """The strategy with every exactly-zero projector omitted from its family."""
+    def keep(pvm):
+        return {key: {out: p for out, p in fam.items() if p.any()} for key, fam in pvm.items()}
+
+    return QuantumStrategy(s.game, s.dim_a, s.dim_b, s.psi, keep(s.pvm_a), keep(s.pvm_b))
+
+
 @pytest.mark.parametrize("graph", ["k3", "ext"])
 @pytest.mark.parametrize("arbitrary", [False, True])
 def test_reductions_equal_kron_reference(graph, arbitrary):
+    # a family that omits its zero projectors reduces exactly like the full one
     g = K3 if graph == "k3" else EXT.full
     rng = np.random.default_rng(501)
     for dims in ((2, 2), (3, 2)):
-        s = _draw(GameType.ALT_RZKP, g, dims, rng, arbitrary)
-        _assert_identical(reduce_rzkp_to_edge(s, g), _kron_rzkp_to_edge(s, g))
-        e = _draw(GameType.ALT_EDGE, g, dims, rng, arbitrary)
-        _assert_identical(reduce_edge_to_bcs(e, g), _kron_edge_to_bcs(e, g))
+        for game, reduce, kron in (
+            (GameType.ALT_RZKP, reduce_rzkp_to_edge, _kron_rzkp_to_edge),
+            (GameType.ALT_EDGE, reduce_edge_to_bcs, _kron_edge_to_bcs),
+        ):
+            s = _draw(game, g, dims, rng, arbitrary)
+            sparse = _sparse(s)
+            assert sum(map(len, sparse.pvm_a.values())) < sum(map(len, s.pvm_a.values()))
+            want = kron(s, g)
+            _assert_identical(reduce(s, g), want)
+            _assert_identical(reduce(sparse, g), want)
+            _assert_identical(kron(sparse, g), want)
+
+
+@pytest.mark.parametrize("game", list(GameType), ids=lambda game: game.value)
+@pytest.mark.parametrize("graph", ["k3", "ext"])
+def test_generators_equal_per_family_reference(game, graph):
+    g = K3 if graph == "k3" else EXT.full
+    for seed, dims in enumerate(((3, 2), (2, 4), (1, 3))):
+        for jiggle in (0.0, 0.4):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_strategy(game, g, *dims, got_rng, jiggle)
+            _assert_identical(got, reference_quantum.random_strategy(game, g, *dims, want_rng, jiggle))
+            assert got_rng.random() == want_rng.random()
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = arbitrary_strategy(game, g, *dims, got_rng)
+        _assert_identical(got, reference_quantum.arbitrary_strategy(game, g, *dims, want_rng))
+        assert got_rng.random() == want_rng.random()
 
 
 def _scalar_win(kind, g, s) -> float:
@@ -254,6 +290,14 @@ def _family(dim: int = 2) -> dict:
     return {"x": p0, "y": np.eye(dim, dtype=complex) - p0, "z": np.zeros((dim, dim), dtype=complex)}
 
 
+def _holding(pvm_a: dict, pvm_b: Optional[dict] = None) -> QuantumStrategy:
+    """A valid two-qubit strategy around the given families (B: three copies of _family())."""
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    pvm_b = {k: _family() for k in range(3)} if pvm_b is None else pvm_b
+    return QuantumStrategy(GameType.VERTEX, 2, 2, psi, pvm_a, pvm_b)
+
+
 @pytest.mark.parametrize(
     "outcome, value, error, words",
     [
@@ -266,11 +310,11 @@ def _family(dim: int = 2) -> dict:
     ids=["non-finite", "non-hermitian", "non-idempotent", "incomplete", "wrong-shape"],
 )
 def test_check_family_names_each_fault(outcome, value, error, words):
-    fam = _family()
-    _check_family(fam, 2, 1e-9, "A pvm 7")
-    fam[outcome] = value
+    pvm_a = {3: _family(), 7: _family(), 9: _family()}
+    validate_strategy(_holding(pvm_a))
+    pvm_a[7][outcome] = value
     with pytest.raises(error) as info:
-        _check_family(fam, 2, 1e-9, "A pvm 7")
+        validate_strategy(_holding(pvm_a))
     assert str(info.value).startswith("A pvm 7: ") and words in str(info.value)
 
 
@@ -280,11 +324,35 @@ def test_check_family_reports_the_first_faulty_outcome():
     fam = _family()
     fam["x"] = np.diag([2.0, 0.0]).astype(complex)
     fam["y"] = np.array([[np.inf, 1], [0, 1]], dtype=complex)
-    with pytest.raises(NotProjectiveError, match="outcome x not idempotent"):
-        _check_family(fam, 2, 1e-9, "B pvm 0")
+    with pytest.raises(NotProjectiveError, match="^B pvm 0: outcome x not idempotent$"):
+        validate_strategy(_holding({0: _family()}, {0: fam}))
     # a wrong shape after a faulty outcome does not hide that outcome's fault
     fam = _family()
     fam["x"] = np.array([[1, 1], [0, 0]], dtype=complex)
     fam["z"] = np.zeros((3, 3), dtype=complex)
-    with pytest.raises(NotProjectiveError, match="outcome x not Hermitian"):
-        _check_family(fam, 2, 1e-9, "B pvm 0")
+    with pytest.raises(NotProjectiveError, match="^B pvm 0: outcome x not Hermitian$"):
+        validate_strategy(_holding({0: _family()}, {0: fam}))
+
+
+def test_validation_reports_the_first_faulty_family():
+    def broken(fault: str) -> dict:
+        fam = _family()
+        if fault == "nan":
+            fam["x"] = np.array([[np.nan, 0], [0, 0]], dtype=complex)
+        elif fault == "incomplete":
+            del fam["y"]
+        return fam
+
+    # a fault in a later family of side B
+    with pytest.raises(NonFiniteError, match=r"^B pvm 2: non-finite entries in projector x$"):
+        validate_strategy(_holding({0: _family()}, {0: _family(), 1: _family(), 2: broken("nan")}))
+    # side A's fault comes first, even in a later family than B's
+    with pytest.raises(IncompleteFamilyError, match=r"^A pvm 5: family does not sum to identity$"):
+        validate_strategy(_holding({4: _family(), 5: broken("incomplete")}, {0: broken("nan"), 1: _family()}))
+    # an incomplete family ahead of a faulty outcome in a later family
+    with pytest.raises(IncompleteFamilyError, match=r"^B pvm 1: family does not sum to identity$"):
+        validate_strategy(_holding({0: _family()}, {0: _family(), 1: broken("incomplete"), 2: broken("nan")}))
+    # an empty family sums to zero
+    with pytest.raises(IncompleteFamilyError, match=r"^B pvm 1: family does not sum to identity$"):
+        validate_strategy(_holding({0: _family()}, {0: _family(), 1: {}, 2: _family()}))
+    validate_strategy(_holding({0: _family()}, {}))  # a side with no families has nothing to check

@@ -100,6 +100,16 @@ _DELETED = [
 ]
 
 
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_reader_rejects_another_games_strategy(k3, reader):
+    read, game = _READERS[reader]
+    s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2))
+    with pytest.raises(StrategyError) as raised:
+        read(s, k3)
+    assert type(raised.value) is StrategyError
+    assert str(raised.value) == f"strategy plays vertex, expected {game.value}"
+
+
 @pytest.mark.parametrize(("reader", "side", "key"), _DELETED, ids=lambda x: str(x).replace(" ", ""))
 def test_every_reader_raises_missing_pvm_for_a_deleted_family(k3, reader, side, key):
     read, game = _READERS[reader]
