@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import BCS, F3, BcsChallenge, BcsResponseA, BcsResponseB, EdgeConstraint, GameType, verdict
+from .games import BCS, F3, _BITS2, BcsChallenge, BcsResponseA, BcsResponseB, EdgeConstraint, GameType, verdict
 from .graphs import ExtendedGraph, Graph
 from .quantum import QuantumStrategy, _require_game, _stack_ops
 
@@ -122,7 +122,6 @@ def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     return Assignment(dim=s.dim_b, rho=rho, projs=dict(zip(keys, ones)), vertices=tuple(range(g.n)))
 
 
-_BITS2 = ((0, 0), (0, 1), (1, 0), (1, 1))
 # [k, (b0, b1), bt]: the +-1 product of A's indicator for endpoint k and B's indicator bt
 _OBS = np.array([[[(2.0 * bits[k] - 1.0) * (2.0 * bt - 1.0) for bt in (0, 1)] for bits in _BITS2] for k in (0, 1)])
 # [k, (b0, b1), bt]: 1 where verdict() rejects A's bits against B's bit bt at endpoint k of the edge

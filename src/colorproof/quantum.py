@@ -49,6 +49,9 @@ from .games import (
     F3,
     SPECS,
     VERDICT_TABLES,
+    _BITS2,
+    _BITS3,
+    _LABELS2,
     Challenge,
     EdgeConstraint,
     GameKind,
@@ -571,9 +574,6 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 
 
 _SHIFTS = (np.arange(3)[:, None] - np.arange(3)) % 3  # [r, t] -> (r - t) mod 3
-_SUMS = list(itertools.product(F3, F3))  # the edge game's A outcomes (c_i, c_j)
-_BITS2 = list(itertools.product((0, 1), repeat=2))
-_BITS3 = list(itertools.product((0, 1), repeat=3))
 _ONE_HOT = [_BITS3.index(tuple(int(c == a) for a in F3)) for c in F3]  # color c's indicator triple in _BITS3
 
 
@@ -604,7 +604,7 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     outs, ops, fam = _flatten(s.pvm_a, g.edges)
     w = np.array(outs).reshape(-1, 4)
     sums = _summed(np.array(ops), fam * 9 + (w[:, 0] + w[:, 1]) % 3 * 3 + (w[:, 2] + w[:, 3]) % 3, 9 * len(g.edges), d_a)
-    pvm_a = {e: dict(zip(_SUMS, m)) for e, m in zip(g.edges, sums.reshape(-1, 9, d_a, d_a))}
+    pvm_a = {e: dict(zip(_LABELS2, m)) for e, m in zip(g.edges, sums.reshape(-1, 9, d_a, d_a))}
 
     marg = _marginals(s.pvm_b, [(e, bit) for e in g.edges for bit in (0, 1)], d_b).reshape(-1, 2, 2, 3, d_b, d_b)
     edge, pos, chosen = _neighbor_slots(g, slots)
