@@ -44,14 +44,17 @@ class SweepSummary:
     worst_sample: dict = field(default_factory=dict)  # family -> (seed, index) behind its worst margin
     sample: tuple = (None, None)  # (seed, index) of the sample being audited
 
-    def record(self, family: str, ok: bool, margin: float) -> None:
-        self.checks[family] = self.checks.get(family, 0) + 1
-        if not ok:
-            self.violations[family] = self.violations.get(family, 0) + 1
-        prev = self.worst_margin.get(family)
-        if prev is None or margin < prev:
-            self.worst_margin[family] = margin
-            self.worst_sample[family] = self.sample
+    def record(self, family: str, ok, margin) -> None:
+        """Whether each instance of `family` held, and its margin: one, or an array (an empty one records nothing)."""
+        ok, margin = np.asarray(ok), np.asarray(margin)
+        if ok.size:
+            self.checks[family] = self.checks.get(family, 0) + ok.size
+            if not ok.all():
+                self.violations[family] = self.violations.get(family, 0) + ok.size - int(np.count_nonzero(ok))
+            low, prev = float(margin.min()), self.worst_margin.get(family)
+            if prev is None or low < prev:
+                self.worst_margin[family] = low
+                self.worst_sample[family] = self.sample
 
     @property
     def clean(self) -> bool:
@@ -113,8 +116,8 @@ def audit_bcs_chain(
     summary.record("eps-aggregate-identity", agg_check <= TOL, TOL - agg_check)
     assignment = extract_assignment(bcs, g)
     norms = assignment_norms(assignment, base if base is not None else g, ext)
-    for v in evaluate_bounds(norms, table, base if base is not None else g, ext):
-        summary.record(v.family, v.lhs <= v.rhs + TOL, v.margin)
+    for family, (lhs, rhs) in evaluate_bounds(norms, table, base if base is not None else g, ext).items():
+        summary.record(family, lhs <= rhs + TOL, rhs - lhs)
     summary.strategies += 1
 
 

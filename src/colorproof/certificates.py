@@ -4,17 +4,19 @@ From a constraint-game strategy we extract prover B's color projectors and
 the reduced state, then measure how far the assignment is from an exactly
 commuting satisfying one: commutators with sqrt(rho) (tracial defect),
 neighbor commutators, edge-coloring products, and gadget-pair commutators.
-`check_bounds` evaluates every inequality the reduction proof promises and
-returns the violations (an empty list, unless the implementation is wrong --
-these are theorems). A strategy of another game raises `quantum.StrategyError`
-and one missing a family `quantum.MissingPvmError`, as in every reader of a
-strategy; `MissingProjectorError` is for an `Assignment` missing a projector.
+Every number stays in the stacked array it is computed in, indexed by edge
+(in `g.edges` order), vertex or gadget, then colors and endpoint.
+`evaluate_bounds` gives each inequality family as (lhs, rhs) arrays;
+`check_bounds` returns the violated instances keyed by their vertices (an
+empty list, unless the implementation is wrong -- these are theorems). A
+strategy of another game raises `quantum.StrategyError` and one missing a
+family `quantum.MissingPvmError`, as in every reader of a strategy;
+`MissingProjectorError` is for an `Assignment` with too few vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,35 +48,34 @@ class NumericalError(CertificateError):
 class Assignment:
     """Prover B's color projectors and reduced state rho = Tr_A |psi><psi|."""
 
-    dim: int
     rho: np.ndarray
-    projs: dict  # (vertex, color) -> projector
-    vertices: tuple[int, ...]
+    projs: np.ndarray  # (vertex, color, d, d): [v, alpha] is the outcome-1 projector of v's color-alpha family
 
 
 @dataclass
 class EpsTable:
-    """Edge-verification failure probabilities per challenge choice.
+    """Edge-verification failure probabilities per challenge choice, as (edge, color, end) arrays.
 
-    `entries[(i, j, alpha, k)]` is the failure probability when prover A is
-    asked the disjointness constraint for edge (i, j) at color alpha and
-    prover B is asked vertex k in {i, j} at the same color. `observable`
-    carries the +-1 observable expectations of the same challenge choices,
-    used for the expectation-value certificate.
+    `eps[e, alpha, end]` is the failure probability when prover A is asked
+    the disjointness constraint for edge g.edges[e] = (i, j) at color alpha
+    and prover B is asked vertex (i, j)[end] at the same color. `observable`
+    holds the +-1 observable expectations of the same choices, for the
+    expectation-value certificate; `aggregate` is the mean of `eps`.
     """
 
-    entries: dict
+    eps: np.ndarray
     aggregate: float
-    observable: dict
+    observable: np.ndarray
 
 
 @dataclass
 class NormReport:
-    dim: int
-    tracial: dict  # (vertex, alpha) -> ||[B, sqrt(rho)]||_F
-    commuting: dict  # (i, j, alpha, beta) -> ||[B^i_a, B^j_b] sqrt(rho)||_F, (i,j) an edge
-    edge_coloring: dict  # (i, j, alpha) -> ||B^i_a B^j_a sqrt(rho)||_F
-    gadget: dict  # (i, j, alpha, beta) over non-adjacent base pairs
+    """Frobenius-norm defects of an assignment over the operative graph, (i, j) its edges[e] or gadget pair p."""
+
+    tracial: np.ndarray  # (vertex, a): ||[B^v_a, sqrt(rho)]||_F
+    commuting: np.ndarray  # (edge, a, b): ||[B^i_a, B^j_b] sqrt(rho)||_F
+    edge_coloring: np.ndarray  # (edge, a): ||B^i_a B^j_a sqrt(rho)||_F
+    gadget: np.ndarray  # (gadget, a, b): commuting's norm at gadget p's non-adjacent base pair; no rows without gadgets
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,9 @@ def sqrt_psd(rho: np.ndarray) -> np.ndarray:
 def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     """Pull B's outcome-1 projectors per (vertex, color) and the reduced state."""
     _require_game(s, GameType.BCS)
-    keys = [(v, alpha) for v in range(g.n) for alpha in F3]
-    ones = _stack_ops(s.pvm_b, [(key, 1) for key in keys], "B", s.dim_b)
-    for v, fams in enumerate(ones.reshape(g.n, 3, s.dim_b, s.dim_b)):
+    layout = [((v, alpha), 1) for v in range(g.n) for alpha in F3]
+    projs = _stack_ops(s.pvm_b, layout, "B", s.dim_b).reshape(g.n, 3, s.dim_b, s.dim_b)
+    for v, fams in enumerate(projs):
         if np.abs(fams[0] + fams[1] + fams[2] - np.eye(s.dim_b)).max() > 1e-9:
             raise NotVertexCompleteError(f"color projectors at vertex {v} do not sum to identity")
         for a, b in itertools.combinations(fams, 2):
@@ -119,7 +120,7 @@ def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > 1e-9:
         raise NumericalError(f"reduced state trace {tr} != 1")
-    return Assignment(dim=s.dim_b, rho=rho, projs=dict(zip(keys, ones)), vertices=tuple(range(g.n)))
+    return Assignment(rho=rho, projs=projs)
 
 
 # [k, (b0, b1), bt]: the +-1 product of A's indicator for endpoint k and B's indicator bt
@@ -138,10 +139,10 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     """Failure probability of every edge-verification challenge choice.
 
     Each pair of A's and B's outcomes gets its mass once, as ||A Psi B^T||_F^2 =
-    <psi| A (x) B |psi>. An entry sums the masses of the pairs verdict() rejects,
+    <psi| A (x) B |psi>. An eps sums the masses of the pairs verdict() rejects,
     an observable all four with signs. As a sum of squares, an exactly losing
     pair weighs rounding squared, not rounding: eps enters the bounds as
-    sqrt(eps). The aggregate, mean(entries), is 1 - p_win on the edge-constraint
+    sqrt(eps). The aggregate, mean(eps), is 1 - p_win on the edge-constraint
     branch, which the test suite checks against win_probability.
     """
     _require_game(s, GameType.BCS)
@@ -154,13 +155,12 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     pb = _stack_ops(s.pvm_b, b_layout, "B", s.dim_b).reshape(-1, 2, 2, s.dim_b, s.dim_b)  # (r, end, bit, d_b, d_b)
     amp = (pa[:, :, None, None] @ s.psi_matrix()) @ pb[:, None].swapaxes(-1, -2)  # (r, bits, end, bit, d_a, d_b)
     pairs = (amp.real**2 + amp.imag**2).sum(axis=(-2, -1))
-    eps = np.einsum("rakb,kab->rk", pairs, _LOSSES)
+    eps = np.einsum("rakb,kab->rk", pairs, _LOSSES).reshape(-1, 3, 2)  # r = (edge, color)
     if eps.max() > 1.0 + 1e-9:
         raise NumericalError(f"failure probability {eps.max()} escaped [0,1]")
-    keys = [(*key.edge, key.color, end) for key in a_keys for end in key.edge]
-    entries = dict(zip(keys, np.minimum(eps, 1.0).ravel().tolist()))
-    observable = dict(zip(keys, np.einsum("rakb,kab->rk", pairs, _OBS).ravel().tolist()))
-    return EpsTable(entries=entries, aggregate=sum(entries.values()) / len(entries), observable=observable)
+    eps = np.minimum(eps, 1.0)
+    observable = np.einsum("rakb,kab->rk", pairs, _OBS).reshape(-1, 3, 2)
+    return EpsTable(eps=eps, aggregate=sum(eps.ravel().tolist()) / eps.size, observable=observable)
 
 
 def _frob(m: np.ndarray) -> np.ndarray:
@@ -168,17 +168,20 @@ def _frob(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=(-2, -1))
 
 
+def _pairs(pairs) -> np.ndarray:
+    """Vertex pairs as an (pair, 2) int array, also when there are none."""
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
 def _commutator_norms(projs: np.ndarray, pairs, sr: np.ndarray) -> np.ndarray:
     """||[B^i_a, B^j_b] sqrt(rho)||_F for each pair (i, j) and colors a, b, as (pair, a, b)."""
-    ij = np.array(pairs, dtype=int).reshape(-1, 2)
+    ij = _pairs(pairs)
     bi, bj = projs[ij[:, 0], :, None], projs[ij[:, 1], None, :]
     return _frob((bi @ bj - bj @ bi) @ sr)
 
 
-def _keyed(heads, values: np.ndarray) -> dict:
-    """values[h, c...] keyed (*heads[h], *c), the colors c running fastest."""
-    colors = list(itertools.product(F3, repeat=values.ndim - 1))
-    return dict(zip(((*h, *c) for h in heads for c in colors), values.ravel().tolist()))
+def _gadget_pairs(ext: Optional[ExtendedGraph]) -> list:
+    return [gd.pair for gd in ext.gadgets] if ext is not None else []
 
 
 def assignment_norms(a: Assignment, base: Graph, ext: Optional[ExtendedGraph] = None) -> NormReport:
@@ -189,90 +192,74 @@ def assignment_norms(a: Assignment, base: Graph, ext: Optional[ExtendedGraph] = 
     everything runs over `base` alone.
     """
     op_graph = ext.full if ext is not None else base
-    missing = [(v, alpha) for v in range(op_graph.n) for alpha in F3 if (v, alpha) not in a.projs]
-    if missing:
-        raise MissingProjectorError(f"assignment has no projector for {missing[0]}")
+    if len(a.projs) < op_graph.n:
+        raise MissingProjectorError(f"assignment has no projector for vertex {len(a.projs)}")
     sr = sqrt_psd(a.rho)
-    projs = np.array([[a.projs[(v, alpha)] for alpha in F3] for v in range(op_graph.n)])  # (vertex, color, d, d)
-    edges = op_graph.edges
-    ij = np.array(edges, dtype=int).reshape(-1, 2)
-    pairs = [gd.pair for gd in ext.gadgets] if ext is not None else []
+    projs = a.projs[: op_graph.n]
+    ij = _pairs(op_graph.edges)
     return NormReport(
-        dim=a.dim,
-        tracial=_keyed([(v,) for v in range(op_graph.n)], _frob(projs @ sr - sr @ projs)),
-        commuting=_keyed(edges, _commutator_norms(projs, edges, sr)),
-        edge_coloring=_keyed(edges, _frob(projs[ij[:, 0]] @ projs[ij[:, 1]] @ sr)),
-        gadget=_keyed(pairs, _commutator_norms(projs, pairs, sr)),
+        tracial=_frob(projs @ sr - sr @ projs),
+        commuting=_commutator_norms(projs, ij, sr),
+        edge_coloring=_frob(projs[ij[:, 0]] @ projs[ij[:, 1]] @ sr),
+        gadget=_commutator_norms(projs, _gadget_pairs(ext), sr),
     )
 
 
-def _s_bound(eps: float) -> float:
-    eps = min(1.0, max(0.0, eps))
-    return math.sqrt(2.0 * eps * (2.0 - eps))
+def _s_bound(eps: np.ndarray) -> np.ndarray:
+    eps = np.clip(eps, 0.0, 1.0)
+    return np.sqrt(2.0 * eps * (2.0 - eps))
 
 
-def evaluate_bounds(
-    nr: NormReport,
-    et: EpsTable,
-    base: Graph,
-    ext: Optional[ExtendedGraph] = None,
-) -> list[Violation]:
-    """Evaluate every certificate inequality instance, violated or not.
+def evaluate_bounds(nr: NormReport, et: EpsTable, base: Graph, ext: Optional[ExtendedGraph] = None) -> dict:
+    """Every certificate inequality instance, violated or not: family -> (lhs, rhs) arrays.
 
-    Families, per edge (i, j) of the operative graph and colors:
-      * observable -- <Y (x) X> >= 1 - 2*eps for the challenge's observables
-      * tracial    -- ||[B^k_a, sqrt(rho)]||_F <= sqrt(2 eps (2 - eps))
-      * commuting  -- ||[B^i_a, B^j_b] sqrt(rho)||_F <= s(eps_i) + s(eps_j)
-      * edge-coloring -- with the extra sqrt((eps_i + eps_j)/2) term
+    Families, per edge (i, j) of the operative graph (in its `edges` order) and colors:
+      * observable -- <Y (x) X> >= 1 - 2*eps, lhs 1 - 2*eps and rhs <Y (x) X> (edge, alpha, end)
+      * tracial    -- ||[B^k_a, sqrt(rho)]||_F <= sqrt(2 eps (2 - eps)) at each end k (edge, alpha, end)
+      * edge-coloring -- with the extra sqrt((eps_i + eps_j)/2) term (edge, alpha)
+      * commuting  -- ||[B^i_a, B^j_b] sqrt(rho)||_F <= s(eps_i) + s(eps_j) (edge, alpha, beta)
       * gadget     -- non-adjacent base pairs against the summed gadget-edge
-                      budget (only when `ext` is given)
+                      budget (gadget, alpha, beta); no rows without `ext`
+    A table and a report that do not fit the operative graph raise `CertificateError`.
     """
     op_graph = ext.full if ext is not None else base
-    out: list[Violation] = []
-    push = out.append
-    for i, j in op_graph.edges:
-        for alpha in F3:
-            e_i = et.entries[(i, j, alpha, i)]
-            e_j = et.entries[(i, j, alpha, j)]
-            for k, e_k in ((i, e_i), (j, e_j)):
-                push(Violation("observable", (i, j, alpha, k), 1.0 - 2.0 * e_k, et.observable[(i, j, alpha, k)]))
-                push(Violation("tracial", (i, j, alpha, k), nr.tracial[(k, alpha)], _s_bound(e_k)))
-            push(
-                Violation(
-                    "edge-coloring",
-                    (i, j, alpha),
-                    nr.edge_coloring[(i, j, alpha)],
-                    _s_bound(e_i) + _s_bound(e_j) + math.sqrt((e_i + e_j) / 2.0),
-                )
-            )
-            for beta in F3:
-                e_bj = et.entries[(i, j, beta, j)]
-                push(
-                    Violation(
-                        "commuting",
-                        (i, j, alpha, beta),
-                        nr.commuting[(i, j, alpha, beta)],
-                        _s_bound(e_i) + _s_bound(e_bj),
-                    )
-                )
-    if ext is not None:
-        for gd in ext.gadgets:
-            i, j = gd.pair
-            budget = 0.0
-            for u, v in gd.edges:
-                for gamma in F3:
-                    e_u = et.entries[(u, v, gamma, u)]
-                    e_v = et.entries[(u, v, gamma, v)]
-                    budget += 4.0 * math.sqrt((e_u + e_v) / 2.0) + 19.0 * (_s_bound(e_u) + _s_bound(e_v))
-            for alpha in F3:
-                for beta in F3:
-                    push(Violation("gadget", (i, j, alpha, beta), nr.gadget[(i, j, alpha, beta)], budget))
-    return out
+    gadgets = ext.gadgets if ext is not None else ()
+    m = len(op_graph.edges)
+    shapes = tuple(x.shape for x in (et.eps, et.observable, nr.tracial, nr.commuting, nr.edge_coloring, nr.gadget))
+    if shapes != ((m, 3, 2), (m, 3, 2), (op_graph.n, 3), (m, 3, 3), (m, 3), (len(gadgets), 3, 3)):
+        raise CertificateError(f"eps table and norm report shapes {shapes} do not fit the graph")
+    eps, s = et.eps, _s_bound(et.eps)
+    half = np.sqrt((eps[..., 0] + eps[..., 1]) / 2.0)  # (edge, gamma)
+    # np.cumsum adds a gadget's (gadget edge, gamma) terms one after the other, as a scalar loop does
+    term = 4.0 * half + 19.0 * (s[..., 0] + s[..., 1])
+    index = {e: k for k, e in enumerate(op_graph.edges)}
+    budget = np.array([np.cumsum(term[[index[e] for e in gd.edges]])[-1] for gd in gadgets])
+    ends = _pairs(op_graph.edges)[:, None, :]
+    return {
+        "observable": (1.0 - 2.0 * eps, et.observable),
+        "tracial": (nr.tracial[ends, np.arange(3)[:, None]], s),
+        "edge-coloring": (nr.edge_coloring, s[..., 0] + s[..., 1] + half),
+        "commuting": (nr.commuting, s[:, :, None, 0] + s[:, None, :, 1]),
+        "gadget": (nr.gadget, np.broadcast_to(budget.reshape(-1, 1, 1), nr.gadget.shape)),
+    }
 
 
 def check_bounds(nr: NormReport, et: EpsTable, base: Graph, ext: Optional[ExtendedGraph] = None) -> list[Violation]:
-    """The violated certificate inequalities (expected empty; see evaluate_bounds)."""
-    return [v for v in evaluate_bounds(nr, et, base, ext) if v.lhs > v.rhs + 1e-9]
+    """The violated certificate inequalities (expected empty; see evaluate_bounds).
+
+    A violation's key is (i, j, alpha, k) for observable and tracial, with k the
+    endpoint B is asked; (i, j, alpha) for edge-coloring; (i, j, alpha, beta)
+    for commuting over an edge and gadget over a base pair.
+    """
+    edges = (ext.full if ext is not None else base).edges
+    out = []
+    for family, (lhs, rhs) in evaluate_bounds(nr, et, base, ext).items():
+        for idx in np.argwhere(lhs > rhs + 1e-9).tolist():
+            (i, j), colors = (_gadget_pairs(ext) if family == "gadget" else edges)[idx[0]], idx[1:]
+            if family in ("observable", "tracial"):
+                colors = [colors[0], (i, j)[colors[1]]]
+            out.append(Violation(family, (i, j, *colors), float(lhs[tuple(idx)]), float(rhs[tuple(idx)])))
+    return out
 
 
 def sequential_coloring(a: Assignment, order: Sequence[int], rng: random.Random) -> tuple[int, ...]:
@@ -281,16 +268,16 @@ def sequential_coloring(a: Assignment, order: Sequence[int], rng: random.Random)
     Born rule with state update rho <- B rho B / Tr(B rho B); the probability
     of any outcome string equals Tr(B_m ... B_1 rho B_1 ... B_m).
     """
-    if sorted(order) != list(a.vertices):
+    if sorted(order) != list(range(len(a.projs))):
         raise CertificateError("order must be a permutation of the assignment's vertices")
     rho = a.rho.copy()
     colors = [0] * len(order)
     for v in order:
-        probs = [max(0.0, float((a.projs[(v, alpha)] @ rho).trace().real)) for alpha in F3]
+        probs = [max(0.0, float((b_op @ rho).trace().real)) for b_op in a.projs[v]]
         if sum(probs) < 1e-15:
             raise NumericalError(f"all branches vanish at vertex {v}")
         pick = colors[v] = rng.choices(F3, probs)[0]
-        b_op = a.projs[(v, pick)]
+        b_op = a.projs[v, pick]
         rho = b_op @ rho @ b_op
         rho = rho / probs[pick]
     return tuple(colors)
@@ -298,7 +285,7 @@ def sequential_coloring(a: Assignment, order: Sequence[int], rng: random.Random)
 
 def sequential_distribution(a: Assignment, order: Sequence[int]) -> dict[tuple[int, ...], float]:
     """Exhaustive outcome distribution Tr(B_m ... B_1 rho B_1 ... B_m)."""
-    if sorted(order) != list(a.vertices):
+    if sorted(order) != list(range(len(a.projs))):
         raise CertificateError("order must be a permutation of the assignment's vertices")
     dist: dict[tuple[int, ...], float] = {}
 
@@ -310,8 +297,7 @@ def sequential_distribution(a: Assignment, order: Sequence[int]) -> dict[tuple[i
             dist[tuple(colors)] = max(0.0, float(rho.trace().real))
             return
         v = order[pos]
-        for alpha in F3:
-            b_op = a.projs[(v, alpha)]
+        for alpha, b_op in enumerate(a.projs[v]):
             walk(pos + 1, b_op @ rho @ b_op, picked + [alpha])
 
     walk(0, a.rho.copy(), [])

@@ -252,35 +252,41 @@ class LabellingDraw:
 
 
 class JointRows:
-    """A joint sampler's distributions as padded rows, for the batch engine.
+    """A joint sampler's distributions as padded rows, for its `respond` and the batch engine.
 
     `of(kind, sampler, chs)` gives each challenge's row j, adding the rows of new ones. `cum[j]` is the
     challenge's cumulative weights, padded with 2.0 (above every `random()`), `pairs[j]` its response pairs,
     and `codes[j]` the `REASON_CODE` of `verdict()` on each pair, called once per challenge and pair.
+    A challenge object is matched by value once, then by identity (`by_id`), so an interned member costs
+    no `==` against an equal challenge built elsewhere; `_met` keeps each object, and its id its own.
     """
 
     def __init__(self):
-        self.index: dict = {}
+        self.index, self.by_id, self._met = {}, {}, {}
         self.pairs: list = []
         self.cum, self.codes = np.ones((0, 1)), np.zeros((0, 1), np.int8)
         self._lock = threading.Lock()
 
     def of(self, kind: GameKind, sampler: JointSampler, chs: list) -> list:
-        if not all(map(self.index.__contains__, chs)):
-            with self._lock:
-                new = list(dict.fromkeys(ch for ch in chs if ch not in self.index))  # two keys may be one challenge
-                dists = [sampler.distribution(kind, ch) for ch in new]  # raises before anything is added
-                j0, width = len(self.pairs), max([self.cum.shape[1]] + [len(cum) for _, cum in dists])
-                cum = np.full((j0 + len(new), width), 2.0)
-                codes = np.zeros(cum.shape, np.int8)
-                cum[:j0, : self.cum.shape[1]], codes[:j0, : self.cum.shape[1]] = self.cum, self.codes
-                for j, ch, (pairs, c) in zip(itertools.count(j0), new, dists):
-                    cum[j, : len(c)] = c
-                    codes[j, : len(c)] = [REASON_CODE[verdict(kind, ch, ra, rb).reason] for ra, rb in pairs]
-                    self.pairs.append(pairs)
-                self.cum, self.codes = cum, codes
-                self.index.update(zip(new, itertools.count(j0)))  # last: whoever finds a challenge finds its row
-        return list(map(self.index.__getitem__, chs))
+        js = list(map(self.by_id.get, map(id, chs)))
+        if None not in js:
+            return js
+        with self._lock:
+            new = list(dict.fromkeys(ch for ch in chs if ch not in self.index))  # two keys may be one challenge
+            dists = [sampler._distribution(kind, ch) for ch in new]  # raises before anything is added
+            j0, width = len(self.pairs), max([self.cum.shape[1]] + [len(cum) for _, cum in dists])
+            cum = np.full((j0 + len(new), width), 2.0)
+            codes = np.zeros(cum.shape, np.int8)
+            cum[:j0, : self.cum.shape[1]], codes[:j0, : self.cum.shape[1]] = self.cum, self.codes
+            for j, ch, (pairs, c) in zip(itertools.count(j0), new, dists):
+                cum[j, : len(c)] = c
+                codes[j, : len(c)] = [REASON_CODE[verdict(kind, ch, ra, rb).reason] for ra, rb in pairs]
+                self.pairs.append(pairs)
+            self.cum, self.codes = cum, codes
+            self.index.update(zip(new, itertools.count(j0)))
+            self._met.update(zip(map(id, chs), chs))
+            self.by_id.update((id(ch), self.index[ch]) for ch in chs)  # last: whoever finds an object finds its row
+        return list(map(self.by_id.__getitem__, map(id, chs)))
 
 
 @dataclass
@@ -288,26 +294,20 @@ class JointSampler:
     """A pair that answers both halves of a challenge at once, through `respond` (see `play_rounds`).
 
     `_distribution(kind, ch)` is the response pairs a challenge can get and their cumulative weights, the
-    last exactly 1.0. `respond` draws pair `bisect_left(cum, rng.random())`: one `random()` per round.
-    `distribution` keeps each challenge's in `_cache`, and the batch engine keeps its rows in `_rows`.
+    last exactly 1.0. `respond` draws pair `bisect_left(cum, rng.random())` from the challenge's row in
+    `_rows`, the one place a challenge's distribution is kept: one `random()` per round.
     `quantum.BornPair` is one.
     """
 
-    _cache: dict = field(default_factory=dict, kw_only=True, repr=False)
     _rows: JointRows = field(default_factory=JointRows, kw_only=True, repr=False, compare=False)
 
     def _distribution(self, kind: GameKind, ch: Challenge) -> tuple[list, list]:
         raise NotImplementedError
 
-    def distribution(self, kind: GameKind, ch: Challenge) -> tuple[list, list]:
-        dist = self._cache.get(ch)
-        if dist is None:
-            dist = self._cache[ch] = self._distribution(kind, ch)
-        return dist
-
     def respond(self, kind: GameKind, ch: Challenge, rng: random.Random) -> tuple[Response, Response]:
-        responses, cum = self.distribution(kind, ch)
-        return responses[bisect.bisect_left(cum, rng.random())]
+        rows = self._rows  # by value: the objects `of` keeps stay bounded by the batch engine's interned members
+        j = rows.index[ch] if ch in rows.index else rows.of(kind, self, [ch])[0]
+        return rows.pairs[j][bisect.bisect_left(rows.cum[j], rng.random())]
 
 
 def labelled_answer_a(kind: GameKind, half, labs: tuple[Labelled, Labelled]) -> Response:

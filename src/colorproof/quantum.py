@@ -258,10 +258,13 @@ def _require_families(pvms: dict, keys, side: str) -> None:
 
 
 def _stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
-    """pvms[key][out] for every (key, out) of `layout`, stacked; an outcome its family omits reads as zero."""
-    _require_families(pvms, (key for key, _ in layout), side)
+    """pvms[key][out] for every (key, out) of `layout`, stacked; an outcome its family omits reads as zero,
+    and a missing family raises MissingPvmError naming the first missing key in layout order."""
     zero = np.zeros((dim, dim), dtype=complex)
-    return np.stack([pvms[key].get(out, zero) for key, out in layout])
+    try:
+        return np.stack([pvms[key].get(out, zero) for key, out in layout])
+    except KeyError as e:
+        raise MissingPvmError(f"strategy has no {side} measurement for {e.args[0]}") from None
 
 
 def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:

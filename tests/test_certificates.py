@@ -4,19 +4,21 @@ import random
 import numpy as np
 import pytest
 
+from colorproof.audits import SweepSummary, audit_bcs_chain
 from colorproof.certificates import (
     CertificateError,
     NumericalError,
     assignment_norms,
     check_bounds,
     eps_table,
+    evaluate_bounds,
     extract_assignment,
     sequential_coloring,
     sequential_distribution,
     sqrt_psd,
 )
 from colorproof.games import GameKind, GameType
-from colorproof.graphs import three_color, validate_coloring
+from colorproof.graphs import extend_with_gadgets, three_color, validate_coloring
 from colorproof.quantum import (
     QuantumStrategy,
     classical_embedding,
@@ -42,7 +44,7 @@ def bcs_from_random_edge_strategy(g, dims, jiggle, rng):
 def test_extract_assignment_honest_diagonal(k3):
     s = classical_embedding(GameType.BCS, k3, (0, 1, 2), dim=3)
     a = extract_assignment(s, k3)
-    for (v, alpha), p in a.projs.items():
+    for p in a.projs.reshape(-1, 3, 3):
         assert np.abs(p - np.diag(np.diag(p))).max() == 0
         assert set(np.round(np.diag(p).real).astype(int)) <= {0, 1}
     assert a.rho.trace() == pytest.approx(1.0)
@@ -54,7 +56,7 @@ def test_extract_assignment_maximally_entangled_kills_tracial(k3):
     a = extract_assignment(s, k3)
     assert np.abs(a.rho - np.eye(3) / 3).max() < 1e-12
     nr = assignment_norms(a, k3)
-    assert max(nr.tracial.values()) < 1e-9
+    assert nr.tracial.max() < 1e-9
 
 
 def test_extract_assignment_trace_one_random(k3):
@@ -69,9 +71,9 @@ def test_extract_assignment_trace_one_random(k3):
 def test_eps_table_honest_all_zero(k3):
     s = classical_embedding(GameType.BCS, k3, (0, 1, 2), dim=2)
     et = eps_table(s, k3)
-    assert max(et.entries.values()) < 1e-12
+    assert et.eps.max() < 1e-12
     assert et.aggregate < 1e-12
-    assert min(et.observable.values()) > 1.0 - 1e-12
+    assert et.observable.min() > 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("graph", ["k3", "ext"])
@@ -83,7 +85,7 @@ def test_eps_table_exactly_honest_under_local_unitaries(graph, k3, ext_path3):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         et = eps_table(transform_strategy(s, haar_unitary(3, rng), haar_unitary(3, rng)), g)
-        assert max(et.entries.values()) <= 1e-30
+        assert et.eps.max() <= 1e-30
 
 
 def test_eps_table_aggregate_identity(k3):
@@ -93,7 +95,7 @@ def test_eps_table_aggregate_identity(k3):
         et = eps_table(bcs, k3)
         ev_win = win_probability(BCS_EDGE_ONLY, k3, bcs)
         assert et.aggregate == pytest.approx(1.0 - ev_win, abs=1e-9)
-        assert all(0.0 <= e <= 1.0 for e in et.entries.values())
+        assert ((0.0 <= et.eps) & (et.eps <= 1.0)).all()
 
 
 def test_sqrt_psd_identity_and_floor():
@@ -108,9 +110,9 @@ def test_norms_on_exactly_commuting_assignment(k3):
     s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.pvm_a, base.pvm_b)
     a = extract_assignment(s, k3)
     nr = assignment_norms(a, k3)
-    assert max(nr.tracial.values()) < 1e-8
-    assert max(nr.commuting.values()) < 1e-8
-    assert max(nr.edge_coloring.values()) < 1e-8
+    assert nr.tracial.max() < 1e-8
+    assert nr.commuting.max() < 1e-8
+    assert nr.edge_coloring.max() < 1e-8
 
 
 def test_edge_coloring_norm_two_path_identity(k3):
@@ -120,10 +122,11 @@ def test_edge_coloring_norm_two_path_identity(k3):
     a = extract_assignment(bcs, k3)
     nr = assignment_norms(a, k3)
     sr = sqrt_psd(a.rho)
-    for (i, j, alpha), delta in nr.edge_coloring.items():
-        bi, bj = a.projs[(i, alpha)], a.projs[(j, alpha)]
-        direct = (sr @ bj @ bi @ bj @ sr).trace().real
-        assert delta**2 == pytest.approx(direct, abs=1e-9)
+    for (i, j), deltas in zip(k3.edges, nr.edge_coloring):
+        for alpha, delta in enumerate(deltas):
+            bi, bj = a.projs[i, alpha], a.projs[j, alpha]
+            direct = (sr @ bj @ bi @ bj @ sr).trace().real
+            assert delta**2 == pytest.approx(direct, abs=1e-9)
 
 
 def test_check_bounds_clean_and_detector(k3):
@@ -134,8 +137,7 @@ def test_check_bounds_clean_and_detector(k3):
     nr = assignment_norms(a, k3)
     assert check_bounds(nr, et, k3) == []
     inflated = assignment_norms(a, k3)
-    for key in inflated.commuting:
-        inflated.commuting[key] *= 10
+    inflated.commuting *= 10
     bad = check_bounds(inflated, et, k3)
     assert bad
     assert {v.family for v in bad} <= {"commuting"}
@@ -156,7 +158,7 @@ def test_check_bounds_multiple_gadgets():
     a = extract_assignment(bcs, g)
     et = eps_table(bcs, g)
     nr = assignment_norms(a, path4, ext)
-    assert len(nr.gadget) == 3 * 9
+    assert nr.gadget.size == 3 * 9
     assert check_bounds(nr, et, path4, ext) == []
 
 
@@ -168,8 +170,67 @@ def test_check_bounds_with_gadgets(ext_path3):
         a = extract_assignment(bcs, g)
         et = eps_table(bcs, g)
         nr = assignment_norms(a, ext_path3.base, ext_path3)
-        assert set(nr.gadget) == {(0, 2, al, be) for al in range(3) for be in range(3)}
+        assert [gd.pair for gd in ext_path3.gadgets] == [(0, 2)] and nr.gadget.shape == (1, 3, 3)
         assert check_bounds(nr, et, ext_path3.base, ext_path3) == []
+
+
+def _honest_certificates(g, base, ext=None):
+    s = classical_embedding(GameType.BCS, g, three_color(g), dim=2)
+    return assignment_norms(extract_assignment(s, g), base, ext), eps_table(s, g)
+
+
+@pytest.mark.parametrize("family", ["observable", "tracial", "edge-coloring", "commuting", "gadget"])
+def test_check_bounds_keys_each_family_by_its_vertices(ext_path3, family):
+    # an honest assignment meets every bound with zero slack: one raised defect (or one lowered
+    # observable) comes back as exactly the instances that read it, keyed by their vertices
+    nr, et = _honest_certificates(ext_path3.full, ext_path3.base, ext_path3)
+    edges = ext_path3.full.edges
+    e = edges.index((2, 5))
+    if family == "observable":
+        et.observable[e, 1, 1] = 0.0
+        want = {(2, 5, 1, 5)}
+    elif family == "tracial":
+        nr.tracial[5, 1] = 1.0
+        want = {(i, j, 1, 5) for i, j in edges if 5 in (i, j)}
+    elif family == "edge-coloring":
+        nr.edge_coloring[e, 2] = 1.0
+        want = {(2, 5, 2)}
+    elif family == "commuting":
+        nr.commuting[e, 0, 2] = 1.0
+        want = {(2, 5, 0, 2)}
+    else:
+        nr.gadget[0, 1, 2] = 1.0
+        want = {(0, 2, 1, 2)}
+    bad = check_bounds(nr, et, ext_path3.base, ext_path3)
+    assert len(want) > 0 and {v.family for v in bad} == {family}
+    assert {v.key for v in bad} == want and len(bad) == len(want)
+    assert all(v.margin == -1.0 for v in bad)
+
+
+def test_evaluate_bounds_rejects_a_table_and_report_of_different_graphs(k3, ext_path3):
+    nr, _ = _honest_certificates(ext_path3.full, ext_path3.base, ext_path3)
+    _, et = _honest_certificates(k3, k3)
+    with pytest.raises(CertificateError, match="do not fit the graph"):
+        evaluate_bounds(nr, et, ext_path3.base, ext_path3)
+
+
+def test_sweep_summary_records_a_family_in_one_call():
+    summary = SweepSummary()
+    summary.sample = (3, 1)
+    summary.record("tracial", np.array([True, False, True]), np.array([0.5, -0.25, 0.0]))
+    summary.record("tracial", True, 0.125)
+    summary.record("gadget", np.ones((0, 3, 3), bool), np.ones((0, 3, 3)))
+    assert (summary.checks, summary.violations) == ({"tracial": 4}, {"tracial": 1})
+    assert summary.worst_margin == {"tracial": -0.25} and summary.worst_sample == {"tracial": (3, 1)}
+
+
+def test_audit_bcs_chain_records_no_gadget_family_without_gadget_pairs(k3):
+    ext = extend_with_gadgets(k3)  # every base pair of the triangle is adjacent
+    assert not ext.gadgets
+    summary = SweepSummary()
+    audit_bcs_chain(ext.full, (2, 2), 0.1, np.random.default_rng(5), summary, base=ext.base, ext=ext)
+    assert "gadget" not in summary.checks and "gadget" not in summary.worst_margin
+    assert summary.checks["commuting"] == 9 * len(ext.full.edges) and summary.clean
 
 
 def test_sequential_deterministic_embedding(k3):
@@ -308,7 +369,7 @@ def test_observable_algebra_identity_and_conflict_mass(k3):
         et = eps_table(bcs, k3)
         psi_mat = bcs.psi_matrix()
         eye_b = np.eye(bcs.dim_b)
-        for i, j in k3.edges:
+        for e, (i, j) in enumerate(k3.edges):
             for alpha in range(3):
                 fam = bcs.pvm_a[EdgeConstraint((i, j), alpha)]
                 y_i = sum((1.0 if b0 == 1 else -1.0) * p for (b0, b1), p in fam.items())
@@ -316,8 +377,7 @@ def test_observable_algebra_identity_and_conflict_mass(k3):
                 lhs = y_i + y_j + y_i @ y_j + np.eye(bcs.dim_a)
                 assert np.abs(lhs - 4.0 * fam[(1, 1)]).max() < 1e-10
                 mass = _qform(psi_mat, fam[(1, 1)], eye_b)
-                e_i = et.entries[(i, j, alpha, i)]
-                e_j = et.entries[(i, j, alpha, j)]
+                e_i, e_j = et.eps[e, alpha]
                 assert mass <= (e_i + e_j) / 2.0 + 1e-9
 
 
@@ -385,7 +445,8 @@ def test_omitted_zero_projectors_read_as_zero(k3):
     stripped = _stripped(full)
     validate_strategy(stripped)
     got, want = extract_assignment(stripped, k3), extract_assignment(full, k3)
-    assert got.projs.keys() == want.projs.keys()
-    assert all(np.array_equal(got.projs[key], p) for key, p in want.projs.items())
+    assert np.array_equal(got.projs, want.projs)
     assert np.array_equal(got.rho, want.rho)
-    assert eps_table(stripped, k3) == eps_table(full, k3)
+    got, want = eps_table(stripped, k3), eps_table(full, k3)
+    assert np.array_equal(got.eps, want.eps) and np.array_equal(got.observable, want.observable)
+    assert got.aggregate == want.aggregate

@@ -249,7 +249,7 @@ def test_eps_table_matches_scalar_forms(arbitrary):
             s = _draw(GameType.BCS, g, dims, rng, arbitrary)
             table = eps_table(s, g)
             psi_mat = s.psi_matrix()
-            for i, j in g.edges:
+            for e, (i, j) in enumerate(g.edges):
                 for alpha in F3:
                     fam_a = s.pvm_a[EdgeConstraint((i, j), alpha)]
                     for side, k in enumerate((i, j)):
@@ -262,8 +262,8 @@ def test_eps_table_matches_scalar_forms(arbitrary):
                             for bits, p in fam_a.items()
                             for bt, q in fam_b.items()
                         )
-                        assert table.entries[(i, j, alpha, k)] == pytest.approx(1.0 - win, abs=1e-12)
-                        assert table.observable[(i, j, alpha, k)] == pytest.approx(obs, abs=1e-12)
+                        assert table.eps[e, alpha, side] == pytest.approx(1.0 - win, abs=1e-12)
+                        assert table.observable[e, alpha, side] == pytest.approx(obs, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS[:4], ids=lambda k: k.game.value)

@@ -346,7 +346,7 @@ def test_born_verdicts_come_from_verdict_once_per_challenge_and_pair(monkeypatch
         pair = _born(kind, g, 33)
         for seed in (1, 2):
             play_rounds(kind, g, pair, 400, seed)
-        pairs = [(ch, *rr) for ch in pair._cache for rr in pair._cache[ch][0]]
+        pairs = [(ch, *rr) for ch, j in pair._rows.index.items() for rr in pair._rows.pairs[j]]
         assert sorted(map(repr, calls)) == sorted(map(repr, pairs)), kind
         calls.clear()
 
