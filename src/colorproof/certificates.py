@@ -19,13 +19,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .games import BCS, F3, _BITS2, BcsChallenge, BcsResponseA, BcsResponseB, EdgeConstraint, GameType, verdict
 from .graphs import ExtendedGraph, Graph
-from .quantum import QuantumStrategy, _require_game, _stack_ops
+from .quantum import Pairs, QuantumStrategy, _require_game, _stack_ops
 
 
 class CertificateError(ValueError):
@@ -105,11 +106,22 @@ def sqrt_psd(rho: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(lam)) @ v.conj().T
 
 
+@lru_cache(maxsize=None)
+def _layouts(g: Graph) -> tuple[Pairs, Pairs, Pairs]:
+    """The (key, outcome) rows the readers take: B's per (vertex, color) for extract_assignment, then A's
+    and B's per (edge, color) for eps_table. Kept per graph, so a strategy layout works out each once."""
+    a_keys = [EdgeConstraint(e, alpha) for e in g.edges for alpha in F3]
+    return (
+        Pairs(((v, alpha), 1) for v in range(g.n) for alpha in F3),
+        Pairs((key, bits) for key in a_keys for bits in _BITS2),
+        Pairs(((end, key.color), bt) for key in a_keys for end in key.edge for bt in (0, 1)),
+    )
+
+
 def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     """Pull B's outcome-1 projectors per (vertex, color) and the reduced state."""
     _require_game(s, GameType.BCS)
-    layout = [((v, alpha), 1) for v in range(g.n) for alpha in F3]
-    projs = _stack_ops(s.pvm_b, layout, "B", s.dim_b).reshape(g.n, 3, s.dim_b, s.dim_b)
+    projs = _stack_ops(s.b, _layouts(g)[0], "B").reshape(g.n, 3, s.dim_b, s.dim_b)
     for v, fams in enumerate(projs):
         if np.abs(fams[0] + fams[1] + fams[2] - np.eye(s.dim_b)).max() > 1e-9:
             raise NotVertexCompleteError(f"color projectors at vertex {v} do not sum to identity")
@@ -148,11 +160,9 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     _require_game(s, GameType.BCS)
     if not g.edges:
         raise CertificateError("eps table needs a graph with at least one edge")
-    a_keys = [EdgeConstraint(e, alpha) for e in g.edges for alpha in F3]
-    a_layout = [(key, bits) for key in a_keys for bits in _BITS2]
-    b_layout = [((end, key.color), bt) for key in a_keys for end in key.edge for bt in (0, 1)]
-    pa = _stack_ops(s.pvm_a, a_layout, "A", s.dim_a).reshape(-1, 4, s.dim_a, s.dim_a)  # (r, bits, d_a, d_a)
-    pb = _stack_ops(s.pvm_b, b_layout, "B", s.dim_b).reshape(-1, 2, 2, s.dim_b, s.dim_b)  # (r, end, bit, d_b, d_b)
+    _, a_layout, b_layout = _layouts(g)
+    pa = _stack_ops(s.a, a_layout, "A").reshape(-1, 4, s.dim_a, s.dim_a)  # (r, bits, d_a, d_a)
+    pb = _stack_ops(s.b, b_layout, "B").reshape(-1, 2, 2, s.dim_b, s.dim_b)  # (r, end, bit, d_b, d_b)
     amp = (pa[:, :, None, None] @ s.psi_matrix()) @ pb[:, None].swapaxes(-1, -2)  # (r, bits, end, bit, d_a, d_b)
     pairs = (amp.real**2 + amp.imag**2).sum(axis=(-2, -1))
     eps = np.einsum("rakb,kab->rk", pairs, _LOSSES).reshape(-1, 3, 2)  # r = (edge, color)

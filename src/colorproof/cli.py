@@ -190,17 +190,29 @@ def _cmd_zk_test(args) -> int:
 
 
 def _cmd_audit_quantum(args) -> int:
-    from .audits import run_certificate_sweep
+    from .audits import SweepSummary, audit_sample, run_certificate_sweep
 
     if args.dims < 2:
         raise CliError(f"--dims must be at least 2, got {args.dims}")
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
-    summary = run_certificate_sweep(samples=args.samples, seed=args.seed, max_dim=args.dims)
-    payload = {"config": {"samples": args.samples, "seed": args.seed, "dims": args.dims}, **summary.to_dict()}
-    lines = [f"config: samples={args.samples} seed={args.seed} dims={args.dims}"]
+    summary, replay = SweepSummary(), {}
+    if args.replay is not None:  # one sample: its summary, margins included
+        seed, _, index = args.replay.partition(":")
+        if not (seed.removeprefix("-").isdecimal() and index.isdecimal()):
+            raise CliError(f"--replay {args.replay!r} must look like SEED:INDEX")
+        config = {"replay": args.replay, "dims": args.dims}
+        audit_sample(int(seed), int(index), args.dims, summary)
+    else:  # the sweep, and per family the command that replays its worst sample
+        config = {"samples": args.samples, "seed": args.seed, "dims": args.dims}
+        summary = run_certificate_sweep(samples=args.samples, seed=args.seed, max_dim=args.dims)
+        command = f"python -m colorproof audit-quantum --dims {args.dims} --replay="  # = keeps a seed -3 an argument
+        replay = {"replay": {k: f"{command}{seed}:{i}" for k, (seed, i) in sorted(summary.worst_sample.items())}}
+    payload = {"config": config, **summary.to_dict(), **replay}
+    lines = ["config: " + " ".join(f"{k}={v}" for k, v in config.items())]
     for name, count in summary.checks.items():
-        lines.append(f"{name:>24}: {count} instances, {summary.violations.get(name, 0)} violations")
+        lines.append(f"{name:>24}: {count} instances, {summary.violations.get(name, 0)} violations, "
+                     f"worst margin {summary.worst_margin[name]:.3e}")
     lines.append("PASS" if summary.clean else "FAIL")
     _emit(args, payload, "\n".join(lines))
     return 0 if summary.clean else 1
@@ -302,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("audit-quantum", help="run the theorem-certificate sweeps")
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--dims", type=int, default=3)
+    sp.add_argument("--replay", metavar="SEED:INDEX", help="run sample INDEX of the sweep seeded SEED alone")
     common(sp)
 
     sp = sub.add_parser("serve-prover", help="run one prover endpoint")

@@ -256,7 +256,8 @@ class JointRows:
 
     `of(kind, sampler, chs)` gives each challenge's row j, adding the rows of new ones. `cum[j]` is the
     challenge's cumulative weights, padded with 2.0 (above every `random()`), `pairs[j]` its response pairs,
-    and `codes[j]` the `REASON_CODE` of `verdict()` on each pair, called once per challenge and pair.
+    and `codes[j]` the `REASON_CODE` of `verdict()` on each pair, called once per challenge and pair. Both
+    are views of buffers that double when full, so meeting k challenges one at a time copies O(k) rows.
     A challenge object is matched by value once, then by identity (`by_id`), so an interned member costs
     no `==` against an equal challenge built elsewhere; `_met` keeps each object, and its id its own.
     """
@@ -264,7 +265,7 @@ class JointRows:
     def __init__(self):
         self.index, self.by_id, self._met = {}, {}, {}
         self.pairs: list = []
-        self.cum, self.codes = np.ones((0, 1)), np.zeros((0, 1), np.int8)
+        self.cum, self.codes = self._cum, self._codes = np.full((0, 1), 2.0), np.zeros((0, 1), np.int8)
         self._lock = threading.Lock()
 
     def of(self, kind: GameKind, sampler: JointSampler, chs: list) -> list:
@@ -275,14 +276,17 @@ class JointRows:
             new = list(dict.fromkeys(ch for ch in chs if ch not in self.index))  # two keys may be one challenge
             dists = [sampler._distribution(kind, ch) for ch in new]  # raises before anything is added
             j0, width = len(self.pairs), max([self.cum.shape[1]] + [len(cum) for _, cum in dists])
-            cum = np.full((j0 + len(new), width), 2.0)
-            codes = np.zeros(cum.shape, np.int8)
-            cum[:j0, : self.cum.shape[1]], codes[:j0, : self.cum.shape[1]] = self.cum, self.codes
+            cum, codes = self._cum, self._codes  # readers see rows below j0 only, so the rows past it are free
+            if j0 + len(new) > len(cum) or width > cum.shape[1]:
+                cum = np.full((max(j0 + len(new), 2 * len(cum)), width), 2.0)
+                codes = np.zeros(cum.shape, np.int8)
+                cum[:j0, : self.cum.shape[1]], codes[:j0, : self.cum.shape[1]] = self.cum, self.codes
             for j, ch, (pairs, c) in zip(itertools.count(j0), new, dists):
                 cum[j, : len(c)] = c
                 codes[j, : len(c)] = [REASON_CODE[verdict(kind, ch, ra, rb).reason] for ra, rb in pairs]
                 self.pairs.append(pairs)
-            self.cum, self.codes = cum, codes
+            self._cum, self._codes = cum, codes
+            self.cum, self.codes = cum[: len(self.pairs)], codes[: len(self.pairs)]
             self.index.update(zip(new, itertools.count(j0)))
             self._met.update(zip(map(id, chs), chs))
             self.by_id.update((id(ch), self.index[ch]) for ch in chs)  # last: whoever finds an object finds its row
@@ -654,8 +658,8 @@ class GameSpec:
 
     Outcomes are the payloads of the response classes (`response_a(outcome)`
     builds prover A's response). Keys are challenge halves; `a_keys(g)` and
-    `b_keys(g)` enumerate every half of a graph in the order the PVM dicts of
-    a quantum strategy hold them, which seeded strategy draws depend on.
+    `b_keys(g)` enumerate every half of a graph in the order the layout of a
+    generated quantum strategy holds them, which seeded strategy draws depend on.
     `honest_a(lab, half)` is the honest outcome for one labelling. An honest
     function reads the labelling (its `colors`, `w0` and `w1`) at the same
     one or two vertices of its half, whatever the labels are: `HONEST_TABLES`

@@ -21,27 +21,31 @@ The two strategy transformers implement the reduction chain:
   * reduce_edge_to_bcs -- colors become indicator bits; A's neighbor choice
     for consistency constraints uses the same slot-register construction.
 
-Validation, generation and both reductions work on one side of a strategy
-at a time, in stacked form. A side's families are flattened once (family
-order, then outcome order, each operator tagged with its family index and
-outcome), and per-family sums -- completeness, color-sum coarse-graining,
-indicator re-encoding, marginals -- are `np.add.at` into a (family, ...)
-stack, which adds each family's operators in the family's own order, so the
-sums equal the per-family loops bit for bit and an omitted outcome is simply
-absent. The generators keep a fixed draw order: each family, in key order,
-draws its assignment integers and then its Gaussian matrices from `rng`
-exactly as a per-family loop would; only after all draws does the side get
-one batched `eigh` (or `qr`) and one batched `U diag U^dag` rotation per
-outcome-space size.
+Each side of a strategy is one (n_ops, d, d) stack of projectors plus a
+`Layout`: its families in order, each with its outcomes and rows. Generators
+and reductions write a whole side as one stack; readers take the rows they
+need in one gather (`_stack_ops`), a slice of the stack when the rows are
+evenly spaced, and an outcome its family omits reads as zero. Per-family
+sums (completeness, color-sum coarse-graining, indicator re-encoding,
+marginals) are `np.add.at` into a (family, ...) stack, which adds each
+family's operators in the family's own order, so the sums equal the
+per-family loops bit for bit; an omitted outcome is absent from them or
+adds zero, which leaves them unchanged. The generators keep a fixed draw
+order: each family, in key order, draws its assignment integers and then its
+Gaussian matrices from `rng` exactly as a per-family loop would; only after
+all draws does the side get one batched `eigh` (or `qr`) and one batched
+`U diag U^dag` rotation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,17 +53,13 @@ from .games import (
     F3,
     SPECS,
     VERDICT_TABLES,
-    _BITS2,
     _BITS3,
-    _LABELS2,
     Challenge,
-    EdgeConstraint,
     GameKind,
     GameSpec,
     GameType,
     JointSampler,
     Labelled,
-    VertexConstraint,
     challenge_pmf,
 )
 from .graphs import Graph, three_color
@@ -95,25 +95,116 @@ class NonFiniteError(StrategyError):
     pass
 
 
+class Pairs(list):
+    """A reader's (key, outcome) list, which keeps its rows in each side layout it is read from (`Layout.gather`)
+    for as long as both live: strategies that one generator or reduction builds on one graph share a layout."""
+
+    def __init__(self, pairs: Sequence = ()):
+        super().__init__(pairs)
+        self.rows = weakref.WeakKeyDictionary()
+
+
+class Layout:
+    """The families of one side of a strategy: family f is keys[f], its outcomes outs[f] on rows
+    starts[f]:starts[f + 1] of the side's stack; pairs[r] is row r's (key, outcome)."""
+
+    def __init__(self, keys: Sequence, outs: Sequence):
+        self.keys, self.outs = tuple(keys), tuple(map(tuple, outs))
+        self.pairs = Pairs((key, out) for key, outs in zip(self.keys, self.outs) for out in outs)
+        self.starts = np.cumsum([0, *map(len, self.outs)])
+        self.fam = np.repeat(np.arange(len(self.keys)), np.diff(self.starts))  # family of each row
+        self.index = {key: f for f, key in enumerate(self.keys)}
+
+    @cached_property
+    def out_array(self) -> np.ndarray:
+        return np.array([out for _, out in self.pairs])
+
+    def family(self, key, side: str) -> tuple[slice, tuple]:
+        """Family `key`'s rows and outcomes; MissingPvmError if the side has none."""
+        if key not in self.index:
+            raise MissingPvmError(f"strategy has no {side} measurement for {key}")
+        f = self.index[key]
+        return slice(self.starts[f], self.starts[f + 1]), self.outs[f]
+
+    def gather(self, pairs: Sequence, side: str) -> tuple:
+        """(rows, omitted) of the (key, outcome) `pairs`: rows a slice when evenly spaced, else an index;
+        omitted None, or a mask of the outcomes their families omit. A missing family raises `family`'s error."""
+        kept = pairs.rows if isinstance(pairs, Pairs) else {}
+        hit = kept.get(self)
+        if hit is None:
+            for key, _ in pairs:
+                self.family(key, side)
+            row = {pair: r for r, pair in enumerate(self.pairs)}
+            idx = np.array([row.get(pair, -1) for pair in pairs], dtype=np.intp)
+            omitted, step = idx < 0 if (idx < 0).any() else None, int(idx[1] - idx[0]) if len(idx) > 1 else 1
+            if omitted is None and len(idx) and step > 0 and (np.diff(idx) == step).all():
+                idx = slice(int(idx[0]), int(idx[-1]) + 1, step)
+            hit = kept[self] = idx, omitted
+        return hit
+
+
+class Side:
+    """One prover's measurements: every projector in one (n_ops, d, d) stack, family by family per `layout`.
+
+    The stack is read-only. `misshapen` maps the row of a projector given in another shape to that shape
+    (the row is zero), for `validate_strategy` to report; only `QuantumStrategy.of` makes such rows.
+    """
+
+    def __init__(self, ops: np.ndarray, layout: Layout, misshapen: Optional[dict] = None):
+        self.ops, self.layout, self.misshapen = ops, layout, misshapen or {}
+        ops.flags.writeable = False
+
+    @cached_property
+    def families(self) -> Mapping:
+        """Read-only {key: {outcome: projector}} view of the stack."""
+        lay = self.layout
+        fams = zip(lay.keys, lay.outs, lay.starts[:-1].tolist(), lay.starts[1:].tolist())
+        return MappingProxyType({key: MappingProxyType(dict(zip(outs, self.ops[a:b]))) for key, outs, a, b in fams})
+
+
 @dataclass
 class QuantumStrategy:
-    """Shared state psi (length dim_a*dim_b, index a*dim_b + b) plus PVMs.
+    """Shared state psi (length dim_a*dim_b, index a*dim_b + b) plus one `Side` of PVMs per prover.
 
-    `pvm_a` maps prover A's challenge half to {outcome: projector}, `pvm_b`
-    likewise for prover B. Outcome keys follow the game's response payloads
-    (e.g. 4-tuples of labels for the labelling game's prover A). An omitted
-    outcome reads as a zero projector; a missing family raises `MissingPvmError`.
+    Side `a` measures prover A's challenge halves, side `b` prover B's. Outcomes follow the game's response
+    payloads (e.g. 4-tuples of labels for the labelling game's prover A). An outcome a family omits reads
+    as a zero projector; a missing family raises `MissingPvmError`. `pvm_a` and `pvm_b` are read-only
+    {key: {outcome: projector}} views; `of` builds a strategy from that dict form.
     """
 
     game: GameType
     dim_a: int
     dim_b: int
     psi: np.ndarray
-    pvm_a: dict
-    pvm_b: dict
+    a: Side
+    b: Side
+
+    @classmethod
+    def of(cls, game: GameType, dim_a: int, dim_b: int, psi: np.ndarray, pvm_a: Mapping, pvm_b: Mapping):
+        """The strategy of {key: {outcome: projector}} families, each side stacked in key then outcome order."""
+
+        def side(pvms: Mapping, dim: int) -> Side:
+            ops = [p for fam in pvms.values() for p in fam.values()]
+            misshapen = {r: np.shape(p) for r, p in enumerate(ops) if np.shape(p) != (dim, dim)}
+            stack = [np.zeros((dim, dim)) if r in misshapen else p for r, p in enumerate(ops)]
+            layout = Layout(pvms, [fam.keys() for fam in pvms.values()])
+            return Side(np.array(stack, dtype=complex).reshape(-1, dim, dim), layout, misshapen)
+
+        return cls(game, dim_a, dim_b, psi, side(pvm_a, dim_a), side(pvm_b, dim_b))
+
+    pvm_a = property(lambda self: self.a.families)
+    pvm_b = property(lambda self: self.b.families)
 
     def psi_matrix(self) -> np.ndarray:
         return self.psi.reshape(self.dim_a, self.dim_b)
+
+
+@lru_cache(maxsize=None)
+def _spec_layouts(game: GameType, g: Graph) -> tuple[Layout, Layout]:
+    """Both sides' layouts of `game` on `g`: each challenge half in key order, with its whole outcome space."""
+    spec = SPECS[game]
+    a_keys, b_keys = spec.a_keys(g), spec.b_keys(g)
+    return Layout(a_keys, map(spec.a_outcomes, a_keys)), Layout(b_keys, map(spec.b_outcomes, b_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +221,7 @@ def _numbered(index: dict, known: dict, key, outs: tuple, picks: np.ndarray) -> 
 
 
 @lru_cache(maxsize=None)
-def _winning_sets(kind: GameKind, g: Graph) -> tuple[list, list, np.ndarray]:
+def _winning_sets(kind: GameKind, g: Graph) -> tuple[Pairs, Pairs, np.ndarray]:
     """Winning sets as weights: (a_rows, b_cols, weights), from the verdict tables.
 
     weights[r, c] is the probability of the challenges at which A's (key,
@@ -154,20 +245,11 @@ def _winning_sets(kind: GameKind, g: Graph) -> tuple[list, list, np.ndarray]:
         probs.append(p)
     weights = np.zeros((len(a_rows), len(b_cols)))
     np.add.at(weights, (np.concatenate(rows), np.concatenate(cols)), np.repeat(probs, list(map(len, rows))))
-    return list(a_rows), list(b_cols), weights
+    return Pairs(a_rows), Pairs(b_cols), weights
 
 
 # ---------------------------------------------------------------------------
 # Validation
-
-
-def _flatten(pvms: dict, keys) -> tuple[list, list, np.ndarray]:
-    """The operators of the families `keys`, in family then outcome order: (outcomes, operators, family index of each)."""
-    outs, ops = [], []
-    for key in keys:
-        outs += pvms[key]
-        ops += pvms[key].values()
-    return outs, ops, np.repeat(np.arange(len(keys)), [len(pvms[key]) for key in keys])
 
 
 def _summed(ops: np.ndarray, targets: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -177,38 +259,40 @@ def _summed(ops: np.ndarray, targets: np.ndarray, n: int, d: int) -> np.ndarray:
     return out
 
 
-def _validate_side(pvms: dict, dim: int, side: str) -> None:
-    """Raise on the first faulty family of one side, all of its operators checked as one stack.
+def _validate_side(side: Side, dim: int, name: str) -> None:
+    """Raise on the first faulty family of one side, its whole stack checked at once.
 
-    Families are scanned in dict order; within a family the first outcome that
+    Families are scanned in layout order; within a family the first outcome that
     is non-finite, not Hermitian, not idempotent or of the wrong shape is the
     fault reported, and a family with none is checked for completeness.
     """
-    keys = list(pvms)
-    outs, ops, fam = _flatten(pvms, keys)
-    shaped = np.array([p.shape == (dim, dim) for p in ops], dtype=bool)
-    stack = np.array([p for p, ok in zip(ops, shaped) if ok], dtype=complex).reshape(-1, dim, dim)
+    lay, ops = side.layout, side.ops
+    shaped = np.full(len(ops), ops.shape[1:] == (dim, dim))
+    shaped[list(side.misshapen)] = False
+    stack = ops if shaped.all() else ops[shaped].reshape(-1, dim, dim)
     finite = np.isfinite(stack).all(axis=(1, 2))
-    stack[~finite] = 0.0
+    if not finite.all():
+        stack = np.where(finite[:, None, None], stack, 0.0)
     hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= PROJ_TOL
     idempotent = np.abs(stack @ stack - stack).max(axis=(1, 2)) <= PROJ_TOL
     faulty = ~shaped
     faulty[shaped] = ~(finite & hermitian & idempotent)
-    sums = _summed(stack, fam[shaped], len(keys), dim)
+    sums = _summed(stack, lay.fam[shaped], len(lay.keys), dim)
     incomplete = np.abs(sums - np.eye(dim)).max(axis=(1, 2)) > PROJ_TOL
-    f_op = int(fam[faulty][0]) if faulty.any() else len(keys)
-    f_inc = int(incomplete.argmax()) if incomplete.any() else len(keys)
+    f_op = int(lay.fam[faulty][0]) if faulty.any() else len(lay.keys)
+    f_inc = int(incomplete.argmax()) if incomplete.any() else len(lay.keys)
     if f_inc < f_op:
-        raise IncompleteFamilyError(f"{side} pvm {keys[f_inc]}: family does not sum to identity")
-    if f_op == len(keys):
+        raise IncompleteFamilyError(f"{name} pvm {lay.keys[f_inc]}: family does not sum to identity")
+    if f_op == len(lay.keys):
         return
     i = int(faulty.argmax())
-    what, k = f"{side} pvm {keys[f_op]}", int(shaped[:i].sum())  # k: op i's place in the stack
+    what, out, k = f"{name} pvm {lay.keys[f_op]}", lay.pairs[i][1], int(shaped[:i].sum())  # k: op i's stack place
     if not shaped[i]:
-        raise DimensionMismatchError(f"{what}: projector for {outs[i]} has shape {ops[i].shape}, want {(dim, dim)}")
+        shape = side.misshapen.get(i, ops.shape[1:])
+        raise DimensionMismatchError(f"{what}: projector for {out} has shape {shape}, want {(dim, dim)}")
     if not finite[k]:
-        raise NonFiniteError(f"{what}: non-finite entries in projector {outs[i]}")
-    raise NotProjectiveError(f"{what}: outcome {outs[i]} not {'idempotent' if hermitian[k] else 'Hermitian'}")
+        raise NonFiniteError(f"{what}: non-finite entries in projector {out}")
+    raise NotProjectiveError(f"{what}: outcome {out} not {'idempotent' if hermitian[k] else 'Hermitian'}")
 
 
 def validate_strategy(s: QuantumStrategy) -> None:
@@ -219,8 +303,8 @@ def validate_strategy(s: QuantumStrategy) -> None:
         raise NonFiniteError("state has non-finite amplitudes")
     if abs(np.linalg.norm(s.psi) - 1.0) > PROJ_TOL:
         raise BadStateError(f"state norm {np.linalg.norm(s.psi)} is not 1")
-    _validate_side(s.pvm_a, s.dim_a, "A")
-    _validate_side(s.pvm_b, s.dim_b, "B")
+    _validate_side(s.a, s.dim_a, "A")
+    _validate_side(s.b, s.dim_b, "B")
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +334,30 @@ def _require_game(s: QuantumStrategy, game: GameType) -> None:
         raise StrategyError(f"strategy plays {s.game.value}, expected {game.value}")
 
 
-def _require_families(pvms: dict, keys, side: str) -> None:
-    """MissingPvmError naming the first of `keys` that has no measurement family in `pvms`."""
-    for key in keys:
-        if key not in pvms:
-            raise MissingPvmError(f"strategy has no {side} measurement for {key}")
+def _ops(side: Side, name: str) -> np.ndarray:
+    """The side's stack for a reader; DimensionMismatchError if a projector came in another shape (its row is zero)."""
+    if side.misshapen:
+        raise DimensionMismatchError(f"{name} side has projectors of another shape; validate_strategy names the first")
+    return side.ops
 
 
-def _stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
-    """pvms[key][out] for every (key, out) of `layout`, stacked; an outcome its family omits reads as zero,
-    and a missing family raises MissingPvmError naming the first missing key in layout order."""
-    zero = np.zeros((dim, dim), dtype=complex)
-    try:
-        return np.stack([pvms[key].get(out, zero) for key, out in layout])
-    except KeyError as e:
-        raise MissingPvmError(f"strategy has no {side} measurement for {e.args[0]}") from None
+def _stack_ops(side: Side, pairs: Sequence, name: str) -> np.ndarray:
+    """The projector of every (key, outcome) of `pairs`, stacked: one gather, or a slice of the side's stack;
+    an outcome its family omits reads as zero, and a missing family raises MissingPvmError naming the first."""
+    rows, omitted = side.layout.gather(pairs, name)
+    ops = _ops(side, name)
+    if omitted is None:
+        return ops[rows]
+    out = np.zeros((len(rows), *ops.shape[1:]), dtype=complex)
+    out[~omitted] = ops[rows[~omitted]]
+    return out
 
 
 def win_probability(kind: GameKind, g: Graph, s: QuantumStrategy) -> float:
     """Exact winning probability of a strategy, clamped to [0, 1]."""
     _require_game(s, kind.game)
     a_rows, b_cols, weights = _winning_sets(kind, g)
-    pa, pb = _stack_ops(s.pvm_a, a_rows, "A", s.dim_a), _stack_ops(s.pvm_b, b_cols, "B", s.dim_b)
+    pa, pb = _stack_ops(s.a, a_rows, "A"), _stack_ops(s.b, b_cols, "B")
     joint = joint_probabilities(s.psi_matrix(), pa, pb)
     total = float(np.sum(weights * joint))
     if total < -1e-9 or total > 1.0 + 1e-9:
@@ -293,13 +379,13 @@ class BornPair(JointSampler):
 
     def _distribution(self, kind: GameKind, ch: Challenge):
         """Response pairs with nonzero Born weight, and their cumulative weights."""
-        s = self.strategy
-        spec = SPECS[kind.game]
-        fam_a = s.pvm_a[spec.half_a(ch)]
-        fam_b = s.pvm_b[spec.half_b(ch)]
-        joint = joint_probabilities(s.psi_matrix(), np.stack(list(fam_a.values())), np.stack(list(fam_b.values())))
+        s, spec = self.strategy, SPECS[kind.game]
+        (rows_a, outs_a), (rows_b, outs_b) = (
+            s.a.layout.family(spec.half_a(ch), "A"), s.b.layout.family(spec.half_b(ch), "B")
+        )
+        joint = joint_probabilities(s.psi_matrix(), _ops(s.a, "A")[rows_a], _ops(s.b, "B")[rows_b])
         responses, probs = [], []
-        for (a_out, b_out), p in zip(itertools.product(fam_a, fam_b), joint.ravel().tolist()):
+        for (a_out, b_out), p in zip(itertools.product(outs_a, outs_b), joint.ravel().tolist()):
             if p > 1e-15:
                 responses.append((spec.response_a(a_out), spec.response_b(b_out)))
                 probs.append(p)
@@ -314,9 +400,8 @@ class BornPair(JointSampler):
 def transform_strategy(s: QuantumStrategy, u_a: np.ndarray, u_b: np.ndarray) -> QuantumStrategy:
     """Apply the local basis change U_A (x) U_B to state and all measurements."""
     psi2 = (u_a @ s.psi_matrix() @ u_b.T).reshape(-1)
-    pa = {k: {o: u_a @ p @ u_a.conj().T for o, p in fam.items()} for k, fam in s.pvm_a.items()}
-    pb = {k: {o: u_b @ p @ u_b.conj().T for o, p in fam.items()} for k, fam in s.pvm_b.items()}
-    return QuantumStrategy(s.game, s.dim_a, s.dim_b, psi2, pa, pb)
+    a, b = (Side(u @ side.ops @ u.conj().T, side.layout, side.misshapen) for side, u in ((s.a, u_a), (s.b, u_b)))
+    return QuantumStrategy(s.game, s.dim_a, s.dim_b, psi2, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +422,16 @@ def classical_embedding(game: GameType, g: Graph, colors: Sequence[int], dim: in
     The honest outcome's projector is the identity; every other outcome gets
     the zero projector. At dim 1 this is the classical strategy verbatim.
     """
-    spec = SPECS[game]
-    a_map, b_map = _honest_outcomes(spec, g, colors)
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
+    def side(layout: Layout, honest: dict) -> Side:
+        ops = np.zeros((len(layout.pairs), dim, dim), dtype=complex)
+        rows = [start + outs.index(h) for start, outs, h in zip(layout.starts.tolist(), layout.outs, honest.values())]
+        ops[rows] = np.eye(dim)
+        return Side(ops, layout)
 
-    def family(space, honest):
-        return {out: (eye if out == honest else zero).copy() for out in space}
-
-    pvm_a = {k: family(spec.a_outcomes(k), h) for k, h in a_map.items()}
-    pvm_b = {k: family(spec.b_outcomes(k), h) for k, h in b_map.items()}
     psi = np.zeros(dim * dim, dtype=complex)
     psi[0] = 1.0
-    return QuantumStrategy(game, dim, dim, psi, pvm_a, pvm_b)
+    honest, layouts = _honest_outcomes(SPECS[game], g, colors), _spec_layouts(game, g)
+    return QuantumStrategy(game, dim, dim, psi, *map(side, layouts, honest))
 
 
 def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -381,19 +463,15 @@ def _rotated_partitions(assign: np.ndarray, u: np.ndarray, k: int) -> np.ndarray
     return u[:, None] @ diag @ u.conj().swapaxes(-1, -2)[:, None]
 
 
-def _rotated_families(spaces: list, assigns: list, u: np.ndarray) -> list[dict]:
-    """Family f as {outcome: U_f P U_f^dag} over spaces[f], basis vector j answering spaces[f][assigns[f][j]].
+def _rotated_families(layout: Layout, assigns: list, u: np.ndarray) -> Side:
+    """Family f's U_f P U_f^dag over layout.outs[f], basis vector j answering outs[f][assigns[f][j]], as a side.
 
-    One batched rotation per outcome-space size: bcs's A side mixes 4- and 8-outcome families.
+    One batched rotation at the largest outcome-space size (bcs's A side mixes 4 and 8 outcomes), of
+    which each family keeps the rows of its own outcomes.
     """
-    fams: list = [None] * len(spaces)
-    by_size: dict = {}
-    for f, space in enumerate(spaces):
-        by_size.setdefault(len(space), []).append(f)
-    for k, group in by_size.items():
-        for f, ops in zip(group, _rotated_partitions(np.array([assigns[f] for f in group]), u[group], k)):
-            fams[f] = dict(zip(spaces[f], ops))
-    return fams
+    assign = np.array(assigns, np.intp).reshape(len(assigns), -1)
+    rotated = _rotated_partitions(assign, u, max(map(len, layout.outs), default=0))
+    return Side(rotated[layout.fam, np.arange(len(layout.pairs)) - layout.starts[layout.fam]], layout)
 
 
 def random_strategy(
@@ -418,28 +496,26 @@ def random_strategy(
         colors = three_color(g)
         if colors is None:
             raise StrategyError("graph is not 3-colorable; pass explicit reference colors")
-    spec = SPECS[game]
-    a_map, b_map = _honest_outcomes(spec, g, colors)
+    (a_map, b_map), (lay_a, lay_b) = _honest_outcomes(SPECS[game], g, colors), _spec_layouts(game, g)
 
-    def side(honest: dict, outcomes, d: int) -> dict:
-        spaces = [outcomes(key) for key in honest]
+    def side(layout: Layout, honest: dict, d: int) -> Side:
         assigns, zs = [], []
-        for space, h in zip(spaces, honest.values()):
+        for space, h in zip(layout.outs, honest.values()):
             assigns.append([space.index(h)] + [rng.integers(len(space)) for _ in range(d - 1)])
             zs.append(_ginibre(d, rng))
         z = np.array(zs).reshape(-1, d, d)
         lam, v = np.linalg.eigh((z + z.conj().swapaxes(-1, -2)) / (2.0 * math.sqrt(d)))
         u = (v * np.exp(1j * (jiggle * math.pi) * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        return dict(zip(honest, _rotated_families(spaces, assigns, u)))
+        return _rotated_families(layout, assigns, u)
 
-    pvm_a = side(a_map, spec.a_outcomes, dim_a)
-    pvm_b = side(b_map, spec.b_outcomes, dim_b)
+    side_a = side(lay_a, a_map, dim_a)
+    side_b = side(lay_b, b_map, dim_b)
     anchor = np.zeros(dim_a * dim_b, dtype=complex)
     anchor[0] = 1.0
     noise = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     psi = (1.0 - jiggle) * anchor + jiggle * noise / np.linalg.norm(noise)
     psi = psi / np.linalg.norm(psi)
-    return QuantumStrategy(game, dim_a, dim_b, psi, pvm_a, pvm_b)
+    return QuantumStrategy(game, dim_a, dim_b, psi, side_a, side_b)
 
 
 def arbitrary_strategy(
@@ -457,21 +533,20 @@ def arbitrary_strategy(
     that must hold for arbitrary valid strategies. Draws: per family, A's
     then B's, its d answers, then its Ginibre matrix; the state last.
     """
-    spec = SPECS[game]
 
-    def side(keys: list, outcomes, d: int) -> dict:
-        spaces = [outcomes(key) for key in keys]
+    def side(layout: Layout, d: int) -> Side:
         assigns, zs = [], []
-        for space in spaces:
+        for space in layout.outs:
             assigns.append([rng.integers(len(space)) for _ in range(d)])
             zs.append(_ginibre(d, rng) / math.sqrt(2.0))
-        return dict(zip(keys, _rotated_families(spaces, assigns, _haar(np.array(zs).reshape(-1, d, d)))))
+        return _rotated_families(layout, assigns, _haar(np.array(zs).reshape(-1, d, d)))
 
-    pvm_a = side(spec.a_keys(g), spec.a_outcomes, dim_a)
-    pvm_b = side(spec.b_keys(g), spec.b_outcomes, dim_b)
+    lay_a, lay_b = _spec_layouts(game, g)
+    side_a = side(lay_a, dim_a)
+    side_b = side(lay_b, dim_b)
     psi = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     psi = psi / np.linalg.norm(psi)
-    return QuantumStrategy(game, dim_a, dim_b, psi, pvm_a, pvm_b)
+    return QuantumStrategy(game, dim_a, dim_b, psi, side_a, side_b)
 
 
 # ---------------------------------------------------------------------------
@@ -529,22 +604,22 @@ def _lcm_degrees(g: Graph) -> int:
 
 
 def _reduction_input(s: QuantumStrategy, g: Graph, game: GameType) -> int:
-    """Check a reduction's input (game, validity, no isolated vertex, every family present); the slot count."""
+    """Check a reduction's input (game, validity, no isolated vertex); the slot count."""
     _require_game(s, game)
     validate_strategy(s)
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
     if isolated:
         raise StrategyError(f"reduction needs every vertex on an edge; isolated: {isolated}")
-    _require_families(s.pvm_a, SPECS[game].a_keys(g), "A")
-    _require_families(s.pvm_b, SPECS[game].b_keys(g), "B")
     return _lcm_degrees(g)
 
 
-def _marginals(pvms: dict, keys: list, d: int) -> np.ndarray:
-    """(family, pos, value, d, d): each family of 2-tuple outcomes summed over the outcomes with out[pos] == value."""
-    outs, ops, fam = _flatten(pvms, keys)
-    targets = fam[:, None] * 6 + [0, 3] + np.array(outs).reshape(-1, 2)  # (op, pos)
-    return _summed(np.array(ops)[:, None], targets, 6 * len(keys), d).reshape(-1, 2, 3, d, d)
+def _marginals(side: Side, layout: Layout, name: str) -> np.ndarray:
+    """(family, pos, value, d, d): each family of `layout` (2-tuple outcomes) summed over the outcomes with
+    out[pos] == value, read from `side` (where an omitted outcome adds zero, which leaves every sum's bits)."""
+    ops = _stack_ops(side, layout.pairs, name)
+    targets = layout.fam[:, None] * 6 + [0, 3] + layout.out_array.reshape(-1, 2)  # (op, pos)
+    d = ops.shape[-1]
+    return _summed(ops[:, None], targets, 6 * len(layout.keys), d).reshape(-1, 2, 3, d, d)
 
 
 def _neighbor_slots(g: Graph, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -604,12 +679,12 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     if d_b2 > MAX_REDUCED_DIM:
         raise DimensionMismatchError(f"reduced B dimension {d_b2} exceeds {MAX_REDUCED_DIM}")
 
-    outs, ops, fam = _flatten(s.pvm_a, g.edges)
-    w = np.array(outs).reshape(-1, 4)
-    sums = _summed(np.array(ops), fam * 9 + (w[:, 0] + w[:, 1]) % 3 * 3 + (w[:, 2] + w[:, 3]) % 3, 9 * len(g.edges), d_a)
-    pvm_a = {e: dict(zip(_LABELS2, m)) for e, m in zip(g.edges, sums.reshape(-1, 9, d_a, d_a))}
+    lay_a, lay_b = _spec_layouts(GameType.ALT_RZKP, g)  # edges x label 4-tuples; (edge, bit) x label pairs
+    w = lay_a.out_array
+    targets = lay_a.fam * 9 + (w[:, 0] + w[:, 1]) % 3 * 3 + (w[:, 2] + w[:, 3]) % 3
+    sums = _summed(_stack_ops(s.a, lay_a.pairs, "A"), targets, 9 * len(g.edges), d_a)
 
-    marg = _marginals(s.pvm_b, [(e, bit) for e in g.edges for bit in (0, 1)], d_b).reshape(-1, 2, 2, 3, d_b, d_b)
+    marg = _marginals(s.b, lay_b, "B").reshape(-1, 2, 2, 3, d_b, d_b)
     edge, pos, chosen = _neighbor_slots(g, slots)
     first = marg[edge[:, None], [[0, 1]], pos[:, None]]  # (directed edge, bit, a, d_b, d_b)
     second = marg[edge[:, None], [[1, 0]], pos[:, None]]
@@ -618,11 +693,12 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     # flat B index = ((bit*slots + slot)*3 + anc)*d_b + core
     blocks = dilated[chosen[:, None, :], np.arange(2)[:, None]]  # (v, bit, slot, c, 3 d_b, 3 d_b)
     stacked = _block_diag(blocks.transpose(0, 3, 1, 2, 4, 5).reshape(g.n, 3, 2 * slots, 3 * d_b, 3 * d_b))
-    pvm_b = {v: dict(zip(F3, m)) for v, m in enumerate(stacked)}
 
     psi2 = np.zeros((d_a, 2 * slots, 3, d_b), dtype=complex)
     psi2[:, :, 0, :] = (s.psi_matrix() * (1.0 / math.sqrt(2 * slots)))[:, None, :]  # anc = 0 in every slot
-    return QuantumStrategy(GameType.ALT_EDGE, d_a, d_b2, psi2.reshape(-1), pvm_a, pvm_b)
+    lay_a, lay_b = _spec_layouts(GameType.ALT_EDGE, g)  # edges x color pairs, vertices x colors
+    side_a, side_b = Side(sums, lay_a), Side(stacked.reshape(-1, d_b2, d_b2), lay_b)
+    return QuantumStrategy(GameType.ALT_EDGE, d_a, d_b2, psi2.reshape(-1), side_a, side_b)
 
 
 def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
@@ -641,25 +717,32 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     if d_a2 > MAX_REDUCED_DIM:
         raise DimensionMismatchError(f"reduced A dimension {d_a2} exceeds {MAX_REDUCED_DIM}")
 
-    outs, ops, fam = _flatten(s.pvm_a, g.edges)
-    c = np.array(outs).reshape(-1, 2)
-    alpha = np.array(F3)
-    targets = (fam[:, None] * 3 + alpha) * 4 + 2 * (c[:, :1] == alpha) + (c[:, 1:] == alpha)  # (op, alpha)
-    bits = _summed(np.array(ops)[:, None], targets, 12 * len(g.edges), d_a).reshape(-1, 4, 1, d_a, d_a)
+    edge_a, edge_b = _spec_layouts(GameType.ALT_EDGE, g)  # edges x color pairs, vertices x colors
+    c, alpha = edge_a.out_array, np.array(F3)
+    targets = (edge_a.fam[:, None] * 3 + alpha) * 4 + 2 * (c[:, :1] == alpha) + (c[:, 1:] == alpha)  # (op, alpha)
+    ops = _stack_ops(s.a, edge_a.pairs, "A")
+    bits = _summed(ops[:, None], targets, 12 * len(g.edges), d_a).reshape(-1, 4, 1, d_a, d_a)
+    # A's families: each edge constraint's 4 outcomes, then each vertex constraint's 8 (the spec's layout)
+    lay_a, lay_b = _spec_layouts(GameType.BCS, g)[0], _bcs_b_layout(g)
+    ops_a = np.zeros((len(lay_a.pairs), d_a2, d_a2), dtype=complex)
     # every slot register value measures the same family: kron(I_slots, m)
-    by_edge = _block_diag(np.broadcast_to(bits, (len(bits), 4, slots, d_a, d_a)))
-    keys = [EdgeConstraint(e, a) for e in g.edges for a in F3]
-    pvm_a: dict = {key: dict(zip(_BITS2, m)) for key, m in zip(keys, by_edge)}
+    ops_a[: 4 * len(bits)] = _block_diag(np.broadcast_to(bits, (len(bits), 4, slots, d_a, d_a))).reshape(-1, d_a2, d_a2)
 
-    marg = _marginals(s.pvm_a, g.edges, d_a)
+    marg = _marginals(s.a, edge_a, "A")
     edge, pos, chosen = _neighbor_slots(g, slots)
     # slot register value `slot` measures the edge to nbrs[slot % deg]
-    by_vertex = np.zeros((g.n, 8, d_a2, d_a2), dtype=complex)
+    by_vertex = ops_a[4 * len(bits) :].reshape(g.n, 8, d_a2, d_a2)
     by_vertex[:, _ONE_HOT] = _block_diag(marg[edge[chosen], pos[chosen]].swapaxes(1, 2))
-    pvm_a.update((VertexConstraint(v), dict(zip(_BITS3, m))) for v, m in enumerate(by_vertex))
 
-    keys = [(v, beta) for v in range(g.n) for beta in F3]  # bcs's B key (v, beta) is the edge game's (key, outcome)
-    pvm_b = {key: {1: p, 0: np.eye(d_b) - p} for key, p in zip(keys, _stack_ops(s.pvm_b, keys, "B", d_b))}
+    p = _stack_ops(s.b, edge_b.pairs, "B")  # bcs's B key (v, beta) is the edge game's (key, outcome)
+    ops_b = np.stack([p, np.eye(d_b) - p], axis=1).reshape(-1, d_b, d_b)  # outcome 1, then 0
 
     psi2 = np.tile(s.psi_matrix() * (1.0 / math.sqrt(slots)), (slots, 1))
-    return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), pvm_a, pvm_b)
+    return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), Side(ops_a, lay_a), Side(ops_b, lay_b))
+
+
+@lru_cache(maxsize=None)
+def _bcs_b_layout(g: Graph) -> Layout:
+    """B's layout of `reduce_edge_to_bcs` on `g`: each (vertex, color) indicator, outcome 1 before 0."""
+    keys = _spec_layouts(GameType.ALT_EDGE, g)[1].pairs  # (v, beta): the edge game's B (key, outcome)
+    return Layout(keys, [(1, 0)] * len(keys))

@@ -6,7 +6,12 @@ once; `_qform` evaluates one pair, as the tests' reference for both.
 `random_strategy` and `arbitrary_strategy` build one family at a time, as
 `quantum`'s generators did before they rotated each side in one batch; the
 stacked generators must draw from the same rng in the same order and return
-the same bits.
+the same bits. `validate_side` checks a side in its {key: {outcome:
+projector}} dict form, as `quantum` did before a side was one stack, and
+`stack_ops` stacks a reader's (key, outcome) rows from that form; the
+stacked validator and gather must raise and return the same. `families` and
+`rebuilt` give tests the dict form to corrupt or prune, and the strategy
+built from it.
 """
 
 import math
@@ -16,7 +21,69 @@ import numpy as np
 
 from colorproof.games import SPECS, GameType
 from colorproof.graphs import Graph, three_color
-from colorproof.quantum import QuantumStrategy, _honest_outcomes
+from colorproof.quantum import (
+    PROJ_TOL,
+    DimensionMismatchError,
+    IncompleteFamilyError,
+    MissingPvmError,
+    NonFiniteError,
+    NotProjectiveError,
+    QuantumStrategy,
+    _honest_outcomes,
+)
+
+
+def families(view) -> dict:
+    """A mutable copy of a side's {key: {outcome: projector}} view."""
+    return {key: dict(fam) for key, fam in view.items()}
+
+
+def rebuilt(s: QuantumStrategy, pvm_a: Optional[dict] = None, pvm_b: Optional[dict] = None) -> QuantumStrategy:
+    """`s` built again from the dict form, with either side's families replaced."""
+    pvm_a = s.pvm_a if pvm_a is None else pvm_a
+    pvm_b = s.pvm_b if pvm_b is None else pvm_b
+    return QuantumStrategy.of(s.game, s.dim_a, s.dim_b, s.psi, pvm_a, pvm_b)
+
+
+def stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
+    """pvms[key][out] for every (key, out) of `layout`, stacked; an omitted outcome reads as zero."""
+    zero = np.zeros((dim, dim), dtype=complex)
+    try:
+        return np.stack([pvms[key].get(out, zero) for key, out in layout])
+    except KeyError as e:
+        raise MissingPvmError(f"strategy has no {side} measurement for {e.args[0]}") from None
+
+
+def validate_side(pvms: dict, dim: int, side: str) -> None:
+    """Raise on the first faulty family of one side in dict form, all of its operators checked as one stack."""
+    keys = list(pvms)
+    outs = [out for key in keys for out in pvms[key]]
+    ops = [p for key in keys for p in pvms[key].values()]
+    fam = np.repeat(np.arange(len(keys)), [len(pvms[key]) for key in keys])
+    shaped = np.array([p.shape == (dim, dim) for p in ops], dtype=bool)
+    stack = np.array([p for p, ok in zip(ops, shaped) if ok], dtype=complex).reshape(-1, dim, dim)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack[~finite] = 0.0
+    hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= PROJ_TOL
+    idempotent = np.abs(stack @ stack - stack).max(axis=(1, 2)) <= PROJ_TOL
+    faulty = ~shaped
+    faulty[shaped] = ~(finite & hermitian & idempotent)
+    sums = np.zeros((len(keys), dim, dim), dtype=complex)
+    np.add.at(sums, fam[shaped], stack)
+    incomplete = np.abs(sums - np.eye(dim)).max(axis=(1, 2)) > PROJ_TOL
+    f_op = int(fam[faulty][0]) if faulty.any() else len(keys)
+    f_inc = int(incomplete.argmax()) if incomplete.any() else len(keys)
+    if f_inc < f_op:
+        raise IncompleteFamilyError(f"{side} pvm {keys[f_inc]}: family does not sum to identity")
+    if f_op == len(keys):
+        return
+    i = int(faulty.argmax())
+    what, k = f"{side} pvm {keys[f_op]}", int(shaped[:i].sum())
+    if not shaped[i]:
+        raise DimensionMismatchError(f"{what}: projector for {outs[i]} has shape {ops[i].shape}, want {(dim, dim)}")
+    if not finite[k]:
+        raise NonFiniteError(f"{what}: non-finite entries in projector {outs[i]}")
+    raise NotProjectiveError(f"{what}: outcome {outs[i]} not {'idempotent' if hermitian[k] else 'Hermitian'}")
 
 
 def _qform(psi_mat: np.ndarray, a_op: np.ndarray, b_op: np.ndarray) -> float:
@@ -80,7 +147,7 @@ def random_strategy(
     noise = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     psi = (1.0 - jiggle) * anchor + jiggle * noise / np.linalg.norm(noise)
     psi = psi / np.linalg.norm(psi)
-    return QuantumStrategy(game, dim_a, dim_b, psi, pvm_a, pvm_b)
+    return QuantumStrategy.of(game, dim_a, dim_b, psi, pvm_a, pvm_b)
 
 
 def arbitrary_strategy(game: GameType, g: Graph, dim_a: int, dim_b: int, rng: np.random.Generator) -> QuantumStrategy:
@@ -94,4 +161,4 @@ def arbitrary_strategy(game: GameType, g: Graph, dim_a: int, dim_b: int, rng: np
     pvm_b = {key: build(spec.b_outcomes(key), dim_b) for key in spec.b_keys(g)}
     psi = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     psi = psi / np.linalg.norm(psi)
-    return QuantumStrategy(game, dim_a, dim_b, psi, pvm_a, pvm_b)
+    return QuantumStrategy.of(game, dim_a, dim_b, psi, pvm_a, pvm_b)

@@ -246,7 +246,7 @@ def test_criterion_08_sequential_extraction(capsys):
     ok &= tv < 0.01
     # exactly commuting satisfying assignment: proper with frequency 1
     base = classical_embedding(GameType.BCS, k3, (0, 1, 2), dim=3)
-    s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.pvm_a, base.pvm_b)
+    s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.a, base.b)
     a2 = extract_assignment(s, k3)
     proper = sum(
         1 for _ in range(10**4) if validate_coloring(k3, sequential_coloring(a2, [2, 0, 1], rng)) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -31,7 +30,7 @@ from colorproof.quantum import (
     validate_strategy,
     win_probability,
 )
-from reference_quantum import _qform
+from reference_quantum import _qform, families, rebuilt
 
 BCS_EDGE_ONLY = GameKind(GameType.BCS, 1.0)
 
@@ -52,7 +51,7 @@ def test_extract_assignment_honest_diagonal(k3):
 
 def test_extract_assignment_maximally_entangled_kills_tracial(k3):
     base = classical_embedding(GameType.BCS, k3, (0, 1, 2), dim=3)
-    s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.pvm_a, base.pvm_b)
+    s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.a, base.b)
     a = extract_assignment(s, k3)
     assert np.abs(a.rho - np.eye(3) / 3).max() < 1e-12
     nr = assignment_norms(a, k3)
@@ -107,7 +106,7 @@ def test_sqrt_psd_identity_and_floor():
 
 def test_norms_on_exactly_commuting_assignment(k3):
     base = classical_embedding(GameType.BCS, k3, (0, 1, 2), dim=3)
-    s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.pvm_a, base.pvm_b)
+    s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.a, base.b)
     a = extract_assignment(s, k3)
     nr = assignment_norms(a, k3)
     assert nr.tracial.max() < 1e-8
@@ -242,7 +241,7 @@ def test_sequential_deterministic_embedding(k3):
 
 def test_sequential_proper_for_commuting_assignment(k3):
     base = classical_embedding(GameType.BCS, k3, (0, 1, 2), dim=3)
-    s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.pvm_a, base.pvm_b)
+    s = QuantumStrategy(GameType.BCS, 3, 3, maximally_entangled(3), base.a, base.b)
     a = extract_assignment(s, k3)
     rng = random.Random(7)
     for _ in range(2000):
@@ -272,7 +271,9 @@ def test_extract_assignment_rejects_incomplete_vertex(k3):
 
     rng = np.random.default_rng(93)
     bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, rng)
-    bcs.pvm_b[(1, 0)] = {1: bcs.pvm_b[(1, 1)][1].copy(), 0: bcs.pvm_b[(1, 1)][0].copy()}
+    pvm_b = families(bcs.pvm_b)
+    pvm_b[(1, 0)] = dict(pvm_b[(1, 1)])
+    bcs = rebuilt(bcs, pvm_b=pvm_b)
     with pytest.raises(NotVertexCompleteError):
         extract_assignment(bcs, k3)
 
@@ -283,7 +284,9 @@ def test_eps_table_missing_constraint(k3):
 
     rng = np.random.default_rng(94)
     bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, rng)
-    del bcs.pvm_a[EdgeConstraint((0, 1), 0)]
+    pvm_a = families(bcs.pvm_a)
+    del pvm_a[EdgeConstraint((0, 1), 0)]
+    bcs = rebuilt(bcs, pvm_a=pvm_a)
     with pytest.raises(MissingPvmError):
         eps_table(bcs, k3)
 
@@ -292,7 +295,9 @@ def test_eps_table_missing_b_family(k3):
     from colorproof.quantum import MissingPvmError
 
     s = classical_embedding(GameType.BCS, k3, (0, 1, 2))
-    del s.pvm_b[(0, 0)]
+    pvm_b = families(s.pvm_b)
+    del pvm_b[(0, 0)]
+    s = rebuilt(s, pvm_b=pvm_b)
     for read in (eps_table, extract_assignment):
         with pytest.raises(MissingPvmError, match=r"no B measurement for \(0, 0\)"):
             read(s, k3)
@@ -420,7 +425,7 @@ def test_tracial_cross_bound_at_general_states():
 def _stripped(s: QuantumStrategy) -> QuantumStrategy:
     """`s` with the zero projectors left out of its families, which `validate_strategy` accepts."""
     strip = lambda pvms: {k: {o: p for o, p in fam.items() if np.any(p)} for k, fam in pvms.items()}  # noqa: E731
-    return dataclasses.replace(s, pvm_a=strip(s.pvm_a), pvm_b=strip(s.pvm_b))
+    return rebuilt(s, strip(s.pvm_a), strip(s.pvm_b))
 
 
 def _assert_same_strategy(got: QuantumStrategy, want: QuantumStrategy) -> None:

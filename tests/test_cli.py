@@ -126,6 +126,33 @@ def test_audit_quantum_json_names_worst_samples(capsys):
     assert all(w["seed"] == 1 and 0 <= w["sample"] < 6 for w in doc["worst_sample"].values())
 
 
+def test_audit_quantum_replay_takes_a_negative_seed(capsys):
+    code, out, _ = run_cli(capsys, ["audit-quantum", "--samples", "2", "--seed", "-3", "--json"])
+    assert code == 0
+    command = json.loads(out)["replay"]["tracial-transpose"].split()
+    code, out, _ = run_cli(capsys, command[3:] + ["--json"])
+    assert code == 0 and json.loads(out)["config"]["replay"].startswith("-3:")
+
+
+def test_audit_quantum_replays_the_worst_gadget_sample(capsys):
+    # the sweep prints, per family, the command that replays its worst sample; running it alone
+    # reproduces that family's worst margin exactly, since each sample draws from its own substream
+    code, out, _ = run_cli(capsys, ["audit-quantum", "--samples", "16", "--seed", "3", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    worst = doc["worst_sample"]["gadget"]
+    assert set(doc["replay"]) == set(doc["worst_sample"])
+    command = doc["replay"]["gadget"].split()
+    assert command[:4] == ["python", "-m", "colorproof", "audit-quantum"]
+    assert command[-1] == f"--replay={worst['seed']}:{worst['sample']}"
+    code, out, _ = run_cli(capsys, command[3:] + ["--json"])
+    assert code == 0
+    replayed = json.loads(out)
+    assert replayed["config"] == {"replay": f"{worst['seed']}:{worst['sample']}", "dims": 3}
+    assert replayed["worst_margin"]["gadget"] == doc["worst_margin"]["gadget"]
+    assert replayed["worst_sample"]["gadget"] == worst and "replay" not in replayed
+
+
 def test_verify_against_live_provers(capsys, tmp_path):
     inst = gen_planted(6, 9, seed=1)
     inst_path = tmp_path / "inst.json"
@@ -209,6 +236,9 @@ def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
         (["audit-quantum", "--dims", "1", "--samples", "2"], "--dims must be at least 2"),
         (["audit-quantum", "--samples", "0"], "--samples must be at least 1"),
         (["audit-quantum", "--samples", "-1"], "--samples must be at least 1"),
+        (["audit-quantum", "--replay", "3-7"], "must look like SEED:INDEX"),
+        (["audit-quantum", "--replay=--3:7"], "must look like SEED:INDEX"),
+        (["audit-quantum", "--replay", "3:-7"], "must look like SEED:INDEX"),
         (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "-5"], "finite and nonnegative"),
         (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "nan"], "finite and nonnegative"),
         (["serve-prover", "--role", "a", "--shared-seed", "1", "--delay-ms", "1e16"], "at most 86400 s"),
@@ -220,6 +250,7 @@ def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
     ids=[
         "verify-rounds-0", "verify-negative-deadline", "verify-nan-deadline", "verify-huge-deadline",
         "simulate-mix-2", "simulate-rounds-0", "audit-dims-1", "audit-samples-0", "audit-samples-minus-1",
+        "audit-replay-no-colon", "audit-replay-double-minus", "audit-replay-negative-index",
         "serve-negative-delay", "serve-nan-delay", "serve-huge-delay",
         "bounds-k-nan", "bounds-k-inf", "bounds-max-deg-minus-1", "bounds-more-edges-than-max-deg-allows",
     ],

@@ -5,7 +5,9 @@ below build the same matrices with np.kron, exactly as the reduction proofs
 write them, and the two must agree bit for bit. The stacked generators must
 equal the per-family loops of `reference_quantum` bit for bit, rng included,
 and the stacked validator must report the fault a family-by-family scan
-finds. The stacked joint-probability kernel behind win_probability,
+finds, the same as the dict-form validator of `reference_quantum`. Every
+reader's gather from a side's stack must equal stacking the side's dict
+form. The stacked joint-probability kernel behind win_probability,
 eps_table and BornPair must agree with a per-challenge sum of the scalar
 quadratic form _qform.
 """
@@ -18,6 +20,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from colorproof import certificates, quantum
 from colorproof.certificates import eps_table
 from colorproof.games import (
     ALT_EDGE,
@@ -38,6 +41,7 @@ from colorproof.quantum import (
     BornPair,
     DimensionMismatchError,
     IncompleteFamilyError,
+    MissingPvmError,
     NonFiniteError,
     NotProjectiveError,
     QuantumStrategy,
@@ -50,7 +54,7 @@ from colorproof.quantum import (
     win_probability,
 )
 import reference_quantum
-from reference_quantum import _marginal, _qform
+from reference_quantum import _marginal, _qform, families
 
 K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
 EXT = extend_with_gadgets(make_graph(3, [(0, 1), (1, 2)]))
@@ -103,7 +107,7 @@ def _kron_rzkp_to_edge(s: QuantumStrategy, g) -> QuantumStrategy:
         for slot in range(slots):
             off = (bit * slots + slot) * block_dim
             psi2[:, off : off + d_b] = s.psi_matrix() * (1.0 / math.sqrt(2 * slots))
-    return QuantumStrategy(GameType.ALT_EDGE, d_a, d_b2, psi2.reshape(-1), pvm_a, pvm_b)
+    return QuantumStrategy.of(GameType.ALT_EDGE, d_a, d_b2, psi2.reshape(-1), pvm_a, pvm_b)
 
 
 def _kron_edge_to_bcs(s: QuantumStrategy, g) -> QuantumStrategy:
@@ -143,7 +147,7 @@ def _kron_edge_to_bcs(s: QuantumStrategy, g) -> QuantumStrategy:
     psi2 = np.zeros((d_a2, d_b), dtype=complex)
     for slot in range(slots):
         psi2[slot * d_a : (slot + 1) * d_a, :] = s.psi_matrix() * (1.0 / math.sqrt(slots))
-    return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), pvm_a, pvm_b)
+    return QuantumStrategy.of(GameType.BCS, d_a2, d_b, psi2.reshape(-1), pvm_a, pvm_b)
 
 
 def _assert_identical(got: QuantumStrategy, want: QuantumStrategy) -> None:
@@ -169,7 +173,7 @@ def _sparse(s: QuantumStrategy) -> QuantumStrategy:
     def keep(pvm):
         return {key: {out: p for out, p in fam.items() if p.any()} for key, fam in pvm.items()}
 
-    return QuantumStrategy(s.game, s.dim_a, s.dim_b, s.psi, keep(s.pvm_a), keep(s.pvm_b))
+    return QuantumStrategy.of(s.game, s.dim_a, s.dim_b, s.psi, keep(s.pvm_a), keep(s.pvm_b))
 
 
 @pytest.mark.parametrize("graph", ["k3", "ext"])
@@ -295,7 +299,7 @@ def _holding(pvm_a: dict, pvm_b: Optional[dict] = None) -> QuantumStrategy:
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
     pvm_b = {k: _family() for k in range(3)} if pvm_b is None else pvm_b
-    return QuantumStrategy(GameType.VERTEX, 2, 2, psi, pvm_a, pvm_b)
+    return QuantumStrategy.of(GameType.VERTEX, 2, 2, psi, pvm_a, pvm_b)
 
 
 @pytest.mark.parametrize(
@@ -356,3 +360,79 @@ def test_validation_reports_the_first_faulty_family():
     with pytest.raises(IncompleteFamilyError, match=r"^B pvm 1: family does not sum to identity$"):
         validate_strategy(_holding({0: _family()}, {0: _family(), 1: {}, 2: _family()}))
     validate_strategy(_holding({0: _family()}, {}))  # a side with no families has nothing to check
+
+
+# each corruption of the two-qubit strategy of `_holding`: (side, key, outcome, value), value None omits the outcome
+_CORRUPTIONS = {
+    "wrong-shape": [("A", 7, "y", np.eye(3, dtype=complex))],
+    "non-finite": [("A", 7, "y", np.array([[np.nan, 0], [0, 1]], dtype=complex))],
+    "non-hermitian": [("A", 7, "y", np.array([[0, 1], [0, 1]], dtype=complex))],
+    "non-idempotent": [("A", 7, "y", np.array([[0, 0], [0, 2]], dtype=complex))],
+    "incomplete": [("A", 7, "z", np.diag([0.0, 1.0]).astype(complex))],
+    "omitted-zero-outcome": [("A", 7, "z", None), ("B", 1, "z", None)],  # still valid
+    "omitted-outcome": [("B", 1, "y", None)],
+    "wrong-shape-after-a-fault": [("B", 0, "z", np.eye(3, dtype=complex)), ("B", 0, "x", np.diag([2.0, 0.0]))],
+    "two-families-of-a-side": [("A", 9, "x", np.eye(3, dtype=complex)), ("A", 7, "y", np.diag([np.inf, 0.0]))],
+    "incomplete-before-a-fault": [("B", 2, "x", np.diag([1.0, 1.0])), ("B", 1, "z", np.diag([0.0, 1.0]))],
+    "side-a-before-side-b": [("B", 0, "y", np.diag([np.nan, 0.0])), ("A", 9, "z", np.array([[0, 1], [0, 0]]))],
+}
+
+
+def _raised(check) -> Optional[tuple[type, str]]:
+    try:
+        check()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("fault", list(_CORRUPTIONS))
+def test_stacked_validator_equals_dict_form_reference(fault):
+    pvms = {"A": {k: _family() for k in (3, 7, 9)}, "B": {k: _family() for k in range(3)}}
+    for side, key, outcome, value in _CORRUPTIONS[fault]:
+        if value is None:
+            del pvms[side][key][outcome]
+        else:
+            pvms[side][key][outcome] = value
+    want = _raised(lambda: [reference_quantum.validate_side(pvms[side], 2, side) for side in "AB"])
+    assert (want is None) == (fault == "omitted-zero-outcome")
+    assert _raised(lambda: validate_strategy(_holding(pvms["A"], pvms["B"]))) == want
+
+
+def _reader_layouts(game: GameType, g) -> list:
+    """Every reader's (side, (key, outcome) rows) on strategies of `game`: win_probability's, and for bcs
+    also extract_assignment's and eps_table's."""
+    layouts = []
+    for kind in KINDS:
+        if kind.game is game:
+            a_rows, b_cols, _ = quantum._winning_sets(kind, g)
+            layouts += [("A", a_rows), ("B", b_cols)]
+    if game is GameType.BCS:
+        assignment, eps_a, eps_b = certificates._layouts(g)
+        layouts += [("B", assignment), ("A", eps_a), ("B", eps_b)]
+    return layouts
+
+
+@pytest.mark.parametrize("game", list(GameType), ids=lambda game: game.value)
+@pytest.mark.parametrize("graph", ["k3", "ext"])
+def test_stacked_gather_equals_dict_form_stack(game, graph):
+    # the dict form is the strategy's {key: {outcome: projector}} view; test_generators_equal_per_family_reference
+    # and test_reductions_equal_kron_reference check that view against families built one at a time
+    g = K3 if graph == "k3" else EXT.full
+    rng = np.random.default_rng(506)
+    drawn = [_draw(game, g, (2, 3), rng, arbitrary) for arbitrary in (False, True)]
+    drawn += [_sparse(s) for s in drawn]
+    if game is GameType.BCS:  # a reduced side: B's indicator families hold outcome 1 before 0
+        drawn.append(reduce_edge_to_bcs(random_strategy(GameType.ALT_EDGE, g, 2, 2, rng, 0.3), g))
+    for s in drawn:
+        for side, layout in _reader_layouts(game, g):
+            stacked, pvms, dim = (s.a, s.pvm_a, s.dim_a) if side == "A" else (s.b, s.pvm_b, s.dim_b)
+            want = reference_quantum.stack_ops(pvms, layout, side, dim)
+            for _ in range(2):  # the first gather works out the rows, the second reads them as kept
+                got = quantum._stack_ops(stacked, layout, side)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            first = families(pvms)
+            del first[layout[0][0]]
+            less = QuantumStrategy.of(s.game, dim, dim, s.psi, first, {}).a  # the side without layout[0]'s family
+            want = _raised(lambda: reference_quantum.stack_ops(first, layout, side, dim))
+            assert want is not None and _raised(lambda: quantum._stack_ops(less, layout, side)) == want

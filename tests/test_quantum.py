@@ -1,10 +1,13 @@
+import gc
 import math
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from colorproof import quantum
 from colorproof.certificates import eps_table, extract_assignment
 from colorproof.games import ALT_EDGE, ALT_RZKP, EdgeConstraint, GameKind, GameType, VERTEX, play_rounds
 from colorproof.graphs import make_graph
@@ -30,6 +33,7 @@ from colorproof.quantum import (
     win_probability,
 )
 from colorproof.strategies import brute_force_vertex3col_value
+from reference_quantum import families, rebuilt
 
 BCS_EDGE_ONLY = GameKind(GameType.BCS, 1.0)
 
@@ -50,8 +54,9 @@ def test_classical_embedding_matches_brute_force_on_k4(k4):
 def test_validate_rejects_broken_families(k3):
     s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
     validate_strategy(s)
-    bad = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
-    bad.pvm_a[0][0] = bad.pvm_a[0][0] * 0.5
+    pvm_a = families(s.pvm_a)
+    pvm_a[0][0] = pvm_a[0][0] * 0.5
+    bad = rebuilt(s, pvm_a=pvm_a)
     with pytest.raises(NotProjectiveError):
         validate_strategy(bad)
     bad2 = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
@@ -64,9 +69,47 @@ def test_validate_rejects_broken_families(k3):
         validate_strategy(bad3)
 
 
+def test_strategy_sides_are_read_only(k3):
+    # strategies share sides (transform_strategy keeps the layout, a reduction's output its stacks):
+    # the dict view and the stack under it refuse writes; a changed strategy is built with `of`
+    s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
+    with pytest.raises(TypeError):
+        s.pvm_a[0][0] = np.zeros((2, 2))
+    with pytest.raises(ValueError):
+        s.pvm_a[0][0][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        s.b.ops[0] = 0.0
+
+
+def test_reader_rows_live_as_long_as_their_list(k3):
+    # a reader's row list keeps its rows in each shared layout it is read from; a cleared
+    # winning-set cache frees the list and those rows instead of leaving them on the layout
+    s = classical_embedding(GameType.ALT_EDGE, k3, (0, 1, 2))
+    win_probability(ALT_EDGE, k3, s)
+    a_rows = weakref.ref(quantum._winning_sets(ALT_EDGE, k3)[0])
+    assert a_rows().rows.get(s.a.layout) is not None
+    quantum._winning_sets.cache_clear()
+    gc.collect()
+    assert a_rows() is None
+
+
+def test_readers_reject_a_projector_of_another_shape(k3):
+    # `of` keeps a wrong-shaped projector's row at zero for the validator; a reader must not read that zero
+    s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
+    pvm_b = families(s.pvm_b)
+    pvm_b[2][1] = np.eye(3)
+    bad = rebuilt(s, pvm_b=pvm_b)
+    with pytest.raises(DimensionMismatchError, match="^B side has projectors of another shape"):
+        win_probability(VERTEX, k3, bad)
+    stats, log = play_rounds(VERTEX, k3, BornPair(bad), 50, seed=3, keep_log=True)
+    assert stats.accepts == 0 and {t.verdict.reason.value for t in log} == {"malformed"}
+
+
 def test_win_probability_missing_pvm(k3):
     s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2))
-    del s.pvm_a[1]
+    pvm_a = families(s.pvm_a)
+    del pvm_a[1]
+    s = rebuilt(s, pvm_a=pvm_a)
     with pytest.raises(MissingPvmError):
         win_probability(VERTEX, k3, s)
 
@@ -114,7 +157,9 @@ def test_every_reader_rejects_another_games_strategy(k3, reader):
 def test_every_reader_raises_missing_pvm_for_a_deleted_family(k3, reader, side, key):
     read, game = _READERS[reader]
     s = classical_embedding(game, k3, (0, 1, 2), dim=2)
-    del (s.pvm_a if side == "A" else s.pvm_b)[key]
+    pvms = families(s.pvm_a if side == "A" else s.pvm_b)
+    del pvms[key]
+    s = rebuilt(s, **{"pvm_a" if side == "A" else "pvm_b": pvms})
     with pytest.raises(MissingPvmError, match=re.escape(f"strategy has no {side} measurement for {key}")):
         read(s, k3)
 
@@ -123,10 +168,11 @@ def test_every_reader_raises_missing_pvm_for_a_deleted_family(k3, reader, side, 
 @pytest.mark.parametrize("game", [GameType.VERTEX, GameType.ALT_RZKP], ids=lambda game: game.value)
 def test_omitted_outcomes_read_as_zero_projectors(k3, game, colors):
     full = classical_embedding(game, k3, colors, dim=2)
-    sparse = classical_embedding(game, k3, colors, dim=2)
-    for fam in [*sparse.pvm_a.values(), *sparse.pvm_b.values()]:
+    pvm_a, pvm_b = families(full.pvm_a), families(full.pvm_b)
+    for fam in [*pvm_a.values(), *pvm_b.values()]:
         for out in [out for out, p in fam.items() if not p.any()]:
             del fam[out]
+    sparse = rebuilt(full, pvm_a, pvm_b)
     validate_strategy(sparse)
     kind = GameKind(game)
     assert win_probability(kind, k3, sparse) == win_probability(kind, k3, full)
@@ -176,7 +222,9 @@ def test_reduce_rzkp_rejects_non_projective(k3):
     s = classical_embedding(GameType.ALT_RZKP, k3, (0, 1, 2), dim=2)
     key = (0, 1)
     out = next(o for o, p in s.pvm_a[key].items() if p.trace().real > 0)
-    s.pvm_a[key][out] = s.pvm_a[key][out] * 0.7
+    pvm_a = families(s.pvm_a)
+    pvm_a[key][out] = pvm_a[key][out] * 0.7
+    s = rebuilt(s, pvm_a=pvm_a)
     with pytest.raises(NotProjectiveError):
         reduce_rzkp_to_edge(s, k3)
 

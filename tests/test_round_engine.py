@@ -43,6 +43,7 @@ from colorproof.games import (
 from colorproof.graphs import PlantedInstance, gen_planted, make_graph, three_color
 from colorproof.quantum import BornPair, arbitrary_strategy, random_strategy
 from colorproof.strategies import ClassicalStrategyPair, fixed_coloring_pair, honest_pair, mismatched_pair
+from reference_quantum import rebuilt
 from reference_stream import ReferenceStream
 
 # ---------------------------------------------------------------------------
@@ -338,6 +339,22 @@ def test_born_batch_equals_scalar_across_refills_and_blocks(monkeypatch):
         assert play_rounds(kind, g, pair, 300, 9, keep_log=True) == want[kind], kind
 
 
+@pytest.mark.parametrize("kind", KINDS[:4], ids=lambda k: k.game.value)
+def test_joint_rows_filled_one_at_a_time_equal_one_batch_fill(kind):
+    # `respond` meets challenges one at a time and grows the rows' buffers; the batch engine fills many
+    # at once: both must leave the same rows, and each grown buffer must keep the rows filled before it
+    g = INSTANCES["planted-20-40"].graph
+    strategy = _born(kind, g, 37).strategy
+    chs = list(games.challenge_pmf(kind, g))
+    single, batch = BornPair(strategy), BornPair(strategy)
+    for ch in chs:
+        single.respond(kind, ch, random.Random(0))
+    assert batch._rows.of(kind, batch, chs) == list(range(len(chs)))
+    got, want = single._rows, batch._rows
+    assert got.index == want.index and got.pairs == want.pairs
+    assert np.array_equal(got.cum, want.cum) and np.array_equal(got.codes, want.codes)
+
+
 def test_born_verdicts_come_from_verdict_once_per_challenge_and_pair(monkeypatch):
     g = INSTANCES["planted-20-40"].graph
     calls = []
@@ -367,9 +384,9 @@ def _born_fallbacks() -> dict:
     v = _born(VERTEX, k3, 35).strategy
     seven = {k: {(7 if out == 2 else out): p for out, p in fam.items()} for k, fam in v.pvm_a.items()}
     return {
-        "missing-pvm": (ALT_EDGE, dataclasses.replace(s, pvm_a=_without(s.pvm_a, (0, 1)))),
+        "missing-pvm": (ALT_EDGE, rebuilt(s, pvm_a=_without(s.pvm_a, (0, 1)))),
         "mass-not-one": (ALT_EDGE, dataclasses.replace(s, psi=1.1 * s.psi)),
-        "color-7": (VERTEX, dataclasses.replace(v, pvm_a=seven)),
+        "color-7": (VERTEX, rebuilt(v, pvm_a=seven)),
     }
 
 
