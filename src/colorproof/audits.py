@@ -42,6 +42,7 @@ class SweepSummary:
     violations: dict = field(default_factory=dict)
     worst_margin: dict = field(default_factory=dict)
     worst_sample: dict = field(default_factory=dict)  # family -> (seed, index) behind its worst margin
+    non_vacuous: dict = field(default_factory=dict)  # commutator family -> instances whose bound can fail
     sample: tuple = (None, None)  # (seed, index) of the sample being audited
 
     def record(self, family: str, ok, margin) -> None:
@@ -56,6 +57,14 @@ class SweepSummary:
                 self.worst_margin[family] = low
                 self.worst_sample[family] = self.sample
 
+    def count_non_vacuous(self, family: str, rhs) -> None:
+        """Count the instances of a commutator family with TOL < rhs < 1/2: a commutator of two projectors times
+        sqrt(rho) has Frobenius norm at most 1/2, so a larger bound cannot fail (an empty array counts nothing)."""
+        rhs = np.asarray(rhs)
+        if rhs.size:
+            count = int(np.count_nonzero((rhs > TOL) & (rhs < 0.5)))
+            self.non_vacuous[family] = self.non_vacuous.get(family, 0) + count
+
     @property
     def clean(self) -> bool:
         return not self.violations
@@ -67,6 +76,7 @@ class SweepSummary:
             "violations": dict(sorted(self.violations.items())),
             "worst_margin": {k: float(v) for k, v in sorted(self.worst_margin.items())},
             "worst_sample": {k: {"seed": seed, "sample": i} for k, (seed, i) in sorted(self.worst_sample.items())},
+            "non_vacuous": dict(sorted(self.non_vacuous.items())),
             "clean": self.clean,
         }
 
@@ -118,6 +128,8 @@ def audit_bcs_chain(
     norms = assignment_norms(assignment, base if base is not None else g, ext)
     for family, (lhs, rhs) in evaluate_bounds(norms, table, base if base is not None else g, ext).items():
         summary.record(family, lhs <= rhs + TOL, rhs - lhs)
+        if family in ("commuting", "gadget"):
+            summary.count_non_vacuous(family, rhs)
     summary.strategies += 1
 
 

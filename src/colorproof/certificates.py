@@ -16,7 +16,6 @@ family `quantum.MissingPvmError`, as in every reader of a strategy;
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +25,7 @@ import numpy as np
 
 from .games import BCS, F3, _BITS2, BcsChallenge, BcsResponseA, BcsResponseB, EdgeConstraint, GameType, verdict
 from .graphs import ExtendedGraph, Graph
-from .quantum import Pairs, QuantumStrategy, _require_game, _stack_ops
+from .quantum import Pairs, QuantumStrategy, _block_diag, _require_game, _stack_ops
 
 
 class CertificateError(ValueError):
@@ -119,20 +118,28 @@ def _layouts(g: Graph) -> tuple[Pairs, Pairs, Pairs]:
 
 
 def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
-    """Pull B's outcome-1 projectors per (vertex, color) and the reduced state."""
+    """Pull B's outcome-1 projectors per (vertex, color) and the reduced state.
+
+    Every vertex's completeness and same-vertex commutation are checked at once, block by block over
+    B's slot register; the first failing vertex is reported, completeness before commutation. The
+    projectors are written out densely, since rho is not block diagonal over a register.
+    """
     _require_game(s, GameType.BCS)
-    projs = _stack_ops(s.b, _layouts(g)[0], "B").reshape(g.n, 3, s.dim_b, s.dim_b)
-    for v, fams in enumerate(projs):
-        if np.abs(fams[0] + fams[1] + fams[2] - np.eye(s.dim_b)).max() > 1e-9:
+    projs = _stack_ops(s.b, _layouts(g)[0], "B")
+    projs = projs.reshape(g.n, 3, *projs.shape[1:])  # (vertex, color, R, k, k)
+    incomplete = np.abs(projs.sum(axis=1) - np.eye(projs.shape[-1])).max(axis=(1, 2, 3)) > 1e-9
+    a, b = projs[:, [0, 0, 1]], projs[:, [1, 2, 2]]  # each vertex's color pairs
+    noncommuting = np.abs(a @ b - b @ a).max(axis=(1, 2, 3, 4)) > 1e-9
+    if (incomplete | noncommuting).any():
+        v = int((incomplete | noncommuting).argmax())
+        if incomplete[v]:
             raise NotVertexCompleteError(f"color projectors at vertex {v} do not sum to identity")
-        for a, b in itertools.combinations(fams, 2):
-            if np.abs(a @ b - b @ a).max() > 1e-9:
-                raise NotVertexCompleteError(f"same-vertex projectors at {v} do not commute")
+        raise NotVertexCompleteError(f"same-vertex projectors at {v} do not commute")
     rho = partial_trace_a(s)
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > 1e-9:
         raise NumericalError(f"reduced state trace {tr} != 1")
-    return Assignment(rho=rho, projs=projs)
+    return Assignment(rho=rho, projs=_block_diag(projs))
 
 
 # [k, (b0, b1), bt]: the +-1 product of A's indicator for endpoint k and B's indicator bt
@@ -161,10 +168,12 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     if not g.edges:
         raise CertificateError("eps table needs a graph with at least one edge")
     _, a_layout, b_layout = _layouts(g)
-    pa = _stack_ops(s.a, a_layout, "A").reshape(-1, 4, s.dim_a, s.dim_a)  # (r, bits, d_a, d_a)
-    pb = _stack_ops(s.b, b_layout, "B").reshape(-1, 2, 2, s.dim_b, s.dim_b)  # (r, end, bit, d_b, d_b)
-    amp = (pa[:, :, None, None] @ s.psi_matrix()) @ pb[:, None].swapaxes(-1, -2)  # (r, bits, end, bit, d_a, d_b)
-    pairs = (amp.real**2 + amp.imag**2).sum(axis=(-2, -1))
+    pa, pb = _stack_ops(s.a, a_layout, "A"), _stack_ops(s.b, b_layout, "B")
+    k_a, (r_b, k_b) = pa.shape[-1], pb.shape[1:3]
+    # A Psi from A's blocks and the state's first A register block, as (r, bits, B block, d_a, k_b)
+    a_psi = (pa.reshape(-1, k_a) @ s.psi_matrix()[:k_a]).reshape(-1, 4, s.dim_a, r_b, k_b).swapaxes(-3, -2)
+    amp = a_psi[:, :, None, None] @ pb.reshape(-1, 1, 2, 2, r_b, k_b, k_b).swapaxes(-1, -2)  # (.., end, bit, ..)
+    pairs = (amp.real**2 + amp.imag**2).sum(axis=(-3, -2, -1))
     eps = np.einsum("rakb,kab->rk", pairs, _LOSSES).reshape(-1, 3, 2)  # r = (edge, color)
     if eps.max() > 1.0 + 1e-9:
         raise NumericalError(f"failure probability {eps.max()} escaped [0,1]")

@@ -211,7 +211,8 @@ def _cmd_audit_quantum(args) -> int:
     payload = {"config": config, **summary.to_dict(), **replay}
     lines = ["config: " + " ".join(f"{k}={v}" for k, v in config.items())]
     for name, count in summary.checks.items():
-        lines.append(f"{name:>24}: {count} instances, {summary.violations.get(name, 0)} violations, "
+        vacuity = f", {summary.non_vacuous[name]} non-vacuous" if name in summary.non_vacuous else ""
+        lines.append(f"{name:>24}: {count} instances{vacuity}, {summary.violations.get(name, 0)} violations, "
                      f"worst margin {summary.worst_margin[name]:.3e}")
     lines.append("PASS" if summary.clean else "FAIL")
     _emit(args, payload, "\n".join(lines))

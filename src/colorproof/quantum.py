@@ -15,26 +15,32 @@ The two strategy transformers implement the reduction chain:
     its color sum; prover B measures the marginal for its challenged vertex
     at a locally random bit, then the complementary bit on the post-measured
     state, and sums the outcomes. B's local randomness (bit and neighbor
-    choice) and the two-step measurement are realized exactly by enlarging
-    B's space with block-diagonal ancilla registers, keeping every family
-    projective.
+    choice) is a uniform slot register, and the two-step measurement is
+    dilated by a three-level ancilla inside each register block, keeping
+    every family projective.
   * reduce_edge_to_bcs -- colors become indicator bits; A's neighbor choice
-    for consistency constraints uses the same slot-register construction.
+    for consistency constraints is a slot register on A's side.
 
-Each side of a strategy is one (n_ops, d, d) stack of projectors plus a
-`Layout`: its families in order, each with its outcomes and rows. Generators
-and reductions write a whole side as one stack; readers take the rows they
-need in one gather (`_stack_ops`), a slice of the stack when the rows are
-evenly spaced, and an outcome its family omits reads as zero. Per-family
-sums (completeness, color-sum coarse-graining, indicator re-encoding,
-marginals) are `np.add.at` into a (family, ...) stack, which adds each
-family's operators in the family's own order, so the sums equal the
-per-family loops bit for bit; an omitted outcome is absent from them or
-adds zero, which leaves them unchanged. The generators keep a fixed draw
-order: each family, in key order, draws its assignment integers and then its
-Gaussian matrices from `rng` exactly as a per-family loop would; only after
-all draws does the side get one batched `eigh` (or `qr`) and one batched
-`U diag U^dag` rotation.
+Each side of a strategy is one (n_ops, R, d, d) stack of projector blocks
+plus a `Layout`: its families in order, each with its outcomes and rows.
+Block r of a projector acts while the side's classical slot register reads
+r: the projector is the block diagonal of its R blocks, the side's dimension
+is R*d, and the state is uniform over the register. Generators,
+`QuantumStrategy.of` and `classical_embedding` give R = 1; only the
+reductions write registers, as blocks, never as (R*d)^2 matrices. Readers
+take the rows they need in one gather (`_stack_ops`), a slice of the stack
+when the rows are evenly spaced, and an outcome its family omits reads as
+zero; the first product against the state multiplies each block by the
+state's first register block, so no reader multiplies through the zeros off
+the block diagonal. Per-family sums (completeness, color-sum
+coarse-graining, indicator re-encoding, marginals) are `np.add.at` into a
+(family, ...) stack, block by block, which adds each family's operators in
+the family's own order, so the sums equal the per-family loops bit for bit;
+an omitted outcome is absent from them or adds zero, which leaves them
+unchanged. The generators keep a fixed draw order: each family, in key
+order, draws its assignment integers and then its Gaussian matrices from
+`rng` exactly as a per-family loop would; only after all draws does the side
+get one batched `eigh` (or `qr`) and one batched `U diag U^dag` rotation.
 """
 
 from __future__ import annotations
@@ -144,7 +150,9 @@ class Layout:
 
 
 class Side:
-    """One prover's measurements: every projector in one (n_ops, d, d) stack, family by family per `layout`.
+    """One prover's measurements: every projector as its register blocks in one (n_ops, R, d, d) stack, family
+    by family per `layout`. Block r acts while the side's uniform slot register reads r; the projector is
+    their block diagonal, of dimension R*d. R is 1 unless a reduction wrote the side.
 
     The stack is read-only. `misshapen` maps the row of a projector given in another shape to that shape
     (the row is zero), for `validate_strategy` to report; only `QuantumStrategy.of` makes such rows.
@@ -154,22 +162,30 @@ class Side:
         self.ops, self.layout, self.misshapen = ops, layout, misshapen or {}
         ops.flags.writeable = False
 
+    @property
+    def register(self) -> int:
+        return self.ops.shape[1]
+
     @cached_property
     def families(self) -> Mapping:
-        """Read-only {key: {outcome: projector}} view of the stack."""
+        """Read-only {key: {outcome: projector}} view of the stack, each projector a (R*d, R*d) matrix."""
         lay = self.layout
+        dense = _block_diag(self.ops)
+        dense.flags.writeable = False
         fams = zip(lay.keys, lay.outs, lay.starts[:-1].tolist(), lay.starts[1:].tolist())
-        return MappingProxyType({key: MappingProxyType(dict(zip(outs, self.ops[a:b]))) for key, outs, a, b in fams})
+        return MappingProxyType({key: MappingProxyType(dict(zip(outs, dense[a:b]))) for key, outs, a, b in fams})
 
 
 @dataclass
 class QuantumStrategy:
     """Shared state psi (length dim_a*dim_b, index a*dim_b + b) plus one `Side` of PVMs per prover.
 
-    Side `a` measures prover A's challenge halves, side `b` prover B's. Outcomes follow the game's response
-    payloads (e.g. 4-tuples of labels for the labelling game's prover A). An outcome a family omits reads
-    as a zero projector; a missing family raises `MissingPvmError`. `pvm_a` and `pvm_b` are read-only
-    {key: {outcome: projector}} views; `of` builds a strategy from that dict form.
+    Side `a` measures prover A's challenge halves, side `b` prover B's. A side's dimension is its register
+    size times its block size, register outermost, and psi is uniform over both registers: its register
+    blocks are equal. Outcomes follow the game's response payloads (e.g. 4-tuples of labels for the
+    labelling game's prover A). An outcome a family omits reads as a zero projector; a missing family
+    raises `MissingPvmError`. `pvm_a` and `pvm_b` are read-only {key: {outcome: projector}} views, each
+    projector dense; `of` builds a strategy from that dict form.
     """
 
     game: GameType
@@ -188,7 +204,7 @@ class QuantumStrategy:
             misshapen = {r: np.shape(p) for r, p in enumerate(ops) if np.shape(p) != (dim, dim)}
             stack = [np.zeros((dim, dim)) if r in misshapen else p for r, p in enumerate(ops)]
             layout = Layout(pvms, [fam.keys() for fam in pvms.values()])
-            return Side(np.array(stack, dtype=complex).reshape(-1, dim, dim), layout, misshapen)
+            return Side(np.array(stack, dtype=complex).reshape(-1, 1, dim, dim), layout, misshapen)
 
         return cls(game, dim_a, dim_b, psi, side(pvm_a, dim_a), side(pvm_b, dim_b))
 
@@ -252,33 +268,36 @@ def _winning_sets(kind: GameKind, g: Graph) -> tuple[Pairs, Pairs, np.ndarray]:
 # Validation
 
 
-def _summed(ops: np.ndarray, targets: np.ndarray, n: int, d: int) -> np.ndarray:
-    """(n, d, d) stack whose entry t sums the ops with target t, each in the order given (np.add.at)."""
-    out = np.zeros((n, d, d), dtype=complex)
+def _summed(ops: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
+    """(n, R, d, d) stack whose entry t sums the (..., R, d, d) ops with target t, in the order given (np.add.at)."""
+    out = np.zeros((n, *ops.shape[-3:]), dtype=complex)
     np.add.at(out, targets, ops)
     return out
 
 
 def _validate_side(side: Side, dim: int, name: str) -> None:
-    """Raise on the first faulty family of one side, its whole stack checked at once.
+    """Raise on the first faulty family of one side, its whole stack checked at once, block by block.
 
     Families are scanned in layout order; within a family the first outcome that
     is non-finite, not Hermitian, not idempotent or of the wrong shape is the
-    fault reported, and a family with none is checked for completeness.
+    fault reported, and a family with none is checked for completeness. A
+    projector is all of these exactly when each of its register blocks is.
     """
     lay, ops = side.layout, side.ops
-    shaped = np.full(len(ops), ops.shape[1:] == (dim, dim))
+    r, d = ops.shape[1], ops.shape[-1]
+    shaped = np.full(len(ops), ops.shape[2] == d and r * d == dim)
     shaped[list(side.misshapen)] = False
-    stack = ops if shaped.all() else ops[shaped].reshape(-1, dim, dim)
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack = ops if shaped.all() else ops[shaped].reshape(-1, r, d, d)
+    per_op = (1, 2, 3)
+    finite = np.isfinite(stack).all(axis=per_op)
     if not finite.all():
-        stack = np.where(finite[:, None, None], stack, 0.0)
-    hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= PROJ_TOL
-    idempotent = np.abs(stack @ stack - stack).max(axis=(1, 2)) <= PROJ_TOL
+        stack = np.where(finite[:, None, None, None], stack, 0.0)
+    hermitian = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=per_op) <= PROJ_TOL
+    idempotent = np.abs(stack @ stack - stack).max(axis=per_op) <= PROJ_TOL
     faulty = ~shaped
     faulty[shaped] = ~(finite & hermitian & idempotent)
-    sums = _summed(stack, lay.fam[shaped], len(lay.keys), dim)
-    incomplete = np.abs(sums - np.eye(dim)).max(axis=(1, 2)) > PROJ_TOL
+    sums = _summed(stack, lay.fam[shaped], len(lay.keys))
+    incomplete = np.abs(sums - np.eye(d)).max(axis=per_op) > PROJ_TOL
     f_op = int(lay.fam[faulty][0]) if faulty.any() else len(lay.keys)
     f_inc = int(incomplete.argmax()) if incomplete.any() else len(lay.keys)
     if f_inc < f_op:
@@ -288,7 +307,7 @@ def _validate_side(side: Side, dim: int, name: str) -> None:
     i = int(faulty.argmax())
     what, out, k = f"{name} pvm {lay.keys[f_op]}", lay.pairs[i][1], int(shaped[:i].sum())  # k: op i's stack place
     if not shaped[i]:
-        shape = side.misshapen.get(i, ops.shape[1:])
+        shape = side.misshapen.get(i, (r * d, r * d))
         raise DimensionMismatchError(f"{what}: projector for {out} has shape {shape}, want {(dim, dim)}")
     if not finite[k]:
         raise NonFiniteError(f"{what}: non-finite entries in projector {out}")
@@ -296,7 +315,8 @@ def _validate_side(side: Side, dim: int, name: str) -> None:
 
 
 def validate_strategy(s: QuantumStrategy) -> None:
-    """Enforce unit state, projectivity, and completeness of every family (side A's faults first)."""
+    """Enforce unit state, projectivity, and completeness of every family (side A's faults first), and a state
+    uniform over the sides' slot registers."""
     if s.psi.shape != (s.dim_a * s.dim_b,):
         raise DimensionMismatchError(f"state length {s.psi.shape} != dim_a*dim_b = {s.dim_a * s.dim_b}")
     if not np.all(np.isfinite(s.psi)):
@@ -305,6 +325,11 @@ def validate_strategy(s: QuantumStrategy) -> None:
         raise BadStateError(f"state norm {np.linalg.norm(s.psi)} is not 1")
     _validate_side(s.a, s.dim_a, "A")
     _validate_side(s.b, s.dim_b, "B")
+    r_a, r_b = s.a.register, s.b.register
+    if r_a * r_b > 1:
+        blocks = s.psi.reshape(r_a, s.dim_a // r_a, r_b, s.dim_b // r_b)
+        if np.abs(blocks - blocks[:1, :, :1]).max() > PROJ_TOL:
+            raise BadStateError("state is not uniform over the slot registers")
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +337,25 @@ def validate_strategy(s: QuantumStrategy) -> None:
 
 
 def joint_probabilities(psi_mat: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Every <psi| A (x) B |psi> for stacked A (nA, dA, dA) and B (nB, dB, dB), as (nA, nB).
+    """Every <psi| A (x) B |psi> for A's blocks (nA, RA, kA, kA) and B's (nB, RB, kB, kB), as (nA, nB).
 
     With L = Psi^dag A Psi, <psi| A (x) B |psi> = Tr[L B^T] is the flat dot
     product of L and B, so all pairs are one matmul; the contraction runs over
-    the smaller local space (B's, after swapping the provers if need be).
+    the smaller local space (B's, after swapping the provers if need be). As
+    psi is uniform over A's register, A Psi's row block r is A_r times the
+    state's first row block, which holds the register's 1/sqrt(RA) already;
+    and Tr[L B^T] reads only the diagonal blocks of L that B's blocks meet.
     """
     d_a, d_b = psi_mat.shape
     if d_a < d_b:
         return joint_probabilities(psi_mat.T, pb, pa).T
-    n = len(pa)
+    n, k = len(pa), pa.shape[-1]
     # L for the whole stack in two GEMMs: A Psi with the stack as rows, then Psi^dag from the left
-    a_psi = (pa.reshape(n * d_a, d_a) @ psi_mat).reshape(n, d_a, d_b).transpose(1, 0, 2).reshape(d_a, n * d_b)
+    a_psi = (pa.reshape(-1, k) @ psi_mat[:k]).reshape(n, d_a, d_b).transpose(1, 0, 2).reshape(d_a, n * d_b)
     left = (psi_mat.conj().T @ a_psi).reshape(d_b, n, d_b).transpose(1, 0, 2)
-    return (left.reshape(n, d_b * d_b) @ pb.reshape(len(pb), d_b * d_b).T).real
+    r_b, k_b = pb.shape[1], pb.shape[-1]
+    left = np.diagonal(left.reshape(n, r_b, k_b, r_b, k_b), axis1=1, axis2=3).transpose(0, 3, 1, 2)
+    return (left.reshape(n, -1) @ pb.reshape(len(pb), -1).T).real
 
 
 def _require_game(s: QuantumStrategy, game: GameType) -> None:
@@ -342,7 +372,7 @@ def _ops(side: Side, name: str) -> np.ndarray:
 
 
 def _stack_ops(side: Side, pairs: Sequence, name: str) -> np.ndarray:
-    """The projector of every (key, outcome) of `pairs`, stacked: one gather, or a slice of the side's stack;
+    """The register blocks of every (key, outcome) of `pairs`, stacked: one gather, or a slice of the side's stack;
     an outcome its family omits reads as zero, and a missing family raises MissingPvmError naming the first."""
     rows, omitted = side.layout.gather(pairs, name)
     ops = _ops(side, name)
@@ -398,9 +428,23 @@ class BornPair(JointSampler):
 
 
 def transform_strategy(s: QuantumStrategy, u_a: np.ndarray, u_b: np.ndarray) -> QuantumStrategy:
-    """Apply the local basis change U_A (x) U_B to state and all measurements."""
+    """Apply the local basis change U_A (x) U_B to state and all measurements.
+
+    On a side with a slot register U must act on every register block alike (U = I_R (x) u); a
+    StrategyError says it does not, since the result would have no register form.
+    """
+
+    def block(side: Side, u: np.ndarray, name: str) -> np.ndarray:
+        r, k = side.register, side.ops.shape[-1]
+        if u.shape != (r * k, r * k):
+            raise DimensionMismatchError(f"basis change of side {name} has shape {u.shape}, want {(r * k, r * k)}")
+        if r > 1 and not np.array_equal(u, np.kron(np.eye(r), u[:k, :k])):
+            raise StrategyError(f"basis change of side {name} does not act on its {r} register blocks alike")
+        return u[:k, :k]
+
+    sides = ((s.a, block(s.a, u_a, "A")), (s.b, block(s.b, u_b, "B")))
+    a, b = (Side(u @ side.ops @ u.conj().T, side.layout, side.misshapen) for side, u in sides)
     psi2 = (u_a @ s.psi_matrix() @ u_b.T).reshape(-1)
-    a, b = (Side(u @ side.ops @ u.conj().T, side.layout, side.misshapen) for side, u in ((s.a, u_a), (s.b, u_b)))
     return QuantumStrategy(s.game, s.dim_a, s.dim_b, psi2, a, b)
 
 
@@ -423,7 +467,7 @@ def classical_embedding(game: GameType, g: Graph, colors: Sequence[int], dim: in
     the zero projector. At dim 1 this is the classical strategy verbatim.
     """
     def side(layout: Layout, honest: dict) -> Side:
-        ops = np.zeros((len(layout.pairs), dim, dim), dtype=complex)
+        ops = np.zeros((len(layout.pairs), 1, dim, dim), dtype=complex)
         rows = [start + outs.index(h) for start, outs, h in zip(layout.starts.tolist(), layout.outs, honest.values())]
         ops[rows] = np.eye(dim)
         return Side(ops, layout)
@@ -471,7 +515,7 @@ def _rotated_families(layout: Layout, assigns: list, u: np.ndarray) -> Side:
     """
     assign = np.array(assigns, np.intp).reshape(len(assigns), -1)
     rotated = _rotated_partitions(assign, u, max(map(len, layout.outs), default=0))
-    return Side(rotated[layout.fam, np.arange(len(layout.pairs)) - layout.starts[layout.fam]], layout)
+    return Side(rotated[layout.fam, np.arange(len(layout.pairs)) - layout.starts[layout.fam], None], layout)
 
 
 def random_strategy(
@@ -596,7 +640,7 @@ def pinching_chain(families: Sequence[Sequence[np.ndarray]], fixed: dict[int, in
 # Reduction chain
 
 
-MAX_REDUCED_DIM = 4096  # ancilla registers grow with lcm of degrees; keep desk-scale
+MAX_REDUCED_DIM = 4096  # a reduced side's full dimension; slot registers grow with lcm of degrees: keep desk-scale
 
 
 def _lcm_degrees(g: Graph) -> int:
@@ -614,19 +658,21 @@ def _reduction_input(s: QuantumStrategy, g: Graph, game: GameType) -> int:
 
 
 def _marginals(side: Side, layout: Layout, name: str) -> np.ndarray:
-    """(family, pos, value, d, d): each family of `layout` (2-tuple outcomes) summed over the outcomes with
-    out[pos] == value, read from `side` (where an omitted outcome adds zero, which leaves every sum's bits)."""
+    """(family, pos, value, R, k, k): each family of `layout` (2-tuple outcomes) summed over the outcomes with
+    out[pos] == value, block by block, read from `side` (where an omitted outcome adds zero, which leaves
+    every sum's bits)."""
     ops = _stack_ops(side, layout.pairs, name)
     targets = layout.fam[:, None] * 6 + [0, 3] + layout.out_array.reshape(-1, 2)  # (op, pos)
-    d = ops.shape[-1]
-    return _summed(ops[:, None], targets, 6 * len(layout.keys), d).reshape(-1, 2, 3, d, d)
+    return _summed(ops[:, None], targets, 6 * len(layout.keys)).reshape(-1, 2, 3, *ops.shape[1:])
 
 
+@lru_cache(maxsize=None)
 def _neighbor_slots(g: Graph, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edge, pos, chosen) over the directed edges (v, u), v ascending, u in adjacency order.
 
     edge and pos: the index of {v, u} in g.edges and v's position in it;
     chosen[v, slot]: the directed edge that slot register value `slot` measures, v's to nbrs[slot % deg].
+    Kept per (graph, slots), so every caller gets the same arrays: they are read-only.
     """
     edge_index = {e: k for k, e in enumerate(g.edges)}
     pairs = [(v, u) for v in range(g.n) for u in g.adjacency[v]]
@@ -635,14 +681,16 @@ def _neighbor_slots(g: Graph, slots: int) -> tuple[np.ndarray, np.ndarray, np.nd
     degrees = [len(g.adjacency[v]) for v in range(g.n)]
     starts = np.cumsum([0] + degrees[:-1])
     chosen = starts[:, None] + np.arange(slots) % np.array(degrees)[:, None]  # (v, slot)
+    for a in (edge, pos, chosen):
+        a.flags.writeable = False
     return edge, pos, chosen
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
     """Block-diagonal matrices of a (..., k, d, d) stack, written by slicing.
 
-    Equal, bit for bit, to sum_s kron(E_ss, blocks[..., s, :, :]): the
-    ancilla registers of both reductions are built from it.
+    Equal, bit for bit, to sum_s kron(E_ss, blocks[..., s, :, :]): the dense
+    view of a side with a slot register, and the ancilla dilation, use it.
     """
     *lead, k, d, _ = blocks.shape
     out = np.zeros((*lead, k, d, k, d), dtype=complex)
@@ -659,7 +707,7 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     """Labelling-game strategy -> edge-game strategy (gentle measurement step).
 
     Prover A relabels each outcome to its color sums. Prover B's challenged
-    vertex v is answered by drawing (bit, neighbor) from a uniform ancilla
+    vertex v is answered by drawing (bit, neighbor) from a uniform slot
     register of size 2*lcm(degrees), measuring the v-marginal of the chosen
     edge family at that bit, then the opposite-bit marginal, and adding the
     two outcomes mod 3. The sequential measurement is dilated into a single
@@ -670,8 +718,10 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     U^dag sel U: the first measurement `first` (at `bit`) becomes the
     shift-register unitary U = sum_a kron(shift^a, first[a]), whose block
     (r, t) is first[(r - t) mod 3], and color sum c's block is U^dag sel U
-    with sel the block diagonal of second[(c - a) mod 3] over the register
-    value a.
+    with sel the block diagonal of second[(c - a) mod 3] over the ancilla
+    value a. That product is B's block at register value (bit, slot), the
+    ancilla and the input's block inside it (register value (bit, slot, r)
+    for an input with a B register).
     """
     slots = _reduction_input(s, g, GameType.ALT_RZKP)
     d_a, d_b = s.dim_a, s.dim_b
@@ -682,23 +732,25 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     lay_a, lay_b = _spec_layouts(GameType.ALT_RZKP, g)  # edges x label 4-tuples; (edge, bit) x label pairs
     w = lay_a.out_array
     targets = lay_a.fam * 9 + (w[:, 0] + w[:, 1]) % 3 * 3 + (w[:, 2] + w[:, 3]) % 3
-    sums = _summed(_stack_ops(s.a, lay_a.pairs, "A"), targets, 9 * len(g.edges), d_a)
+    sums = _summed(_stack_ops(s.a, lay_a.pairs, "A"), targets, 9 * len(g.edges))
 
-    marg = _marginals(s.b, lay_b, "B").reshape(-1, 2, 2, 3, d_b, d_b)
+    marg = _marginals(s.b, lay_b, "B")
+    r, k = marg.shape[-3], marg.shape[-1]
+    marg = marg.reshape(-1, 2, 2, 3, r, k, k)  # (edge, bit, pos, a, r, k, k)
     edge, pos, chosen = _neighbor_slots(g, slots)
-    first = marg[edge[:, None], [[0, 1]], pos[:, None]]  # (directed edge, bit, a, d_b, d_b)
+    first = marg[edge[:, None], [[0, 1]], pos[:, None]]  # (directed edge, bit, a, r, k, k)
     second = marg[edge[:, None], [[1, 0]], pos[:, None]]
-    u_dilate = first[:, :, _SHIFTS].swapaxes(-3, -2).reshape(len(edge), 2, 3 * d_b, 3 * d_b)
-    dilated = u_dilate.conj().swapaxes(-1, -2)[:, :, None] @ _block_diag(second[:, :, _SHIFTS]) @ u_dilate[:, :, None]
-    # flat B index = ((bit*slots + slot)*3 + anc)*d_b + core
-    blocks = dilated[chosen[:, None, :], np.arange(2)[:, None]]  # (v, bit, slot, c, 3 d_b, 3 d_b)
-    stacked = _block_diag(blocks.transpose(0, 3, 1, 2, 4, 5).reshape(g.n, 3, 2 * slots, 3 * d_b, 3 * d_b))
+    u_dilate = np.moveaxis(first[:, :, _SHIFTS], 4, 2).swapaxes(-3, -2).reshape(len(edge), 2, r, 3 * k, 3 * k)
+    sel = _block_diag(np.moveaxis(second[:, :, _SHIFTS], 4, 2))  # (directed edge, bit, r, c, 3 k, 3 k)
+    dilated = u_dilate.conj().swapaxes(-1, -2)[:, :, :, None] @ sel @ u_dilate[:, :, :, None]
+    # flat B index = (((bit*slots + slot)*r + block)*3 + anc)*k + core
+    blocks = dilated[chosen[:, None, :], np.arange(2)[:, None]]  # (v, bit, slot, r, c, 3 k, 3 k)
+    stacked = blocks.transpose(0, 4, 1, 2, 3, 5, 6).reshape(3 * g.n, 2 * slots * r, 3 * k, 3 * k)
 
-    psi2 = np.zeros((d_a, 2 * slots, 3, d_b), dtype=complex)
-    psi2[:, :, 0, :] = (s.psi_matrix() * (1.0 / math.sqrt(2 * slots)))[:, None, :]  # anc = 0 in every slot
+    psi2 = np.zeros((d_a, 2 * slots, r, 3, k), dtype=complex)
+    psi2[:, :, :, 0, :] = (s.psi_matrix() * (1.0 / math.sqrt(2 * slots))).reshape(d_a, 1, r, k)  # anc = 0
     lay_a, lay_b = _spec_layouts(GameType.ALT_EDGE, g)  # edges x color pairs, vertices x colors
-    side_a, side_b = Side(sums, lay_a), Side(stacked.reshape(-1, d_b2, d_b2), lay_b)
-    return QuantumStrategy(GameType.ALT_EDGE, d_a, d_b2, psi2.reshape(-1), side_a, side_b)
+    return QuantumStrategy(GameType.ALT_EDGE, d_a, d_b2, psi2.reshape(-1), Side(sums, lay_a), Side(stacked, lay_b))
 
 
 def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
@@ -707,9 +759,10 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     B's indicator families are B~^{k,beta} = {1: B^k_beta, 0: I - B^k_beta};
     A re-encodes edge outcomes as indicator pairs, and answers consistency
     constraints by measuring a uniformly chosen incident edge (slot register
-    on A's side). Vertex-completeness and the same-vertex / same-edge
-    commutation properties hold by construction, and the edge-verification
-    winning probability never drops below the input's.
+    on A's side: an edge constraint's family repeats in every slot). Vertex-
+    completeness and the same-vertex / same-edge commutation properties hold
+    by construction, and the edge-verification winning probability never
+    drops below the input's.
     """
     slots = _reduction_input(s, g, GameType.ALT_EDGE)
     d_a, d_b = s.dim_a, s.dim_b
@@ -721,24 +774,26 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     c, alpha = edge_a.out_array, np.array(F3)
     targets = (edge_a.fam[:, None] * 3 + alpha) * 4 + 2 * (c[:, :1] == alpha) + (c[:, 1:] == alpha)  # (op, alpha)
     ops = _stack_ops(s.a, edge_a.pairs, "A")
-    bits = _summed(ops[:, None], targets, 12 * len(g.edges), d_a).reshape(-1, 4, 1, d_a, d_a)
-    # A's families: each edge constraint's 4 outcomes, then each vertex constraint's 8 (the spec's layout)
+    r, k = ops.shape[1], ops.shape[-1]
+    bits = _summed(ops[:, None], targets, 12 * len(g.edges))
+    # A's families: each edge constraint's 4 outcomes, then each vertex constraint's 8 (the spec's layout);
+    # A's register value is (slot, r), r the input's register value
     lay_a, lay_b = _spec_layouts(GameType.BCS, g)[0], _bcs_b_layout(g)
-    ops_a = np.zeros((len(lay_a.pairs), d_a2, d_a2), dtype=complex)
-    # every slot register value measures the same family: kron(I_slots, m)
-    ops_a[: 4 * len(bits)] = _block_diag(np.broadcast_to(bits, (len(bits), 4, slots, d_a, d_a))).reshape(-1, d_a2, d_a2)
+    ops_a = np.zeros((len(lay_a.pairs), slots, r, k, k), dtype=complex)
+    ops_a[: len(bits)] = bits[:, None]
 
     marg = _marginals(s.a, edge_a, "A")
     edge, pos, chosen = _neighbor_slots(g, slots)
     # slot register value `slot` measures the edge to nbrs[slot % deg]
-    by_vertex = ops_a[4 * len(bits) :].reshape(g.n, 8, d_a2, d_a2)
-    by_vertex[:, _ONE_HOT] = _block_diag(marg[edge[chosen], pos[chosen]].swapaxes(1, 2))
+    by_vertex = ops_a[len(bits) :].reshape(g.n, 8, slots, r, k, k)
+    by_vertex[:, _ONE_HOT] = marg[edge[chosen], pos[chosen]].swapaxes(1, 2)
 
     p = _stack_ops(s.b, edge_b.pairs, "B")  # bcs's B key (v, beta) is the edge game's (key, outcome)
-    ops_b = np.stack([p, np.eye(d_b) - p], axis=1).reshape(-1, d_b, d_b)  # outcome 1, then 0
+    ops_b = np.stack([p, np.eye(p.shape[-1]) - p], axis=1).reshape(-1, *p.shape[1:])  # outcome 1, then 0
 
     psi2 = np.tile(s.psi_matrix() * (1.0 / math.sqrt(slots)), (slots, 1))
-    return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), Side(ops_a, lay_a), Side(ops_b, lay_b))
+    side_a = Side(ops_a.reshape(len(lay_a.pairs), slots * r, k, k), lay_a)
+    return QuantumStrategy(GameType.BCS, d_a2, d_b, psi2.reshape(-1), side_a, Side(ops_b, lay_b))
 
 
 @lru_cache(maxsize=None)

@@ -223,6 +223,26 @@ def test_sweep_summary_records_a_family_in_one_call():
     assert summary.worst_margin == {"tracial": -0.25} and summary.worst_sample == {"tracial": (3, 1)}
 
 
+def test_sweep_summary_counts_non_vacuous_commutator_instances():
+    # a commutator bound can fail only between the noise floor TOL and 1/2
+    summary = SweepSummary()
+    summary.count_non_vacuous("gadget", np.array([0.0, 1e-10, 1e-3, 0.49, 0.5, 3.0]))
+    summary.count_non_vacuous("gadget", 0.25)
+    summary.count_non_vacuous("commuting", np.ones((0, 3, 3)))
+    assert summary.non_vacuous == {"gadget": 3}
+    assert summary.to_dict()["non_vacuous"] == {"gadget": 3}
+
+
+def test_honest_extended_sample_adds_no_non_vacuous_gadget_instance():
+    # sample 7 of a sweep is an exactly honest (jiggle 0) strategy on the extended 3-path: its gadget
+    # budgets are rounding-level, below the noise floor
+    from colorproof.audits import audit_sample
+
+    summary = SweepSummary()
+    audit_sample(0, 7, 4, summary)
+    assert summary.checks["gadget"] == 9 and summary.non_vacuous["gadget"] == 0
+
+
 def test_audit_bcs_chain_records_no_gadget_family_without_gadget_pairs(k3):
     ext = extend_with_gadgets(k3)  # every base pair of the triangle is adjacent
     assert not ext.gadgets
@@ -276,6 +296,31 @@ def test_extract_assignment_rejects_incomplete_vertex(k3):
     bcs = rebuilt(bcs, pvm_b=pvm_b)
     with pytest.raises(NotVertexCompleteError):
         extract_assignment(bcs, k3)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({2: "incomplete", 1: "noncommuting"}, "same-vertex projectors at 1 do not commute"),
+        ({0: "incomplete", 2: "noncommuting"}, "color projectors at vertex 0 do not sum to identity"),
+    ],
+    ids=["commutation-before-completeness", "completeness-before-commutation"],
+)
+def test_extract_assignment_reports_the_lowest_faulty_vertex(k3, faults, message):
+    # the checks run over every vertex at once; the lowest faulty vertex is the one reported, with its own fault
+    from colorproof.certificates import NotVertexCompleteError
+
+    bcs = bcs_from_random_edge_strategy(k3, (2, 2), 0.2, np.random.default_rng(95))
+    pvm_b = families(bcs.pvm_b)
+    for v, fault in faults.items():
+        if fault == "incomplete":
+            pvm_b[(v, 0)] = dict(pvm_b[(v, 1)])
+        else:  # complete, but colors 0 and 1 do not commute
+            p0, p1 = np.full((2, 2), 0.5, dtype=complex), np.diag([1.0, 0.0]).astype(complex)
+            for beta, p in enumerate((p0, p1, np.eye(2) - p0 - p1)):
+                pvm_b[(v, beta)] = {1: p, 0: np.eye(2) - p}
+    with pytest.raises(NotVertexCompleteError, match=f"^{message}$"):
+        extract_assignment(rebuilt(bcs, pvm_b=pvm_b), k3)
 
 
 def test_eps_table_missing_constraint(k3):

@@ -126,6 +126,17 @@ def test_audit_quantum_json_names_worst_samples(capsys):
     assert all(w["seed"] == 1 and 0 <= w["sample"] < 6 for w in doc["worst_sample"].values())
 
 
+def test_audit_quantum_counts_non_vacuous_commutator_instances(capsys):
+    code, out, _ = run_cli(capsys, ["audit-quantum", "--samples", "6", "--seed", "1", "--json"])
+    assert code == 0
+    counts = json.loads(out)["non_vacuous"]
+    assert set(counts) == {"commuting", "gadget"}
+    assert all(0 <= n <= json.loads(out)["checks"][family] for family, n in counts.items())
+    code, out, _ = run_cli(capsys, ["audit-quantum", "--samples", "6", "--seed", "1"])
+    gadget = next(line for line in out.splitlines() if "gadget:" in line)
+    assert code == 0 and f"{counts['gadget']} non-vacuous" in gadget
+
+
 def test_audit_quantum_replay_takes_a_negative_seed(capsys):
     code, out, _ = run_cli(capsys, ["audit-quantum", "--samples", "2", "--seed", "-3", "--json"])
     assert code == 0

@@ -1,15 +1,15 @@
 """Fast paths of the quantum core against their scalar references.
 
-The reductions build their ancilla registers by slicing; the references
-below build the same matrices with np.kron, exactly as the reduction proofs
-write them, and the two must agree bit for bit. The stacked generators must
-equal the per-family loops of `reference_quantum` bit for bit, rng included,
-and the stacked validator must report the fault a family-by-family scan
-finds, the same as the dict-form validator of `reference_quantum`. Every
-reader's gather from a side's stack must equal stacking the side's dict
-form. The stacked joint-probability kernel behind win_probability,
-eps_table and BornPair must agree with a per-challenge sum of the scalar
-quadratic form _qform.
+The reductions write their slot registers as blocks; the references below
+build the dense matrices with np.kron, exactly as the reduction proofs write
+them, and a reduced strategy's dense view must equal them bit for bit. The
+stacked generators must equal the per-family loops of `reference_quantum`
+bit for bit, rng included, and the stacked validator must report the fault a
+family-by-family scan finds, the same as the dict-form validator of
+`reference_quantum`. Every reader's gather from a side's stack, its blocks
+written densely, must equal stacking the side's dict form. The stacked
+joint-probability kernel behind win_probability, eps_table and BornPair must
+agree with a per-challenge sum of the scalar quadratic form _qform.
 """
 
 import itertools
@@ -429,7 +429,7 @@ def test_stacked_gather_equals_dict_form_stack(game, graph):
             stacked, pvms, dim = (s.a, s.pvm_a, s.dim_a) if side == "A" else (s.b, s.pvm_b, s.dim_b)
             want = reference_quantum.stack_ops(pvms, layout, side, dim)
             for _ in range(2):  # the first gather works out the rows, the second reads them as kept
-                got = quantum._stack_ops(stacked, layout, side)
+                got = quantum._block_diag(quantum._stack_ops(stacked, layout, side))  # the blocks, written densely
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
             first = families(pvms)
             del first[layout[0][0]]
