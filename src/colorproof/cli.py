@@ -4,6 +4,7 @@ Subcommands: gen, extend, bounds, simulate, bruteforce, zk-test,
 audit-quantum, serve-prover, verify. Every randomized subcommand takes
 --seed and echoes its resolved configuration; --json switches to a stable
 machine-readable output. Exit codes: 0 success, 1 domain error, 2 usage.
+Each command imports the modules it runs when it starts, so start-up pays for no other.
 A stdout whose reader has gone ends the output; the command exits cleanly.
 """
 
@@ -16,20 +17,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import games, graphs, net, quantum, soundness, strategies
+from . import ColorproofError, games, graphs
 
 KIND_NAMES = {t.value: t for t in games.GameType}
 
 
-class CliError(Exception):
+class CliError(ColorproofError):
     pass
-
-
-# the errors a command reports as `error: ...` with exit 1
-_DOMAIN_ERRORS = (
-    CliError, games.GamesError, graphs.GraphError, strategies.StrategiesError, soundness.SoundnessError,
-    quantum.StrategyError, net.SessionError, net.ConfigError, net.FrameError, FileNotFoundError, json.JSONDecodeError,
-)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -98,6 +92,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import soundness
     variant = soundness.BoundVariant.APPENDIX_CHAIN if args.variant == "appendix" else soundness.BoundVariant.MAIN_THEOREM
     rep = soundness.quantum_value_bound(args.nodes, args.edges, args.max_deg, variant, args.k)
     payload = {
@@ -120,6 +115,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import strategies
     if args.rounds < 1:
         raise CliError(f"--rounds must be at least 1, got {args.rounds}")
     inst = _load_instance(args.graph) if args.graph else graphs.gen_planted(args.nodes, args.edges, args.seed)
@@ -151,6 +147,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bruteforce(args) -> int:
+    from . import strategies
     g = _load_graph(args.graph)
     value, argmax = strategies.brute_force_vertex3col_value(g)
     payload = {
@@ -164,6 +161,9 @@ def _cmd_bruteforce(args) -> int:
 
 
 def _cmd_zk_test(args) -> int:
+    from . import strategies
+    if args.rounds < 1:
+        raise CliError(f"--rounds must be at least 1, got {args.rounds}")
     if args.graph:
         inst = _load_instance(args.graph)
     else:
@@ -191,7 +191,6 @@ def _cmd_zk_test(args) -> int:
 
 def _cmd_audit_quantum(args) -> int:
     from .audits import SweepSummary, audit_sample, run_certificate_sweep
-
     if args.dims < 2:
         raise CliError(f"--dims must be at least 2, got {args.dims}")
     if args.samples < 1:
@@ -220,6 +219,7 @@ def _cmd_audit_quantum(args) -> int:
 
 
 def _cmd_serve_prover(args) -> int:
+    from . import net
     inst = _load_instance(args.graph)
     host, port = _addr(args.listen)
     server = net.ProverServer(inst, args.role, args.shared_seed, host=host, port=port,
@@ -237,6 +237,7 @@ def _cmd_serve_prover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import net
     if not math.isfinite(args.deadline_ms):
         raise CliError(f"--deadline-ms must be finite, got {args.deadline_ms}")
     g = _load_graph(args.graph)
@@ -359,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(end="", flush=True)  # flushes stdout, if any: a closed one shows here, not as an error at exit
     except BrokenPipeError:  # the reader of stdout has gone: the output ends (the signal module docs' recipe)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except _DOMAIN_ERRORS as exc:
+    except (ColorproofError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -47,6 +47,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import ColorproofError
 from .graphs import Edge, Graph
 from .seeds import substream
 
@@ -89,7 +90,7 @@ BCS = GameKind(GameType.BCS)
 VERTEX = GameKind(GameType.VERTEX)
 
 
-class GamesError(ValueError):
+class GamesError(ColorproofError, ValueError):
     pass
 
 

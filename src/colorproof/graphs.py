@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from . import ColorproofError
 from .seeds import substream
 
 Edge = tuple[int, int]
 
 
-class GraphError(ValueError):
+class GraphError(ColorproofError, ValueError):
     """Base class for graph construction and validation failures."""
 
 

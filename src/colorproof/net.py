@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from . import ColorproofError
 from .games import (
     ALT_RZKP,
     REASON_CODE,
@@ -75,7 +76,7 @@ T_BYE = 7
 GAME_CODE = 1  # HELLO's code for alt-rzkp, the only game the wire carries
 
 
-class FrameError(ValueError):
+class FrameError(ColorproofError, ValueError):
     pass
 
 
@@ -95,11 +96,11 @@ class FieldRangeError(FrameError):
     pass
 
 
-class SessionError(RuntimeError):
+class SessionError(ColorproofError, RuntimeError):
     pass
 
 
-class ConfigError(ValueError):
+class ConfigError(ColorproofError, ValueError):
     pass
 
 

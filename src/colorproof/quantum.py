@@ -55,6 +55,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import ColorproofError
 from .games import (
     F3,
     SPECS,
@@ -73,7 +74,7 @@ from .graphs import Graph, three_color
 PROJ_TOL = 1e-9
 
 
-class StrategyError(ValueError):
+class StrategyError(ColorproofError, ValueError):
     pass
 
 

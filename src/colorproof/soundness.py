@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from . import ColorproofError
 from .graphs import extended_counts, min_extended_degree
 
 _DPS = 40
 
 
-class SoundnessError(ValueError):
+class SoundnessError(ColorproofError, ValueError):
     pass
 
 

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import ColorproofError
 from .games import (
     GameKind,
     LabellingDraw,
@@ -27,7 +28,7 @@ from .games import (
 from .graphs import Edge, Graph, PlantedInstance
 
 
-class StrategiesError(ValueError):
+class StrategiesError(ColorproofError, ValueError):
     pass
 
 

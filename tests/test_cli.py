@@ -3,7 +3,7 @@ import socket
 
 import pytest
 
-from colorproof import net
+from colorproof import ColorproofError, certificates, cli, games, graphs, net, quantum, soundness, strategies
 from colorproof.cli import main
 from colorproof.graphs import gen_planted
 from colorproof.net import ProverServer
@@ -244,6 +244,7 @@ def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
         (["verify", "--deadline-ms", "3e9"], "at most 86400 s"),
         (["simulate", "--mix", "2", "--rounds", "10"], "mixture weight 2.0"),
         (["simulate", "--rounds", "0"], "--rounds must be at least 1"),
+        (["zk-test", "--rounds", "0"], "--rounds must be at least 1, got 0"),
         (["audit-quantum", "--dims", "1", "--samples", "2"], "--dims must be at least 2"),
         (["audit-quantum", "--samples", "0"], "--samples must be at least 1"),
         (["audit-quantum", "--samples", "-1"], "--samples must be at least 1"),
@@ -260,7 +261,8 @@ def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
     ],
     ids=[
         "verify-rounds-0", "verify-negative-deadline", "verify-nan-deadline", "verify-huge-deadline",
-        "simulate-mix-2", "simulate-rounds-0", "audit-dims-1", "audit-samples-0", "audit-samples-minus-1",
+        "simulate-mix-2", "simulate-rounds-0", "zk-rounds-0",
+        "audit-dims-1", "audit-samples-0", "audit-samples-minus-1",
         "audit-replay-no-colon", "audit-replay-double-minus", "audit-replay-negative-index",
         "serve-negative-delay", "serve-nan-delay", "serve-huge-delay",
         "bounds-k-nan", "bounds-k-inf", "bounds-max-deg-minus-1", "bounds-more-edges-than-max-deg-allows",
@@ -270,7 +272,8 @@ def test_out_of_range_input_exits_1(capsys, monkeypatch, tmp_path, argv, message
     # each of these ended in a traceback, except the negative, NaN and huge delays: those provers
     # served, and every connection thread died in time.sleep; simulate with no rounds and
     # audit-quantum with no samples, which reported a perfect rate or PASS for no work; and
-    # bounds with more edges than max-deg allows, which printed a round count
+    # bounds with more edges than max-deg allows, which printed a round count; zk-test with no
+    # rounds exited 1 but blamed the transcripts ("no transcripts carry A-challenge (0, 1)")
     def serve_forever(self, *args):
         raise AssertionError("the prover started serving")
 
@@ -294,6 +297,19 @@ def test_gen_stdout_modes(capsys):
     wrapped = json.loads(out)
     assert wrapped["instance"] == doc
     assert wrapped["config"]["seed"] == 0
+
+
+def test_every_reported_error_class_shares_one_root():
+    # main reports exactly the ColorproofError family (plus missing files and bad JSON) as `error: ...`
+    for cls, base in [
+        (cli.CliError, Exception), (games.GamesError, ValueError), (graphs.GraphError, ValueError),
+        (strategies.StrategiesError, ValueError), (soundness.SoundnessError, ValueError),
+        (quantum.StrategyError, ValueError), (net.FrameError, ValueError), (net.ConfigError, ValueError),
+        (net.SessionError, RuntimeError),
+    ]:
+        assert issubclass(cls, ColorproofError) and issubclass(cls, base), cls
+    # a certificate failure is a bug: it keeps its traceback
+    assert not issubclass(certificates.CertificateError, ColorproofError)
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,0 +1,70 @@
+"""Which modules each CLI entry point loads, each case in a fresh interpreter.
+
+`import colorproof.cli` loads only what the parser needs; each command then
+imports the modules it runs, so a prover process or a `bounds` call does not
+pay for the quantum core or mpmath.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import colorproof
+
+SRC = str(Path(colorproof.__file__).resolve().parents[1])
+
+PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return {m for m in sys.modules if m == "colorproof" or m.startswith("colorproof.") or m == "mpmath"}
+
+import colorproof.cli
+before = loaded()
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = colorproof.cli.main(argv)
+print(json.dumps({"before": sorted(before), "added": sorted(loaded() - before), "code": code}))
+"""
+
+
+def probe(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_importing_the_cli_loads_only_what_the_parser_needs():
+    doc = probe(None)
+    assert doc["before"] == [
+        "colorproof", "colorproof.cli", "colorproof.games", "colorproof.graphs", "colorproof.seeds"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, code, added",
+    [
+        (["bounds", "--nodes", "10", "--edges", "12", "--max-deg", "4"], 0, ["colorproof.soundness", "mpmath"]),
+        (["simulate", "--rounds", "10", "--nodes", "6", "--edges", "8"], 0, ["colorproof.strategies"]),
+        (
+            ["audit-quantum", "--samples", "1"], 0,
+            ["colorproof.audits", "colorproof.certificates", "colorproof.quantum"],
+        ),
+        # the graph is missing, so the prover reports it and exits instead of serving
+        (["serve-prover", "--role", "a", "--shared-seed", "1", "--graph", "no-such-file.json"], 1, ["colorproof.net"]),
+    ],
+    ids=["bounds", "simulate", "audit-quantum", "serve-prover"],
+)
+def test_each_command_adds_only_the_modules_it_runs(argv, code, added):
+    doc = probe(argv)
+    assert doc["code"] == code
+    assert doc["added"] == added
