@@ -17,9 +17,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import ColorproofError, games, graphs
+from . import ColorproofError, GameType, graphs
 
-KIND_NAMES = {t.value: t for t in games.GameType}
+KIND_NAMES = {t.value: t for t in GameType}
 
 
 class CliError(ColorproofError):
@@ -115,7 +115,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from . import strategies
+    from . import games, strategies
     if args.rounds < 1:
         raise CliError(f"--rounds must be at least 1, got {args.rounds}")
     inst = _load_instance(args.graph) if args.graph else graphs.gen_planted(args.nodes, args.edges, args.seed)
@@ -161,7 +161,7 @@ def _cmd_bruteforce(args) -> int:
 
 
 def _cmd_zk_test(args) -> int:
-    from . import strategies
+    from . import games, strategies
     if args.rounds < 1:
         raise CliError(f"--rounds must be at least 1, got {args.rounds}")
     if args.graph:

@@ -47,23 +47,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import ColorproofError
+from . import ColorproofError, GameType
 from .graphs import Edge, Graph
 from .seeds import substream
 
 F3 = (0, 1, 2)
 PERMS3 = tuple(itertools.permutations(F3))
-
-
-class GameType(enum.Enum):
-    ALT_RZKP = "alt-rzkp"
-    ALT_EDGE = "alt-edge"
-    BCS = "bcs"
-    VERTEX = "vertex"
-
-    # members are singletons, so identity hashing is exact, and it keeps the
-    # per-round SPECS lookup off Enum's Python-level __hash__
-    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, slots=True)

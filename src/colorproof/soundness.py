@@ -3,8 +3,9 @@
 Two constant sets are implemented. The appendix-chain constants come from
 the constructive reduction (they are the ones that reproduce the reference
 round-count table and are the default); the main-statement constants give a
-numerically looser bound. Computation runs at 40 decimal digits in mpmath
-because the interesting quantities live around 1e-40.
+numerically looser bound. Computation runs in `decimal` at 40 digits so that
+each returned float is the correctly rounded one, which the CLI goldens pin;
+range is no reason, since float64 reaches 1e-308.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import enum
 import math
 import statistics
 from dataclasses import dataclass
-
-import mpmath as mp
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 
 from . import ColorproofError
 from .graphs import extended_counts, min_extended_degree
 
-_DPS = 40
+_CONTEXT = Context(prec=40)
 
 
 class SoundnessError(ColorproofError, ValueError):
@@ -69,11 +69,13 @@ def _check_inputs(n: int, m: int, max_deg: int) -> None:
         raise SoundnessError(f"edge count {m} impossible on {n} vertices")
     if max_deg < 1 or 2 * m > n * max_deg:
         raise SoundnessError(f"no graph on {n} vertices has {m} edges and max degree {max_deg}")
-    if max_deg > n - 1 or 3 * n - 3 - 2 * max_deg <= 0:
+    if 3 * n - 3 - 2 * max_deg <= 0:
         raise DegenerateDegreeError(f"extended minimum degree 3*{n}-3-2*{max_deg} is not positive")
+    if max_deg > n - 1:
+        raise SoundnessError(f"no graph on {n} vertices has max degree {max_deg}")
 
 
-def _bracket(n: int, m: int, max_deg: int, variant: BoundVariant):
+def _bracket(n: int, m: int, max_deg: int, variant: BoundVariant) -> Decimal:
     """The degree/size bracket, normalized so that eps* = (m * m' * bracket)^-4.
 
     The appendix-chain bracket carries 1/m weights on its second and third
@@ -81,17 +83,14 @@ def _bracket(n: int, m: int, max_deg: int, variant: BoundVariant):
     the main-statement bracket instead carries the edge count inside its
     degree term, which costs an extra m^4 relative to the chain.
     """
-    with mp.workdps(_DPS):
-        mm, dd = mp.mpf(m), mp.mpf(max_deg)
-        min_deg_ext = mp.mpf(min_extended_degree(n, max_deg))
-        if variant is BoundVariant.APPENDIX_CHAIN:
-            t1 = (36 + 24 * mp.sqrt(6) + 24 * mp.sqrt(3)) / min_deg_ext
-            t2 = 216 * mp.sqrt(3) * (19 + mp.sqrt(2)) * dd / mm
-            t3 = (9 + 4 * mp.sqrt(2)) * (3 + mp.sqrt(3)) / mm
-            return t1 + t2 + t3
-        t1 = (324 + 108 * mp.sqrt(2)) * mm / min_deg_ext
-        t2 = 20412 * mp.sqrt(2) * dd
-        return t1 + t2 + 117
+    if variant is BoundVariant.APPENDIX_CHAIN:
+        t1 = (36 + 24 * Decimal(6).sqrt() + 24 * Decimal(3).sqrt()) / min_extended_degree(n, max_deg)
+        t2 = 216 * Decimal(3).sqrt() * (19 + Decimal(2).sqrt()) * max_deg / m
+        t3 = (9 + 4 * Decimal(2).sqrt()) * (3 + Decimal(3).sqrt()) / m
+        return t1 + t2 + t3
+    t1 = (324 + 108 * Decimal(2).sqrt()) * m / min_extended_degree(n, max_deg)
+    t2 = 20412 * Decimal(2).sqrt() * max_deg
+    return t1 + t2 + 117
 
 
 def edge_win_floor(n: int, m: int, max_deg: int, eps: float) -> float:
@@ -103,8 +102,8 @@ def edge_win_floor(n: int, m: int, max_deg: int, eps: float) -> float:
     if not 0.0 <= eps <= 1.0:
         raise SoundnessError(f"eps {eps} outside [0,1]")
     _, m_ext = extended_counts(n, m)
-    with mp.workdps(_DPS):
-        penalty = mp.power(mp.mpf(eps), mp.mpf(1) / 4) * m_ext * _bracket(n, m, max_deg, BoundVariant.APPENDIX_CHAIN)
+    with localcontext(_CONTEXT):
+        penalty = Decimal(eps).sqrt().sqrt() * m_ext * _bracket(n, m, max_deg, BoundVariant.APPENDIX_CHAIN)
         return float(1 - penalty)
 
 
@@ -120,12 +119,11 @@ def quantum_value_bound(
     if not 0 < k < math.inf:
         raise SoundnessError(f"soundness exponent k must be positive and finite, got {k}")
     n_ext, m_ext = extended_counts(n, m)
-    with mp.workdps(_DPS):
-        log10_base = mp.log10(mp.mpf(m)) + mp.log10(mp.mpf(m_ext)) + mp.log10(_bracket(n, m, max_deg, variant))
-        log10_eps = -4 * log10_base
-        log10_rounds = mp.log10(mp.mpf(k)) - log10_eps
-        exp = int(mp.floor(log10_rounds))
-        mant = float(mp.power(10, log10_rounds - exp))
+    with localcontext(_CONTEXT):
+        base = m * m_ext * _bracket(n, m, max_deg, variant)
+        log10_eps = -4 * base.log10()
+        log10_rounds = Decimal(k).log10() - log10_eps
+        exp = int(log10_rounds.to_integral_value(ROUND_FLOOR))
         return SoundnessReport(
             variant=variant,
             n=n,
@@ -134,9 +132,9 @@ def quantum_value_bound(
             k=float(k),
             n_ext=n_ext,
             m_ext=m_ext,
-            epsilon_star=float(mp.power(10, log10_eps)),
+            epsilon_star=float(base**-4),
             log10_epsilon_star=float(log10_eps),
-            rounds_mantissa=mant,
+            rounds_mantissa=float(Decimal(10) ** (log10_rounds - exp)),
             rounds_exponent=exp,
             log10_rounds=float(log10_rounds),
         )

@@ -44,6 +44,35 @@ BOUNDS = (
     '"n_ext":78280,"one_minus_omega_q":1.1705924185386418e-39,"rounds":"8.54e40"}\n'
 )
 
+# the other rows of the round-count table, and all three under the main-statement constants
+BOUNDS_ROWS = {
+    ("appendix", 600, 1122): (
+        '{"config":{"edges":1122,"k":100.0,"max_deg":4,"nodes":600,"variant":"appendix"},'
+        '"log10_one_minus_omega_q":-42.77430685123414,"log10_rounds":44.77430685123414,"m_ext":1608324,'
+        '"n_ext":714912,"one_minus_omega_q":1.6814855858082471e-43,"rounds":"5.95e44"}\n'
+    ),
+    ("appendix", 900, 1695): (
+        '{"config":{"edges":1695,"k":100.0,"max_deg":4,"nodes":900,"variant":"appendix"},'
+        '"log10_one_minus_omega_q":-44.187214217359475,"log10_rounds":46.187214217359475,"m_ext":3627390,'
+        '"n_ext":1612320,"one_minus_omega_q":6.498090905437819e-45,"rounds":"1.54e46"}\n'
+    ),
+    ("main", 200, 380): (
+        '{"config":{"edges":380,"k":100.0,"max_deg":4,"nodes":200,"variant":"main"},'
+        '"log10_one_minus_omega_q":-51.55799520386357,"log10_rounds":53.55799520386357,"m_ext":176060,'
+        '"n_ext":78280,"one_minus_omega_q":2.7669722023341755e-52,"rounds":"3.61e53"}\n'
+    ),
+    ("main", 600, 1122): (
+        '{"config":{"edges":1122,"k":100.0,"max_deg":4,"nodes":600,"variant":"main"},'
+        '"log10_one_minus_omega_q":-57.28155502562506,"log10_rounds":59.28155502562506,"m_ext":1608324,'
+        '"n_ext":714912,"one_minus_omega_q":5.2293170591833056e-58,"rounds":"1.91e59"}\n'
+    ),
+    ("main", 900, 1695): (
+        '{"config":{"edges":1695,"k":100.0,"max_deg":4,"nodes":900,"variant":"main"},'
+        '"log10_one_minus_omega_q":-59.41116796779314,"log10_rounds":61.41116796779314,"m_ext":3627390,'
+        '"n_ext":1612320,"one_minus_omega_q":3.88000273928766e-60,"rounds":"2.58e61"}\n'
+    ),
+}
+
 AUDIT_CHECKS = {
     "commuting": 504, "edge-coloring": 168, "edge-to-bcs-floor": 8, "eps-aggregate-identity": 8, "gadget": 36,
     "gentle-measurement": 5, "normal-frobenius": 8, "observable": 336, "pinching-chain": 8, "tracial": 336,
@@ -88,6 +117,12 @@ def test_zk_test_golden(capsys):
 
 def test_bounds_golden(capsys):
     assert run_json(capsys, ["bounds", "--nodes", "200", "--edges", "380", "--max-deg", "4", "--json"]) == BOUNDS
+
+
+@pytest.mark.parametrize("variant,n,m", sorted(BOUNDS_ROWS))
+def test_bounds_rows_golden(capsys, variant, n, m):
+    argv = ["bounds", "--nodes", str(n), "--edges", str(m), "--max-deg", "4", "--variant", variant, "--json"]
+    assert run_json(capsys, argv) == BOUNDS_ROWS[(variant, n, m)]
 
 
 def test_audit_quantum_golden(capsys):

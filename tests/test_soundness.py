@@ -108,6 +108,20 @@ def test_degenerate_degree():
         quantum_value_bound(3, 3, 3)
 
 
+# edge_win_floor(n, m, 4, eps) on the table rows, for eps = 1e-40, 1e-24 and the row's own eps*
+FLOORS = {
+    (200, 380): (0.9985772946107812, -13.227053892187987, 0.9973684210526316),
+    (600, 1122): (0.9955986707716238, -43.01329228376257, 0.9991087344028521),
+    (900, 1695): (0.9934289639200643, -64.71036079935722, 0.9994100294985251),
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(FLOORS))
+def test_edge_win_floor_pinned(n, m):
+    eps_star = quantum_value_bound(n, m, 4).epsilon_star
+    assert tuple(edge_win_floor(n, m, 4, eps) for eps in (1e-40, 1e-24, eps_star)) == FLOORS[(n, m)]
+
+
 def test_edge_win_floor_input_validation():
     with pytest.raises(SoundnessError):
         edge_win_floor(200, 380, 4, 1.5)
@@ -119,8 +133,8 @@ def test_edge_win_floor_input_validation():
 
 @pytest.mark.parametrize(
     "n,m,max_deg",
-    [(10, 5, -1), (10, 5, 0), (10, 40, 1), (200, 401, 4)],
-    ids=["max-deg-minus-1", "max-deg-0", "2m-over-n-max-deg", "table-row-one-edge-too-many"],
+    [(10, 5, -1), (10, 5, 0), (10, 40, 1), (200, 401, 4), (10, 5, 10)],
+    ids=["max-deg-minus-1", "max-deg-0", "2m-over-n-max-deg", "table-row-one-edge-too-many", "max-deg-over-n-minus-1"],
 )
 def test_impossible_degree_bound_rejected(n, m, max_deg):
     # no graph on n vertices with max degree max_deg has more than n*max_deg/2 edges

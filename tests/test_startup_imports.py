@@ -1,8 +1,9 @@
 """Which modules each CLI entry point loads, each case in a fresh interpreter.
 
 `import colorproof.cli` loads only what the parser needs; each command then
-imports the modules it runs, so a prover process or a `bounds` call does not
-pay for the quantum core or mpmath.
+imports the modules it runs, so a prover process does not pay for the quantum
+core, and `gen`, `extend` and `bounds` do not load numpy. No command loads
+mpmath, which the package no longer uses.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import colorproof
+from colorproof import graphs
 
 SRC = str(Path(colorproof.__file__).resolve().parents[1])
 
@@ -21,7 +23,7 @@ PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
-    return {m for m in sys.modules if m == "colorproof" or m.startswith("colorproof.") or m == "mpmath"}
+    return {m for m in sys.modules if m in ("colorproof", "mpmath", "numpy") or m.startswith("colorproof.")}
 
 import colorproof.cli
 before = loaded()
@@ -34,10 +36,10 @@ print(json.dumps({"before": sorted(before), "added": sorted(loaded() - before), 
 """
 
 
-def probe(argv):
+def probe(argv, cwd=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", PROBE, json.dumps(argv)], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
@@ -45,26 +47,33 @@ def probe(argv):
 
 def test_importing_the_cli_loads_only_what_the_parser_needs():
     doc = probe(None)
-    assert doc["before"] == [
-        "colorproof", "colorproof.cli", "colorproof.games", "colorproof.graphs", "colorproof.seeds"
-    ]
+    assert doc["before"] == ["colorproof", "colorproof.cli", "colorproof.graphs", "colorproof.seeds"]
 
 
 @pytest.mark.parametrize(
     "argv, code, added",
     [
-        (["bounds", "--nodes", "10", "--edges", "12", "--max-deg", "4"], 0, ["colorproof.soundness", "mpmath"]),
-        (["simulate", "--rounds", "10", "--nodes", "6", "--edges", "8"], 0, ["colorproof.strategies"]),
+        (["bounds", "--nodes", "10", "--edges", "12", "--max-deg", "4"], 0, ["colorproof.soundness"]),
+        (["gen", "--nodes", "6", "--edges", "8"], 0, []),
+        (["extend", "--graph", "graph.json"], 0, []),
+        (
+            ["simulate", "--rounds", "10", "--nodes", "6", "--edges", "8"], 0,
+            ["colorproof.games", "colorproof.strategies", "numpy"],
+        ),
         (
             ["audit-quantum", "--samples", "1"], 0,
-            ["colorproof.audits", "colorproof.certificates", "colorproof.quantum"],
+            ["colorproof.audits", "colorproof.certificates", "colorproof.games", "colorproof.quantum", "numpy"],
         ),
         # the graph is missing, so the prover reports it and exits instead of serving
-        (["serve-prover", "--role", "a", "--shared-seed", "1", "--graph", "no-such-file.json"], 1, ["colorproof.net"]),
+        (
+            ["serve-prover", "--role", "a", "--shared-seed", "1", "--graph", "no-such-file.json"], 1,
+            ["colorproof.games", "colorproof.net", "numpy"],
+        ),
     ],
-    ids=["bounds", "simulate", "audit-quantum", "serve-prover"],
+    ids=["bounds", "gen", "extend", "simulate", "audit-quantum", "serve-prover"],
 )
-def test_each_command_adds_only_the_modules_it_runs(argv, code, added):
-    doc = probe(argv)
+def test_each_command_adds_only_the_modules_it_runs(tmp_path, argv, code, added):
+    (tmp_path / "graph.json").write_text(json.dumps(graphs.gen_planted(6, 8, 0).graph.to_dict()))
+    doc = probe(argv, cwd=tmp_path)
     assert doc["code"] == code
     assert doc["added"] == added
