@@ -21,8 +21,8 @@ skipped. The next round's challenge is sampled while the provers answer.
 
 Provers derive their per-round labelling deterministically from a shared
 seed exchanged out-of-band, so two honest provers agree without talking.
-A prover decodes only the labels it answers, through the batch round
-engine's decoder (`games.accepted_draws` and `games.labelling_at`).
+A prover decodes only the labels it answers, in pure Python, so it loads no
+numpy (`games.accepted_draws` and `games.labelling_at`).
 """
 
 from __future__ import annotations
@@ -358,7 +358,10 @@ class ProverServer(socketserver.ThreadingTCPServer):
         self.closes = Counter(dict.fromkeys(CLOSE_REASONS, 0))
         self._closes_lock = threading.Lock()
         self._started = False
-        super().__init__((host, port), None)
+        try:
+            super().__init__((host, port), None)
+        except OSError as exc:  # the name does not resolve, the port is taken, ...: the socket is closed
+            raise ConfigError(f"cannot listen on {host}:{port}: {exc}") from exc
         self.address = self.server_address
 
     def finish_request(self, request: socket.socket, client_address) -> None:

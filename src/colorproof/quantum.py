@@ -5,7 +5,7 @@ challenge half. Winning probabilities are computed exactly:
 
     p_win = sum_{x,y} p(x,y) sum_{winning (a,b)} <psi| A^x_a (x) B^y_b |psi>
 
-with the winning sets read from `games.VERDICT_TABLES`, filled from the scalar
+with the winning sets read from `engine.VERDICT_TABLES`, filled from the scalar
 verdict and read by the batch round engine too, so the exact evaluator and
 the round-by-round simulator can never disagree about what counts as a win.
 
@@ -56,16 +56,15 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import ColorproofError
+from .engine import VERDICT_TABLES, JointSampler
 from .games import (
     F3,
     SPECS,
-    VERDICT_TABLES,
     _BITS3,
     Challenge,
     GameKind,
     GameSpec,
     GameType,
-    JointSampler,
     Labelled,
     challenge_pmf,
 )
@@ -402,7 +401,7 @@ class BornPair(JointSampler):
 
     Samples (a, b) from the exact joint outcome distribution of the strategy
     for each round's challenge; distributionally identical to two isolated
-    provers measuring their halves. As a `games.JointSampler` it draws one
+    provers measuring their halves. As an `engine.JointSampler` it draws one
     `random()` per round, and `play_rounds` replays it in bulk.
     """
 

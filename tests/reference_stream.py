@@ -10,6 +10,7 @@ round, drawn with `draw_labellings`, which the prover's partial decode must
 match.
 """
 
+from colorproof.engine import WordStream, random_trail
 from colorproof.games import (
     BcsChallenge,
     Challenge,
@@ -21,9 +22,7 @@ from colorproof.games import (
     RzkpChallenge,
     VertexChallenge,
     VertexConstraint,
-    WordStream,
     draw_labellings,
-    random_trail,
 )
 from colorproof.graphs import Graph
 from colorproof.seeds import substream

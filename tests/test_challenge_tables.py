@@ -17,12 +17,12 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from colorproof import games
+from colorproof import engine, games
+from colorproof.engine import WordStream
 from colorproof.games import (
     SPECS,
     GameKind,
     GameType,
-    WordStream,
     challenge_pmf,
     challenge_table,
     play_rounds,
@@ -147,14 +147,14 @@ def test_large_graph_builds_only_what_is_drawn(kind):
         GameType.VERTEX: g.n + len(g.edges),
     }[kind.game]
     assert len(t) == len(t.members) <= 2000 < keys
-    assert len(t.batch_rows(np.arange(len(t.members)))) == len(t.members)
+    assert len(engine.batch_rows(t, np.arange(len(t.members)))) == len(t.members)
 
 
 def test_batch_rows_are_members_shapes_and_honest_reads_as_the_table_grows():
     g = GRAPHS["planted-40-300"]()
     for kind in KINDS:
         t, spec = challenge_table(kind, g), SPECS[kind.game]
-        verdicts, (honest_a, honest_b) = games.VERDICT_TABLES[kind.game], games.HONEST_TABLES[kind.game]
+        verdicts, (honest_a, honest_b) = engine.VERDICT_TABLES[kind.game], engine.HONEST_TABLES[kind.game]
         rng = random.Random(2)
         for draws in (1, 10, 300):
             for _ in range(draws):
@@ -163,14 +163,14 @@ def test_batch_rows_are_members_shapes_and_honest_reads_as_the_table_grows():
             for ch in t.members:
                 h_a, h_b = honest_a[spec.half_a(ch)], honest_b[spec.half_b(ch)]
                 want.append([verdicts.of(ch), h_a, h_b, *honest_a.reads[h_a], *honest_b.reads[h_b]])
-            assert t.batch_rows(np.arange(len(t.members))).tolist() == want
+            assert engine.batch_rows(t, np.arange(len(t.members))).tolist() == want
 
 
 def test_sampling_fills_no_verdict_or_honest_table(monkeypatch):
-    verdicts = {game: games.VerdictTable(spec) for game, spec in SPECS.items()}
-    honest = {game: tuple(map(games.HonestTable, (spec.honest_a, spec.honest_b))) for game, spec in SPECS.items()}
-    monkeypatch.setattr(games, "VERDICT_TABLES", verdicts)
-    monkeypatch.setattr(games, "HONEST_TABLES", honest)
+    verdicts = {game: engine.VerdictTable(spec) for game, spec in SPECS.items()}
+    honest = {game: tuple(map(engine.HonestTable, (spec.honest_a, spec.honest_b))) for game, spec in SPECS.items()}
+    monkeypatch.setattr(engine, "VERDICT_TABLES", verdicts)
+    monkeypatch.setattr(engine, "HONEST_TABLES", honest)
     inst = gen_planted(20, 40, 1)
     for kind in KINDS:
         rng = random.Random(5)

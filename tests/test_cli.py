@@ -226,6 +226,18 @@ def test_bad_port_exits_1(capsys, tmp_path, command, flag, address):
     assert err.startswith("error:") and address in err
 
 
+def test_serve_prover_on_a_taken_port_exits_1(capsys, tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as listener:  # listens, and serves nothing
+        port = listener.getsockname()[1]
+        address = f"127.0.0.1:{port}"
+        with pytest.raises(net.ConfigError, match=f"^cannot listen on {address}: "):
+            ProverServer(gen_planted(6, 9, seed=1), "a", 1, port=port)
+        argv = ["serve-prover", "--graph", _instance_file(tmp_path), "--listen", address, "--role", "a"]
+        code, out, err = run_cli(capsys, argv + ["--shared-seed", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot listen on {address}: ")
+
+
 def test_verify_against_a_dead_prover_exits_1(capsys, tmp_path):
     port = _closed_port()
     address = f"127.0.0.1:{port}"

@@ -1,6 +1,6 @@
 """The honest tables against the scalar honest answers.
 
-`games.HONEST_TABLES` keeps, per variant and side, each challenge half's
+`engine.HONEST_TABLES` keeps, per variant and side, each challenge half's
 honest answer as a table over the labels of the one or two vertices it
 reads, found by calling `honest_a`/`honest_b` once. A half whose answer reads
 a vertex the table does not list, or reads it differently, gets a row that
@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from colorproof import games
-from colorproof.games import SPECS, GameKind, GameType, HonestTable, Labelled, challenge_pmf
+from colorproof import engine
+from colorproof.engine import HonestTable
+from colorproof.games import SPECS, GameKind, GameType, Labelled, challenge_pmf
 from colorproof.graphs import extend_with_gadgets, gen_planted, make_graph
 
 
@@ -38,19 +39,19 @@ def test_every_half_row_is_its_scalar_honest_answer(game):
     spec, rng = SPECS[game], random.Random(f"honest-{game.value}")
     for name, g in _graphs().items():
         labs = [Labelled.split([rng.randrange(3) for _ in range(g.n)], [rng.randrange(3) for _ in range(g.n)]) for _ in range(30)]
-        for table, honest, halves in zip(games.HONEST_TABLES[game], (spec.honest_a, spec.honest_b), _halves(game, g)):
+        for table, honest, halves in zip(engine.HONEST_TABLES[game], (spec.honest_a, spec.honest_b), _halves(game, g)):
             for half in halves:
                 h = table[half]
                 v0, v1 = table.reads[h]
                 for lab in labs:
                     d0, d1 = (3 * lab.colors[v] + lab.w0[v] for v in (v0, v1))
-                    assert table.rows[h, d0 + 9 * d1] == games._payload_code(honest(lab, half)), (name, half, lab)
+                    assert table.rows[h, d0 + 9 * d1] == engine._payload_code(honest(lab, half)), (name, half, lab)
 
 
 def test_a_half_read_at_one_vertex_lists_it_twice():
-    honest_a, honest_b = games.HONEST_TABLES[GameType.VERTEX]
+    honest_a, honest_b = engine.HONEST_TABLES[GameType.VERTEX]
     assert honest_a.reads[honest_a[3]] == (3, 3)
-    rzkp_b = games.HONEST_TABLES[GameType.ALT_RZKP][1]
+    rzkp_b = engine.HONEST_TABLES[GameType.ALT_RZKP][1]
     assert rzkp_b.reads[rzkp_b[((2, 5), 1)]] == (2, 5)
 
 

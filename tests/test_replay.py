@@ -14,17 +14,15 @@ import random
 
 import pytest
 
+from colorproof.engine import WordStream, label_trail, random_trail
 from colorproof.games import (
     DRAW_DIGITS,
     PERMS3,
     SPECS,
     GameKind,
     GameType,
-    WordStream,
     challenge_table,
     draw_labellings,
-    label_trail,
-    random_trail,
 )
 from colorproof.graphs import gen_planted, make_graph
 from reference_stream import reference_sample

@@ -15,7 +15,8 @@ import random
 import numpy as np
 import pytest
 
-from colorproof import games
+from colorproof import engine, games
+from colorproof.engine import JointSampler, WordStream
 from colorproof.games import (
     ALT_EDGE,
     ALT_RZKP,
@@ -28,13 +29,11 @@ from colorproof.games import (
     EdgeConstraint,
     GameKind,
     GameType,
-    JointSampler,
     LabellingDraw,
     Reason,
     RzkpChallenge,
     VertexChallenge,
     VertexConstraint,
-    WordStream,
     labelled_answer_a,
     labelled_answer_b,
     play_rounds,
@@ -146,7 +145,7 @@ EXPECTED_REASONS = {
 def test_table_verdict_equals_scalar_verdict(game):
     """Each challenge's shape slice holds `verdict()` at every well-formed outcome pair, malformed elsewhere."""
     rng = random.Random(f"columns-{game.value}")
-    spec, tables = SPECS[game], games.VERDICT_TABLES[game]
+    spec, tables = SPECS[game], engine.VERDICT_TABLES[game]
     kind = GameKind(game)
     seen = set()  # (reason, bcs constraint kind)
     for _ in range(300):
@@ -156,7 +155,7 @@ def test_table_verdict_equals_scalar_verdict(game):
         well_formed = np.zeros(table.shape, bool)
         for a in spec.a_outcomes(spec.half_a(ch)):
             for b in spec.b_outcomes(spec.half_b(ch)):
-                at = games._payload_code(a), games._payload_code(b)
+                at = engine._payload_code(a), engine._payload_code(b)
                 want = verdict(kind, ch, spec.response_a(a), spec.response_b(b))
                 assert VERDICT_OF_CODE[table[at]] == want, (ch, a, b)
                 well_formed[at] = True
@@ -244,7 +243,7 @@ def test_batch_equals_scalar_across_refills_and_blocks(monkeypatch):
     extend = WordStream.extend
     monkeypatch.setattr(WordStream, "extend", lambda self, count: extend(self, min(count, 5)))
     # a round's word bound at n = 20 is 31 to 36 words, so blocks are 13 to 16 rounds, each carrying a tail over
-    monkeypatch.setattr(games, "_BLOCK_WORDS", 500)
+    monkeypatch.setattr(engine, "_BLOCK_WORDS", 500)
     for kind in KINDS[:4]:
         for label, pair in _pairs(inst).items():
             assert play_rounds(kind, g, pair, 300, 9, keep_log=True) == want[(kind, label)], (kind, label)
@@ -320,7 +319,7 @@ def _scalar_born(pair: BornPair) -> BornPair:
 def test_born_batch_equals_scalar_loop(kind, name, arbitrary):
     g = INSTANCES[name].graph
     pair = _born(kind, g, 31, arbitrary)
-    assert games._replays_jointly(pair) and not games._replays_jointly(_scalar_born(pair))
+    assert engine._replays_jointly(pair) and not engine._replays_jointly(_scalar_born(pair))
     for rounds, seed in ((0, 1), (1, 2), (1, 3), (150, 4)):
         for keep_log in (True, False):
             got = play_rounds(kind, g, pair, rounds, seed, keep_log=keep_log)
@@ -334,7 +333,7 @@ def test_born_batch_equals_scalar_across_refills_and_blocks(monkeypatch):
     want = {kind: play_rounds(kind, g, _scalar_born(pair), 300, 9, keep_log=True) for kind, pair in pairs.items()}
     extend = WordStream.extend
     monkeypatch.setattr(WordStream, "extend", lambda self, count: extend(self, min(count, 5)))
-    monkeypatch.setattr(games, "_BLOCK_WORDS", 500)  # a round's word bound is 6 to 10 words: blocks of 50 to 83 rounds
+    monkeypatch.setattr(engine, "_BLOCK_WORDS", 500)  # a round's word bound is 6 to 10 words: blocks of 50 to 83 rounds
     for kind, pair in pairs.items():
         assert play_rounds(kind, g, pair, 300, 9, keep_log=True) == want[kind], kind
 
@@ -412,7 +411,7 @@ def test_patched_born_pairs_run_the_scalar_loop():
     calls = []
     patched.respond = lambda *a: calls.append(1) or JointSampler.respond(patched, *a)
     subclassed = _CountingBornPair(pair.strategy)
-    assert not games._replays_jointly(patched) and not games._replays_jointly(subclassed)
+    assert not engine._replays_jointly(patched) and not engine._replays_jointly(subclassed)
     assert play_rounds(ALT_EDGE, g, patched, 300, 3, keep_log=True) == want and len(calls) == 300
     assert play_rounds(ALT_EDGE, g, subclassed, 300, 3, keep_log=True) == want and subclassed.calls == 300
 

@@ -1,6 +1,6 @@
 """The verdict tables against the scalar verdict.
 
-`games.VERDICT_TABLES` keeps one table of `verdict()` per challenge shape,
+`engine.VERDICT_TABLES` keeps one table of `verdict()` per challenge shape,
 whatever the graph. A shape that leaves out something the verdict reads
 would give two challenges one table where their verdicts differ; a shape that
 keeps a vertex name would give each graph its own shapes. The first test
@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from colorproof import audits, games, quantum
+from colorproof import audits, engine, games, quantum
 from colorproof.games import (
     REASON_CODE,
     SPECS,
@@ -53,18 +53,18 @@ def _fill(kind: GameKind, g) -> games.ChallengeTable:
 
 @pytest.mark.parametrize("game", list(GameType), ids=lambda game: game.value)
 def test_every_member_gets_its_own_verdict_from_its_shape(game):
-    kind, spec, tables = GameKind(game), SPECS[game], games.VERDICT_TABLES[game]
+    kind, spec, tables = GameKind(game), SPECS[game], engine.VERDICT_TABLES[game]
     for name, g in _graphs().items():
         t = _fill(kind, g)
-        shapes = t.batch_rows(np.arange(len(t.members)))[:, 0]
+        shapes = engine.batch_rows(t, np.arange(len(t.members)))[:, 0]
         for ch, s in zip(t.members, shapes.tolist()):
             a_outs, b_outs = spec.a_outcomes(spec.half_a(ch)), spec.b_outcomes(spec.half_b(ch))
-            ca = list(map(games._payload_code, a_outs))
+            ca = list(map(engine._payload_code, a_outs))
             ra = list(map(spec.response_a, a_outs))
             for b in b_outs:
                 rb = spec.response_b(b)
                 want = [REASON_CODE[verdict(kind, ch, r, rb).reason] for r in ra]
-                assert tables.rows[s, ca, games._payload_code(b)].tolist() == want, (name, ch, b)
+                assert tables.rows[s, ca, engine._payload_code(b)].tolist() == want, (name, ch, b)
     graphs = [gen_planted(n, m, 1).graph for n, m in ((20, 40), (60, 120))]
     counts = [len({spec.shape(ch) for ch in challenge_pmf(kind, g)}) for g in graphs]
     assert counts == [SHAPE_COUNTS[game]] * 2  # a vertex name in a shape would grow with the graph
@@ -72,7 +72,7 @@ def test_every_member_gets_its_own_verdict_from_its_shape(game):
 
 def test_threads_sharing_a_verdict_table_fill_each_shape_once(race):
     spec = SPECS[GameType.ALT_RZKP]
-    t = games.VerdictTable(spec)  # empty: every thread races to fill the same shapes
+    t = engine.VerdictTable(spec)  # empty: every thread races to fill the same shapes
     chs = list(challenge_pmf(games.ALT_RZKP, gen_planted(20, 40, 1).graph))
     got: dict = {}
 
