@@ -25,8 +25,8 @@ Each side of a strategy is one (n_ops, R, d, d) stack of projector blocks
 plus a `Layout`: its families in order, each with its outcomes and rows.
 Block r of a projector acts while the side's classical slot register reads
 r: the projector is the block diagonal of its R blocks, the side's dimension
-is R*d, and the state is uniform over the register. Generators,
-`QuantumStrategy.of` and `classical_embedding` give R = 1; only the
+is R*d, and the state is uniform over the register. The generators and
+`classical_embedding` give R = 1, and so may a hand-built `Side`; only the
 reductions write registers, as blocks, never as (R*d)^2 matrices. Readers
 take the rows they need in one gather (`_stack_ops`), a slice of the stack
 when the rows are evenly spaced, and an outcome its family omits reads as
@@ -50,8 +50,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -151,29 +150,21 @@ class Layout:
 
 class Side:
     """One prover's measurements: every projector as its register blocks in one (n_ops, R, d, d) stack, family
-    by family per `layout`. Block r acts while the side's uniform slot register reads r; the projector is
-    their block diagonal, of dimension R*d. R is 1 unless a reduction wrote the side.
-
-    The stack is read-only. `misshapen` maps the row of a projector given in another shape to that shape
-    (the row is zero), for `validate_strategy` to report; only `QuantumStrategy.of` makes such rows.
+    by family per `layout`, row r holding the projector of `layout.pairs[r]`. Block r acts while the side's
+    uniform slot register reads r; the projector is their block diagonal, of dimension R*d. R is 1 unless a
+    reduction wrote the side. A stack of another shape raises DimensionMismatchError; the stack is read-only.
     """
 
-    def __init__(self, ops: np.ndarray, layout: Layout, misshapen: Optional[dict] = None):
-        self.ops, self.layout, self.misshapen = ops, layout, misshapen or {}
+    def __init__(self, ops: np.ndarray, layout: Layout):
+        n = len(layout.pairs)
+        if ops.ndim != 4 or ops.shape[0] != n or ops.shape[2] != ops.shape[3]:
+            raise DimensionMismatchError(f"side stack has shape {ops.shape}, want ({n}, R, d, d)")
+        self.ops, self.layout = ops, layout
         ops.flags.writeable = False
 
     @property
     def register(self) -> int:
         return self.ops.shape[1]
-
-    @cached_property
-    def families(self) -> Mapping:
-        """Read-only {key: {outcome: projector}} view of the stack, each projector a (R*d, R*d) matrix."""
-        lay = self.layout
-        dense = _block_diag(self.ops)
-        dense.flags.writeable = False
-        fams = zip(lay.keys, lay.outs, lay.starts[:-1].tolist(), lay.starts[1:].tolist())
-        return MappingProxyType({key: MappingProxyType(dict(zip(outs, dense[a:b]))) for key, outs, a, b in fams})
 
 
 @dataclass
@@ -184,8 +175,7 @@ class QuantumStrategy:
     size times its block size, register outermost, and psi is uniform over both registers: its register
     blocks are equal. Outcomes follow the game's response payloads (e.g. 4-tuples of labels for the
     labelling game's prover A). An outcome a family omits reads as a zero projector; a missing family
-    raises `MissingPvmError`. `pvm_a` and `pvm_b` are read-only {key: {outcome: projector}} views, each
-    projector dense; `of` builds a strategy from that dict form.
+    raises `MissingPvmError`. A hand-built strategy enters as `Side(ops, Layout(keys, outs))` per prover.
     """
 
     game: GameType
@@ -194,22 +184,6 @@ class QuantumStrategy:
     psi: np.ndarray
     a: Side
     b: Side
-
-    @classmethod
-    def of(cls, game: GameType, dim_a: int, dim_b: int, psi: np.ndarray, pvm_a: Mapping, pvm_b: Mapping):
-        """The strategy of {key: {outcome: projector}} families, each side stacked in key then outcome order."""
-
-        def side(pvms: Mapping, dim: int) -> Side:
-            ops = [p for fam in pvms.values() for p in fam.values()]
-            misshapen = {r: np.shape(p) for r, p in enumerate(ops) if np.shape(p) != (dim, dim)}
-            stack = [np.zeros((dim, dim)) if r in misshapen else p for r, p in enumerate(ops)]
-            layout = Layout(pvms, [fam.keys() for fam in pvms.values()])
-            return Side(np.array(stack, dtype=complex).reshape(-1, 1, dim, dim), layout, misshapen)
-
-        return cls(game, dim_a, dim_b, psi, side(pvm_a, dim_a), side(pvm_b, dim_b))
-
-    pvm_a = property(lambda self: self.a.families)
-    pvm_b = property(lambda self: self.b.families)
 
     def psi_matrix(self) -> np.ndarray:
         return self.psi.reshape(self.dim_a, self.dim_b)
@@ -278,25 +252,24 @@ def _summed(ops: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
 def _validate_side(side: Side, dim: int, name: str) -> None:
     """Raise on the first faulty family of one side, its whole stack checked at once, block by block.
 
-    Families are scanned in layout order; within a family the first outcome that
-    is non-finite, not Hermitian, not idempotent or of the wrong shape is the
-    fault reported, and a family with none is checked for completeness. A
-    projector is all of these exactly when each of its register blocks is.
+    A side whose projectors are not dim x dim fails first, naming its first outcome. Then families are
+    scanned in layout order; within a family the first outcome that is non-finite, not Hermitian or not
+    idempotent is the fault reported, and a family with none is checked for completeness. A projector is
+    all of these exactly when each of its register blocks is.
     """
-    lay, ops = side.layout, side.ops
-    r, d = ops.shape[1], ops.shape[-1]
-    shaped = np.full(len(ops), ops.shape[2] == d and r * d == dim)
-    shaped[list(side.misshapen)] = False
-    stack = ops if shaped.all() else ops[shaped].reshape(-1, r, d, d)
+    lay, stack = side.layout, side.ops
+    r, d = stack.shape[1], stack.shape[-1]
+    if r * d != dim and lay.pairs:
+        (key, out), shape = lay.pairs[0], (r * d, r * d)
+        raise DimensionMismatchError(f"{name} pvm {key}: projector for {out} has shape {shape}, want {(dim, dim)}")
     per_op = (1, 2, 3)
     finite = np.isfinite(stack).all(axis=per_op)
     if not finite.all():
         stack = np.where(finite[:, None, None, None], stack, 0.0)
     hermitian = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=per_op) <= PROJ_TOL
     idempotent = np.abs(stack @ stack - stack).max(axis=per_op) <= PROJ_TOL
-    faulty = ~shaped
-    faulty[shaped] = ~(finite & hermitian & idempotent)
-    sums = _summed(stack, lay.fam[shaped], len(lay.keys))
+    faulty = ~(finite & hermitian & idempotent)
+    sums = _summed(stack, lay.fam, len(lay.keys))
     incomplete = np.abs(sums - np.eye(d)).max(axis=per_op) > PROJ_TOL
     f_op = int(lay.fam[faulty][0]) if faulty.any() else len(lay.keys)
     f_inc = int(incomplete.argmax()) if incomplete.any() else len(lay.keys)
@@ -305,13 +278,10 @@ def _validate_side(side: Side, dim: int, name: str) -> None:
     if f_op == len(lay.keys):
         return
     i = int(faulty.argmax())
-    what, out, k = f"{name} pvm {lay.keys[f_op]}", lay.pairs[i][1], int(shaped[:i].sum())  # k: op i's stack place
-    if not shaped[i]:
-        shape = side.misshapen.get(i, (r * d, r * d))
-        raise DimensionMismatchError(f"{what}: projector for {out} has shape {shape}, want {(dim, dim)}")
-    if not finite[k]:
+    what, out = f"{name} pvm {lay.keys[f_op]}", lay.pairs[i][1]
+    if not finite[i]:
         raise NonFiniteError(f"{what}: non-finite entries in projector {out}")
-    raise NotProjectiveError(f"{what}: outcome {out} not {'idempotent' if hermitian[k] else 'Hermitian'}")
+    raise NotProjectiveError(f"{what}: outcome {out} not {'idempotent' if hermitian[i] else 'Hermitian'}")
 
 
 def validate_strategy(s: QuantumStrategy) -> None:
@@ -364,18 +334,11 @@ def _require_game(s: QuantumStrategy, game: GameType) -> None:
         raise StrategyError(f"strategy plays {s.game.value}, expected {game.value}")
 
 
-def _ops(side: Side, name: str) -> np.ndarray:
-    """The side's stack for a reader; DimensionMismatchError if a projector came in another shape (its row is zero)."""
-    if side.misshapen:
-        raise DimensionMismatchError(f"{name} side has projectors of another shape; validate_strategy names the first")
-    return side.ops
-
-
 def _stack_ops(side: Side, pairs: Sequence, name: str) -> np.ndarray:
     """The register blocks of every (key, outcome) of `pairs`, stacked: one gather, or a slice of the side's stack;
     an outcome its family omits reads as zero, and a missing family raises MissingPvmError naming the first."""
     rows, omitted = side.layout.gather(pairs, name)
-    ops = _ops(side, name)
+    ops = side.ops
     if omitted is None:
         return ops[rows]
     out = np.zeros((len(rows), *ops.shape[1:]), dtype=complex)
@@ -413,7 +376,7 @@ class BornPair(JointSampler):
         (rows_a, outs_a), (rows_b, outs_b) = (
             s.a.layout.family(spec.half_a(ch), "A"), s.b.layout.family(spec.half_b(ch), "B")
         )
-        joint = joint_probabilities(s.psi_matrix(), _ops(s.a, "A")[rows_a], _ops(s.b, "B")[rows_b])
+        joint = joint_probabilities(s.psi_matrix(), s.a.ops[rows_a], s.b.ops[rows_b])
         responses, probs = [], []
         for (a_out, b_out), p in zip(itertools.product(outs_a, outs_b), joint.ravel().tolist()):
             if p > 1e-15:
@@ -425,27 +388,6 @@ class BornPair(JointSampler):
         cum = list(itertools.accumulate(p / total for p in probs))
         cum[-1] = 1.0
         return responses, cum
-
-
-def transform_strategy(s: QuantumStrategy, u_a: np.ndarray, u_b: np.ndarray) -> QuantumStrategy:
-    """Apply the local basis change U_A (x) U_B to state and all measurements.
-
-    On a side with a slot register U must act on every register block alike (U = I_R (x) u); a
-    StrategyError says it does not, since the result would have no register form.
-    """
-
-    def block(side: Side, u: np.ndarray, name: str) -> np.ndarray:
-        r, k = side.register, side.ops.shape[-1]
-        if u.shape != (r * k, r * k):
-            raise DimensionMismatchError(f"basis change of side {name} has shape {u.shape}, want {(r * k, r * k)}")
-        if r > 1 and not np.array_equal(u, np.kron(np.eye(r), u[:k, :k])):
-            raise StrategyError(f"basis change of side {name} does not act on its {r} register blocks alike")
-        return u[:k, :k]
-
-    sides = ((s.a, block(s.a, u_a, "A")), (s.b, block(s.b, u_b, "B")))
-    a, b = (Side(u @ side.ops @ u.conj().T, side.layout, side.misshapen) for side, u in sides)
-    psi2 = (u_a @ s.psi_matrix() @ u_b.T).reshape(-1)
-    return QuantumStrategy(s.game, s.dim_a, s.dim_b, psi2, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +434,6 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return _haar(_ginibre(d, rng) / math.sqrt(2.0))
-
-
-def maximally_entangled(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
 def _rotated_partitions(assign: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
@@ -689,8 +627,8 @@ def _neighbor_slots(g: Graph, slots: int) -> tuple[np.ndarray, np.ndarray, np.nd
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
     """Block-diagonal matrices of a (..., k, d, d) stack, written by slicing.
 
-    Equal, bit for bit, to sum_s kron(E_ss, blocks[..., s, :, :]): the dense
-    view of a side with a slot register, and the ancilla dilation, use it.
+    Equal, bit for bit, to sum_s kron(E_ss, blocks[..., s, :, :]): the ancilla
+    dilation uses it, and so does the dense matrix of a projector with a slot register.
     """
     *lead, k, d, _ = blocks.shape
     out = np.zeros((*lead, k, d, k, d), dtype=complex)

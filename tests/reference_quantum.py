@@ -9,9 +9,9 @@ stacked generators must draw from the same rng in the same order and return
 the same bits. `validate_side` checks a side in its {key: {outcome:
 projector}} dict form, as `quantum` did before a side was one stack, and
 `stack_ops` stacks a reader's (key, outcome) rows from that form; the
-stacked validator and gather must raise and return the same. `families` and
-`rebuilt` give tests the dict form to corrupt or prune, and the strategy
-built from it.
+stacked validator and gather must raise and return the same. `dense` gives
+tests a side's dict form to corrupt or prune, and `strategy_of` and
+`rebuilt` the strategy built from it.
 """
 
 import math
@@ -25,24 +25,54 @@ from colorproof.quantum import (
     PROJ_TOL,
     DimensionMismatchError,
     IncompleteFamilyError,
+    Layout,
     MissingPvmError,
     NonFiniteError,
     NotProjectiveError,
     QuantumStrategy,
+    Side,
+    _block_diag,
     _honest_outcomes,
 )
 
 
-def families(view) -> dict:
-    """A mutable copy of a side's {key: {outcome: projector}} view."""
-    return {key: dict(fam) for key, fam in view.items()}
+def dense(side: Side) -> dict:
+    """The side as a plain {key: {outcome: projector}} dict, each projector its dense (R*d, R*d) block diagonal."""
+    lay, ops = side.layout, _block_diag(side.ops)
+    return {key: dict(zip(outs, ops[a:b])) for key, outs, a, b in zip(lay.keys, lay.outs, lay.starts, lay.starts[1:])}
+
+
+def strategy_of(game: GameType, dim_a: int, dim_b: int, psi: np.ndarray, pvm_a: dict, pvm_b: dict) -> QuantumStrategy:
+    """The strategy of {key: {outcome: projector}} families at R = 1, each side stacked in key then outcome order;
+    DimensionMismatchError names the first projector that is not dim x dim."""
+
+    def side(pvms: dict, dim: int, name: str) -> Side:
+        for key, fam in pvms.items():
+            for out, p in fam.items():
+                if np.shape(p) != (dim, dim):
+                    what = f"{name} pvm {key}: projector for {out}"
+                    raise DimensionMismatchError(f"{what} has shape {np.shape(p)}, want {(dim, dim)}")
+        ops = np.array([p for fam in pvms.values() for p in fam.values()], dtype=complex)
+        return Side(ops.reshape(-1, 1, dim, dim), Layout(pvms, [fam.keys() for fam in pvms.values()]))
+
+    return QuantumStrategy(game, dim_a, dim_b, psi, side(pvm_a, dim_a, "A"), side(pvm_b, dim_b, "B"))
 
 
 def rebuilt(s: QuantumStrategy, pvm_a: Optional[dict] = None, pvm_b: Optional[dict] = None) -> QuantumStrategy:
-    """`s` built again from the dict form, with either side's families replaced."""
-    pvm_a = s.pvm_a if pvm_a is None else pvm_a
-    pvm_b = s.pvm_b if pvm_b is None else pvm_b
-    return QuantumStrategy.of(s.game, s.dim_a, s.dim_b, s.psi, pvm_a, pvm_b)
+    """`s` built again from the dict form at R = 1, with either side's families replaced."""
+    pvm_a = dense(s.a) if pvm_a is None else pvm_a
+    pvm_b = dense(s.b) if pvm_b is None else pvm_b
+    return strategy_of(s.game, s.dim_a, s.dim_b, s.psi, pvm_a, pvm_b)
+
+
+def basis_changed(s: QuantumStrategy, u_a: np.ndarray, u_b: np.ndarray) -> QuantumStrategy:
+    """`s` (R = 1 on both sides) under the local basis change U_A (x) U_B of its state and every projector."""
+    a, b = (Side(u @ side.ops @ u.conj().T, side.layout) for side, u in ((s.a, u_a), (s.b, u_b)))
+    return QuantumStrategy(s.game, s.dim_a, s.dim_b, (u_a @ s.psi_matrix() @ u_b.T).reshape(-1), a, b)
+
+
+def maximally_entangled(d: int) -> np.ndarray:
+    return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
 def stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
@@ -147,7 +177,7 @@ def random_strategy(
     noise = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     psi = (1.0 - jiggle) * anchor + jiggle * noise / np.linalg.norm(noise)
     psi = psi / np.linalg.norm(psi)
-    return QuantumStrategy.of(game, dim_a, dim_b, psi, pvm_a, pvm_b)
+    return strategy_of(game, dim_a, dim_b, psi, pvm_a, pvm_b)
 
 
 def arbitrary_strategy(game: GameType, g: Graph, dim_a: int, dim_b: int, rng: np.random.Generator) -> QuantumStrategy:
@@ -161,4 +191,4 @@ def arbitrary_strategy(game: GameType, g: Graph, dim_a: int, dim_b: int, rng: np
     pvm_b = {key: build(spec.b_outcomes(key), dim_b) for key in spec.b_keys(g)}
     psi = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     psi = psi / np.linalg.norm(psi)
-    return QuantumStrategy.of(game, dim_a, dim_b, psi, pvm_a, pvm_b)
+    return strategy_of(game, dim_a, dim_b, psi, pvm_a, pvm_b)

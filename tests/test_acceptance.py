@@ -38,7 +38,7 @@ from colorproof.graphs import (
     three_color,
     validate_coloring,
 )
-from colorproof.quantum import QuantumStrategy, classical_embedding, maximally_entangled
+from colorproof.quantum import QuantumStrategy, classical_embedding
 from colorproof.quantum import GameType
 from colorproof.seeds import derive_seed
 from colorproof.soundness import BoundVariant, quantum_value_bound, scaling_probe
@@ -50,6 +50,7 @@ from colorproof.strategies import (
     transcript_uniformity,
     uniformity_by_edge,
 )
+from reference_quantum import maximally_entangled
 
 TABLE = [
     (200, 380, 8.54e40, 78280, 176060),

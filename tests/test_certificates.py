@@ -22,15 +22,13 @@ from colorproof.quantum import (
     QuantumStrategy,
     classical_embedding,
     haar_unitary,
-    maximally_entangled,
     random_strategy,
     reduce_edge_to_bcs,
     reduce_rzkp_to_edge,
-    transform_strategy,
     validate_strategy,
     win_probability,
 )
-from reference_quantum import _qform, families, rebuilt
+from reference_quantum import _qform, basis_changed, dense, maximally_entangled, rebuilt
 
 BCS_EDGE_ONLY = GameKind(GameType.BCS, 1.0)
 
@@ -83,7 +81,7 @@ def test_eps_table_exactly_honest_under_local_unitaries(graph, k3, ext_path3):
     s = classical_embedding(GameType.BCS, g, three_color(g), dim=3)
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        et = eps_table(transform_strategy(s, haar_unitary(3, rng), haar_unitary(3, rng)), g)
+        et = eps_table(basis_changed(s, haar_unitary(3, rng), haar_unitary(3, rng)), g)
         assert et.eps.max() <= 1e-30
 
 
@@ -291,7 +289,7 @@ def test_extract_assignment_rejects_incomplete_vertex(k3):
 
     rng = np.random.default_rng(93)
     bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, rng)
-    pvm_b = families(bcs.pvm_b)
+    pvm_b = dense(bcs.b)
     pvm_b[(1, 0)] = dict(pvm_b[(1, 1)])
     bcs = rebuilt(bcs, pvm_b=pvm_b)
     with pytest.raises(NotVertexCompleteError):
@@ -311,7 +309,7 @@ def test_extract_assignment_reports_the_lowest_faulty_vertex(k3, faults, message
     from colorproof.certificates import NotVertexCompleteError
 
     bcs = bcs_from_random_edge_strategy(k3, (2, 2), 0.2, np.random.default_rng(95))
-    pvm_b = families(bcs.pvm_b)
+    pvm_b = dense(bcs.b)
     for v, fault in faults.items():
         if fault == "incomplete":
             pvm_b[(v, 0)] = dict(pvm_b[(v, 1)])
@@ -329,7 +327,7 @@ def test_eps_table_missing_constraint(k3):
 
     rng = np.random.default_rng(94)
     bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, rng)
-    pvm_a = families(bcs.pvm_a)
+    pvm_a = dense(bcs.a)
     del pvm_a[EdgeConstraint((0, 1), 0)]
     bcs = rebuilt(bcs, pvm_a=pvm_a)
     with pytest.raises(MissingPvmError):
@@ -340,7 +338,7 @@ def test_eps_table_missing_b_family(k3):
     from colorproof.quantum import MissingPvmError
 
     s = classical_embedding(GameType.BCS, k3, (0, 1, 2))
-    pvm_b = families(s.pvm_b)
+    pvm_b = dense(s.b)
     del pvm_b[(0, 0)]
     s = rebuilt(s, pvm_b=pvm_b)
     for read in (eps_table, extract_assignment):
@@ -417,11 +415,11 @@ def test_observable_algebra_identity_and_conflict_mass(k3):
         s = random_strategy(GameType.ALT_EDGE, k3, 3, 3, rng, jig)
         bcs = reduce_edge_to_bcs(s, k3)
         et = eps_table(bcs, k3)
-        psi_mat = bcs.psi_matrix()
+        psi_mat, pvm_a = bcs.psi_matrix(), dense(bcs.a)
         eye_b = np.eye(bcs.dim_b)
         for e, (i, j) in enumerate(k3.edges):
             for alpha in range(3):
-                fam = bcs.pvm_a[EdgeConstraint((i, j), alpha)]
+                fam = pvm_a[EdgeConstraint((i, j), alpha)]
                 y_i = sum((1.0 if b0 == 1 else -1.0) * p for (b0, b1), p in fam.items())
                 y_j = sum((1.0 if b1 == 1 else -1.0) * p for (b0, b1), p in fam.items())
                 lhs = y_i + y_j + y_i @ y_j + np.eye(bcs.dim_a)
@@ -470,14 +468,14 @@ def test_tracial_cross_bound_at_general_states():
 def _stripped(s: QuantumStrategy) -> QuantumStrategy:
     """`s` with the zero projectors left out of its families, which `validate_strategy` accepts."""
     strip = lambda pvms: {k: {o: p for o, p in fam.items() if np.any(p)} for k, fam in pvms.items()}  # noqa: E731
-    return rebuilt(s, strip(s.pvm_a), strip(s.pvm_b))
+    return rebuilt(s, strip(dense(s.a)), strip(dense(s.b)))
 
 
 def _assert_same_strategy(got: QuantumStrategy, want: QuantumStrategy) -> None:
     assert (got.game, got.dim_a, got.dim_b) == (want.game, want.dim_a, want.dim_b)
     assert np.array_equal(got.psi, want.psi)
-    for side in ("pvm_a", "pvm_b"):
-        got_fams, want_fams = getattr(got, side), getattr(want, side)
+    for side in ("a", "b"):
+        got_fams, want_fams = dense(getattr(got, side)), dense(getattr(want, side))
         assert got_fams.keys() == want_fams.keys()
         for key, fam in want_fams.items():
             assert got_fams[key].keys() == fam.keys() and all(np.array_equal(got_fams[key][o], p) for o, p in fam.items())
@@ -489,7 +487,7 @@ def test_omitted_zero_projectors_read_as_zero(k3):
         full = classical_embedding(game, k3, colors, dim=2)
         stripped = _stripped(full)
         validate_strategy(stripped)
-        assert any(len(fam) < len(full.pvm_b[key]) for key, fam in stripped.pvm_b.items())
+        assert len(stripped.b.layout.pairs) < len(full.b.layout.pairs)
         _assert_same_strategy(reduce(stripped, k3), reduce(full, k3))
     full = classical_embedding(GameType.BCS, k3, colors, dim=2)
     stripped = _stripped(full)

@@ -22,18 +22,16 @@ from colorproof.quantum import (
     classical_embedding,
     haar_unitary,
     matrix_norms,
-    maximally_entangled,
     pinching_chain,
     random_pvm,
     random_strategy,
     reduce_edge_to_bcs,
     reduce_rzkp_to_edge,
-    transform_strategy,
     validate_strategy,
     win_probability,
 )
 from colorproof.strategies import brute_force_vertex3col_value
-from reference_quantum import families, rebuilt
+from reference_quantum import basis_changed, dense, rebuilt
 
 BCS_EDGE_ONLY = GameKind(GameType.BCS, 1.0)
 
@@ -54,7 +52,7 @@ def test_classical_embedding_matches_brute_force_on_k4(k4):
 def test_validate_rejects_broken_families(k3):
     s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
     validate_strategy(s)
-    pvm_a = families(s.pvm_a)
+    pvm_a = dense(s.a)
     pvm_a[0][0] = pvm_a[0][0] * 0.5
     bad = rebuilt(s, pvm_a=pvm_a)
     with pytest.raises(NotProjectiveError):
@@ -70,15 +68,30 @@ def test_validate_rejects_broken_families(k3):
 
 
 def test_strategy_sides_are_read_only(k3):
-    # strategies share sides (transform_strategy keeps the layout, a reduction's output its stacks):
-    # the dict view and the stack under it refuse writes; a changed strategy is built with `of`
+    # strategies share layouts and a reduction's output its input's stacks: a stack refuses writes,
+    # and a changed strategy is built with new sides
     s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
-    with pytest.raises(TypeError):
-        s.pvm_a[0][0] = np.zeros((2, 2))
     with pytest.raises(ValueError):
-        s.pvm_a[0][0][0, 0] = 2.0
+        s.a.ops[0, 0, 0, 0] = 2.0
     with pytest.raises(ValueError):
         s.b.ops[0] = 0.0
+
+
+def test_a_side_refuses_a_stack_that_does_not_fit_its_layout(k3):
+    # a stack short of a row, or without the register axis, is refused when the side is built: past that
+    # point it surfaces as an IndexError or a broadcast error from numpy, or as a validation message
+    # naming the wrong shape
+    s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
+    n = len(s.b.layout.pairs)
+    for ops, shape in ((s.b.ops[:-1], (n - 1, 1, 2, 2)), (s.b.ops[:, 0], (n, 2, 2))):
+        want = re.escape(f"side stack has shape {shape}, want ({n}, R, d, d)")
+        with pytest.raises(DimensionMismatchError, match=want):
+            quantum.Side(ops.copy(), s.b.layout)
+    # a stack that fits its layout but not the strategy's dimension: the validator names the side's first outcome
+    wide = quantum.QuantumStrategy(GameType.VERTEX, 2, 3, np.eye(1, 6, dtype=complex)[0], s.a, s.b)
+    want = re.escape("B pvm 0: projector for 0 has shape (2, 2), want (3, 3)")
+    with pytest.raises(DimensionMismatchError, match=want):
+        validate_strategy(wide)
 
 
 def test_reader_rows_live_as_long_as_their_list(k3):
@@ -93,21 +106,9 @@ def test_reader_rows_live_as_long_as_their_list(k3):
     assert a_rows() is None
 
 
-def test_readers_reject_a_projector_of_another_shape(k3):
-    # `of` keeps a wrong-shaped projector's row at zero for the validator; a reader must not read that zero
-    s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
-    pvm_b = families(s.pvm_b)
-    pvm_b[2][1] = np.eye(3)
-    bad = rebuilt(s, pvm_b=pvm_b)
-    with pytest.raises(DimensionMismatchError, match="^B side has projectors of another shape"):
-        win_probability(VERTEX, k3, bad)
-    stats, log = play_rounds(VERTEX, k3, BornPair(bad), 50, seed=3, keep_log=True)
-    assert stats.accepts == 0 and {t.verdict.reason.value for t in log} == {"malformed"}
-
-
 def test_win_probability_missing_pvm(k3):
     s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2))
-    pvm_a = families(s.pvm_a)
+    pvm_a = dense(s.a)
     del pvm_a[1]
     s = rebuilt(s, pvm_a=pvm_a)
     with pytest.raises(MissingPvmError):
@@ -157,7 +158,7 @@ def test_every_reader_rejects_another_games_strategy(k3, reader):
 def test_every_reader_raises_missing_pvm_for_a_deleted_family(k3, reader, side, key):
     read, game = _READERS[reader]
     s = classical_embedding(game, k3, (0, 1, 2), dim=2)
-    pvms = families(s.pvm_a if side == "A" else s.pvm_b)
+    pvms = dense(s.a if side == "A" else s.b)
     del pvms[key]
     s = rebuilt(s, **{"pvm_a" if side == "A" else "pvm_b": pvms})
     with pytest.raises(MissingPvmError, match=re.escape(f"strategy has no {side} measurement for {key}")):
@@ -168,7 +169,7 @@ def test_every_reader_raises_missing_pvm_for_a_deleted_family(k3, reader, side, 
 @pytest.mark.parametrize("game", [GameType.VERTEX, GameType.ALT_RZKP], ids=lambda game: game.value)
 def test_omitted_outcomes_read_as_zero_projectors(k3, game, colors):
     full = classical_embedding(game, k3, colors, dim=2)
-    pvm_a, pvm_b = families(full.pvm_a), families(full.pvm_b)
+    pvm_a, pvm_b = dense(full.a), dense(full.b)
     for fam in [*pvm_a.values(), *pvm_b.values()]:
         for out in [out for out, p in fam.items() if not p.any()]:
             del fam[out]
@@ -185,7 +186,7 @@ def test_unitary_invariance(k3):
     for _ in range(10):
         ua = haar_unitary(3, rng)
         ub = haar_unitary(3, rng)
-        moved = transform_strategy(s, ua, ub)
+        moved = basis_changed(s, ua, ub)
         validate_strategy(moved)
         assert win_probability(ALT_EDGE, k3, moved) == pytest.approx(base, abs=1e-9)
 
@@ -221,8 +222,8 @@ def test_reduce_rzkp_gentle_bound_random(k3):
 def test_reduce_rzkp_rejects_non_projective(k3):
     s = classical_embedding(GameType.ALT_RZKP, k3, (0, 1, 2), dim=2)
     key = (0, 1)
-    out = next(o for o, p in s.pvm_a[key].items() if p.trace().real > 0)
-    pvm_a = families(s.pvm_a)
+    pvm_a = dense(s.a)
+    out = next(o for o, p in pvm_a[key].items() if p.trace().real > 0)
     pvm_a[key][out] = pvm_a[key][out] * 0.7
     s = rebuilt(s, pvm_a=pvm_a)
     with pytest.raises(NotProjectiveError):
@@ -243,11 +244,11 @@ def test_dilated_sequential_measurement_matches_povm(edges):
     reduced = reduce_rzkp_to_edge(s, g)
     psi_mat = s.psi_matrix()
     rho_b = psi_mat.T @ psi_mat.conj()
-    red_psi = reduced.psi_matrix()
+    red_psi, pvm_b, red_b = reduced.psi_matrix(), dense(s.b), dense(reduced.b)
     for v in range(g.n):
         nbrs = g.adjacency[v]
         for ctilde in range(3):
-            got = float(np.vdot(red_psi, red_psi @ reduced.pvm_b[v][ctilde].T).real)
+            got = float(np.vdot(red_psi, red_psi @ red_b[v][ctilde].T).real)
             want = 0.0
             for bit in (0, 1):
                 for u in nbrs:
@@ -255,8 +256,8 @@ def test_dilated_sequential_measurement_matches_povm(edges):
                     pos = 0 if v == e[0] else 1
                     for a in range(3):
                         c = (ctilde - a) % 3
-                        p_first = sum(p for w, p in s.pvm_b[(e, bit)].items() if w[pos] == a)
-                        q_second = sum(p for w, p in s.pvm_b[(e, 1 - bit)].items() if w[pos] == c)
+                        p_first = sum(p for w, p in pvm_b[(e, bit)].items() if w[pos] == a)
+                        q_second = sum(p for w, p in pvm_b[(e, 1 - bit)].items() if w[pos] == c)
                         want += (q_second @ p_first @ rho_b @ p_first @ q_second).trace().real
             want /= 2 * len(nbrs)
             assert got == pytest.approx(want, abs=1e-10)
@@ -267,8 +268,9 @@ def test_reduce_edge_to_bcs_structure(k3):
     s = random_strategy(GameType.ALT_EDGE, k3, 3, 3, rng, 0.2)
     bcs = reduce_edge_to_bcs(s, k3)
     validate_strategy(bcs)
+    pvm_b = dense(bcs.b)
     for v in range(3):
-        total = sum(bcs.pvm_b[(v, beta)][1] for beta in (0, 1, 2))
+        total = sum(pvm_b[(v, beta)][1] for beta in (0, 1, 2))
         assert np.abs(total - np.eye(bcs.dim_b)).max() < 1e-9
     edge_win = win_probability(ALT_EDGE, k3, s)
     ev_win = win_probability(BCS_EDGE_ONLY, k3, bcs)
@@ -280,12 +282,12 @@ def test_reduce_edge_to_bcs_same_edge_commutation(k3):
 
     rng = np.random.default_rng(45)
     s = random_strategy(GameType.ALT_EDGE, k3, 3, 2, rng, 0.3)
-    bcs = reduce_edge_to_bcs(s, k3)
+    pvm_a = dense(reduce_edge_to_bcs(s, k3).a)
     e = (0, 1)
     for alpha in range(3):
         for beta in range(3):
-            fa = bcs.pvm_a[EdgeConstraint(e, alpha)]
-            fb = bcs.pvm_a[EdgeConstraint(e, beta)]
+            fa = pvm_a[EdgeConstraint(e, alpha)]
+            fb = pvm_a[EdgeConstraint(e, beta)]
             for pa in fa.values():
                 for pb in fb.values():
                     assert np.abs(pa @ pb - pb @ pa).max() < 1e-9
@@ -343,11 +345,6 @@ def test_tracial_pair_bounds_quick():
     assert summary.clean
     assert summary.checks["tracial-commutator"] == 60
     assert summary.checks["tracial-transpose"] == 60
-
-
-def test_maximally_entangled_norm():
-    psi = maximally_entangled(4)
-    assert np.linalg.norm(psi) == pytest.approx(1.0)
 
 
 def test_arbitrary_strategy_is_valid_everywhere(k3):

@@ -42,7 +42,7 @@ from colorproof.games import (
 from colorproof.graphs import PlantedInstance, gen_planted, make_graph, three_color
 from colorproof.quantum import BornPair, arbitrary_strategy, random_strategy
 from colorproof.strategies import ClassicalStrategyPair, fixed_coloring_pair, honest_pair, mismatched_pair
-from reference_quantum import rebuilt
+from reference_quantum import dense, rebuilt
 from reference_stream import ReferenceStream
 
 # ---------------------------------------------------------------------------
@@ -381,9 +381,9 @@ def _born_fallbacks() -> dict:
     k3 = INSTANCES["k3"].graph
     s = _born(ALT_EDGE, k3, 34).strategy
     v = _born(VERTEX, k3, 35).strategy
-    seven = {k: {(7 if out == 2 else out): p for out, p in fam.items()} for k, fam in v.pvm_a.items()}
+    seven = {k: {(7 if out == 2 else out): p for out, p in fam.items()} for k, fam in dense(v.a).items()}
     return {
-        "missing-pvm": (ALT_EDGE, rebuilt(s, pvm_a=_without(s.pvm_a, (0, 1)))),
+        "missing-pvm": (ALT_EDGE, rebuilt(s, pvm_a=_without(dense(s.a), (0, 1)))),
         "mass-not-one": (ALT_EDGE, dataclasses.replace(s, psi=1.1 * s.psi)),
         "color-7": (VERTEX, rebuilt(v, pvm_a=seven)),
     }

@@ -1,8 +1,8 @@
 """Reduced strategies keep their slot registers as blocks; written out densely they must read the same.
 
 Both reductions and the full chain rzkp -> edge -> bcs run on K3 and the extended 3-path, from random and
-arbitrary inputs. Each result is rebuilt through `QuantumStrategy.of` from its dense {key: {outcome:
-projector}} view, which has register 1 on both sides, and every reader must agree on the two forms: the
+arbitrary inputs. Each result is rebuilt from its dense {key: {outcome: projector}} form (`reference_quantum`),
+which has register 1 on both sides, and every reader must agree on the two forms: the
 block form's first product against the state reads only the blocks and the state's first register block.
 """
 
@@ -16,19 +16,16 @@ from colorproof.graphs import extend_with_gadgets, make_graph
 from colorproof.quantum import (
     BadStateError,
     BornPair,
-    DimensionMismatchError,
     QuantumStrategy,
     Side,
-    StrategyError,
     arbitrary_strategy,
-    haar_unitary,
     random_strategy,
     reduce_edge_to_bcs,
     reduce_rzkp_to_edge,
-    transform_strategy,
     validate_strategy,
     win_probability,
 )
+from reference_quantum import rebuilt
 
 K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
 EXT = extend_with_gadgets(make_graph(3, [(0, 1), (1, 2)]))
@@ -50,10 +47,6 @@ def _reduced(chain: str, graph: str, arbitrary: bool):
     return g, s
 
 
-def _dense(s: QuantumStrategy) -> QuantumStrategy:
-    return QuantumStrategy.of(s.game, s.dim_a, s.dim_b, s.psi, s.pvm_a, s.pvm_b)
-
-
 def _raised(check):
     try:
         check()
@@ -67,7 +60,7 @@ def _raised(check):
 @pytest.mark.parametrize("chain", list(CHAINS))
 def test_block_form_reads_as_its_dense_rebuild(chain, graph, arbitrary):
     g, s = _reduced(chain, graph, arbitrary)
-    dense = _dense(s)
+    dense = rebuilt(s)
     registers = (s.a.register, s.b.register)
     assert max(registers) > 1 and (dense.a.register, dense.b.register) == (1, 1)
     assert s.a.ops.shape[-1] * s.a.register == s.dim_a and s.b.ops.shape[-1] * s.b.register == s.dim_b
@@ -102,7 +95,7 @@ def test_block_form_reads_as_its_dense_rebuild(chain, graph, arbitrary):
             ops = side.ops.copy()
             ops[row, -1] = corrupt(ops[row, -1])
             bad = QuantumStrategy(s.game, s.dim_a, s.dim_b, s.psi, **{"a": s.a, "b": s.b, name: Side(ops, side.layout)})
-            want = _raised(lambda: validate_strategy(_dense(bad)))
+            want = _raised(lambda: validate_strategy(rebuilt(bad)))
             assert want is not None and _raised(lambda: validate_strategy(bad)) == want
 
 
@@ -140,26 +133,7 @@ def test_reductions_carry_an_input_register(g):
         validate_strategy(reduced)
         assert reduced.dim_a * reduced.dim_b == 6 * want.dim_a * want.dim_b
         assert win_probability(kind, g, reduced) == pytest.approx(win_probability(kind, g, want), abs=1e-12)
-        assert win_probability(kind, g, _dense(reduced)) == pytest.approx(win_probability(kind, g, want), abs=1e-12)
-
-
-def test_transform_strategy_keeps_the_register_or_refuses():
-    rng = np.random.default_rng(603)
-    s = reduce_edge_to_bcs(random_strategy(GameType.ALT_EDGE, K3, 3, 2, rng, 0.3), K3)
-    u, u_b = haar_unitary(3, rng), haar_unitary(2, rng)
-    u_a = np.kron(np.eye(s.a.register), u)
-    moved, want = transform_strategy(s, u_a, u_b), transform_strategy(_dense(s), u_a, u_b)
-    assert moved.a.register == s.a.register
-    validate_strategy(moved)
-    for got_fam, want_fam in zip(moved.pvm_a.values(), want.pvm_a.values()):
-        for out in want_fam:
-            np.testing.assert_allclose(got_fam[out], want_fam[out], rtol=0, atol=1e-12)
-    kind = GameKind(GameType.BCS, 0.5)
-    assert win_probability(kind, K3, moved) == pytest.approx(win_probability(kind, K3, want), abs=1e-12)
-    with pytest.raises(StrategyError, match="does not act on its 2 register blocks alike"):
-        transform_strategy(s, haar_unitary(6, rng), u_b)
-    with pytest.raises(DimensionMismatchError, match=r"side B has shape \(3, 3\), want \(2, 2\)"):
-        transform_strategy(s, u_a, haar_unitary(3, rng))
+        assert win_probability(kind, g, rebuilt(reduced)) == pytest.approx(win_probability(kind, g, want), abs=1e-12)
 
 
 def test_validate_rejects_a_state_not_uniform_over_the_register():
