@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import BCS, F3, _BITS2, BcsChallenge, BcsResponseA, BcsResponseB, EdgeConstraint, GameType, verdict
+from .games import BCS, F3, _BITS2, BcsChallenge, EdgeConstraint, GameType, verdict
 from .graphs import ExtendedGraph, Graph
 from .quantum import Pairs, QuantumStrategy, _block_diag, _require_game, _stack_ops
 
@@ -147,7 +147,7 @@ _OBS = np.array([[[(2.0 * bits[k] - 1.0) * (2.0 * bt - 1.0) for bt in (0, 1)] fo
 # [k, (b0, b1), bt]: 1 where verdict() rejects A's bits against B's bit bt at endpoint k of the edge
 _LOSSES = np.array(
     [
-        [[not verdict(BCS, ch, BcsResponseA(bits), BcsResponseB(bt)).accept for bt in (0, 1)] for bits in _BITS2]
+        [[not verdict(BCS, ch, bits, bt).accept for bt in (0, 1)] for bits in _BITS2]
         for ch in (BcsChallenge(EdgeConstraint((0, 1), 0), k, 0) for k in (0, 1))
     ],
     dtype=float,

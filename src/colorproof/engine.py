@@ -70,7 +70,7 @@ class VerdictTable(InternTable):
     makes row s on the first challenge of its shape, calling `verdict` on it and every well-formed outcome
     pair; every other code reads malformed. `wins[s]` is (a_outs, b_outs, a_picks, b_picks): the outcome
     spaces, and the winning pairs as indices into them, B outcome major, each in outcome order. `responses`
-    holds one response object per well-formed code of each side, which the batch log shares.
+    holds one payload per well-formed code of each side, which the batch log shares.
     """
 
     def __init__(self, spec: GameSpec):
@@ -86,8 +86,8 @@ class VerdictTable(InternTable):
         a_outs, b_outs = spec.a_outcomes(spec.half_a(ch)), spec.b_outcomes(spec.half_b(ch))
         ca, cb = (list(map(_payload_code, outs)) for outs in (a_outs, b_outs))
         t = np.full(self.rows.shape[1:], REASON_CODE[Reason.MALFORMED], np.int8)
-        ra = [self.responses[0].setdefault(c, spec.response_a(x)) for c, x in zip(ca, a_outs)]
-        rb = [self.responses[1].setdefault(c, spec.response_b(x)) for c, x in zip(cb, b_outs)]
+        ra = [self.responses[0].setdefault(c, x) for c, x in zip(ca, a_outs)]
+        rb = [self.responses[1].setdefault(c, x) for c, x in zip(cb, b_outs)]
         for j, b in zip(cb, rb):
             t[ca, j] = [REASON_CODE[games.verdict(self.kind, ch, a, b).reason] for a in ra]
         b_picks, a_picks = np.nonzero(t[np.ix_(ca, cb)].T == 0)  # B outcome major

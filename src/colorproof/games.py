@@ -37,7 +37,7 @@ import math
 import random
 import sys
 import threading
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from . import ColorproofError, GameType
@@ -145,52 +145,10 @@ class VertexChallenge(_HashedOnce):
 Challenge = Union[RzkpChallenge, EdgeChallenge, BcsChallenge, VertexChallenge]
 
 
-# ---------------------------------------------------------------------------
-# Responses: each wraps one payload, the outcome of that prover's measurement
-
-
-@dataclass(frozen=True, slots=True)
-class RzkpResponseA:
-    w: tuple[int, int, int, int]  # (w_i^0, w_i^1, w_j^0, w_j^1)
-
-
-@dataclass(frozen=True, slots=True)
-class RzkpResponseB:
-    w: tuple[int, int]  # bit-b labels of (i', j')
-
-
-@dataclass(frozen=True, slots=True)
-class EdgeResponseA:
-    colors: tuple[int, int]
-
-
-@dataclass(frozen=True, slots=True)
-class EdgeResponseB:
-    color: int
-
-
-@dataclass(frozen=True, slots=True)
-class BcsResponseA:
-    bits: tuple[int, ...]  # 3 bits for a vertex constraint, 2 for an edge constraint
-
-
-@dataclass(frozen=True, slots=True)
-class BcsResponseB:
-    bit: int
-
-
-@dataclass(frozen=True, slots=True)
-class VertexResponse:
-    color: int
-
-
-Response = Union[
-    RzkpResponseA, RzkpResponseB, EdgeResponseA, EdgeResponseB, BcsResponseA, BcsResponseB, VertexResponse
-]
-
-
-def _payload(r: Response):
-    return getattr(r, fields(r)[0].name)
+# A response is the outcome of that prover's measurement. alt-rzkp: A's (w_i^0, w_i^1, w_j^0, w_j^1) and B's
+# bit-b labels of (i', j'); alt-edge: A's two colors and B's one; bcs: A's 3 bits for a vertex constraint or 2 for
+# an edge constraint, and B's one bit; vertex: one color each
+Response = object
 
 
 @dataclass(frozen=True)
@@ -239,14 +197,12 @@ class LabellingDraw:
 
 def labelled_answer_a(kind: GameKind, half, labs: tuple[Labelled, Labelled]) -> Response:
     """Prover A's honest answer from the first labelling of a `LabellingDraw`."""
-    spec = SPECS[kind.game]
-    return spec.response_a(spec.honest_a(labs[0], half))
+    return SPECS[kind.game].honest_a(labs[0], half)
 
 
 def labelled_answer_b(kind: GameKind, half, labs: tuple[Labelled, Labelled]) -> Response:
     """Prover B's honest answer from the second labelling of a `LabellingDraw`."""
-    spec = SPECS[kind.game]
-    return spec.response_b(spec.honest_b(labs[1], half))
+    return SPECS[kind.game].honest_b(labs[1], half)
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +309,16 @@ def _rzkp_pmf(g: Graph, mix: float) -> dict:
     return pmf
 
 
-def _rzkp_check(ch: RzkpChallenge, ra: RzkpResponseA, rb: RzkpResponseB) -> Verdict:
-    wi0, wi1, wj0, wj1 = ra.w
-    if not (_colors_ok(wi0, wi1, wj0, wj1) and len(rb.w) == 2 and _colors_ok(*rb.w) and ch.bit in (0, 1)):
+def _rzkp_check(ch: RzkpChallenge, ra: tuple, rb: tuple) -> Verdict:
+    wi0, wi1, wj0, wj1 = ra
+    if not (_colors_ok(wi0, wi1, wj0, wj1) and len(rb) == 2 and _colors_ok(*rb) and ch.bit in (0, 1)):
         return _reject(Reason.MALFORMED)
     if (wi0 + wi1) % 3 == (wj0 + wj1) % 3:
         return _reject(Reason.EDGE_VERIFICATION)
     i, j = ch.edge_a
     b = ch.bit
-    a_label = {i: ra.w[b], j: ra.w[2 + b]}
-    b_label = {ch.edge_b[0]: rb.w[0], ch.edge_b[1]: rb.w[1]}
+    a_label = {i: ra[b], j: ra[2 + b]}
+    b_label = {ch.edge_b[0]: rb[0], ch.edge_b[1]: rb[1]}
     for v in (i, j):
         if v in b_label and a_label[v] != b_label[v]:
             return _reject(Reason.WELL_DEFINITION)
@@ -402,16 +358,16 @@ def _edge_pmf(g: Graph, mix: float) -> dict:
     return pmf
 
 
-def _edge_check(ch: EdgeChallenge, ra: EdgeResponseA, rb: EdgeResponseB) -> Verdict:
-    ci, cj = ra.colors
-    if not _colors_ok(ci, cj, rb.color):
+def _edge_check(ch: EdgeChallenge, ra: tuple, rb: int) -> Verdict:
+    ci, cj = ra
+    if not _colors_ok(ci, cj, rb):
         return _reject(Reason.MALFORMED)
     if ci == cj:
         return _reject(Reason.EDGE_VERIFICATION)
     i, j = ch.edge_a
-    if ch.vertex_b == i and ci != rb.color:
+    if ch.vertex_b == i and ci != rb:
         return _reject(Reason.WELL_DEFINITION)
-    if ch.vertex_b == j and cj != rb.color:
+    if ch.vertex_b == j and cj != rb:
         return _reject(Reason.WELL_DEFINITION)
     return ACCEPT
 
@@ -462,27 +418,27 @@ def _bcs_pmf(g: Graph, mix: float) -> dict:
     return pmf
 
 
-def _bcs_check(ch: BcsChallenge, ra: BcsResponseA, rb: BcsResponseB) -> Verdict:
-    if not _bits_ok(*ra.bits, rb.bit):
+def _bcs_check(ch: BcsChallenge, ra: tuple, rb: int) -> Verdict:
+    if not _bits_ok(*ra, rb):
         return _reject(Reason.MALFORMED)
     con = ch.constraint
     if isinstance(con, VertexConstraint):
-        if len(ra.bits) != 3:
+        if len(ra) != 3:
             return _reject(Reason.MALFORMED)
-        if sum(ra.bits) != 1:
+        if sum(ra) != 1:
             return _reject(Reason.CONSTRAINT_SATISFACTION)
-        if ch.vertex_b == con.vertex and ra.bits[ch.color_b] != rb.bit:
+        if ch.vertex_b == con.vertex and ra[ch.color_b] != rb:
             return _reject(Reason.WELL_DEFINITION)
         return ACCEPT
-    if len(ra.bits) != 2:
+    if len(ra) != 2:
         return _reject(Reason.MALFORMED)
-    if ra.bits[0] * ra.bits[1] != 0:
+    if ra[0] * ra[1] != 0:
         return _reject(Reason.CONSTRAINT_SATISFACTION)
     if ch.color_b == con.color:
         i, j = con.edge
-        if ch.vertex_b == i and ra.bits[0] != rb.bit:
+        if ch.vertex_b == i and ra[0] != rb:
             return _reject(Reason.WELL_DEFINITION)
-        if ch.vertex_b == j and ra.bits[1] != rb.bit:
+        if ch.vertex_b == j and ra[1] != rb:
             return _reject(Reason.WELL_DEFINITION)
     return ACCEPT
 
@@ -545,14 +501,14 @@ def _vertex_pmf(g: Graph, mix: float) -> dict:
     return pmf
 
 
-def _vertex_check(ch: VertexChallenge, ra: VertexResponse, rb: VertexResponse) -> Verdict:
-    if not _colors_ok(ra.color, rb.color):
+def _vertex_check(ch: VertexChallenge, ra: int, rb: int) -> Verdict:
+    if not _colors_ok(ra, rb):
         return _reject(Reason.MALFORMED)
     if ch.vertex_a == ch.vertex_b:
-        if ra.color != rb.color:
+        if ra != rb:
             return _reject(Reason.WELL_DEFINITION)
         return ACCEPT
-    if ra.color == rb.color:
+    if ra == rb:
         return _reject(Reason.EDGE_VERIFICATION)
     return ACCEPT
 
@@ -579,8 +535,8 @@ class GameSpec:
     the words one round's challenge draws are expected to read (2 per
     `randrange` and per `random()`).
 
-    Outcomes are the payloads of the response classes (`response_a(outcome)`
-    builds prover A's response). Keys are challenge halves; `a_keys(g)` and
+    A prover's outcome is its response, the tuple or int that `check` reads.
+    Keys are challenge halves; `a_keys(g)` and
     `b_keys(g)` enumerate every half of a graph in the order the layout of a
     generated quantum strategy holds them, which seeded strategy draws depend on.
     `honest_a(lab, half)` is the honest outcome for one labelling. An honest
@@ -602,8 +558,6 @@ class GameSpec:
     half_a: Callable[[Challenge], object]
     half_b: Callable[[Challenge], object]
     challenge: type
-    response_a: type
-    response_b: type
     a_outcomes: Callable[[object], tuple]
     b_outcomes: Callable[[object], tuple]
     a_keys: Callable[[Graph], list]
@@ -630,8 +584,6 @@ SPECS = {
         half_a=lambda ch: ch.edge_a,
         half_b=lambda ch: (ch.edge_b, ch.bit),
         challenge=RzkpChallenge,
-        response_a=RzkpResponseA,
-        response_b=RzkpResponseB,
         a_outcomes=lambda key: _LABELS4,
         b_outcomes=lambda key: _LABELS2,
         a_keys=lambda g: list(g.edges),
@@ -651,8 +603,6 @@ SPECS = {
         half_a=lambda ch: ch.edge_a,
         half_b=lambda ch: ch.vertex_b,
         challenge=EdgeChallenge,
-        response_a=EdgeResponseA,
-        response_b=EdgeResponseB,
         a_outcomes=lambda key: _LABELS2,
         b_outcomes=lambda key: F3,
         a_keys=lambda g: list(g.edges),
@@ -672,8 +622,6 @@ SPECS = {
         half_a=lambda ch: ch.constraint,
         half_b=lambda ch: (ch.vertex_b, ch.color_b),
         challenge=BcsChallenge,
-        response_a=BcsResponseA,
-        response_b=BcsResponseB,
         a_outcomes=lambda con: _BITS3 if isinstance(con, VertexConstraint) else _BITS2,
         b_outcomes=lambda key: (0, 1),
         a_keys=_bcs_a_keys,
@@ -693,8 +641,6 @@ SPECS = {
         half_a=lambda ch: ch.vertex_a,
         half_b=lambda ch: ch.vertex_b,
         challenge=VertexChallenge,
-        response_a=VertexResponse,
-        response_b=VertexResponse,
         a_outcomes=lambda key: F3,
         b_outcomes=lambda key: F3,
         a_keys=lambda g: list(range(g.n)),
@@ -798,9 +744,7 @@ def verdict(kind: GameKind, ch: Challenge, ra: Response, rb: Response) -> Verdic
     """Apply the game's checks; total (malformed input rejects, never raises)."""
     try:
         spec = SPECS[kind.game]
-        if not (
-            isinstance(ch, spec.challenge) and isinstance(ra, spec.response_a) and isinstance(rb, spec.response_b)
-        ):
+        if not isinstance(ch, spec.challenge):
             return _reject(Reason.MALFORMED)
         return spec.check(ch, ra, rb)
     except Exception:
@@ -958,7 +902,7 @@ def transcript_to_json_line(t: Transcript) -> str:
     rec = {
         "round": t.round,
         "challenge": {"kind": spec.game.value, **spec.to_json(t.challenge)},
-        "responses": [None if r is None else _payload(r) for r in (t.response_a, t.response_b)],
+        "responses": [t.response_a, t.response_b],
         "verdict": "accept" if t.verdict.accept else "reject",
         "reason": t.verdict.reason.value if t.verdict.reason else None,
     }

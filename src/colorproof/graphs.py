@@ -254,29 +254,28 @@ def three_color(g: Graph) -> Optional[tuple[int, ...]]:
     """Backtracking 3-coloring search; returns a proper coloring or None.
 
     Vertices are tried in descending-degree order with the usual first-vertex
-    symmetry break. Fast enough for the extended graphs of small bases.
+    symmetry break. Fast enough for the extended graphs of small bases. The
+    search keeps its own stack, so no recursion limit caps the graph's size.
     """
-    if g.n == 0:
-        return ()
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    colors = [-1] * g.n
-    adj = g.adjacency
-
-    def place(pos: int, used: int) -> bool:
-        if pos == g.n:
-            return True
+    n, adj = g.n, g.adjacency
+    order = sorted(range(n), key=lambda v: -g.degree(v))
+    colors = [-1] * n
+    used = [0] * (n + 1)  # used[pos]: color classes open before the vertex at pos
+    taken: list = [None] * n  # taken[pos]: its neighbours' colors, which stay put until the search backs past pos
+    pos = 0
+    while 0 <= pos < n:
         v = order[pos]
-        forbidden = {colors[u] for u in adj[v] if colors[u] >= 0}
-        limit = min(3, used + 1)  # new color classes introduced in order
-        for c in range(limit):
-            if c in forbidden:
-                continue
+        c = colors[v] + 1  # the next color to try; a vertex's first visit starts at 0
+        if c == 0:
+            taken[pos] = {colors[u] for u in adj[v]}
+        limit = min(3, used[pos] + 1)  # new color classes introduced in order
+        while c in taken[pos]:
+            c += 1
+        if c < limit:
             colors[v] = c
-            if place(pos + 1, max(used, c + 1)):
-                return True
-        colors[v] = -1
-        return False
-
-    if place(0, 0):
-        return tuple(colors)
-    return None
+            used[pos + 1] = max(used[pos], c + 1)
+            pos += 1
+        else:
+            colors[v] = -1
+            pos -= 1
+    return tuple(colors) if pos == n else None

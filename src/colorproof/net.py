@@ -44,8 +44,6 @@ from .games import (
     SPECS,
     GameType,
     Reason,
-    RzkpResponseA,
-    RzkpResponseB,
     Transcript,
     Verdict,
     accepted_draws,
@@ -585,8 +583,8 @@ def run_verifier_session(cfg: SessionConfig) -> SessionReport:
                 reply = s.read_frame(timeout=5.0)
             except (TimeoutError, ConnectionError, FrameError) as exc:
                 raise SessionError(f"handshake with {name} failed: {exc}") from exc
-            if not isinstance(reply, Hello) or reply.graph_hash != g.digest():
-                raise SessionError(f"{name} refused the session (graph hash mismatch?)")
+            if reply != hello:
+                raise SessionError(f"{name} refused the session (another version, game or graph?)")
         la, lb = _Link(sa, sel), _Link(sb, sel)
         wants = [(la, ResponseA), (lb, ResponseB)]
         upcoming = _round_frames(g, cfg.seed, 0)
@@ -602,9 +600,9 @@ def run_verifier_session(cfg: SessionConfig) -> SessionReport:
             reply_a, reply_b = _collect(sel, wants, r, send_b + wait_ns)
             ra = rb = recv_a = recv_b = None
             if reply_a is not None:
-                ra, recv_a = RzkpResponseA(reply_a[0].w), reply_a[1]
+                ra, recv_a = reply_a[0].w, reply_a[1]
             if reply_b is not None:
-                rb, recv_b = RzkpResponseB((reply_b[0].wi, reply_b[0].wj)), reply_b[1]
+                rb, recv_b = (reply_b[0].wi, reply_b[0].wj), reply_b[1]
             timed_out = (
                 recv_a is None
                 or recv_b is None

@@ -378,9 +378,9 @@ class BornPair(JointSampler):
         )
         joint = joint_probabilities(s.psi_matrix(), s.a.ops[rows_a], s.b.ops[rows_b])
         responses, probs = [], []
-        for (a_out, b_out), p in zip(itertools.product(outs_a, outs_b), joint.ravel().tolist()):
+        for pair, p in zip(itertools.product(outs_a, outs_b), joint.ravel().tolist()):
             if p > 1e-15:
-                responses.append((spec.response_a(a_out), spec.response_b(b_out)))
+                responses.append(pair)
                 probs.append(p)
         total = sum(probs)
         if abs(total - 1.0) > 1e-6:

@@ -20,7 +20,6 @@ from .games import (
     GameKind,
     LabellingDraw,
     RzkpChallenge,
-    RzkpResponseA,
     Transcript,
     labelled_answer_a,
     labelled_answer_b,
@@ -157,9 +156,9 @@ def uniformity_by_edge(transcripts: Iterable[Transcript], edges: Iterable[Edge])
         if not isinstance(ch, RzkpChallenge):
             continue
         per_edge = counts.get(ch.edge_a)
-        if per_edge is None or not isinstance(t.response_a, RzkpResponseA):
+        w = t.response_a
+        if per_edge is None or not isinstance(w, tuple):
             continue
-        w = t.response_a.w
         per_edge[w] = per_edge.get(w, 0) + 1
     return {e: _uniformity_report(e, c) for e, c in counts.items()}
 

@@ -40,7 +40,6 @@ from colorproof.graphs import extend_with_gadgets, make_graph
 from colorproof.quantum import (
     BornPair,
     IncompleteFamilyError,
-    MissingPvmError,
     NonFiniteError,
     NotProjectiveError,
     QuantumStrategy,
@@ -221,7 +220,7 @@ def _scalar_win(kind, g, s) -> float:
     for ch, p in challenge_pmf(kind, g).items():
         fam_a, fam_b = pvm_a[spec.half_a(ch)], pvm_b[spec.half_b(ch)]
         for (a_out, a_op), (b_out, b_op) in itertools.product(fam_a.items(), fam_b.items()):
-            if verdict(kind, ch, spec.response_a(a_out), spec.response_b(b_out)).accept:
+            if verdict(kind, ch, a_out, b_out).accept:
                 total += p * _qform(psi_mat, a_op, b_op)
     return total
 
@@ -285,8 +284,7 @@ def test_born_pair_distribution_matches_scalar_forms(kind, arbitrary):
         fam_a, fam_b = pvm_a[spec.half_a(ch)], pvm_b[spec.half_b(ch)]
         for (a_out, a_op), (b_out, b_op) in itertools.product(fam_a.items(), fam_b.items()):
             want = _qform(psi_mat, a_op, b_op)
-            key = (spec.response_a(a_out), spec.response_b(b_out))
-            assert got.get(key, 0.0) == pytest.approx(want, abs=1e-12)
+            assert got.get((a_out, b_out), 0.0) == pytest.approx(want, abs=1e-12)
         assert pair.respond(kind, ch, random.Random(0)) in got
 
 

@@ -13,21 +13,15 @@ from colorproof.games import (
     SPECS,
     VERTEX,
     BcsChallenge,
-    BcsResponseA,
-    BcsResponseB,
     EdgeChallenge,
     EdgeConstraint,
-    EdgeResponseA,
     EmptyGraphError,
     GameKind,
     GameType,
     Reason,
     RzkpChallenge,
-    RzkpResponseA,
-    RzkpResponseB,
     VertexChallenge,
     VertexConstraint,
-    VertexResponse,
     challenge_pmf,
     play_rounds,
     sample_challenge,
@@ -188,76 +182,76 @@ def test_empty_graph_rejected():
 
 def test_rzkp_verdict_accepts_spec_example():
     ch = RzkpChallenge((0, 1), (0, 1), 0)
-    v = verdict(ALT_RZKP, ch, RzkpResponseA((0, 1, 1, 1)), RzkpResponseB((0, 1)))
+    v = verdict(ALT_RZKP, ch, (0, 1, 1, 1), (0, 1))
     assert v.accept
 
 
 def test_rzkp_verdict_edge_verification_reject():
     ch = RzkpChallenge((0, 1), (0, 1), 0)
-    v = verdict(ALT_RZKP, ch, RzkpResponseA((0, 1, 2, 2)), RzkpResponseB((0, 2)))
+    v = verdict(ALT_RZKP, ch, (0, 1, 2, 2), (0, 2))
     assert not v.accept and v.reason is Reason.EDGE_VERIFICATION
 
 
 def test_rzkp_verdict_checks_both_vertices_on_equal_edges():
     ch = RzkpChallenge((0, 1), (0, 1), 1)
     # sums 0+1=1 vs 1+1=2 differ; bit-1 labels are (1, 1); B matches only vertex 0
-    v = verdict(ALT_RZKP, ch, RzkpResponseA((0, 1, 1, 1)), RzkpResponseB((1, 0)))
+    v = verdict(ALT_RZKP, ch, (0, 1, 1, 1), (1, 0))
     assert not v.accept and v.reason is Reason.WELL_DEFINITION
 
 
 def test_rzkp_verdict_single_shared_vertex():
     ch = RzkpChallenge((0, 1), (1, 2), 0)
     # shared vertex 1 sits in slot 0 of B's edge; A's bit-0 label of 1 is w[2]
-    ok = verdict(ALT_RZKP, ch, RzkpResponseA((0, 0, 1, 0)), RzkpResponseB((1, 2)))
+    ok = verdict(ALT_RZKP, ch, (0, 0, 1, 0), (1, 2))
     assert ok.accept
-    bad = verdict(ALT_RZKP, ch, RzkpResponseA((0, 0, 1, 0)), RzkpResponseB((2, 2)))
+    bad = verdict(ALT_RZKP, ch, (0, 0, 1, 0), (2, 2))
     assert not bad.accept and bad.reason is Reason.WELL_DEFINITION
 
 
 def test_rzkp_verdict_shared_vertex_is_first_endpoint():
     # shared vertex 1 = edge_a[0] and edge_b[1]; A's bit-1 label of 1 is w[1]
     ch = RzkpChallenge((1, 2), (0, 1), 1)
-    ok = verdict(ALT_RZKP, ch, RzkpResponseA((0, 2, 0, 0)), RzkpResponseB((1, 2)))
+    ok = verdict(ALT_RZKP, ch, (0, 2, 0, 0), (1, 2))
     assert ok.accept
-    bad = verdict(ALT_RZKP, ch, RzkpResponseA((0, 2, 0, 0)), RzkpResponseB((1, 0)))
+    bad = verdict(ALT_RZKP, ch, (0, 2, 0, 0), (1, 0))
     assert not bad.accept and bad.reason is Reason.WELL_DEFINITION
 
 
 def test_bcs_vertex_constraint_verdict():
     ch = BcsChallenge(VertexConstraint(0), 0, 1)
-    v = verdict(BCS, ch, BcsResponseA((1, 1, 0)), BcsResponseB(1))
+    v = verdict(BCS, ch, (1, 1, 0), 1)
     assert not v.accept and v.reason is Reason.CONSTRAINT_SATISFACTION
-    v2 = verdict(BCS, ch, BcsResponseA((0, 1, 0)), BcsResponseB(1))
+    v2 = verdict(BCS, ch, (0, 1, 0), 1)
     assert v2.accept
-    v3 = verdict(BCS, ch, BcsResponseA((0, 1, 0)), BcsResponseB(0))
+    v3 = verdict(BCS, ch, (0, 1, 0), 0)
     assert not v3.accept and v3.reason is Reason.WELL_DEFINITION
 
 
 def test_bcs_edge_constraint_verdict():
     ch = BcsChallenge(EdgeConstraint((0, 1), 2), 1, 2)
-    v = verdict(BCS, ch, BcsResponseA((1, 1)), BcsResponseB(1))
+    v = verdict(BCS, ch, (1, 1), 1)
     assert not v.accept and v.reason is Reason.CONSTRAINT_SATISFACTION
-    assert verdict(BCS, ch, BcsResponseA((0, 1)), BcsResponseB(1)).accept
-    v2 = verdict(BCS, ch, BcsResponseA((0, 1)), BcsResponseB(0))
+    assert verdict(BCS, ch, (0, 1), 1).accept
+    v2 = verdict(BCS, ch, (0, 1), 0)
     assert not v2.accept and v2.reason is Reason.WELL_DEFINITION
 
 
 def test_vertex_verdicts():
-    assert verdict(VERTEX, VertexChallenge(1, 1), VertexResponse(2), VertexResponse(2)).accept
-    v = verdict(VERTEX, VertexChallenge(1, 1), VertexResponse(2), VertexResponse(0))
+    assert verdict(VERTEX, VertexChallenge(1, 1), 2, 2).accept
+    v = verdict(VERTEX, VertexChallenge(1, 1), 2, 0)
     assert v.reason is Reason.WELL_DEFINITION
-    v2 = verdict(VERTEX, VertexChallenge(0, 1), VertexResponse(2), VertexResponse(2))
+    v2 = verdict(VERTEX, VertexChallenge(0, 1), 2, 2)
     assert v2.reason is Reason.EDGE_VERIFICATION
 
 
 def test_verdict_malformed_never_raises():
     ch = RzkpChallenge((0, 1), (0, 1), 0)
-    assert verdict(ALT_RZKP, ch, VertexResponse(0), RzkpResponseB((0, 1))).reason is Reason.MALFORMED
-    assert verdict(ALT_RZKP, ch, RzkpResponseA((0, 1, 2, 5)), RzkpResponseB((0, 1))).reason is Reason.MALFORMED
+    assert verdict(ALT_RZKP, ch, 0, (0, 1)).reason is Reason.MALFORMED
+    assert verdict(ALT_RZKP, ch, (0, 1, 2, 5), (0, 1)).reason is Reason.MALFORMED
     assert verdict(ALT_RZKP, ch, None, None).reason is Reason.MALFORMED
-    ch, three_labels = RzkpChallenge((0, 1), (1, 2), 0), RzkpResponseB((1, 0, 2))  # B's edge has two ends
-    assert verdict(ALT_RZKP, ch, RzkpResponseA((0, 1, 1, 1)), three_labels).reason is Reason.MALFORMED
-    assert verdict(BCS, BcsChallenge(VertexConstraint(0), 0, 0), BcsResponseA((1, 0)), BcsResponseB(1)).reason is Reason.MALFORMED
+    ch, three_labels = RzkpChallenge((0, 1), (1, 2), 0), (1, 0, 2)  # B's edge has two ends
+    assert verdict(ALT_RZKP, ch, (0, 1, 1, 1), three_labels).reason is Reason.MALFORMED
+    assert verdict(BCS, BcsChallenge(VertexConstraint(0), 0, 0), (1, 0), 1).reason is Reason.MALFORMED
 
 
 @settings(max_examples=100, deadline=None)
@@ -265,45 +259,49 @@ def test_verdict_malformed_never_raises():
        st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 1))
 def test_verdict_is_pure(wa, wb, b):
     ch = RzkpChallenge((0, 1), (1, 2), b)
-    first = verdict(ALT_RZKP, ch, RzkpResponseA(wa), RzkpResponseB(wb))
+    first = verdict(ALT_RZKP, ch, wa, wb)
     for _ in range(3):
-        assert verdict(ALT_RZKP, ch, RzkpResponseA(wa), RzkpResponseB(wb)) == first
+        assert verdict(ALT_RZKP, ch, wa, wb) == first
+
+
+# per variant, a challenge and a well-formed answer pair; each of the answers
+# below breaks one side's shape and nothing else
+WELL_FORMED = {
+    ALT_RZKP: (RzkpChallenge((0, 1), (0, 1), 0), (0, 1, 1, 1), (0, 1)),
+    ALT_EDGE: (EdgeChallenge((0, 1), 0), (0, 1), 0),
+    BCS: (BcsChallenge(EdgeConstraint((0, 1), 2), 1, 2), (0, 1), 1),
+    VERTEX: (VertexChallenge(0, 1), 2, 1),
+}
+
+
+def _wrong_shapes(payload):
+    if isinstance(payload, int):  # a tuple where an int is due, and a value off the range
+        return [(payload,), (0, 1), None, 3, -1]
+    return [payload + (0,), payload[:-1], 0, None, (5,) + payload[1:]]  # one too long or short, an int, off the range
+
+
+@pytest.mark.parametrize("kind", list(WELL_FORMED), ids=lambda k: k.game.value)
+def test_verdict_rejects_wrong_payload_shapes_as_malformed(kind):
+    ch, ra, rb = WELL_FORMED[kind]
+    assert verdict(kind, ch, ra, rb).accept
+    for bad in _wrong_shapes(ra):
+        assert verdict(kind, ch, bad, rb).reason is Reason.MALFORMED, ("a", bad)
+    for bad in _wrong_shapes(rb):
+        assert verdict(kind, ch, ra, bad).reason is Reason.MALFORMED, ("b", bad)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_verdict_total_under_response_fuzz(data):
-    # arbitrary (possibly garbage) responses must yield a verdict, never an
-    # exception, for every game kind
-    import colorproof.games as games_mod
-
+    # arbitrary (possibly garbage) payloads -- ints, tuples of any length up to
+    # 5, None -- must yield a verdict, never an exception, for every game kind
     g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
     kind = data.draw(st.sampled_from([ALT_RZKP, ALT_EDGE, BCS, VERTEX]))
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     ch = sample_challenge(kind, g, rng)
     values = st.integers(-2, 5)
-
-    def any_response(draw):
-        which = draw(st.integers(0, 7))
-        if which == 0:
-            return RzkpResponseA(tuple(draw(values) for _ in range(4)))
-        if which == 1:
-            return RzkpResponseB((draw(values), draw(values)))
-        if which == 2:
-            return EdgeResponseA((draw(values), draw(values)))
-        if which == 3:
-            return games_mod.EdgeResponseB(draw(values))
-        if which == 4:
-            return BcsResponseA(tuple(draw(values) for _ in range(draw(st.integers(0, 4)))))
-        if which == 5:
-            return BcsResponseB(draw(values))
-        if which == 6:
-            return VertexResponse(draw(values))
-        return None
-
-    ra = any_response(data.draw)
-    rb = any_response(data.draw)
-    v = verdict(kind, ch, ra, rb)
+    payloads = st.one_of(values, st.lists(values, max_size=5).map(tuple), st.none())
+    v = verdict(kind, ch, data.draw(payloads), data.draw(payloads))
     assert isinstance(v.accept, bool)
     if not v.accept:
         assert v.reason is not None

@@ -185,6 +185,16 @@ def test_three_color_oracle(k4, c5):
     assert validate_coloring(c5, cc) == []
 
 
+def test_three_color_is_not_bounded_by_the_recursion_limit():
+    # a search that recursed once per vertex raised RecursionError from about 1000 vertices
+    path = make_graph(2000, [(v, v + 1) for v in range(1999)])
+    assert three_color(path) == (1, 0) * 1000  # interior vertices first, by the degree order
+    ext = extend_with_gadgets(gen_planted(25, 40, seed=1).graph)
+    assert ext.full.n > 1000
+    colors = three_color(ext.full)
+    assert colors is not None and validate_coloring(ext.full, colors) == []
+
+
 def test_serialization_roundtrip():
     inst = gen_planted(7, 10, seed=3)
     doc = inst.graph.to_dict(inst.witness)

@@ -437,6 +437,39 @@ def test_stale_round_frames_are_skipped(inst, provers):
     assert rep.ok and rep.accepted == 5
 
 
+def test_verifier_refuses_a_hello_of_another_version(inst, provers):
+    # the prover side refuses any HELLO but its own; the verifier must too
+    import threading
+
+    from colorproof.net import _Stream
+
+    pa, _ = provers
+    rogue = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    rogue.bind(("127.0.0.1", 0))
+    rogue.listen(1)
+    addr = rogue.getsockname()
+
+    def rogue_b():
+        conn, _ = rogue.accept()
+        stream = _Stream(conn)
+        try:
+            hello = stream.read_frame(timeout=5.0)
+            stream.send(Hello(7, hello.game, hello.graph_hash))
+            stream.read_frame(timeout=5.0)  # until the verifier hangs up
+        except (OSError, ConnectionError, TimeoutError, FrameError):
+            return
+        finally:
+            conn.close()
+            rogue.close()
+
+    t = threading.Thread(target=rogue_b, daemon=True)
+    t.start()
+    cfg = SessionConfig(inst.graph, rounds=3, deadline_ns=500_000_000, seed=5, addr_a=pa.address, addr_b=addr)
+    with pytest.raises(SessionError, match="prover B refused the session"):
+        run_verifier_session(cfg)
+    t.join(timeout=5.0)
+
+
 def test_prover_refuses_wrong_version(inst, provers):
     pa, _ = provers
     from colorproof.net import _Stream

@@ -156,7 +156,7 @@ def test_table_verdict_equals_scalar_verdict(game):
         for a in spec.a_outcomes(spec.half_a(ch)):
             for b in spec.b_outcomes(spec.half_b(ch)):
                 at = engine._payload_code(a), engine._payload_code(b)
-                want = verdict(kind, ch, spec.response_a(a), spec.response_b(b))
+                want = verdict(kind, ch, a, b)
                 assert VERDICT_OF_CODE[table[at]] == want, (ch, a, b)
                 well_formed[at] = True
         assert (table[~well_formed] == games.REASON_CODE[Reason.MALFORMED]).all()

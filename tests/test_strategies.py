@@ -15,8 +15,6 @@ from colorproof.games import (
     GameType,
     Reason,
     RzkpChallenge,
-    RzkpResponseA,
-    RzkpResponseB,
     Transcript,
     Verdict,
     play_rounds,
@@ -63,7 +61,7 @@ def test_honest_b_pair_uniform_over_nine():
     counts = {}
     n = 0
     for t in log:
-        counts[t.response_b.w] = counts.get(t.response_b.w, 0) + 1
+        counts[t.response_b] = counts.get(t.response_b, 0) + 1
         n += 1
     assert len(counts) == 9
     tv = sum(abs(c / n - 1 / 9) for c in counts.values()) / 2
@@ -187,14 +185,14 @@ def test_uniformity_by_edge_on_hand_built_transcripts():
     ch = RzkpChallenge((0, 1), (1, 2), 0)
 
     def rzkp(w, challenge=ch):
-        return Transcript(0, challenge, RzkpResponseA(w), RzkpResponseB((0, 0)), ok)
+        return Transcript(0, challenge, w, (0, 0), ok)
 
     log = [
         rzkp((0, 1, 0, 0)),
         rzkp((0, 1, 0, 0)),
         rzkp((1, 1, 0, 0)),
         rzkp((0, 0, 1, 2)),  # inadmissible: both sums are 0 mod 3
-        Transcript(0, EdgeChallenge((0, 1), 0), RzkpResponseA((2, 2, 2, 2)), None, ok),  # not alt-rzkp
+        Transcript(0, EdgeChallenge((0, 1), 0), (2, 2, 2, 2), None, ok),  # not alt-rzkp
         rzkp((2, 2, 2, 2), RzkpChallenge((1, 2), (0, 1), 1)),  # another A edge
         Transcript(0, ch, None, None, timeout),  # no answer from A
     ]

@@ -60,10 +60,8 @@ def test_every_member_gets_its_own_verdict_from_its_shape(game):
         for ch, s in zip(t.members, shapes.tolist()):
             a_outs, b_outs = spec.a_outcomes(spec.half_a(ch)), spec.b_outcomes(spec.half_b(ch))
             ca = list(map(engine._payload_code, a_outs))
-            ra = list(map(spec.response_a, a_outs))
             for b in b_outs:
-                rb = spec.response_b(b)
-                want = [REASON_CODE[verdict(kind, ch, r, rb).reason] for r in ra]
+                want = [REASON_CODE[verdict(kind, ch, a, b).reason] for a in a_outs]
                 assert tables.rows[s, ca, engine._payload_code(b)].tolist() == want, (name, ch, b)
     graphs = [gen_planted(n, m, 1).graph for n, m in ((20, 40), (60, 120))]
     counts = [len({spec.shape(ch) for ch in challenge_pmf(kind, g)}) for g in graphs]
@@ -93,8 +91,7 @@ def _reference_winning_sets(kind: GameKind, g) -> tuple[list, list, np.ndarray]:
         a_key, b_key = spec.half_a(ch), spec.half_b(ch)
         a_sp = spec.a_outcomes(a_key)
         for b_out in spec.b_outcomes(b_key):
-            rb = spec.response_b(b_out)
-            wins = [a_out for a_out in a_sp if verdict(kind, ch, spec.response_a(a_out), rb).accept]
+            wins = [a_out for a_out in a_sp if verdict(kind, ch, a_out, b_out).accept]
             if wins:
                 rows += [a_rows.setdefault((a_key, a_out), len(a_rows)) for a_out in wins]
                 cols += [b_cols.setdefault((b_key, b_out), len(b_cols))] * len(wins)
