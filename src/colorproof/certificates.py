@@ -9,9 +9,9 @@ Every number stays in the stacked array it is computed in, indexed by edge
 `evaluate_bounds` gives each inequality family as (lhs, rhs) arrays;
 `check_bounds` returns the violated instances keyed by their vertices (an
 empty list, unless the implementation is wrong -- these are theorems). A
-strategy of another game raises `quantum.StrategyError` and one missing a
-family `quantum.MissingPvmError`, as in every reader of a strategy;
-`MissingProjectorError` is for an `Assignment` with too few vertices.
+strategy of another game or one missing a family raises
+`quantum.StrategyError`, as in every reader of a strategy; `CertificateError`
+is for the certificates' own faults, each named by its message.
 """
 
 from __future__ import annotations
@@ -29,18 +29,6 @@ from .quantum import Pairs, QuantumStrategy, _block_diag, _require_game, _stack_
 
 
 class CertificateError(ValueError):
-    pass
-
-
-class NotVertexCompleteError(CertificateError):
-    pass
-
-
-class MissingProjectorError(CertificateError):
-    pass
-
-
-class NumericalError(CertificateError):
     pass
 
 
@@ -100,7 +88,7 @@ def sqrt_psd(rho: np.ndarray) -> np.ndarray:
     """Hermitian square root; eigenvalues in [-1e-10, 0) clamp to 0."""
     lam, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     if lam.min() < -1e-10:
-        raise NumericalError(f"state eigenvalue {lam.min()} below the PSD floor")
+        raise CertificateError(f"state eigenvalue {lam.min()} below the PSD floor")
     lam = np.clip(lam, 0.0, None)
     return (v * np.sqrt(lam)) @ v.conj().T
 
@@ -133,12 +121,12 @@ def extract_assignment(s: QuantumStrategy, g: Graph) -> Assignment:
     if (incomplete | noncommuting).any():
         v = int((incomplete | noncommuting).argmax())
         if incomplete[v]:
-            raise NotVertexCompleteError(f"color projectors at vertex {v} do not sum to identity")
-        raise NotVertexCompleteError(f"same-vertex projectors at {v} do not commute")
+            raise CertificateError(f"color projectors at vertex {v} do not sum to identity")
+        raise CertificateError(f"same-vertex projectors at {v} do not commute")
     rho = partial_trace_a(s)
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > 1e-9:
-        raise NumericalError(f"reduced state trace {tr} != 1")
+        raise CertificateError(f"reduced state trace {tr} != 1")
     return Assignment(rho=rho, projs=_block_diag(projs))
 
 
@@ -176,7 +164,7 @@ def eps_table(s: QuantumStrategy, g: Graph) -> EpsTable:
     pairs = (amp.real**2 + amp.imag**2).sum(axis=(-3, -2, -1))
     eps = np.einsum("rakb,kab->rk", pairs, _LOSSES).reshape(-1, 3, 2)  # r = (edge, color)
     if eps.max() > 1.0 + 1e-9:
-        raise NumericalError(f"failure probability {eps.max()} escaped [0,1]")
+        raise CertificateError(f"failure probability {eps.max()} escaped [0,1]")
     eps = np.minimum(eps, 1.0)
     observable = np.einsum("rakb,kab->rk", pairs, _OBS).reshape(-1, 3, 2)
     return EpsTable(eps=eps, aggregate=sum(eps.ravel().tolist()) / eps.size, observable=observable)
@@ -212,7 +200,7 @@ def assignment_norms(a: Assignment, base: Graph, ext: Optional[ExtendedGraph] = 
     """
     op_graph = ext.full if ext is not None else base
     if len(a.projs) < op_graph.n:
-        raise MissingProjectorError(f"assignment has no projector for vertex {len(a.projs)}")
+        raise CertificateError(f"assignment has no projector for vertex {len(a.projs)}")
     sr = sqrt_psd(a.rho)
     projs = a.projs[: op_graph.n]
     ij = _pairs(op_graph.edges)
@@ -294,7 +282,7 @@ def sequential_coloring(a: Assignment, order: Sequence[int], rng: random.Random)
     for v in order:
         probs = [max(0.0, float((b_op @ rho).trace().real)) for b_op in a.projs[v]]
         if sum(probs) < 1e-15:
-            raise NumericalError(f"all branches vanish at vertex {v}")
+            raise CertificateError(f"all branches vanish at vertex {v}")
         pick = colors[v] = rng.choices(F3, probs)[0]
         b_op = a.projs[v, pick]
         rho = b_op @ rho @ b_op

@@ -26,6 +26,11 @@ class CliError(ColorproofError):
     pass
 
 
+def _config_line(config: dict) -> str:
+    """The human echo of a payload's config, in its order, each key spelled as its flag."""
+    return "config: " + " ".join(f"{k.replace('_', '-')}={v}" for k, v in config.items())
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -60,16 +65,12 @@ def _cmd_gen(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        _emit(
-            args,
-            {"config": config, "out": args.out},
-            f"config: nodes={args.nodes} edges={args.edges} seed={args.seed}\nwrote {args.out}",
-        )
+        _emit(args, {"config": config, "out": args.out}, f"{_config_line(config)}\nwrote {args.out}")
     elif args.json:
         print(json.dumps({"config": config, "instance": doc}, sort_keys=True, separators=(",", ":")))
     else:
         # keep stdout pipeable; the config echo goes to stderr
-        print(f"config: nodes={args.nodes} edges={args.edges} seed={args.seed}", file=sys.stderr)
+        print(_config_line(config), file=sys.stderr)
         print(text)
     return 0
 
@@ -82,12 +83,9 @@ def _cmd_extend(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(ext.full.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
-    _emit(
-        args,
-        {"config": {"graph": args.graph}, "n": g.n, "m": len(g.edges), "n_ext": n2, "m_ext": m2,
-         "gadgets": len(ext.gadgets)},
-        f"config: graph={args.graph}\nn'={n2} m'={m2} gadgets={len(ext.gadgets)}",
-    )
+    payload = {"config": {"graph": args.graph}, "n": g.n, "m": len(g.edges), "n_ext": n2, "m_ext": m2,
+               "gadgets": len(ext.gadgets)}
+    _emit(args, payload, f"{_config_line(payload['config'])}\nn'={n2} m'={m2} gadgets={len(ext.gadgets)}")
     return 0
 
 
@@ -106,7 +104,7 @@ def _cmd_bounds(args) -> int:
         "log10_rounds": rep.log10_rounds,
     }
     lines = [
-        f"config: nodes={args.nodes} edges={args.edges} max-deg={args.max_deg} k={args.k} variant={args.variant}",
+        _config_line(payload["config"]),
         f"{'n':>8} {'m':>8} {'n_ext':>9} {'m_ext':>9} {'1-omega_q':>12} {'rounds':>10}",
         f"{rep.n:>8} {rep.m:>8} {rep.n_ext:>9} {rep.m_ext:>9} {rep.epsilon_star:>12.3e} {rep.rounds_str:>10}",
     ]
@@ -139,7 +137,7 @@ def _cmd_simulate(args) -> int:
     _emit(
         args,
         payload,
-        f"config: kind={args.kind} mix={args.mix} rounds={args.rounds} seed={args.seed} strategy={args.strategy}\n"
+        f"{_config_line(payload['config'])}\n"
         f"accepted {stats.accepts}/{stats.rounds} (rate {stats.win_rate:.6f}, "
         f"95% CI [{stats.wilson_95[0]:.6f}, {stats.wilson_95[1]:.6f}])",
     )
@@ -156,7 +154,7 @@ def _cmd_bruteforce(args) -> int:
         "argmax": list(argmax),
         "three_colorable": value == 1,
     }
-    _emit(args, payload, f"config: graph={args.graph}\nbest edge win = {value} at coloring {argmax}")
+    _emit(args, payload, f"{_config_line(payload['config'])}\nbest edge win = {value} at coloring {argmax}")
     return 0
 
 
@@ -181,7 +179,7 @@ def _cmd_zk_test(args) -> int:
         "control_tv": control.tv_from_uniform,
         "control_support": control.support,
     }
-    lines = [f"config: rounds={args.rounds} seed={args.seed}"]
+    lines = [_config_line(payload["config"])]
     for (i, j), r in reports.items():
         lines.append(f"edge ({i},{j}): TV from uniform = {r.tv_from_uniform:.4f} over {r.samples} rounds")
     lines.append(f"fixed-coloring control: TV = {control.tv_from_uniform:.4f} (support {control.support})")
@@ -208,7 +206,7 @@ def _cmd_audit_quantum(args) -> int:
         command = f"python -m colorproof audit-quantum --dims {args.dims} --replay="  # = keeps a seed -3 an argument
         replay = {"replay": {k: f"{command}{seed}:{i}" for k, (seed, i) in sorted(summary.worst_sample.items())}}
     payload = {"config": config, **summary.to_dict(), **replay}
-    lines = ["config: " + " ".join(f"{k}={v}" for k, v in config.items())]
+    lines = [_config_line(config)]
     for name, count in summary.checks.items():
         vacuity = f", {summary.non_vacuous[name]} non-vacuous" if name in summary.non_vacuous else ""
         lines.append(f"{name:>24}: {count} instances{vacuity}, {summary.violations.get(name, 0)} violations, "
@@ -225,10 +223,8 @@ def _cmd_serve_prover(args) -> int:
     server = net.ProverServer(inst, args.role, args.shared_seed, host=host, port=port,
                               delay_s=args.delay_ms / 1e3)
     # flush so supervisors watching a pipe learn the bound port before we block
-    print(
-        f"config: role={args.role} listen={server.address[0]}:{server.address[1]} shared-seed={args.shared_seed}",
-        flush=True,
-    )
+    config = {"role": args.role, "listen": f"{server.address[0]}:{server.address[1]}", "shared_seed": args.shared_seed}
+    print(_config_line(config), flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -257,7 +253,7 @@ def _cmd_verify(args) -> int:
     _emit(
         args,
         payload,
-        f"config: rounds={args.rounds} deadline-ms={args.deadline_ms} seed={args.seed}\n"
+        f"{_config_line(payload['config'])}\n"
         f"accepted={report.accepted} rejected_check={report.rejected_check} "
         f"rejected_timeout={report.rejected_timeout}\n"
         f"session {'ACCEPTED' if report.ok else 'REJECTED'}",

@@ -79,10 +79,6 @@ class GamesError(ColorproofError, ValueError):
     pass
 
 
-class EmptyGraphError(GamesError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Challenges
 
@@ -662,7 +658,7 @@ _SPEC_OF_CHALLENGE = {spec.challenge: spec for spec in SPECS.values()}
 
 def _require_edges(g: Graph) -> None:
     if not g.edges:
-        raise EmptyGraphError("game needs a graph with at least one edge")
+        raise GamesError("game needs a graph with at least one edge")
 
 
 class ChallengeTable(dict):

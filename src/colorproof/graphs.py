@@ -25,18 +25,6 @@ class GraphError(ColorproofError, ValueError):
     """Base class for graph construction and validation failures."""
 
 
-class SelfLoopError(GraphError):
-    pass
-
-
-class OutOfRangeError(GraphError):
-    pass
-
-
-class LengthMismatchError(GraphError):
-    pass
-
-
 class InfeasibleError(GraphError):
     pass
 
@@ -135,9 +123,9 @@ def make_graph(n: int, raw_edges: Iterable[Sequence[int]]) -> Graph:
     for e in raw_edges:
         i, j = int(e[0]), int(e[1])
         if i == j:
-            raise SelfLoopError(f"self-loop at vertex {i}")
+            raise GraphError(f"self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):
-            raise OutOfRangeError(f"edge ({i},{j}) outside 0..{n - 1}")
+            raise GraphError(f"edge ({i},{j}) outside 0..{n - 1}")
         seen.add(_norm_edge(i, j))
     return Graph(n, tuple(sorted(seen)))
 
@@ -172,7 +160,7 @@ def instance_from_dict(d: dict) -> PlantedInstance:
 def validate_coloring(g: Graph, colors: Sequence[int]) -> list[Edge]:
     """Return the monochromatic edges of `colors` on `g` (empty iff proper)."""
     if len(colors) != g.n:
-        raise LengthMismatchError(f"coloring length {len(colors)} != n={g.n}")
+        raise GraphError(f"coloring length {len(colors)} != n={g.n}")
     for c in colors:
         if c not in (0, 1, 2):
             raise GraphError(f"color {c} outside {{0,1,2}}")

@@ -78,19 +78,7 @@ class FrameError(ColorproofError, ValueError):
     pass
 
 
-class TruncatedError(FrameError):
-    pass
-
-
 class OversizeError(FrameError):
-    pass
-
-
-class BadTypeError(FrameError):
-    pass
-
-
-class FieldRangeError(FrameError):
     pass
 
 
@@ -174,18 +162,18 @@ _LENGTH = struct.Struct(">I")
 def _check_fields(t: int, values: tuple) -> None:
     for (name, limit), value in zip(_FRAMES[t][2], values):
         if not 0 <= value < limit:
-            raise FieldRangeError(f"{name}={value} outside 0..{limit - 1}")
+            raise FrameError(f"{name}={value} outside 0..{limit - 1}")
     if t == T_HELLO:
         if values[1] != GAME_CODE:
-            raise FieldRangeError(f"unknown game code {values[1]}")
+            raise FrameError(f"unknown game code {values[1]}")
         if len(values[2]) != 32:
-            raise FieldRangeError("graph hash must be 32 bytes")
+            raise FrameError("graph hash must be 32 bytes")
 
 
 def encode(msg: WireMessage) -> bytes:
     t = _TYPE_OF.get(type(msg))
     if t is None:
-        raise BadTypeError(f"cannot encode {type(msg)!r}")
+        raise FrameError(f"cannot encode {type(msg)!r}")
     values = (msg.round, *msg.w) if t == T_RESPONSE_A else tuple(vars(msg).values())
     _check_fields(t, values)
     frame = _FRAMES[t][1]
@@ -196,19 +184,19 @@ def encode(msg: WireMessage) -> bytes:
 def decode(data: bytes) -> WireMessage:
     """Parse exactly one complete frame; rejects garbage, never crashes."""
     if len(data) < 5:
-        raise TruncatedError(f"frame header needs 5 bytes, got {len(data)}")
+        raise FrameError(f"frame header needs 5 bytes, got {len(data)}")
     length, t = _HEADER.unpack_from(data)
     if length > MAX_PAYLOAD:
         raise OversizeError(f"declared payload {length} exceeds {MAX_PAYLOAD}")
     if t not in _FRAMES:
-        raise BadTypeError(f"unknown message type {t}")
+        raise FrameError(f"unknown message type {t}")
     cls, frame, _ = _FRAMES[t]
     if length != frame.size - 4:
-        raise FieldRangeError(f"type {t} wants declared length {frame.size - 4}, got {length}")
+        raise FrameError(f"type {t} wants declared length {frame.size - 4}, got {length}")
     if len(data) < 4 + length:
-        raise TruncatedError(f"frame needs {4 + length} bytes, got {len(data)}")
+        raise FrameError(f"frame needs {4 + length} bytes, got {len(data)}")
     if len(data) > 4 + length:
-        raise FieldRangeError(f"{len(data) - 4 - length} trailing bytes after frame")
+        raise FrameError(f"{len(data) - 4 - length} trailing bytes after frame")
     values = frame.unpack(data)[2:]
     _check_fields(t, values)
     return ResponseA(values[0], values[1:]) if t == T_RESPONSE_A else cls(*values)

@@ -76,30 +76,6 @@ class StrategyError(ColorproofError, ValueError):
     pass
 
 
-class NotProjectiveError(StrategyError):
-    pass
-
-
-class IncompleteFamilyError(StrategyError):
-    pass
-
-
-class BadStateError(StrategyError):
-    pass
-
-
-class DimensionMismatchError(StrategyError):
-    pass
-
-
-class MissingPvmError(StrategyError):
-    pass
-
-
-class NonFiniteError(StrategyError):
-    pass
-
-
 class Pairs(list):
     """A reader's (key, outcome) list, which keeps its rows in each side layout it is read from (`Layout.gather`)
     for as long as both live: strategies that one generator or reduction builds on one graph share a layout."""
@@ -125,9 +101,9 @@ class Layout:
         return np.array([out for _, out in self.pairs])
 
     def family(self, key, side: str) -> tuple[slice, tuple]:
-        """Family `key`'s rows and outcomes; MissingPvmError if the side has none."""
+        """Family `key`'s rows and outcomes; StrategyError ("has no ... measurement") if the side has none."""
         if key not in self.index:
-            raise MissingPvmError(f"strategy has no {side} measurement for {key}")
+            raise StrategyError(f"strategy has no {side} measurement for {key}")
         f = self.index[key]
         return slice(self.starts[f], self.starts[f + 1]), self.outs[f]
 
@@ -152,13 +128,13 @@ class Side:
     """One prover's measurements: every projector as its register blocks in one (n_ops, R, d, d) stack, family
     by family per `layout`, row r holding the projector of `layout.pairs[r]`. Block r acts while the side's
     uniform slot register reads r; the projector is their block diagonal, of dimension R*d. R is 1 unless a
-    reduction wrote the side. A stack of another shape raises DimensionMismatchError; the stack is read-only.
+    reduction wrote the side. A stack of another shape raises StrategyError; the stack is read-only.
     """
 
     def __init__(self, ops: np.ndarray, layout: Layout):
         n = len(layout.pairs)
         if ops.ndim != 4 or ops.shape[0] != n or ops.shape[2] != ops.shape[3]:
-            raise DimensionMismatchError(f"side stack has shape {ops.shape}, want ({n}, R, d, d)")
+            raise StrategyError(f"side stack has shape {ops.shape}, want ({n}, R, d, d)")
         self.ops, self.layout = ops, layout
         ops.flags.writeable = False
 
@@ -175,7 +151,7 @@ class QuantumStrategy:
     size times its block size, register outermost, and psi is uniform over both registers: its register
     blocks are equal. Outcomes follow the game's response payloads (e.g. 4-tuples of labels for the
     labelling game's prover A). An outcome a family omits reads as a zero projector; a missing family
-    raises `MissingPvmError`. A hand-built strategy enters as `Side(ops, Layout(keys, outs))` per prover.
+    raises `StrategyError`. A hand-built strategy enters as `Side(ops, Layout(keys, outs))` per prover.
     """
 
     game: GameType
@@ -261,7 +237,7 @@ def _validate_side(side: Side, dim: int, name: str) -> None:
     r, d = stack.shape[1], stack.shape[-1]
     if r * d != dim and lay.pairs:
         (key, out), shape = lay.pairs[0], (r * d, r * d)
-        raise DimensionMismatchError(f"{name} pvm {key}: projector for {out} has shape {shape}, want {(dim, dim)}")
+        raise StrategyError(f"{name} pvm {key}: projector for {out} has shape {shape}, want {(dim, dim)}")
     per_op = (1, 2, 3)
     finite = np.isfinite(stack).all(axis=per_op)
     if not finite.all():
@@ -274,32 +250,32 @@ def _validate_side(side: Side, dim: int, name: str) -> None:
     f_op = int(lay.fam[faulty][0]) if faulty.any() else len(lay.keys)
     f_inc = int(incomplete.argmax()) if incomplete.any() else len(lay.keys)
     if f_inc < f_op:
-        raise IncompleteFamilyError(f"{name} pvm {lay.keys[f_inc]}: family does not sum to identity")
+        raise StrategyError(f"{name} pvm {lay.keys[f_inc]}: family does not sum to identity")
     if f_op == len(lay.keys):
         return
     i = int(faulty.argmax())
     what, out = f"{name} pvm {lay.keys[f_op]}", lay.pairs[i][1]
     if not finite[i]:
-        raise NonFiniteError(f"{what}: non-finite entries in projector {out}")
-    raise NotProjectiveError(f"{what}: outcome {out} not {'idempotent' if hermitian[i] else 'Hermitian'}")
+        raise StrategyError(f"{what}: non-finite entries in projector {out}")
+    raise StrategyError(f"{what}: outcome {out} not {'idempotent' if hermitian[i] else 'Hermitian'}")
 
 
 def validate_strategy(s: QuantumStrategy) -> None:
     """Enforce unit state, projectivity, and completeness of every family (side A's faults first), and a state
     uniform over the sides' slot registers."""
     if s.psi.shape != (s.dim_a * s.dim_b,):
-        raise DimensionMismatchError(f"state length {s.psi.shape} != dim_a*dim_b = {s.dim_a * s.dim_b}")
+        raise StrategyError(f"state length {s.psi.shape} != dim_a*dim_b = {s.dim_a * s.dim_b}")
     if not np.all(np.isfinite(s.psi)):
-        raise NonFiniteError("state has non-finite amplitudes")
+        raise StrategyError("state has non-finite amplitudes")
     if abs(np.linalg.norm(s.psi) - 1.0) > PROJ_TOL:
-        raise BadStateError(f"state norm {np.linalg.norm(s.psi)} is not 1")
+        raise StrategyError(f"state norm {np.linalg.norm(s.psi)} is not 1")
     _validate_side(s.a, s.dim_a, "A")
     _validate_side(s.b, s.dim_b, "B")
     r_a, r_b = s.a.register, s.b.register
     if r_a * r_b > 1:
         blocks = s.psi.reshape(r_a, s.dim_a // r_a, r_b, s.dim_b // r_b)
         if np.abs(blocks - blocks[:1, :, :1]).max() > PROJ_TOL:
-            raise BadStateError("state is not uniform over the slot registers")
+            raise StrategyError("state is not uniform over the slot registers")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +312,7 @@ def _require_game(s: QuantumStrategy, game: GameType) -> None:
 
 def _stack_ops(side: Side, pairs: Sequence, name: str) -> np.ndarray:
     """The register blocks of every (key, outcome) of `pairs`, stacked: one gather, or a slice of the side's stack;
-    an outcome its family omits reads as zero, and a missing family raises MissingPvmError naming the first."""
+    an outcome its family omits reads as zero, and a missing family raises StrategyError naming the first."""
     rows, omitted = side.layout.gather(pairs, name)
     ops = side.ops
     if omitted is None:
@@ -538,7 +514,7 @@ def arbitrary_strategy(
 def matrix_norms(m: np.ndarray) -> tuple[float, float]:
     """(Frobenius norm, operator norm). Operator norm via full SVD."""
     if not np.all(np.isfinite(m)):
-        raise NonFiniteError("matrix has non-finite entries")
+        raise StrategyError("matrix has non-finite entries")
     fro = float(np.linalg.norm(m, "fro"))
     op = float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
     return fro, op
@@ -665,7 +641,7 @@ def reduce_rzkp_to_edge(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     d_a, d_b = s.dim_a, s.dim_b
     d_b2 = 2 * slots * 3 * d_b
     if d_b2 > MAX_REDUCED_DIM:
-        raise DimensionMismatchError(f"reduced B dimension {d_b2} exceeds {MAX_REDUCED_DIM}")
+        raise StrategyError(f"reduced B dimension {d_b2} exceeds {MAX_REDUCED_DIM}")
 
     lay_a, lay_b = _spec_layouts(GameType.ALT_RZKP, g)  # edges x label 4-tuples; (edge, bit) x label pairs
     w = lay_a.out_array
@@ -706,7 +682,7 @@ def reduce_edge_to_bcs(s: QuantumStrategy, g: Graph) -> QuantumStrategy:
     d_a, d_b = s.dim_a, s.dim_b
     d_a2 = slots * d_a
     if d_a2 > MAX_REDUCED_DIM:
-        raise DimensionMismatchError(f"reduced A dimension {d_a2} exceeds {MAX_REDUCED_DIM}")
+        raise StrategyError(f"reduced A dimension {d_a2} exceeds {MAX_REDUCED_DIM}")
 
     edge_a, edge_b = _spec_layouts(GameType.ALT_EDGE, g)  # edges x color pairs, vertices x colors
     c, alpha = edge_a.out_array, np.array(F3)

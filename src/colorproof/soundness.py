@@ -26,14 +26,6 @@ class SoundnessError(ColorproofError, ValueError):
     pass
 
 
-class DegenerateDegreeError(SoundnessError):
-    pass
-
-
-class InsufficientPointsError(SoundnessError):
-    pass
-
-
 class BoundVariant(enum.Enum):
     MAIN_THEOREM = "main"
     APPENDIX_CHAIN = "appendix"
@@ -70,7 +62,7 @@ def _check_inputs(n: int, m: int, max_deg: int) -> None:
     if max_deg < 1 or 2 * m > n * max_deg:
         raise SoundnessError(f"no graph on {n} vertices has {m} edges and max degree {max_deg}")
     if 3 * n - 3 - 2 * max_deg <= 0:
-        raise DegenerateDegreeError(f"extended minimum degree 3*{n}-3-2*{max_deg} is not positive")
+        raise SoundnessError(f"extended minimum degree 3*{n}-3-2*{max_deg} is not positive")
     if max_deg > n - 1:
         raise SoundnessError(f"no graph on {n} vertices has max degree {max_deg}")
 
@@ -148,10 +140,10 @@ def scaling_probe(
     On a linear-density family m ~ c*n the slope sits near 8.
     """
     if len(points) < 4:
-        raise InsufficientPointsError(f"need at least 4 points, got {len(points)}")
+        raise SoundnessError(f"need at least 4 points, got {len(points)}")
     ys = [-quantum_value_bound(n, m, max_deg, variant).log10_epsilon_star * math.log(10) for n, m in points]
     # a constant x need not raise StatisticsError: the fsum mean of 7 copies of log(103) is not log(103)
     if len({m for _, m in points}) < 2:
-        raise InsufficientPointsError("degenerate fit: all points share one edge count")
+        raise SoundnessError("degenerate fit: all points share one edge count")
     # natural log of 1/eps* against natural log of m
     return statistics.linear_regression([math.log(m) for _, m in points], ys).slope

@@ -31,14 +31,6 @@ class StrategiesError(ColorproofError, ValueError):
     pass
 
 
-class TooLargeError(StrategiesError):
-    pass
-
-
-class NoSamplesError(StrategiesError):
-    pass
-
-
 @dataclass(frozen=True)
 class ClassicalStrategyPair:
     """Shared-randomness draw plus one response function per prover half."""
@@ -99,7 +91,7 @@ def brute_force_vertex3col_value(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     stays within the 3^n <= 4.3e7 envelope.
     """
     if g.n > 16:
-        raise TooLargeError(f"3^{g.n} colorings is past the brute-force envelope (n <= 16)")
+        raise StrategiesError(f"3^{g.n} colorings is past the brute-force envelope (n <= 16)")
     if not g.edges:
         raise StrategiesError("graph has no edges")
     total = 3**g.n
@@ -166,7 +158,7 @@ def uniformity_by_edge(transcripts: Iterable[Transcript], edges: Iterable[Edge])
 def _uniformity_report(edge: Edge, counts: dict) -> UniformityReport:
     n = sum(counts.values())
     if n == 0:
-        raise NoSamplesError(f"no transcripts carry A-challenge {edge}")
+        raise StrategiesError(f"no transcripts carry A-challenge {edge}")
     uniform = 1.0 / len(ADMISSIBLE_QUADS)
     tv = 0.0
     for q in ADMISSIBLE_QUADS:

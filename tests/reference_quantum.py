@@ -23,14 +23,10 @@ from colorproof.games import SPECS, GameType
 from colorproof.graphs import Graph, three_color
 from colorproof.quantum import (
     PROJ_TOL,
-    DimensionMismatchError,
-    IncompleteFamilyError,
     Layout,
-    MissingPvmError,
-    NonFiniteError,
-    NotProjectiveError,
     QuantumStrategy,
     Side,
+    StrategyError,
     _block_diag,
     _honest_outcomes,
 )
@@ -44,14 +40,14 @@ def dense(side: Side) -> dict:
 
 def strategy_of(game: GameType, dim_a: int, dim_b: int, psi: np.ndarray, pvm_a: dict, pvm_b: dict) -> QuantumStrategy:
     """The strategy of {key: {outcome: projector}} families at R = 1, each side stacked in key then outcome order;
-    DimensionMismatchError names the first projector that is not dim x dim."""
+    StrategyError names the first projector that is not dim x dim."""
 
     def side(pvms: dict, dim: int, name: str) -> Side:
         for key, fam in pvms.items():
             for out, p in fam.items():
                 if np.shape(p) != (dim, dim):
                     what = f"{name} pvm {key}: projector for {out}"
-                    raise DimensionMismatchError(f"{what} has shape {np.shape(p)}, want {(dim, dim)}")
+                    raise StrategyError(f"{what} has shape {np.shape(p)}, want {(dim, dim)}")
         ops = np.array([p for fam in pvms.values() for p in fam.values()], dtype=complex)
         return Side(ops.reshape(-1, 1, dim, dim), Layout(pvms, [fam.keys() for fam in pvms.values()]))
 
@@ -81,7 +77,7 @@ def stack_ops(pvms: dict, layout: list, side: str, dim: int) -> np.ndarray:
     try:
         return np.stack([pvms[key].get(out, zero) for key, out in layout])
     except KeyError as e:
-        raise MissingPvmError(f"strategy has no {side} measurement for {e.args[0]}") from None
+        raise StrategyError(f"strategy has no {side} measurement for {e.args[0]}") from None
 
 
 def validate_side(pvms: dict, dim: int, side: str) -> None:
@@ -104,16 +100,16 @@ def validate_side(pvms: dict, dim: int, side: str) -> None:
     f_op = int(fam[faulty][0]) if faulty.any() else len(keys)
     f_inc = int(incomplete.argmax()) if incomplete.any() else len(keys)
     if f_inc < f_op:
-        raise IncompleteFamilyError(f"{side} pvm {keys[f_inc]}: family does not sum to identity")
+        raise StrategyError(f"{side} pvm {keys[f_inc]}: family does not sum to identity")
     if f_op == len(keys):
         return
     i = int(faulty.argmax())
     what, k = f"{side} pvm {keys[f_op]}", int(shaped[:i].sum())
     if not shaped[i]:
-        raise DimensionMismatchError(f"{what}: projector for {outs[i]} has shape {ops[i].shape}, want {(dim, dim)}")
+        raise StrategyError(f"{what}: projector for {outs[i]} has shape {ops[i].shape}, want {(dim, dim)}")
     if not finite[k]:
-        raise NonFiniteError(f"{what}: non-finite entries in projector {outs[i]}")
-    raise NotProjectiveError(f"{what}: outcome {outs[i]} not {'idempotent' if hermitian[k] else 'Hermitian'}")
+        raise StrategyError(f"{what}: non-finite entries in projector {outs[i]}")
+    raise StrategyError(f"{what}: outcome {outs[i]} not {'idempotent' if hermitian[k] else 'Hermitian'}")
 
 
 def _qform(psi_mat: np.ndarray, a_op: np.ndarray, b_op: np.ndarray) -> float:

@@ -1,12 +1,13 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 from colorproof.audits import SweepSummary, audit_bcs_chain
 from colorproof.certificates import (
+    Assignment,
     CertificateError,
-    NumericalError,
     assignment_norms,
     check_bounds,
     eps_table,
@@ -98,7 +99,7 @@ def test_eps_table_aggregate_identity(k3):
 def test_sqrt_psd_identity_and_floor():
     sr = sqrt_psd(np.eye(4, dtype=complex) / 4)
     assert np.abs(sr - np.eye(4) / 2).max() < 1e-12
-    with pytest.raises(NumericalError):
+    with pytest.raises(CertificateError, match=r"^state eigenvalue -0\.001 below the PSD floor$"):
         sqrt_psd(np.diag([1.0, -1e-3]).astype(complex))
 
 
@@ -285,14 +286,12 @@ def test_sequential_distribution_matches_sampler(k3):
 
 
 def test_extract_assignment_rejects_incomplete_vertex(k3):
-    from colorproof.certificates import NotVertexCompleteError
-
     rng = np.random.default_rng(93)
     bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, rng)
     pvm_b = dense(bcs.b)
     pvm_b[(1, 0)] = dict(pvm_b[(1, 1)])
     bcs = rebuilt(bcs, pvm_b=pvm_b)
-    with pytest.raises(NotVertexCompleteError):
+    with pytest.raises(CertificateError, match="^color projectors at vertex 1 do not sum to identity$"):
         extract_assignment(bcs, k3)
 
 
@@ -306,8 +305,6 @@ def test_extract_assignment_rejects_incomplete_vertex(k3):
 )
 def test_extract_assignment_reports_the_lowest_faulty_vertex(k3, faults, message):
     # the checks run over every vertex at once; the lowest faulty vertex is the one reported, with its own fault
-    from colorproof.certificates import NotVertexCompleteError
-
     bcs = bcs_from_random_edge_strategy(k3, (2, 2), 0.2, np.random.default_rng(95))
     pvm_b = dense(bcs.b)
     for v, fault in faults.items():
@@ -317,32 +314,32 @@ def test_extract_assignment_reports_the_lowest_faulty_vertex(k3, faults, message
             p0, p1 = np.full((2, 2), 0.5, dtype=complex), np.diag([1.0, 0.0]).astype(complex)
             for beta, p in enumerate((p0, p1, np.eye(2) - p0 - p1)):
                 pvm_b[(v, beta)] = {1: p, 0: np.eye(2) - p}
-    with pytest.raises(NotVertexCompleteError, match=f"^{message}$"):
+    with pytest.raises(CertificateError, match=f"^{message}$"):
         extract_assignment(rebuilt(bcs, pvm_b=pvm_b), k3)
 
 
 def test_eps_table_missing_constraint(k3):
     from colorproof.games import EdgeConstraint
-    from colorproof.quantum import MissingPvmError
+    from colorproof.quantum import StrategyError
 
     rng = np.random.default_rng(94)
     bcs = bcs_from_random_edge_strategy(k3, (2, 3), 0.2, rng)
-    pvm_a = dense(bcs.a)
-    del pvm_a[EdgeConstraint((0, 1), 0)]
+    pvm_a, key = dense(bcs.a), EdgeConstraint((0, 1), 0)
+    del pvm_a[key]
     bcs = rebuilt(bcs, pvm_a=pvm_a)
-    with pytest.raises(MissingPvmError):
+    with pytest.raises(StrategyError, match=re.escape(f"strategy has no A measurement for {key}")):
         eps_table(bcs, k3)
 
 
 def test_eps_table_missing_b_family(k3):
-    from colorproof.quantum import MissingPvmError
+    from colorproof.quantum import StrategyError
 
     s = classical_embedding(GameType.BCS, k3, (0, 1, 2))
     pvm_b = dense(s.b)
     del pvm_b[(0, 0)]
     s = rebuilt(s, pvm_b=pvm_b)
     for read in (eps_table, extract_assignment):
-        with pytest.raises(MissingPvmError, match=r"no B measurement for \(0, 0\)"):
+        with pytest.raises(StrategyError, match=r"no B measurement for \(0, 0\)"):
             read(s, k3)
 
 
@@ -400,8 +397,18 @@ def test_sequential_extraction_four_vertices_nontrivial_order():
 def test_sequential_order_validation(k3):
     s = classical_embedding(GameType.BCS, k3, (0, 1, 2), dim=2)
     a = extract_assignment(s, k3)
-    with pytest.raises(CertificateError):
+    message = "^order must be a permutation of the assignment's vertices$"
+    with pytest.raises(CertificateError, match=message):
         sequential_coloring(a, [0, 1], random.Random(0))
+    with pytest.raises(CertificateError, match=message):
+        sequential_distribution(a, [0, 0, 1])
+
+
+def test_assignment_norms_need_a_projector_per_vertex(k3):
+    a = extract_assignment(classical_embedding(GameType.BCS, k3, (0, 1, 2), dim=2), k3)
+    short = Assignment(a.rho, a.projs[:2])
+    with pytest.raises(CertificateError, match="^assignment has no projector for vertex 2$"):
+        assignment_norms(short, k3)
 
 
 def test_observable_algebra_identity_and_conflict_mass(k3):

@@ -203,7 +203,7 @@ def test_tables_live_on_the_graph():
     assert challenge_table(GameKind(GameType.BCS, 0.5), g) is t
     assert challenge_table(GameKind(GameType.BCS, 0.25), g) is not t
     assert challenge_table(games.BCS, GRAPHS["k3"]()) is not t  # an equal graph has its own tables
-    with pytest.raises(games.EmptyGraphError):
+    with pytest.raises(games.GamesError, match="^game needs a graph with at least one edge$"):
         challenge_table(games.BCS, make_graph(2, []))
 
 

@@ -211,6 +211,7 @@ def _closed_port() -> int:
         ("verify", "--prover-a", "127.0.0.1:99999"),  # getaddrinfo would wrap it to port 34463
         ("verify", "--prover-b", "127.0.0.1:abc"),
         ("verify", "--prover-a", "127.0.0.1:"),
+        ("verify", "--prover-b", "127.0.0.1"),  # no port at all
         ("serve-prover", "--listen", "127.0.0.1:-5"),
     ],
 )
@@ -297,6 +298,55 @@ def test_out_of_range_input_exits_1(capsys, monkeypatch, tmp_path, argv, message
     code, _, err = run_cli(capsys, argv)
     assert code == 1
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["gen", "--nodes", "4", "--edges", "3", "--seed", "7"], "config: nodes=4 edges=3 seed=7"),
+        (["gen", "--nodes", "4", "--edges", "3", "--seed", "7", "--out", "{inst}"], "config: nodes=4 edges=3 seed=7"),
+        (["extend", "--graph", "{inst}"], "config: graph={inst}"),
+        (
+            ["bounds", "--nodes", "200", "--edges", "380", "--max-deg", "4"],
+            "config: nodes=200 edges=380 max-deg=4 k=100.0 variant=appendix",
+        ),
+        (
+            ["simulate", "--rounds", "10", "--mix", "0.25"],
+            "config: kind=alt-rzkp mix=0.25 rounds=10 seed=0 strategy=honest",
+        ),
+        (["bruteforce", "--graph", "{inst}"], "config: graph={inst}"),
+        (["zk-test", "--rounds", "50", "--seed", "3"], "config: rounds=50 seed=3"),
+        (["audit-quantum", "--samples", "1", "--dims", "2"], "config: samples=1 seed=0 dims=2"),
+        (["audit-quantum", "--replay=-3:0", "--dims", "2"], "config: replay=-3:0 dims=2"),
+        (
+            ["serve-prover", "--graph", "{inst}", "--role", "b", "--shared-seed", "5", "--listen", "127.0.0.1:{port}"],
+            "config: role=b listen=127.0.0.1:{port} shared-seed=5",
+        ),
+        (
+            ["verify", "--graph", "{inst}", "--prover-a", "{a}", "--prover-b", "{b}", "--rounds", "5"],
+            "config: rounds=5 deadline-ms=100.0 seed=0",
+        ),
+    ],
+    ids=[
+        "gen", "gen-out", "extend", "bounds", "simulate", "bruteforce", "zk-test",
+        "audit-quantum", "audit-quantum-replay", "serve-prover", "verify",
+    ],
+)
+def test_each_command_echoes_its_config_first(capsys, monkeypatch, tmp_path, argv, first):
+    # the human output's first line names the configuration the JSON payload holds;
+    # gen echoes it on stderr when the instance itself goes to stdout
+    inst = gen_planted(6, 9, seed=1)
+    provers = [ProverServer(inst, role, 9).start() for role in "ab"]
+    monkeypatch.setattr(net.ProverServer, "serve_forever", lambda self: None)  # serve-prover returns once bound
+    try:
+        fill = {"inst": _instance_file(tmp_path), "port": _closed_port()}
+        fill.update({role: f"127.0.0.1:{p.address[1]}" for role, p in zip("ab", provers)})
+        code, out, err = run_cli(capsys, [arg.format(**fill) for arg in argv])
+    finally:
+        for p in provers:
+            p.stop()
+    assert code == 0
+    assert (err or out).splitlines()[0] == first.format(**fill)
 
 
 def test_gen_stdout_modes(capsys):

@@ -44,8 +44,12 @@ def test_two_process_session(instance_file, spawn_prover, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["audit-quantum", "--samples", "2", "--json"], ["bounds", "--nodes", "10", "--edges", "12", "--max-deg", "4"]],
-    ids=["audit-quantum-json", "bounds-text"],
+    [
+        ["audit-quantum", "--samples", "2", "--json"],
+        ["bounds", "--nodes", "10", "--edges", "12", "--max-deg", "4"],
+        ["gen", "--nodes", "6", "--edges", "9", "--json"],
+    ],
+    ids=["audit-quantum-json", "bounds-text", "gen-json"],
 )
 def test_closed_stdout_ends_the_output_cleanly(argv):
     read, write = os.pipe()

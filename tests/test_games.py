@@ -15,8 +15,8 @@ from colorproof.games import (
     BcsChallenge,
     EdgeChallenge,
     EdgeConstraint,
-    EmptyGraphError,
     GameKind,
+    GamesError,
     GameType,
     Reason,
     RzkpChallenge,
@@ -170,9 +170,9 @@ def test_sampler_matches_pmf_smoke(kind, k3):
 
 def test_empty_graph_rejected():
     g = make_graph(3, [])
-    with pytest.raises(EmptyGraphError):
+    with pytest.raises(GamesError, match="^game needs a graph with at least one edge$"):
         sample_challenge(ALT_RZKP, g, random.Random(0))
-    with pytest.raises(EmptyGraphError):
+    with pytest.raises(GamesError, match="^game needs a graph with at least one edge$"):
         challenge_pmf(VERTEX, g)
 
 
@@ -252,6 +252,7 @@ def test_verdict_malformed_never_raises():
     ch, three_labels = RzkpChallenge((0, 1), (1, 2), 0), (1, 0, 2)  # B's edge has two ends
     assert verdict(ALT_RZKP, ch, (0, 1, 1, 1), three_labels).reason is Reason.MALFORMED
     assert verdict(BCS, BcsChallenge(VertexConstraint(0), 0, 0), (1, 0), 1).reason is Reason.MALFORMED
+    assert verdict(ALT_EDGE, VertexChallenge(0, 1), (0, 1), 0).reason is Reason.MALFORMED  # another variant's challenge
 
 
 @settings(max_examples=100, deadline=None)
@@ -331,6 +332,8 @@ def test_zero_rounds_degenerate(k3):
     inst = gen_planted(3, 3, seed=12)
     stats, log = play_rounds(VERTEX, inst.graph, honest_pair(inst), 0, seed=0)
     assert stats.rounds == 0 and stats.win_rate == 1.0 and stats.degenerate
+    with pytest.raises(GamesError, match="^negative round count$"):
+        play_rounds(VERTEX, inst.graph, honest_pair(inst), -1, seed=0)
 
 
 def test_fixed_coloring_on_k4_edge_branch(k4):

@@ -9,9 +9,6 @@ from colorproof.graphs import (
     Graph,
     GraphError,
     InfeasibleError,
-    LengthMismatchError,
-    OutOfRangeError,
-    SelfLoopError,
     extend_with_gadgets,
     extended_counts,
     gen_planted,
@@ -36,7 +33,7 @@ def test_make_graph_normalizes(k3):
 
 
 def test_make_graph_rejects_self_loop():
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(GraphError, match="^self-loop at vertex 0$"):
         make_graph(4, [(0, 0)])
 
 
@@ -46,7 +43,7 @@ def test_make_graph_dedups_after_normalization():
 
 
 def test_make_graph_range_check():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(GraphError, match=r"^edge \(0,3\) outside 0\.\.2$"):
         make_graph(3, [(0, 3)])
 
 
@@ -171,7 +168,7 @@ def test_min_extended_degree_values(path3):
 def test_validate_coloring(k3, k4):
     assert validate_coloring(k3, (0, 1, 2)) == []
     assert validate_coloring(k3, (0, 0, 1)) == [(0, 1)]
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(GraphError, match="^coloring length 2 != n=3$"):
         validate_coloring(k3, (0, 1))
     # K4 is not 3-colorable: every one of the 81 colorings has a violation
     for colors in itertools.product((0, 1, 2), repeat=4):
@@ -212,6 +209,21 @@ def test_extension_counts_match_construction(n, seed):
     g = random_graph(n, random.Random(seed).random(), seed)
     ext = extend_with_gadgets(g)
     assert (ext.full.n, len(ext.full.edges)) == extended_counts(g.n, len(g.edges))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gen_planted(4, -1, seed=0), "edge count -1 is negative"),
+        (lambda: extended_counts(0, 0), "need n >= 1, got 0"),
+        (lambda: extended_counts(3, 4), "edge count 4 impossible on 3 vertices"),
+        (lambda: min_extended_degree(3, 3), "max degree 3 impossible on 3 vertices"),
+    ],
+    ids=["negative-edge-count", "no-vertices", "too-many-edges", "degree-too-large"],
+)
+def test_count_helpers_reject_impossible_arguments(call, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        call()
 
 
 def test_make_graph_needs_vertices():

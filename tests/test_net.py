@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import math
 import os
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -15,7 +17,7 @@ from colorproof.net import (
     Bye,
     ChallengeA,
     ChallengeB,
-    FieldRangeError,
+    ConfigError,
     FrameError,
     Hello,
     OversizeError,
@@ -25,7 +27,7 @@ from colorproof.net import (
     Result,
     SessionConfig,
     SessionError,
-    TruncatedError,
+    _Stream,
     decode,
     encode,
     run_verifier_session,
@@ -78,36 +80,38 @@ def test_challenge_a_carries_no_bit_or_second_edge():
 
 
 def test_encode_field_ranges():
-    with pytest.raises(FieldRangeError):
+    with pytest.raises(FrameError, match=r"^w=3 outside 0\.\.2$"):
         encode(ResponseA(0, (3, 0, 0, 0)))
-    with pytest.raises(FieldRangeError):
+    with pytest.raises(FrameError, match=r"^b=2 outside 0\.\.1$"):
         encode(ChallengeB(0, 0, 1, 2))
-    with pytest.raises(FieldRangeError):
+    with pytest.raises(FrameError, match="^graph hash must be 32 bytes$"):
         encode(Hello(1, 1, b"short"))
-    with pytest.raises(FieldRangeError):
+    with pytest.raises(FrameError, match=r"^i=4294967296 outside 0\.\.4294967295$"):
         encode(ChallengeA(0, 1 << 32, 0))
-    with pytest.raises(FieldRangeError):
+    with pytest.raises(FrameError, match=r"^round=-1 outside 0\.\.18446744073709551615$"):
         encode(ResponseB(-1, 0, 0))
+    with pytest.raises(FrameError, match="^cannot encode <class 'object'>$"):
+        encode(object())
 
 
 def test_decode_rejects_bad_frames():
-    with pytest.raises(TruncatedError):
+    with pytest.raises(FrameError, match="^frame header needs 5 bytes, got 2$"):
         decode(b"\x00\x00")
-    with pytest.raises(TruncatedError):
+    with pytest.raises(FrameError, match="^frame needs 21 bytes, got 19$"):
         decode(encode(ChallengeA(0, 0, 1))[:-2])
     with pytest.raises(OversizeError):
         decode((1 << 24).to_bytes(4, "big") + b"\x02" + b"\x00" * 16)
-    with pytest.raises(FrameError):
+    with pytest.raises(FrameError, match="^unknown message type 99$"):
         decode(b"\x00\x00\x00\x01\x63")  # unknown type 0x63
-    with pytest.raises(FieldRangeError):
+    with pytest.raises(FrameError, match="^1 trailing bytes after frame$"):
         decode(encode(ChallengeA(0, 0, 1)) + b"\x00")
     # in-range length, wrong for the type
-    with pytest.raises(FieldRangeError):
+    with pytest.raises(FrameError, match="^type 2 wants declared length 17, got 5$"):
         decode((5).to_bytes(4, "big") + b"\x02" + b"\x00" * 4)
     # out-of-range color inside a well-framed response
     good = bytearray(encode(ResponseB(0, 0, 0)))
     good[-1] = 7
-    with pytest.raises(FieldRangeError):
+    with pytest.raises(FrameError, match=r"^wj=7 outside 0\.\.2$"):
         decode(bytes(good))
 
 
@@ -241,8 +245,6 @@ def test_prover_rejects_wrong_role_frames(inst):
     p = ProverServer(inst, "a", 42).start()
     try:
         with socket.create_connection(p.address, timeout=2.0) as sock:
-            from colorproof.net import _Stream
-
             stream = _Stream(sock)
             stream.send(Hello(1, 1, inst.graph.digest()))
             assert isinstance(stream.read_frame(timeout=2.0), Hello)
@@ -260,7 +262,6 @@ def test_prover_rejects_wrong_role_frames(inst):
 def test_prover_refuses_challenges_off_its_graph(monkeypatch, role, challenge):
     # answering the non-edge (0, 2) would tell the verifier whether c0 == c2
     from colorproof import net
-    from colorproof.net import _Stream
 
     inst = gen_planted(8, 10, 3)
     assert not inst.graph.has_edge(0, 2)
@@ -304,8 +305,6 @@ def test_prover_refuses_challenges_off_its_graph(monkeypatch, role, challenge):
 def test_prover_answers_each_round_once(role, first, replay):
     # two answers under round 0's permutation on the path 0-1-4 would reveal
     # whether the non-adjacent vertices 0 and 4 share a color
-    from colorproof.net import _Stream
-
     inst = gen_planted(8, 10, 3)
     assert inst.graph.has_edge(0, 1) and inst.graph.has_edge(1, 4) and not inst.graph.has_edge(0, 4)
     p = ProverServer(inst, role, 42).start()
@@ -337,57 +336,64 @@ def test_hello_game_codes_agree_between_encode_and_decode():
         for game in range(256):
             try:
                 frame = encode(Hello(version, game, bytes(32)))
-            except FieldRangeError:
+            except FrameError as exc:
+                assert str(exc) == f"unknown game code {game}"
                 continue
             assert decode(frame) == Hello(version, game, bytes(32))
             accepted.add(game)
     assert accepted == {1}  # alt-rzkp is the only game on the wire
     for game in (0, 2):
-        with pytest.raises(FieldRangeError):
+        with pytest.raises(FrameError, match=f"^unknown game code {game}$"):
             encode(Hello(1, game, bytes(32)))
         frame = bytearray(encode(Hello(1, 1, bytes(32))))
         frame[6] = game  # length (4), type (1), version (1), then the game code
-        with pytest.raises(FieldRangeError):
+        with pytest.raises(FrameError, match=f"^unknown game code {game}$"):
             decode(bytes(frame))
+
+
+@contextlib.contextmanager
+def rogue_prover(serve):
+    """Listen on 127.0.0.1 and yield the address; a daemon thread accepts one connection and runs `serve` on
+    its `_Stream`. A closed, hung or garbled link ends the rogue quietly, so only the test's assertions fail it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                serve(_Stream(conn))
+        except (OSError, FrameError):  # ConnectionError and TimeoutError are OSErrors
+            pass
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        t.join(timeout=5.0)
+        listener.close()
 
 
 def test_prover_dying_mid_session_yields_timeouts(inst, provers):
     # a prover closing after a few rounds must not abort the session: the
     # remaining rounds are recorded as timeout-class rejections
-    import threading
-
-    from colorproof.net import _Stream
+    def serve(stream):
+        hello = stream.read_frame(timeout=5.0)
+        stream.send(Hello(1, 1, hello.graph_hash))
+        served = 0
+        while served < 3:
+            msg = stream.read_frame(timeout=5.0)
+            if isinstance(msg, ChallengeB):
+                lab = round_labelling(inst.witness, 42, msg.round)
+                w = lab.w0 if msg.b == 0 else lab.w1
+                stream.send(ResponseB(msg.round, w[msg.i], w[msg.j]))
+                served += 1
 
     pa, _ = provers
-    rogue = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    rogue.bind(("127.0.0.1", 0))
-    rogue.listen(1)
-    addr = rogue.getsockname()
-
-    def rogue_b():
-        conn, _ = rogue.accept()
-        stream = _Stream(conn)
-        try:
-            hello = stream.read_frame(timeout=5.0)
-            stream.send(Hello(1, 1, hello.graph_hash))
-            served = 0
-            while served < 3:
-                msg = stream.read_frame(timeout=5.0)
-                if isinstance(msg, ChallengeB):
-                    lab = round_labelling(inst.witness, 42, msg.round)
-                    w = lab.w0 if msg.b == 0 else lab.w1
-                    stream.send(ResponseB(msg.round, w[msg.i], w[msg.j]))
-                    served += 1
-        finally:
-            conn.close()
-            rogue.close()
-
-    t = threading.Thread(target=rogue_b, daemon=True)
-    t.start()
-    cfg = SessionConfig(inst.graph, rounds=6, deadline_ns=500_000_000, seed=5,
-                        addr_a=pa.address, addr_b=addr)
-    rep = run_verifier_session(cfg)
-    t.join(timeout=5.0)
+    with rogue_prover(serve) as addr:
+        cfg = SessionConfig(inst.graph, rounds=6, deadline_ns=500_000_000, seed=5,
+                            addr_a=pa.address, addr_b=addr)
+        rep = run_verifier_session(cfg)
     assert rep.accepted == 3
     assert rep.rejected_timeout == 3
     assert rep.rejected_check == 0
@@ -396,84 +402,44 @@ def test_prover_dying_mid_session_yields_timeouts(inst, provers):
 def test_stale_round_frames_are_skipped(inst, provers):
     # a response tagged with an old round number must be discarded, and the
     # current round's real response still accepted
-    import threading
-
-    from colorproof.net import _Stream
+    def serve(stream):
+        hello = stream.read_frame(timeout=5.0)
+        stream.send(Hello(1, 1, hello.graph_hash))
+        while True:
+            msg = stream.read_frame(timeout=5.0)
+            if isinstance(msg, Bye):
+                return
+            if isinstance(msg, ChallengeB):
+                lab = round_labelling(inst.witness, 42, msg.round)
+                w = lab.w0 if msg.b == 0 else lab.w1
+                if msg.round > 0:
+                    stream.send(ResponseB(msg.round - 1, 0, 0))  # stale echo
+                stream.send(ResponseB(msg.round, w[msg.i], w[msg.j]))
 
     pa, _ = provers
-    rogue = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    rogue.bind(("127.0.0.1", 0))
-    rogue.listen(1)
-    addr = rogue.getsockname()
-
-    def rogue_b():
-        conn, _ = rogue.accept()
-        stream = _Stream(conn)
-        try:
-            hello = stream.read_frame(timeout=5.0)
-            stream.send(Hello(1, 1, hello.graph_hash))
-            while True:
-                msg = stream.read_frame(timeout=5.0)
-                if isinstance(msg, Bye):
-                    return
-                if isinstance(msg, ChallengeB):
-                    lab = round_labelling(inst.witness, 42, msg.round)
-                    w = lab.w0 if msg.b == 0 else lab.w1
-                    if msg.round > 0:
-                        stream.send(ResponseB(msg.round - 1, 0, 0))  # stale echo
-                    stream.send(ResponseB(msg.round, w[msg.i], w[msg.j]))
-        except (OSError, ConnectionError, TimeoutError, FrameError):
-            return
-        finally:
-            conn.close()
-            rogue.close()
-
-    t = threading.Thread(target=rogue_b, daemon=True)
-    t.start()
-    cfg = SessionConfig(inst.graph, rounds=5, deadline_ns=500_000_000, seed=5,
-                        addr_a=pa.address, addr_b=addr)
-    rep = run_verifier_session(cfg)
-    t.join(timeout=5.0)
+    with rogue_prover(serve) as addr:
+        cfg = SessionConfig(inst.graph, rounds=5, deadline_ns=500_000_000, seed=5,
+                            addr_a=pa.address, addr_b=addr)
+        rep = run_verifier_session(cfg)
     assert rep.ok and rep.accepted == 5
 
 
 def test_verifier_refuses_a_hello_of_another_version(inst, provers):
     # the prover side refuses any HELLO but its own; the verifier must too
-    import threading
-
-    from colorproof.net import _Stream
+    def serve(stream):
+        hello = stream.read_frame(timeout=5.0)
+        stream.send(Hello(7, hello.game, hello.graph_hash))
+        stream.read_frame(timeout=5.0)  # until the verifier hangs up
 
     pa, _ = provers
-    rogue = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    rogue.bind(("127.0.0.1", 0))
-    rogue.listen(1)
-    addr = rogue.getsockname()
-
-    def rogue_b():
-        conn, _ = rogue.accept()
-        stream = _Stream(conn)
-        try:
-            hello = stream.read_frame(timeout=5.0)
-            stream.send(Hello(7, hello.game, hello.graph_hash))
-            stream.read_frame(timeout=5.0)  # until the verifier hangs up
-        except (OSError, ConnectionError, TimeoutError, FrameError):
-            return
-        finally:
-            conn.close()
-            rogue.close()
-
-    t = threading.Thread(target=rogue_b, daemon=True)
-    t.start()
-    cfg = SessionConfig(inst.graph, rounds=3, deadline_ns=500_000_000, seed=5, addr_a=pa.address, addr_b=addr)
-    with pytest.raises(SessionError, match="prover B refused the session"):
-        run_verifier_session(cfg)
-    t.join(timeout=5.0)
+    with rogue_prover(serve) as addr:
+        cfg = SessionConfig(inst.graph, rounds=3, deadline_ns=500_000_000, seed=5, addr_a=pa.address, addr_b=addr)
+        with pytest.raises(SessionError, match="prover B refused the session"):
+            run_verifier_session(cfg)
 
 
 def test_prover_refuses_wrong_version(inst, provers):
     pa, _ = provers
-    from colorproof.net import _Stream
-
     with socket.create_connection(pa.address, timeout=2.0) as sock:
         stream = _Stream(sock)
         stream.send(Hello(7, 1, inst.graph.digest()))
@@ -494,8 +460,6 @@ def test_prover_survives_garbage_bytes(inst, provers):
 
 
 def test_concurrent_sessions_are_isolated(inst, provers):
-    import threading
-
     pa, pb = provers
     results = {}
 
@@ -517,3 +481,31 @@ def test_concurrent_sessions_are_isolated(inst, provers):
 def test_session_config_validation(inst):
     with pytest.raises(ValueError):
         SessionConfig(inst.graph, rounds=0, deadline_ns=1, seed=0, addr_a=("h", 1), addr_b=("h", 2))
+
+
+def test_prover_server_rejects_an_unknown_role(inst):
+    with pytest.raises(ConfigError, match="^role must be 'a' or 'b', got 'c'$"):
+        ProverServer(inst, "c", 42)
+
+
+def test_a_frame_split_across_reads_is_read_whole():
+    # every frame that TCP splits across recv calls takes the partial-frame path of `pop`
+    msg = ChallengeB(2**40, 5, 9, 1)
+    frame = encode(msg)
+    left, right = socket.socketpair()
+    with left, right:
+        stream = _Stream(right)
+        for byte in frame[:-1]:
+            left.sendall(bytes([byte]))
+            stream._fill(len(stream.buf) + 1, time.monotonic() + 2.0)
+            assert stream.pop() is None
+        left.sendall(frame[-1:])
+        assert stream.read_frame(timeout=2.0) == msg
+        assert stream.buf == b""
+
+
+def test_read_frame_on_a_silent_socket_meets_its_own_deadline():
+    left, right = socket.socketpair()
+    with left, right:
+        with pytest.raises(TimeoutError, match="^transport deadline expired$"):
+            _Stream(right).read_frame(timeout=0)

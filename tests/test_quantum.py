@@ -12,12 +12,7 @@ from colorproof.certificates import eps_table, extract_assignment
 from colorproof.games import ALT_EDGE, ALT_RZKP, EdgeConstraint, GameKind, GameType, VERTEX, play_rounds
 from colorproof.graphs import make_graph
 from colorproof.quantum import (
-    BadStateError,
     BornPair,
-    DimensionMismatchError,
-    MissingPvmError,
-    NonFiniteError,
-    NotProjectiveError,
     StrategyError,
     classical_embedding,
     haar_unitary,
@@ -55,16 +50,20 @@ def test_validate_rejects_broken_families(k3):
     pvm_a = dense(s.a)
     pvm_a[0][0] = pvm_a[0][0] * 0.5
     bad = rebuilt(s, pvm_a=pvm_a)
-    with pytest.raises(NotProjectiveError):
+    with pytest.raises(StrategyError, match="^A pvm 0: outcome 0 not idempotent$"):
         validate_strategy(bad)
     bad2 = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
     bad2.psi = bad2.psi * 2.0
-    with pytest.raises(BadStateError):
+    with pytest.raises(StrategyError, match=r"^state norm 2\.0 is not 1$"):
         validate_strategy(bad2)
     bad3 = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
     bad3.psi = np.ones(3, dtype=complex)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(StrategyError, match=re.escape("state length (3,) != dim_a*dim_b = 4")):
         validate_strategy(bad3)
+    bad4 = classical_embedding(GameType.VERTEX, k3, (0, 1, 2), dim=2)
+    bad4.psi = np.full(4, np.nan, dtype=complex)
+    with pytest.raises(StrategyError, match="^state has non-finite amplitudes$"):
+        validate_strategy(bad4)
 
 
 def test_strategy_sides_are_read_only(k3):
@@ -85,12 +84,12 @@ def test_a_side_refuses_a_stack_that_does_not_fit_its_layout(k3):
     n = len(s.b.layout.pairs)
     for ops, shape in ((s.b.ops[:-1], (n - 1, 1, 2, 2)), (s.b.ops[:, 0], (n, 2, 2))):
         want = re.escape(f"side stack has shape {shape}, want ({n}, R, d, d)")
-        with pytest.raises(DimensionMismatchError, match=want):
+        with pytest.raises(StrategyError, match=want):
             quantum.Side(ops.copy(), s.b.layout)
     # a stack that fits its layout but not the strategy's dimension: the validator names the side's first outcome
     wide = quantum.QuantumStrategy(GameType.VERTEX, 2, 3, np.eye(1, 6, dtype=complex)[0], s.a, s.b)
     want = re.escape("B pvm 0: projector for 0 has shape (2, 2), want (3, 3)")
-    with pytest.raises(DimensionMismatchError, match=want):
+    with pytest.raises(StrategyError, match=want):
         validate_strategy(wide)
 
 
@@ -111,15 +110,15 @@ def test_win_probability_missing_pvm(k3):
     pvm_a = dense(s.a)
     del pvm_a[1]
     s = rebuilt(s, pvm_a=pvm_a)
-    with pytest.raises(MissingPvmError):
+    with pytest.raises(StrategyError, match="^strategy has no A measurement for 1$"):
         win_probability(VERTEX, k3, s)
 
 
 def test_win_probability_rejects_another_games_strategy(k3):
     s = classical_embedding(GameType.VERTEX, k3, (0, 1, 2))
-    with pytest.raises(StrategyError, match="strategy plays vertex, expected alt-edge") as raised:
+    # the whole message is the wrong-game one, not a missing family's
+    with pytest.raises(StrategyError, match="^strategy plays vertex, expected alt-edge$"):
         win_probability(ALT_EDGE, k3, s)
-    assert not isinstance(raised.value, MissingPvmError)
 
 
 # each reader of a strategy's families, with the game of the strategy it reads
@@ -161,7 +160,7 @@ def test_every_reader_raises_missing_pvm_for_a_deleted_family(k3, reader, side, 
     pvms = dense(s.a if side == "A" else s.b)
     del pvms[key]
     s = rebuilt(s, **{"pvm_a" if side == "A" else "pvm_b": pvms})
-    with pytest.raises(MissingPvmError, match=re.escape(f"strategy has no {side} measurement for {key}")):
+    with pytest.raises(StrategyError, match=re.escape(f"strategy has no {side} measurement for {key}")):
         read(s, k3)
 
 
@@ -226,7 +225,7 @@ def test_reduce_rzkp_rejects_non_projective(k3):
     out = next(o for o, p in pvm_a[key].items() if p.trace().real > 0)
     pvm_a[key][out] = pvm_a[key][out] * 0.7
     s = rebuilt(s, pvm_a=pvm_a)
-    with pytest.raises(NotProjectiveError):
+    with pytest.raises(StrategyError, match=re.escape(f"A pvm {key}: outcome {out} not idempotent")):
         reduce_rzkp_to_edge(s, k3)
 
 
@@ -261,6 +260,26 @@ def test_dilated_sequential_measurement_matches_povm(edges):
                         want += (q_second @ p_first @ rho_b @ p_first @ q_second).trace().real
             want /= 2 * len(nbrs)
             assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "game, reduce, cap, message",
+    [
+        (GameType.ALT_RZKP, reduce_rzkp_to_edge, 11, "reduced B dimension 12 exceeds 11"),
+        (GameType.ALT_EDGE, reduce_edge_to_bcs, 1, "reduced A dimension 2 exceeds 1"),
+    ],
+    ids=["rzkp-to-edge", "edge-to-bcs"],
+)
+def test_reductions_refuse_a_side_past_the_dimension_cap(monkeypatch, k3, game, reduce, cap, message):
+    # K3 has two slots: rzkp -> edge writes B at 2 * 2 * 3 * d_b, edge -> bcs writes A at 2 * d_a
+    monkeypatch.setattr(quantum, "MAX_REDUCED_DIM", cap)
+    with pytest.raises(StrategyError, match=f"^{message}$"):
+        reduce(classical_embedding(game, k3, (0, 1, 2)), k3)
+
+
+def test_random_strategy_needs_reference_colors_off_three_colorable_graphs(k4):
+    with pytest.raises(StrategyError, match="^graph is not 3-colorable; pass explicit reference colors$"):
+        random_strategy(GameType.VERTEX, k4, 2, 2, np.random.default_rng(0))
 
 
 def test_reduce_edge_to_bcs_structure(k3):
@@ -320,7 +339,7 @@ def test_matrix_norms_identity():
 def test_matrix_norms_non_finite():
     m = np.eye(2, dtype=complex)
     m[0, 0] = np.nan
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(StrategyError, match="^matrix has non-finite entries$"):
         matrix_norms(m)
 
 

@@ -14,10 +14,10 @@ from colorproof.certificates import assignment_norms, eps_table, extract_assignm
 from colorproof.games import ALT_EDGE, GameKind, GameType, challenge_pmf
 from colorproof.graphs import extend_with_gadgets, make_graph
 from colorproof.quantum import (
-    BadStateError,
     BornPair,
     QuantumStrategy,
     Side,
+    StrategyError,
     arbitrary_strategy,
     random_strategy,
     reduce_edge_to_bcs,
@@ -142,7 +142,7 @@ def test_validate_rejects_a_state_not_uniform_over_the_register():
     psi = s.psi.copy()
     psi[-1] += 0.1
     bad = QuantumStrategy(s.game, s.dim_a, s.dim_b, psi / np.linalg.norm(psi), s.a, s.b)
-    with pytest.raises(BadStateError, match="not uniform over the slot registers"):
+    with pytest.raises(StrategyError, match="^state is not uniform over the slot registers$"):
         validate_strategy(bad)
 
 

@@ -4,8 +4,6 @@ import pytest
 
 from colorproof.soundness import (
     BoundVariant,
-    DegenerateDegreeError,
-    InsufficientPointsError,
     SoundnessError,
     edge_win_floor,
     quantum_value_bound,
@@ -104,7 +102,7 @@ def test_rounds_str_mantissa_carry():
 
 
 def test_degenerate_degree():
-    with pytest.raises(DegenerateDegreeError):
+    with pytest.raises(SoundnessError, match=r"^extended minimum degree 3\*3-3-2\*3 is not positive$"):
         quantum_value_bound(3, 3, 3)
 
 
@@ -129,6 +127,8 @@ def test_edge_win_floor_input_validation():
         edge_win_floor(200, 380, 4, -0.1)
     with pytest.raises(SoundnessError):
         edge_win_floor(4, 100, 2, 0.0)  # impossible edge count
+    with pytest.raises(SoundnessError, match="^need n >= 2 and m >= 1, got n=3, m=0$"):
+        edge_win_floor(3, 0, 2, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -157,9 +157,9 @@ def test_scaling_exponent_near_eight():
 
 
 def test_scaling_probe_input_validation():
-    with pytest.raises(InsufficientPointsError):
+    with pytest.raises(SoundnessError, match="^need at least 4 points, got 3$"):
         scaling_probe([(200, 380), (400, 760), (600, 1140)], 4)
-    with pytest.raises(InsufficientPointsError):
+    with pytest.raises(SoundnessError, match="^degenerate fit: all points share one edge count$"):
         scaling_probe([(200, 380)] * 5, 4)
 
 

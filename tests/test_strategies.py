@@ -20,11 +20,10 @@ from colorproof.games import (
     play_rounds,
     sample_challenge,
 )
-from colorproof.graphs import gen_planted, make_graph, three_color
+from colorproof.graphs import PlantedInstance, gen_planted, make_graph, three_color
 from colorproof.strategies import (
     ADMISSIBLE_QUADS,
-    NoSamplesError,
-    TooLargeError,
+    StrategiesError,
     brute_force_vertex3col_value,
     fixed_coloring_pair,
     honest_pair,
@@ -108,8 +107,10 @@ def test_brute_force_three_colorable(k3, c5):
 
 def test_brute_force_too_large():
     g = make_graph(17, [(0, 1)])
-    with pytest.raises(TooLargeError):
+    with pytest.raises(StrategiesError, match=r"^3\^17 colorings is past the brute-force envelope \(n <= 16\)$"):
         brute_force_vertex3col_value(g)
+    with pytest.raises(StrategiesError, match="^graph has no edges$"):
+        brute_force_vertex3col_value(make_graph(3, []))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -159,7 +160,7 @@ def test_no_signaling_challenge_swap():
 def test_transcript_uniformity_no_samples(k3):
     inst = gen_planted(3, 3, seed=12)
     _, log = play_rounds(ALT_RZKP, inst.graph, honest_pair(inst), 10, seed=3, keep_log=True)
-    with pytest.raises(NoSamplesError):
+    with pytest.raises(StrategiesError, match=r"^no transcripts carry A-challenge \(40, 41\)$"):
         transcript_uniformity(log, (40, 41))
 
 
@@ -176,7 +177,7 @@ def test_uniformity_by_edge_is_one_pass_of_per_edge_reports():
     reports = uniformity_by_edge(once(), [list(e) for e in g.edges])
     assert len(passes) == 1 and list(reports) == list(g.edges)
     assert reports == {e: transcript_uniformity(log, e) for e in g.edges}
-    with pytest.raises(NoSamplesError):
+    with pytest.raises(StrategiesError, match=r"^no transcripts carry A-challenge \(40, 41\)$"):
         uniformity_by_edge(log, [g.edges[0], (40, 41)])
 
 
@@ -222,6 +223,19 @@ def test_uniformity_report_is_json_serializable():
     doc = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert doc["samples"] == rep.samples
     assert sum(doc["counts"].values()) == rep.samples
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: honest_pair(PlantedInstance(make_graph(3, [(0, 1)]), ())), "instance has no witness"),
+        (lambda: mismatched_pair((0, 1, 2), (0, 1)), "colorings must have equal length"),
+    ],
+    ids=["no-witness", "unequal-colorings"],
+)
+def test_pairs_refuse_colorings_they_cannot_answer_from(build, message):
+    with pytest.raises(StrategiesError, match=f"^{message}$"):
+        build()
 
 
 def test_mismatched_pair_rejects_only_well_definition():
