@@ -3,7 +3,9 @@
 Subcommands: gen, extend, bounds, simulate, bruteforce, zk-test,
 audit-quantum, serve-prover, verify. Every randomized subcommand takes
 --seed and echoes its resolved configuration; --json switches to a stable
-machine-readable output. Exit codes: 0 success, 1 domain error, 2 usage.
+machine-readable output. serve-prover takes no --json: it prints only its
+config: line, which supervisors parse for the bound port. Exit codes: 0
+success, 1 domain error, 2 usage.
 Each command imports the modules it runs when it starts, so start-up pays for no other.
 A stdout whose reader has gone ends the output; the command exits cleanly.
 """
@@ -321,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True, help="instance JSON with witness")
     sp.add_argument("--shared-seed", type=int, required=True)
     sp.add_argument("--delay-ms", type=float, default=0.0)
-    common(sp, seed=False)
 
     sp = sub.add_parser("verify", help="drive a networked session against two provers")
     sp.add_argument("--graph", required=True)

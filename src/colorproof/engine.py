@@ -157,18 +157,16 @@ class JointRows:
     challenge's cumulative weights, padded with 2.0 (above every `random()`), `pairs[j]` its response pairs,
     and `codes[j]` the `REASON_CODE` of `verdict()` on each pair, called once per challenge and pair. Both
     are views of buffers that double when full, so meeting k challenges one at a time copies O(k) rows.
-    A challenge object is matched by value once, then by identity (`by_id`), so an interned member costs
-    no `==` against an equal challenge built elsewhere; `_met` keeps each object, and its id its own.
     """
 
     def __init__(self):
-        self.index, self.by_id, self._met = {}, {}, {}
+        self.index: dict = {}
         self.pairs: list = []
         self.cum, self.codes = self._cum, self._codes = np.full((0, 1), 2.0), np.zeros((0, 1), np.int8)
         self._lock = threading.Lock()
 
     def of(self, kind: GameKind, sampler: JointSampler, chs: list) -> list:
-        js = list(map(self.by_id.get, map(id, chs)))
+        js = list(map(self.index.get, chs))
         if None not in js:
             return js
         with self._lock:
@@ -186,10 +184,8 @@ class JointRows:
                 self.pairs.append(pairs)
             self._cum, self._codes = cum, codes
             self.cum, self.codes = cum[: len(self.pairs)], codes[: len(self.pairs)]
-            self.index.update(zip(new, itertools.count(j0)))
-            self._met.update(zip(map(id, chs), chs))
-            self.by_id.update((id(ch), self.index[ch]) for ch in chs)  # last: whoever finds an object finds its row
-        return list(map(self.by_id.__getitem__, map(id, chs)))
+            self.index.update(zip(new, itertools.count(j0)))  # last: whoever finds a challenge finds its row
+        return list(map(self.index.__getitem__, chs))
 
 
 @dataclass
@@ -208,7 +204,7 @@ class JointSampler:
         raise NotImplementedError
 
     def respond(self, kind: GameKind, ch: Challenge, rng: random.Random) -> tuple[Response, Response]:
-        rows = self._rows  # by value: the objects `of` keeps stay bounded by the batch engine's interned members
+        rows = self._rows
         j = rows.index[ch] if ch in rows.index else rows.of(kind, self, [ch])[0]
         return rows.pairs[j][bisect.bisect_left(rows.cum[j], rng.random())]
 

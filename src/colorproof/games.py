@@ -37,8 +37,8 @@ import math
 import random
 import sys
 import threading
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from . import ColorproofError, GameType
 from .graphs import Edge, Graph
@@ -83,59 +83,37 @@ class GamesError(ColorproofError, ValueError):
 # Challenges
 
 
-class _HashedOnce:
-    """Keeps its hash after the first call: challenges key a count or cache dict every round."""
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(map(self.__getattribute__, self.__slots__)))  # the dataclass fields
-            object.__setattr__(self, "_hash", h)
-            return h
-
-
-@dataclass(frozen=True, slots=True)
-class RzkpChallenge(_HashedOnce):
+# Challenges are named tuples: they key a count or cache dict every round, and a tuple hashes and compares in C.
+# A plain tuple of the same fields is equal to one, so `verdict`'s type check is what rejects it.
+class RzkpChallenge(NamedTuple):
     edge_a: Edge
     edge_b: Edge
     bit: int
-    __hash__ = _HashedOnce.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeChallenge(_HashedOnce):
+class EdgeChallenge(NamedTuple):
     edge_a: Edge
     vertex_b: int
-    __hash__ = _HashedOnce.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class VertexConstraint:
+class VertexConstraint(NamedTuple):
     vertex: int
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeConstraint:
+class EdgeConstraint(NamedTuple):
     edge: Edge
     color: int
 
 
-@dataclass(frozen=True, slots=True)
-class BcsChallenge(_HashedOnce):
+class BcsChallenge(NamedTuple):
     constraint: Union[VertexConstraint, EdgeConstraint]
     vertex_b: int
     color_b: int
-    __hash__ = _HashedOnce.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class VertexChallenge(_HashedOnce):
+class VertexChallenge(NamedTuple):
     vertex_a: int
     vertex_b: int
-    __hash__ = _HashedOnce.__hash__
 
 
 Challenge = Union[RzkpChallenge, EdgeChallenge, BcsChallenge, VertexChallenge]
@@ -147,8 +125,7 @@ Challenge = Union[RzkpChallenge, EdgeChallenge, BcsChallenge, VertexChallenge]
 Response = object
 
 
-@dataclass(frozen=True)
-class Labelled:
+class Labelled(NamedTuple):
     """Per-round coloring and its additive label split (w0 + w1 = c mod 3)."""
 
     colors: tuple[int, ...]
@@ -232,8 +209,7 @@ REASON_CODE = {None: 0, **{r: code for code, r in enumerate(Reason, 1)}}
 VERDICT_OF_CODE = (ACCEPT, *(_reject(r) for r in Reason))
 
 
-@dataclass(frozen=True, slots=True)
-class Transcript:
+class Transcript(NamedTuple):
     round: int
     challenge: Challenge
     response_a: Optional[Response]
@@ -587,7 +563,7 @@ SPECS = {
         honest_a=lambda lab, e: (lab.w0[e[0]], lab.w1[e[0]], lab.w0[e[1]], lab.w1[e[1]]),
         honest_b=_rzkp_honest_b,
         check=_rzkp_check,
-        to_json=asdict,
+        to_json=RzkpChallenge._asdict,
         shape=lambda ch: (ch.bit, *map((ch.edge_a + ch.edge_b).index, ch.edge_a + ch.edge_b)),  # which ends are equal
     ),
     GameType.ALT_EDGE: GameSpec(
@@ -606,7 +582,7 @@ SPECS = {
         honest_a=lambda lab, edge: (lab.colors[edge[0]], lab.colors[edge[1]]),
         honest_b=lambda lab, v: lab.colors[v],
         check=_edge_check,
-        to_json=asdict,
+        to_json=EdgeChallenge._asdict,
         shape=lambda ch: (ch.vertex_b == ch.edge_a[0], ch.vertex_b == ch.edge_a[1]),
     ),
     GameType.BCS: GameSpec(
@@ -644,7 +620,7 @@ SPECS = {
         honest_a=lambda lab, v: lab.colors[v],
         honest_b=lambda lab, v: lab.colors[v],
         check=_vertex_check,
-        to_json=asdict,
+        to_json=VertexChallenge._asdict,
         shape=lambda ch: (ch.vertex_a == ch.vertex_b,),
     ),
 }
@@ -667,8 +643,8 @@ class ChallengeTable(dict):
     Maps a replay's draw key to an index in `members`. A key's challenge is
     built by `spec.member` the first time the key is drawn, so the table
     holds only what has been drawn so far, never the whole support up front.
-    Members are ordinary challenge objects: equal by value, with an equal
-    hash, to freshly built ones (two keys may stand for equal challenges).
+    Members are ordinary challenges, equal to freshly built ones (two keys
+    may stand for equal challenges).
     A new key's member is built under the table's one lock and its index
     published last, so whoever finds the key finds its member. `rows` is the
     batch engine's, made under the same lock by `engine.batch_rows`.

@@ -59,12 +59,10 @@ def _check_inputs(n: int, m: int, max_deg: int) -> None:
         raise SoundnessError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if m > n * (n - 1) // 2:
         raise SoundnessError(f"edge count {m} impossible on {n} vertices")
-    if max_deg < 1 or 2 * m > n * max_deg:
-        raise SoundnessError(f"no graph on {n} vertices has {m} edges and max degree {max_deg}")
-    if 3 * n - 3 - 2 * max_deg <= 0:
-        raise SoundnessError(f"extended minimum degree 3*{n}-3-2*{max_deg} is not positive")
     if max_deg > n - 1:
         raise SoundnessError(f"no graph on {n} vertices has max degree {max_deg}")
+    if max_deg < 1 or 2 * m > n * max_deg:
+        raise SoundnessError(f"no graph on {n} vertices has {m} edges and max degree {max_deg}")
 
 
 def _bracket(n: int, m: int, max_deg: int, variant: BoundVariant) -> Decimal:

@@ -386,6 +386,14 @@ def test_unknown_flag_rejected(capsys):
     assert exc.value.code == 2
 
 
+def test_serve_prover_takes_no_json_flag(capsys, tmp_path):
+    # a prover prints only its config: line, which supervisors parse; a --json it ignored is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["serve-prover", "--graph", _instance_file(tmp_path), "--role", "a", "--shared-seed", "1", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_domain_error_exits_1(capsys):
     code, _, err = run_cli(capsys, ["bruteforce", "--graph", "/nonexistent/path.json"])
     assert code == 1

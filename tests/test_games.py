@@ -253,6 +253,9 @@ def test_verdict_malformed_never_raises():
     assert verdict(ALT_RZKP, ch, (0, 1, 1, 1), three_labels).reason is Reason.MALFORMED
     assert verdict(BCS, BcsChallenge(VertexConstraint(0), 0, 0), (1, 0), 1).reason is Reason.MALFORMED
     assert verdict(ALT_EDGE, VertexChallenge(0, 1), (0, 1), 0).reason is Reason.MALFORMED  # another variant's challenge
+    for kind, (ch, ra, rb) in WELL_FORMED.items():  # a plain tuple equals the challenge but is none
+        assert verdict(kind, ch, ra, rb).accept
+        assert verdict(kind, tuple(ch), ra, rb).reason is Reason.MALFORMED
 
 
 @settings(max_examples=100, deadline=None)

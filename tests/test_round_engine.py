@@ -354,6 +354,19 @@ def test_joint_rows_filled_one_at_a_time_equal_one_batch_fill(kind):
     assert np.array_equal(got.cum, want.cum) and np.array_equal(got.codes, want.codes)
 
 
+@pytest.mark.parametrize("kind", KINDS[:4], ids=lambda k: k.game.value)
+def test_joint_rows_find_equal_challenges_by_value(kind):
+    # rows are keyed by value: fresh copies of the challenges met find their rows and add none
+    g = INSTANCES["planted-20-40"].graph
+    pair = _born(kind, g, 37)
+    members = list(games.challenge_pmf(kind, g))
+    rows = pair._rows.of(kind, pair, members)
+    copies = [m._replace() for m in members]
+    assert all(c == m and c is not m for c, m in zip(copies, members))
+    assert pair._rows.of(kind, pair, copies) == rows
+    assert len(pair._rows.pairs) == len(pair._rows.index) == len(members)
+
+
 def test_born_verdicts_come_from_verdict_once_per_challenge_and_pair(monkeypatch):
     g = INSTANCES["planted-20-40"].graph
     calls = []

@@ -102,7 +102,7 @@ def test_rounds_str_mantissa_carry():
 
 
 def test_degenerate_degree():
-    with pytest.raises(SoundnessError, match=r"^extended minimum degree 3\*3-3-2\*3 is not positive$"):
+    with pytest.raises(SoundnessError, match=r"^no graph on 3 vertices has max degree 3$"):
         quantum_value_bound(3, 3, 3)
 
 
@@ -133,8 +133,9 @@ def test_edge_win_floor_input_validation():
 
 @pytest.mark.parametrize(
     "n,m,max_deg",
-    [(10, 5, -1), (10, 5, 0), (10, 40, 1), (200, 401, 4), (10, 5, 10)],
-    ids=["max-deg-minus-1", "max-deg-0", "2m-over-n-max-deg", "table-row-one-edge-too-many", "max-deg-over-n-minus-1"],
+    [(10, 5, -1), (10, 5, 0), (10, 40, 1), (200, 401, 4), (10, 5, 10), (2, 1, 2), (3, 3, 5)],
+    ids=["max-deg-minus-1", "max-deg-0", "2m-over-n-max-deg", "table-row-one-edge-too-many", "max-deg-over-n-minus-1",
+         "two-vertices-max-deg-2", "triangle-max-deg-5"],
 )
 def test_impossible_degree_bound_rejected(n, m, max_deg):
     # no graph on n vertices with max degree max_deg has more than n*max_deg/2 edges
